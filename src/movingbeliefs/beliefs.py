@@ -209,12 +209,8 @@ def expect_neutral_with_error(
     if isinstance(f, Polynomial):
         total = 0.0
         mass = 0.0
-        k = P.intrinsic_dim
-        tframe = P.vertices_frame
         deg = f.degree
-        for simplex in gk._triangulate_frame(tframe, k):
-            d = tframe[simplex[1:]] - tframe[simplex[0]]
-            vol = abs(float(np.linalg.det(d))) / math.factorial(k)
+        for simplex, vol in gk._simplex_volumes(P.vertices_frame, P.intrinsic_dim):
             if vol == 0.0:
                 continue
             total += vol * simplex_average(f, P.vrep[simplex], deg)
@@ -358,7 +354,7 @@ def _segment_coords_on_common_line(P: Polytope, Q: Polytope, tol: Tolerances):
     center = pts.mean(axis=0)
     diffs = pts - center
     svals = np.linalg.svd(diffs, compute_uv=False)
-    if _rank_loose(svals, tol.rank_tol) > 1:
+    if gk._numerical_rank(svals, tol.rank_tol, strict=False) > 1:
         return None
     if svals.size == 0 or svals[0] == 0.0:
         axis = np.zeros(P.ambient_dim)
@@ -368,12 +364,6 @@ def _segment_coords_on_common_line(P: Polytope, Q: Polytope, tol: Tolerances):
     tp = (P.vrep - center) @ axis
     tq = (Q.vrep - center) @ axis
     return (float(tp.min()), float(tp.max())), (float(tq.min()), float(tq.max()))
-
-
-def _rank_loose(svals, rank_tol):
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > rank_tol * svals[0]))
 
 
 def _w1_uniform_intervals(a, b, c, d) -> float:
@@ -454,13 +444,9 @@ def w1_distance(
 def _centroid(P: Polytope) -> np.ndarray:
     if P.intrinsic_dim == 0:
         return P.vrep[0].copy()
-    k = P.intrinsic_dim
-    t = P.vertices_frame
     total = np.zeros(P.ambient_dim)
     mass = 0.0
-    for simplex in gk._triangulate_frame(t, k):
-        d = t[simplex[1:]] - t[simplex[0]]
-        vol = abs(float(np.linalg.det(d))) / math.factorial(k)
+    for simplex, vol in gk._simplex_volumes(P.vertices_frame, P.intrinsic_dim):
         total += vol * P.vrep[simplex].mean(axis=0)
         mass += vol
     return total / mass

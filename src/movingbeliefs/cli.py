@@ -11,10 +11,12 @@ precondition error.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from importlib import resources
 from typing import Optional
 
 import click
@@ -29,132 +31,11 @@ from .beliefs import Belief, NEUTRAL, Opaque, Polynomial
 from .errors import MovingBeliefsError
 from .geomkernel import Tolerances
 
-SCHEMA_VERSION = "1"
 
-_NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
-_MATRIX = {"type": "array", "items": _NUMBER_ARRAY}
-
-INTEGRAND_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {
-            "properties": {
-                "kind": {"const": "polynomial"},
-                "dim": {"type": "integer", "minimum": 1},
-                "terms": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "exponents": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                            "coeff": {"type": "number"},
-                        },
-                        "required": ["exponents", "coeff"],
-                    },
-                },
-            },
-            "required": ["kind", "dim", "terms"],
-        },
-        {
-            "properties": {
-                "kind": {"const": "opaque"},
-                "callable": {"type": "string"},
-                "dim": {"type": "integer", "minimum": 1},
-            },
-            "required": ["kind", "callable", "dim"],
-        },
-    ],
-}
-
-MAP_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {
-            "enum": [
-                "trapezoid",
-                "qmap",
-                "rotseg",
-                "interp",
-                "bilevel_linear",
-                "eps_argmin",
-                "generic_affine",
-            ]
-        },
-        "q": {"type": "number", "minimum": 1},
-        "eps": {"type": "number", "exclusiveMinimum": 0},
-        "body_a": {"type": "object"},
-        "body_b": {"type": "object"},
-        "a_matrix": _MATRIX,
-        "b_matrix": _MATRIX,
-        "rhs": _NUMBER_ARRAY,
-        "cost": _NUMBER_ARRAY,
-    },
-    "required": ["kind"],
-}
-
-PROBLEM_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "movingbeliefs problem file",
-    "type": "object",
-    "properties": {
-        "version": {"const": SCHEMA_VERSION},
-        "map": MAP_SCHEMA,
-        "belief": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["neutral", "density"]},
-                "density": INTEGRAND_SCHEMA,
-            },
-            "required": ["kind"],
-        },
-        "theta": {
-            "type": "object",
-            "properties": {
-                "terms": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "coeff": {"type": "number"},
-                            "x_exponent": {"type": "integer", "minimum": 0},
-                            "y_exponents": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                        },
-                        "required": ["coeff", "y_exponents"],
-                    },
-                }
-            },
-            "required": ["terms"],
-        },
-        "grid": {
-            "type": "object",
-            "properties": {
-                "start": {"type": "number"},
-                "stop": {"type": "number"},
-                "count": {"type": "integer", "minimum": 1},
-                "log": {"type": "boolean"},
-            },
-            "required": ["start", "stop", "count"],
-        },
-        "tolerances": {
-            "type": "object",
-            "properties": {
-                "feas_tol": {"type": "number", "exclusiveMinimum": 0},
-                "rank_tol": {"type": "number", "exclusiveMinimum": 0},
-                "sphere_nodes": {"type": "integer", "minimum": 1},
-                "rng_seed": {"type": "integer"},
-            },
-        },
-        "anchor": {"type": "number"},
-        "y_box": {"type": "array", "items": _NUMBER_ARRAY, "minItems": 2, "maxItems": 2},
-        "w1_resolution": {"type": "number", "exclusiveMinimum": 0},
-        "leader": {
-            "type": "object",
-            "properties": {"g": _NUMBER_ARRAY, "h": _NUMBER_ARRAY},
-            "required": ["g", "h"],
-        },
-    },
-    "required": ["version", "map", "grid"],
-}
+@functools.cache
+def _problem_schema() -> dict:
+    """The JSON schema of problem files, shipped as package data."""
+    return json.loads(resources.files(__package__).joinpath("problem_schema.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +210,7 @@ class ProblemFile:
 
     @staticmethod
     def parse(obj: dict) -> "ProblemFile":
-        jsonschema.validate(obj, PROBLEM_SCHEMA)
+        jsonschema.validate(obj, _problem_schema())
         tol = tolerances_from_json(obj.get("tolerances"))
         spec = map_from_json(obj["map"], tol)
         g = obj["grid"]
@@ -517,6 +398,18 @@ def _builtin_problem(name: str):
     raise click.UsageError(f"unknown builtin '{name}'")
 
 
+def _load_problem(path: str) -> ProblemFile:
+    """Parse a problem file; a schema or precondition error exits 2."""
+    try:
+        with open(path) as fh:
+            return ProblemFile.parse(json.load(fh))
+    except (jsonschema.ValidationError, json.JSONDecodeError) as exc:
+        click.echo(f"schema error: {getattr(exc, 'message', exc)}", err=True)
+    except (MovingBeliefsError, ValueError, KeyError) as exc:
+        click.echo(f"precondition error: {type(exc).__name__}: {exc}", err=True)
+    sys.exit(2)
+
+
 @main.command("verify")
 @click.argument("suite", type=click.Choice(["body", "tv-bound", "sandwich", "w1"]))
 @click.argument("problem", type=click.Path(exists=True), required=False)
@@ -532,8 +425,7 @@ def cmd_verify(suite, problem, builtin, samples, seed, out, fmt):
             report = pr.verify_body_lemmas(samples=samples, seed=seed)
         else:
             if problem:
-                with open(problem) as fh:
-                    pf = ProblemFile.parse(json.load(fh))
+                pf = _load_problem(problem)
                 spec, grid, anchor, tol = pf.map_spec, pf.grid, pf.anchor, pf.tolerances
                 y_box, resolution = pf.y_box, pf.w1_resolution
             elif builtin:
@@ -547,9 +439,6 @@ def cmd_verify(suite, problem, builtin, samples, seed, out, fmt):
                 report = pr.verify_sandwich_and_h(spec, anchor if anchor is not None else grid[0], grid, tol)
             else:
                 report = pr.verify_w1_regime(spec, grid, tol, resolution)
-    except (jsonschema.ValidationError, json.JSONDecodeError) as exc:
-        click.echo(f"schema error: {getattr(exc, 'message', exc)}", err=True)
-        sys.exit(2)
     except click.UsageError:
         raise
     except MovingBeliefsError as exc:
@@ -589,27 +478,22 @@ def cmd_verify(suite, problem, builtin, samples, seed, out, fmt):
 def cmd_bilevel(problem, out, fmt, exact):
     """Evaluate the leader objective g.x + E[h.y] on the grid under the
     neutral (or density) belief and report the grid argmin."""
-    try:
-        with open(problem) as fh:
-            pf = ProblemFile.parse(json.load(fh))
-        if pf.leader is None:
-            raise click.UsageError("bilevel command needs a 'leader' section {g, h}")
-        if not isinstance(pf.map_spec, (sv.BilevelSolutionMap, sv.EpsArgminMap)):
-            raise click.UsageError("bilevel command needs a bilevel_linear or eps_argmin map")
-        if len(pf.grid) == 0:
-            raise click.UsageError("empty grid")
-    except (jsonschema.ValidationError, json.JSONDecodeError) as exc:
-        click.echo(f"schema error: {getattr(exc, 'message', exc)}", err=True)
-        sys.exit(2)
+    pf = _load_problem(problem)
+    if pf.leader is None:
+        raise click.UsageError("bilevel command needs a 'leader' section {g, h}")
+    if not isinstance(pf.map_spec, (sv.BilevelSolutionMap, sv.EpsArgminMap)):
+        raise click.UsageError("bilevel command needs a bilevel_linear or eps_argmin map")
+    if len(pf.grid) == 0:
+        raise click.UsageError("empty grid")
 
     g_vec = np.asarray(pf.leader["g"], dtype=float)
     h_vec = np.asarray(pf.leader["h"], dtype=float)
     m = pf.map_spec.spec.n_vars
     h_poly = Polynomial.from_dict({tuple(int(i == j) for i in range(m)): float(h_vec[j]) for j in range(m)}, m)
 
-    xs, vals = [], []
+    xs, vals, evaluated = [], [], []
     skipped = []
-    for x in pf.grid:
+    for k, x in enumerate(pf.grid):
         try:
             img = sv.eval_map(pf.map_spec, x, pf.tolerances, exact)
         except MovingBeliefsError as exc:
@@ -619,17 +503,21 @@ def cmd_bilevel(problem, out, fmt, exact):
         follower = bl.expect(img, pf.belief, h_poly, pf.tolerances)
         xs.append(float(x))
         vals.append(float(g_vec @ np.atleast_1d(x) + follower))
+        evaluated.append(k)
     if not xs:
         click.echo("error: every grid point was infeasible", err=True)
         sys.exit(2)
     xs = np.array(xs)
     vals = np.array(vals)
     best = int(np.argmin(vals))
-    ratios = np.abs(np.diff(vals)) / np.maximum(np.abs(np.diff(xs)), 1e-300)
+    # ratios[i] compares row i with row i-1, only when they are grid neighbours
+    ratios = np.full(len(xs), math.nan)
+    adjacent = np.diff(evaluated) == 1
+    ratios[1:][adjacent] = (np.abs(np.diff(vals)) / np.maximum(np.abs(np.diff(xs)), 1e-300))[adjacent]
     summary = {
         "argmin_x": float(xs[best]),
         "argmin_value": float(vals[best]),
-        "lipschitz_estimate": float(ratios.max()) if len(ratios) else 0.0,
+        "lipschitz_estimate": float(np.max(ratios[1:][adjacent])) if adjacent.any() else 0.0,
         "skipped": skipped,
     }
     rows = []
@@ -639,7 +527,7 @@ def cmd_bilevel(problem, out, fmt, exact):
                 "x": float(xs[i]),
                 "phi": float(vals[i]),
                 "fd": math.nan,
-                "ratio": float(ratios[i - 1]) if i > 0 else math.nan,
+                "ratio": float(ratios[i]),
                 "bound_lhs": math.nan,
                 "bound_rhs": math.nan,
                 "margin": math.nan,

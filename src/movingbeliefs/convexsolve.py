@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import Infeasible, SolverStall
+from .errors import Infeasible, SolverStall, Unbounded
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -216,11 +216,31 @@ def lp_solve(prob: LpProblem, exact: bool = False, feas_tol: float = _FEAS_TOL) 
     return LpResult(status=status, value=float(value), point=np.array(y, dtype=float), basis=basis)
 
 
-def solve_exact(c, M, q):
-    """Rational-arithmetic LP on already-Fraction data; internal helper for the
-    exact vertex-enumeration path.  Returns (status, value, point)."""
-    status, value, y, _ = _solve_inequality_lp(list(c), [list(r) for r in M], list(q), Fraction(0), Fraction(0))
-    return status, value, y
+def bounding_box(M, q, exact: bool = False, feas_tol: float = _FEAS_TOL):
+    """Per-coordinate bounds (lo, hi) of {y : M y <= q} from 2 * dim LPs.
+
+    Raises ``Infeasible`` for an empty system and ``Unbounded`` along the
+    first coordinate direction it recedes in; ``exact`` runs the LPs in
+    rational arithmetic.
+    """
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    m = M.shape[1]
+    lo = np.empty(m)
+    hi = np.empty(m)
+    for i in range(m):
+        e = np.zeros(m)
+        e[i] = 1.0
+        res_min = lp_solve(LpProblem(e, M, q), exact=exact, feas_tol=feas_tol)
+        if res_min.status == INFEASIBLE:
+            raise Infeasible("inequality system has no solution")
+        if res_min.status == UNBOUNDED:
+            raise Unbounded(f"recession direction along -e_{i}")
+        res_max = lp_solve(LpProblem(-e, M, q), exact=exact, feas_tol=feas_tol)
+        if res_max.status == UNBOUNDED:
+            raise Unbounded(f"recession direction along +e_{i}")
+        lo[i] = res_min.value
+        hi[i] = -res_max.value
+    return lo, hi
 
 
 def min_norm_point(vertices: Sequence, feas_tol: float = _FEAS_TOL, max_iter: Optional[int] = None) -> np.ndarray:

@@ -20,6 +20,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,6 @@ from .errors import (
     OriginNotContained,
     OriginNotRelativeInterior,
     QuadratureBudgetExceeded,
-    Unbounded,
 )
 
 
@@ -67,6 +67,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
     a.setflags(write=False)
     return a
+
+
+def _rational(a) -> np.ndarray:
+    """Element-wise Fraction copy (object dtype) of a float array."""
+    return np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +165,7 @@ class Polytope:
         """Counterclockwise vertex order in frame coordinates (k == 2 only)."""
         if self.intrinsic_dim != 2:
             raise ValueError("hull order is defined for 2-dimensional polytopes")
-        t = self.vertices_frame
-        c = t.mean(axis=0)
-        ang = np.arctan2(t[:, 1] - c[1], t[:, 0] - c[0])
-        return np.argsort(ang, kind="stable")
+        return _ccw_order(self.vertices_frame)
 
     @cached_property
     def intrinsic_facets(self):
@@ -297,6 +299,7 @@ def _intrinsic_facets(t: np.ndarray, k: int):
 
 
 def _ccw_order(t: np.ndarray) -> np.ndarray:
+    """Counterclockwise order of 2-D points by angle about their mean."""
     c = t.mean(axis=0)
     ang = np.arctan2(t[:, 1] - c[1], t[:, 0] - c[0])
     return np.argsort(ang, kind="stable")
@@ -378,80 +381,79 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
 # incremental halfspace clipping (double-description style)
 
 
-def _clip_float(verts: np.ndarray, base_rows, new_rows, tol: float):
-    """Clip the polytope given by vertex array ``verts`` (full-dimensional in
-    its d coordinates, described by ``base_rows``) with ``new_rows``, keeping
-    vertex and active-row bookkeeping in step.
+def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
+    """Clip the polytope with vertex array ``V`` (full-dimensional in its d
+    coordinates, described by ``base_rows``) with ``new_rows``, keeping
+    vertex and active-row bookkeeping in step.  Returns None when empty.
+
+    The scalar type of ``V`` decides the arithmetic: float arrays normalize
+    the rows and use ``tol``; object arrays of Fractions run exactly, with
+    zero tolerances and exact deduplication.
 
     Adjacency of an (inside, outside) pair is decided by the rank of their
-    common active rows (== d-1 exactly on edges); the active tolerance is kept
-    loose on purpose — spurious candidates are pruned by the final hull
-    reconstruction, missed edges would lose vertices.
+    common active rows (== d-1 exactly on edges); the float active tolerance
+    is kept loose on purpose — spurious candidates are pruned by the final
+    hull reconstruction, missed edges would lose vertices.
     """
-    d = verts.shape[1]
-    V = np.asarray(verts, dtype=float)
-    rows = [(np.asarray(n, dtype=float), float(c)) for n, c in base_rows]
-    act_tol = max(100.0 * tol, 1e-7)
+    exact = V.dtype == object
+    d = V.shape[1]
+    rows = list(base_rows)
+    if exact:
+        tol = act_tol = 0
+    else:
+        act_tol = max(100.0 * tol, 1e-7)
 
     for nrm, off in new_rows:
-        nrm = np.asarray(nrm, dtype=float)
-        ln = float(np.linalg.norm(nrm))
-        if ln <= 1e-14:
+        nrm = np.asarray(nrm, dtype=V.dtype)
+        ln = float(any(nrm)) if exact else float(np.linalg.norm(nrm))
+        if ln <= 1e-14:  # a zero row holds everywhere or nowhere
             if off < -tol:
                 return None
             continue
-        nrm = nrm / ln
-        off = off / ln
+        if not exact:
+            nrm = nrm / ln
+            off = off / ln
         s = off - V @ nrm
-        if np.all(s >= -tol):
+        inside = s > tol
+        outside = s < -tol
+        if not outside.any():
             rows.append((nrm, off))
             continue
-        inside = s > tol
-        on = np.abs(s) <= tol
-        outside = s < -tol
-        if not (inside.any() or on.any()):
+        if outside.all():
             return None
         new_pts = []
-        if inside.any() and outside.any():
+        if inside.any():
             N = np.array([r[0] for r in rows])
             C = np.array([r[1] for r in rows])
-            act = np.abs(V @ N.T - C) <= act_tol
+            G = V @ N.T
+            act = G == C if exact else np.abs(G - C) <= act_tol
             for i in np.nonzero(inside)[0]:
                 for j in np.nonzero(outside)[0]:
                     common = act[i] & act[j]
-                    nc = int(common.sum())
-                    if d == 1:
-                        adjacent = True
-                    elif nc < d - 1:
-                        adjacent = False
-                    else:
-                        sub = N[common]
-                        sv = np.linalg.svd(sub, compute_uv=False)
-                        adjacent = int(np.sum(sv > 1e-7 * max(1.0, sv[0]))) >= d - 1
-                    if adjacent:
+                    if d == 1 or (common.sum() >= d - 1 and _row_rank(N[common]) >= d - 1):
                         tcut = s[i] / (s[i] - s[j])
                         new_pts.append(V[i] + tcut * (V[j] - V[i]))
-        keep = V[inside | on]
+        keep = V[~outside]
         if new_pts:
             keep = np.vstack([keep, np.array(new_pts)])
-        if keep.shape[0] == 0:
-            return None
-        V = _dedup_points(keep, max(tol, 1e-12) * (1.0 + float(np.max(np.abs(keep)))))
+        if exact:
+            V = np.array(list(dict.fromkeys(map(tuple, keep))))
+        else:
+            V = _dedup_points(keep, max(tol, 1e-12) * (1.0 + float(np.max(np.abs(keep)))))
         rows.append((nrm, off))
     return V
 
 
-def _exact_rank(rows) -> int:
-    """Rank of a list of Fraction tuples by Gaussian elimination."""
+def _row_rank(rows: np.ndarray) -> int:
+    """Rank of a stack of rows: by SVD with a 1e-7 relative cut for floats,
+    by Gaussian elimination for Fractions."""
+    if rows.dtype != object:
+        sv = np.linalg.svd(rows, compute_uv=False)
+        return int(np.sum(sv > 1e-7 * max(1.0, sv[0])))
     mat = [list(r) for r in rows]
     rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
+    for col in range(rows.shape[1]):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
@@ -464,104 +466,44 @@ def _exact_rank(rows) -> int:
     return rank
 
 
-def _clip_exact(verts, base_rows, new_rows):
-    """Rational-arithmetic twin of ``_clip_float`` (zero tolerances)."""
-    if not verts:
-        return None
-    d = len(verts[0])
-    V = [tuple(v) for v in verts]
-    rows = [(tuple(n), c) for n, c in base_rows]
-
-    for nrm, off in new_rows:
-        nrm = tuple(nrm)
-        if all(v == 0 for v in nrm):
-            if off < 0:
-                return None
-            continue
-        s = [off - sum(a * b for a, b in zip(nrm, v)) for v in V]
-        if all(v >= 0 for v in s):
-            rows.append((nrm, off))
-            continue
-        inside = [i for i, v in enumerate(s) if v > 0]
-        on = [i for i, v in enumerate(s) if v == 0]
-        outside = [i for i, v in enumerate(s) if v < 0]
-        if not inside and not on:
-            return None
-        new_pts = []
-        if inside and outside:
-            act = []
-            for v in V:
-                act.append([sum(a * b for a, b in zip(r[0], v)) == r[1] for r in rows])
-            for i in inside:
-                for j in outside:
-                    common = [rows[r][0] for r in range(len(rows)) if act[i][r] and act[j][r]]
-                    if d == 1:
-                        adjacent = True
-                    elif len(common) < d - 1:
-                        adjacent = False
-                    else:
-                        adjacent = _exact_rank(common) >= d - 1
-                    if adjacent:
-                        tcut = s[i] / (s[i] - s[j])
-                        new_pts.append(tuple(a + tcut * (b - a) for a, b in zip(V[i], V[j])))
-        keep = [V[i] for i in inside + on] + new_pts
-        if not keep:
-            return None
-        V = list(dict.fromkeys(keep))
-        rows.append((nrm, off))
-    return V
-
-
 def _box_rows(lo, hi):
+    """Facet rows e_i . y <= hi_i and -e_i . y <= -lo_i, in the scalar type of
+    the bounds."""
     d = len(lo)
+    one = type(lo[0])(1)
+    zero = one - one
     rows = []
     for i in range(d):
-        e = [0.0] * d
-        e[i] = 1.0
-        rows.append((np.array(e), float(hi[i])))
-        e2 = [0.0] * d
-        e2[i] = -1.0
-        rows.append((np.array(e2), float(-lo[i])))
+        e = [zero] * d
+        e[i] = one
+        rows.append((np.array(e), hi[i]))
+        e2 = [zero] * d
+        e2[i] = -one
+        rows.append((np.array(e2), -lo[i]))
     return rows
 
 
 def _box_corners(lo, hi):
-    d = len(lo)
-    corners = np.array(np.meshgrid(*[[lo[i], hi[i]] for i in range(d)], indexing="ij"))
-    return corners.reshape(d, -1).T
+    return np.array(list(itertools.product(*zip(lo, hi))))
 
 
 def clip_with_box(box_lo, box_hi, rows, tol: Tolerances, strict_rank: bool = True) -> Optional[Polytope]:
-    """Vertex-enumerate {y : rows} inside a known bounding box; None if empty."""
-    lo = np.asarray(box_lo, dtype=float) - 1.0
-    hi = np.asarray(box_hi, dtype=float) + 1.0
-    V = _clip_float(_box_corners(lo, hi), _box_rows(lo, hi), rows, tol.feas_tol)
-    if V is None or V.shape[0] == 0:
-        return None
-    return _build_polytope(V, tol, strict_rank=strict_rank)
+    """Vertex-enumerate {y : rows} inside a known bounding box; None if empty.
 
-
-def clip_with_box_exact(box_lo, box_hi, rows, tol: Tolerances) -> Optional[Polytope]:
-    """Exact-arithmetic variant: rows are (sequence-of-Fraction, Fraction)."""
-    lo = [Fraction(math.floor(v)) - 1 for v in np.asarray(box_lo, dtype=float)]
-    hi = [Fraction(math.ceil(v)) + 1 for v in np.asarray(box_hi, dtype=float)]
-    d = len(lo)
-    base = []
-    for i in range(d):
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        base.append((tuple(e), hi[i]))
-        e2 = [Fraction(0)] * d
-        e2[i] = Fraction(-1)
-        base.append((tuple(e2), -lo[i]))
-    corners = []
-    for mask in range(1 << d):
-        corners.append(tuple(hi[i] if (mask >> i) & 1 else lo[i] for i in range(d)))
-    V = _clip_exact(corners, base, rows)
-    if not V:
+    Rows whose offsets are Fractions are clipped in rational arithmetic (the
+    box is widened to integers) and only the vertices are rounded to floats.
+    """
+    box_lo = np.asarray(box_lo, dtype=float)
+    box_hi = np.asarray(box_hi, dtype=float)
+    if any(isinstance(off, Fraction) for _, off in rows):
+        lo = [Fraction(math.floor(v)) - 1 for v in box_lo]
+        hi = [Fraction(math.ceil(v)) + 1 for v in box_hi]
+    else:
+        lo, hi = box_lo - 1.0, box_hi + 1.0
+    V = _clip(_box_corners(lo, hi), _box_rows(lo, hi), rows, tol.feas_tol)
+    if V is None:
         return None
-    pts = np.array([[float(x) for x in v] for v in V])
-    return _build_polytope(pts, tol)
+    return _build_polytope(np.asarray(V, dtype=float), tol, strict_rank=strict_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -579,38 +521,17 @@ def from_vrep(points: Sequence, tol: Tolerances = DEFAULT_TOL) -> Polytope:
 def from_hrep(M: Sequence, q: Sequence, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
     """Polytope from inequality rows M y <= q.
 
-    Feasibility and boundedness are certified by LPs (2m + 1 of them); the
-    vertex set is then enumerated by incremental halfspace clipping of the
-    certified bounding box.  ``exact`` runs the LPs and the clipping in
-    rational arithmetic before rounding the vertices to floats.
+    Feasibility and boundedness are certified by 2m LPs; the vertex set is
+    then enumerated by incremental halfspace clipping of the certified
+    bounding box.  ``exact`` runs the LPs and the clipping in rational
+    arithmetic before rounding the vertices to floats.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     q = np.asarray(q, dtype=float)
-    m = M.shape[1]
-    lo = np.empty(m)
-    hi = np.empty(m)
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        res_min = convexsolve.lp_solve(convexsolve.LpProblem(e, M, q), exact=exact, feas_tol=tol.feas_tol)
-        if res_min.status == convexsolve.INFEASIBLE:
-            raise Infeasible("inequality system has no solution")
-        if res_min.status == convexsolve.UNBOUNDED:
-            raise Unbounded(f"recession direction along -e_{i}")
-        res_max = convexsolve.lp_solve(convexsolve.LpProblem(-e, M, q), exact=exact, feas_tol=tol.feas_tol)
-        if res_max.status == convexsolve.UNBOUNDED:
-            raise Unbounded(f"recession direction along +e_{i}")
-        lo[i] = res_min.value
-        hi[i] = -res_max.value
+    lo, hi = convexsolve.bounding_box(M, q, exact=exact, feas_tol=tol.feas_tol)
     if exact:
-        rows = [
-            (tuple(Fraction(v) for v in M[i]), Fraction(q[i]))
-            for i in range(M.shape[0])
-        ]
-        poly = clip_with_box_exact(lo, hi, rows, tol)
-    else:
-        rows = [(M[i], float(q[i])) for i in range(M.shape[0])]
-        poly = clip_with_box(lo, hi, rows, tol)
+        M, q = _rational(M), _rational(q)
+    poly = clip_with_box(lo, hi, list(zip(M, q)), tol)
     if poly is None:
         raise Infeasible("inequality system has no solution")
     return poly
@@ -628,11 +549,9 @@ def volume(P: Polytope) -> float:
     if k == 0:
         val = 1.0
     else:
-        t = P.vertices_frame
         val = 0.0
-        for simplex in _triangulate_frame(t, k):
-            d = t[simplex[1:]] - t[simplex[0]]
-            val += abs(float(np.linalg.det(d))) / math.factorial(k)
+        for _, vol in _simplex_volumes(P.vertices_frame, k):
+            val += vol
     object.__setattr__(P, "volume_cache", val)
     return val
 
@@ -649,6 +568,13 @@ def _triangulate_frame(t: np.ndarray, k: int):
         tri = Delaunay(t, qhull_options="QJ")
     sims = [s for s in tri.simplices]
     return sims
+
+
+def _simplex_volumes(t: np.ndarray, k: int):
+    """(simplex, k-volume) pairs of the triangulation of the frame points t."""
+    for simplex in _triangulate_frame(t, k):
+        d = t[simplex[1:]] - t[simplex[0]]
+        yield simplex, abs(float(np.linalg.det(d))) / math.factorial(k)
 
 
 def triangulate(P: Polytope):
@@ -892,8 +818,8 @@ def intersect(P: Polytope, Q: Polytope, tol: Tolerances = DEFAULT_TOL) -> Option
         rows.append((n_f, off))
     N, c = base.intrinsic_facets
     base_rows = [(N[i], float(c[i])) for i in range(N.shape[0])]
-    V = _clip_float(base.vertices_frame, base_rows, rows, tol.feas_tol)
-    if V is None or V.shape[0] == 0:
+    V = _clip(base.vertices_frame, base_rows, rows, tol.feas_tol)
+    if V is None:
         return None
     return _build_polytope(base.frame.to_ambient(V), tol, strict_rank=False)
 

@@ -21,7 +21,6 @@ from . import convexsolve, geomkernel as gk
 from .errors import (
     DimensionDrift,
     DomainViolation,
-    Infeasible,
     ParameterInfeasible,
     Unbounded,
     ZeroDenominator,
@@ -37,30 +36,6 @@ def _as_param(x) -> tuple:
 
 # ---------------------------------------------------------------------------
 # linear lower-level problems
-
-
-def _certify_bounded(A: np.ndarray, B: np.ndarray, b: np.ndarray, feas_tol: float):
-    """Certify that {(x, y): A x + B y <= b} is nonempty and bounded via
-    2(n+m) LPs; returns per-coordinate (lo, hi) boxes for x and y."""
-    M = np.hstack([A, B])
-    n = A.shape[1]
-    m = B.shape[1]
-    lo = np.empty(n + m)
-    hi = np.empty(n + m)
-    for i in range(n + m):
-        e = np.zeros(n + m)
-        e[i] = 1.0
-        res = convexsolve.lp_solve(convexsolve.LpProblem(e, M, b), feas_tol=feas_tol)
-        if res.status == convexsolve.INFEASIBLE:
-            raise Infeasible("the joint constraint set is empty")
-        if res.status == convexsolve.UNBOUNDED:
-            raise Unbounded(f"joint constraint set is unbounded along -z_{i}")
-        res2 = convexsolve.lp_solve(convexsolve.LpProblem(-e, M, b), feas_tol=feas_tol)
-        if res2.status == convexsolve.UNBOUNDED:
-            raise Unbounded(f"joint constraint set is unbounded along +z_{i}")
-        lo[i] = res.value
-        hi[i] = -res2.value
-    return (lo[:n], hi[:n]), (lo[n:], hi[n:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +63,10 @@ class BilevelLinearSpec:
         object.__setattr__(self, "b_matrix", B)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "cost", c)
-        xb, yb = _certify_bounded(A, B, b, DEFAULT_TOL.feas_tol)
-        object.__setattr__(self, "x_box", xb)
-        object.__setattr__(self, "y_box", yb)
+        lo, hi = convexsolve.bounding_box(np.hstack([A, B]), b, feas_tol=DEFAULT_TOL.feas_tol)
+        n = A.shape[1]
+        object.__setattr__(self, "x_box", (lo[:n], hi[:n]))
+        object.__setattr__(self, "y_box", (lo[n:], hi[n:]))
 
     @property
     def n_params(self) -> int:
@@ -111,38 +87,37 @@ def toy_bilevel_spec() -> BilevelLinearSpec:
     return BilevelLinearSpec(a_matrix=A, b_matrix=B, rhs=b, cost=c)
 
 
-def _lower_level_value(spec: BilevelLinearSpec, x: tuple, tol: Tolerances, exact: bool):
+def _linear_fiber(spec: BilevelLinearSpec, x, tol: Tolerances, exact: bool, cut: Optional[float] = None) -> Polytope:
+    """The fiber {y : B y <= b - A x}, cut by the lower-level objective and
+    clipped inside the certified response box.
+
+    ``cut`` None keeps the whole fiber; 0 pins c.y to the optimal value v(x)
+    from both sides (the optimal face); a positive cut keeps
+    c.y <= v(x) + cut.  With ``exact`` the rows, v(x) and the clipping are
+    rational, and the vertices keep the rank-band check.
+    """
+    x = _as_param(x)
     rhs = spec.rhs - spec.a_matrix @ np.asarray(x)
-    prob = convexsolve.LpProblem(spec.cost, spec.b_matrix, rhs)
-    res = convexsolve.lp_solve(prob, exact=exact, feas_tol=tol.feas_tol)
-    if res.status == convexsolve.INFEASIBLE:
-        raise ParameterInfeasible(f"no feasible response at parameter {x}")
-    if res.status == convexsolve.UNBOUNDED:  # impossible once boundedness is certified
-        raise Unbounded("lower level unbounded despite certification")
-    return res, rhs
-
-
-def _face_polytope(spec, x, extra_rows_float, extra_rows_exact, tol, exact):
-    """Clip the lower-level fiber by the rows in ``extra_rows_*`` inside the
-    certified response box."""
-    lo, hi = spec.y_box
+    B, r, c = spec.b_matrix, rhs, spec.cost
     if exact:
-        xf = [Fraction(v) for v in x]
-        bfrac = [Fraction(v) for v in spec.rhs.tolist()]
-        Afrac = [[Fraction(v) for v in row] for row in spec.a_matrix.tolist()]
-        rhs = [bi - sum(ai * xi for ai, xi in zip(arow, xf)) for bi, arow in zip(bfrac, Afrac)]
-        rows = [
-            (tuple(Fraction(v) for v in brow), r)
-            for brow, r in zip(spec.b_matrix.tolist(), rhs)
-        ] + extra_rows_exact
-        poly = gk.clip_with_box_exact(lo, hi, rows, tol)
-    else:
-        rhs = spec.rhs - spec.a_matrix @ np.asarray(x)
-        rows = [(spec.b_matrix[i], float(rhs[i])) for i in range(spec.b_matrix.shape[0])]
-        rows += extra_rows_float
-        poly = gk.clip_with_box(lo, hi, rows, tol, strict_rank=False)
+        B, c = gk._rational(B), gk._rational(c)
+        r = gk._rational(spec.rhs) - gk._rational(spec.a_matrix) @ gk._rational(x)
+    rows = list(zip(B, r))
+    if cut is not None:
+        res = convexsolve.lp_solve(convexsolve.LpProblem(spec.cost, spec.b_matrix, rhs), exact=exact, feas_tol=tol.feas_tol)
+        if res.status == convexsolve.INFEASIBLE:
+            raise ParameterInfeasible(f"no feasible response at parameter {x}")
+        if res.status == convexsolve.UNBOUNDED:  # impossible once boundedness is certified
+            raise Unbounded("lower level unbounded despite certification")
+        v = res.exact_value if exact else res.value
+        if cut == 0:
+            rows += [(c, v), (-c, -v)]
+        else:
+            rows.append((c, v + (Fraction(cut) if exact else cut)))
+    lo, hi = spec.y_box
+    poly = gk.clip_with_box(lo, hi, rows, tol, strict_rank=exact)
     if poly is None:
-        raise ParameterInfeasible(f"empty face at parameter {x}")
+        raise ParameterInfeasible(f"empty image at parameter {x}")
     return poly
 
 
@@ -153,17 +128,7 @@ def bilevel_solution(spec: BilevelLinearSpec, x, tol: Tolerances = DEFAULT_TOL, 
     and the cut are rational, so degenerate faces are captured without
     tolerance slack.
     """
-    x = _as_param(x)
-    res, _ = _lower_level_value(spec, x, tol, exact)
-    c = spec.cost
-    if exact:
-        v = res.exact_value
-        cf = tuple(Fraction(ci) for ci in c.tolist())
-        extra_exact = [(cf, v), (tuple(-ci for ci in cf), -v)]
-        return _face_polytope(spec, x, None, extra_exact, tol, True)
-    v = res.value
-    extra = [(c, float(v)), (-c, float(-v))]
-    return _face_polytope(spec, x, extra, None, tol, False)
+    return _linear_fiber(spec, x, tol, exact, cut=0.0)
 
 
 def eps_argmin(spec: BilevelLinearSpec, eps: float, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
@@ -171,14 +136,7 @@ def eps_argmin(spec: BilevelLinearSpec, eps: float, x, tol: Tolerances = DEFAULT
     whenever the fiber has interior."""
     if eps <= 0:
         raise ValueError("relaxation must be positive")
-    x = _as_param(x)
-    res, _ = _lower_level_value(spec, x, tol, exact)
-    c = spec.cost
-    if exact:
-        v = res.exact_value + Fraction(eps)
-        cf = tuple(Fraction(ci) for ci in c.tolist())
-        return _face_polytope(spec, x, None, [(cf, v)], tol, True)
-    return _face_polytope(spec, x, [(c, float(res.value + eps))], None, tol, False)
+    return _linear_fiber(spec, x, tol, exact, cut=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +240,30 @@ class InterpMap(MapSpecBase):
 
 
 @dataclass(frozen=True, eq=False)
-class BilevelSolutionMap(MapSpecBase):
-    """x -> optimal face of the fully linear lower level."""
-
-    spec: BilevelLinearSpec = None
-
-    kind = "bilevel_linear"
+class _LinearFiberMap(MapSpecBase):
+    """Maps whose images are fibers of ``spec``; the domain is the certified
+    parameter box."""
 
     @property
     def domain(self) -> tuple:
         lo, hi = self.spec.x_box
         return tuple((float(l), float(h)) for l, h in zip(lo, hi))
 
+
+@dataclass(frozen=True, eq=False)
+class BilevelSolutionMap(_LinearFiberMap):
+    """x -> optimal face of the fully linear lower level."""
+
+    spec: BilevelLinearSpec = None
+
+    kind = "bilevel_linear"
+
     def evaluate(self, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
         return bilevel_solution(self.spec, x, tol, exact)
 
 
 @dataclass(frozen=True, eq=False)
-class EpsArgminMap(MapSpecBase):
+class EpsArgminMap(_LinearFiberMap):
     """x -> eps-relaxed solution set of the fully linear lower level."""
 
     spec: BilevelLinearSpec = None
@@ -311,51 +275,32 @@ class EpsArgminMap(MapSpecBase):
         if self.eps <= 0:
             raise ValueError("relaxation must be positive")
 
-    @property
-    def domain(self) -> tuple:
-        lo, hi = self.spec.x_box
-        return tuple((float(l), float(h)) for l, h in zip(lo, hi))
-
     def evaluate(self, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
         return eps_argmin(self.spec, self.eps, x, tol, exact)
 
 
 @dataclass(frozen=True, eq=False)
-class GenericAffineMap(MapSpecBase):
+class GenericAffineMap(_LinearFiberMap):
     """x -> {y : B y <= b - A x}: an affine-in-parameter right-hand side with
     fixed row normals (the polytopal case of affinely moving constraints)."""
 
     a_matrix: np.ndarray = None
     b_matrix: np.ndarray = None
     rhs: np.ndarray = None
+    spec: BilevelLinearSpec = field(default=None, init=False, repr=False)
 
     kind = "generic_affine"
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
         B = np.atleast_2d(np.asarray(self.b_matrix, dtype=float))
-        b = np.asarray(self.rhs, dtype=float)
-        object.__setattr__(self, "a_matrix", A)
-        object.__setattr__(self, "b_matrix", B)
-        object.__setattr__(self, "rhs", b)
-        xb, yb = _certify_bounded(A, B, b, DEFAULT_TOL.feas_tol)
-        object.__setattr__(self, "_x_box", xb)
-        object.__setattr__(self, "_y_box", yb)
-
-    @property
-    def domain(self) -> tuple:
-        lo, hi = self._x_box
-        return tuple((float(l), float(h)) for l, h in zip(lo, hi))
+        spec = BilevelLinearSpec(a_matrix=self.a_matrix, b_matrix=B, rhs=self.rhs, cost=np.zeros(B.shape[1]))
+        object.__setattr__(self, "a_matrix", spec.a_matrix)
+        object.__setattr__(self, "b_matrix", spec.b_matrix)
+        object.__setattr__(self, "rhs", spec.rhs)
+        object.__setattr__(self, "spec", spec)
 
     def evaluate(self, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
-        x = _as_param(x)
-        lo, hi = self._y_box
-        rhs = self.rhs - self.a_matrix @ np.asarray(x)
-        rows = [(self.b_matrix[i], float(rhs[i])) for i in range(self.b_matrix.shape[0])]
-        poly = gk.clip_with_box(lo, hi, rows, tol, strict_rank=False)
-        if poly is None:
-            raise ParameterInfeasible(f"empty image at parameter {x}")
-        return poly
+        return _linear_fiber(self.spec, x, tol, exact)
 
 
 MapSpec = Union[

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from movingbeliefs import cli
+from movingbeliefs.errors import ParameterInfeasible
 
 
 TOY_MAP = {
@@ -228,3 +229,45 @@ class TestBilevelCommand:
         assert rows[0]["phi"] == pytest.approx(5.0 / 9.0, abs=1e-9)
         assert rows[1]["x"] == 0.5
         assert rows[1]["phi"] == pytest.approx((2.0 / 3.0) / 0.875, abs=1e-9)
+
+    def test_empty_joint_set_exits_2(self, runner, tmp_path):
+        """The extra row -x <= -2 contradicts x <= 1: map construction raises
+        Infeasible, which is a precondition error, not a property violation."""
+        obj = toy_problem([1.0, 0.0])
+        obj["map"] = dict(TOY_MAP, a_matrix=TOY_MAP["a_matrix"] + [[-1.0]],
+                          b_matrix=TOY_MAP["b_matrix"] + [[0.0, 0.0]], rhs=TOY_MAP["rhs"] + [-2.0])
+        problem = tmp_path / "empty.json"
+        problem.write_text(json.dumps(obj))
+        res = runner.invoke(cli.main, ["bilevel", str(problem)])
+        assert res.exit_code == 2
+        assert "Infeasible" in res.output
+
+    def test_inconsistent_theta_exits_2(self, runner, tmp_path):
+        obj = toy_problem([1.0, 0.0])
+        obj["theta"] = {"terms": [{"coeff": 1.0, "y_exponents": [1, 0]}, {"coeff": 1.0, "y_exponents": [1]}]}
+        problem = tmp_path / "theta.json"
+        problem.write_text(json.dumps(obj))
+        res = runner.invoke(cli.main, ["bilevel", str(problem)])
+        assert res.exit_code == 2
+
+    def test_ratios_skip_unevaluated_neighbours(self, runner, tmp_path, monkeypatch):
+        """With x = 0.5 skipped, no ratio compares x = 0.25 with x = 0.75."""
+        real_eval = cli.sv.eval_map
+
+        def eval_map(spec, x, *args):
+            if x == 0.5:
+                raise ParameterInfeasible("skipped on purpose")
+            return real_eval(spec, x, *args)
+
+        monkeypatch.setattr(cli.sv, "eval_map", eval_map)
+        obj = toy_problem([1.0, 0.0], count=5)
+        obj["leader"]["g"] = [1.0]  # phi = x + (1 + x)/2 on every evaluated point
+        problem = tmp_path / "skip.json"
+        problem.write_text(json.dumps(obj))
+        res = runner.invoke(cli.main, ["bilevel", str(problem)])
+        assert res.exit_code == 0
+        payload = json.loads(res.stdout)
+        assert payload["summary"]["skipped"] == [0.5]
+        assert [row["x"] for row in payload["rows"]] == [0.0, 0.25, 0.75, 1.0]
+        assert [row["ratio"] is None for row in payload["rows"]] == [True, False, True, False]
+        assert payload["summary"]["lipschitz_estimate"] == pytest.approx(1.5, abs=1e-9)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from movingbeliefs import convexsolve as cs
-from movingbeliefs.errors import Infeasible
+from movingbeliefs.errors import Infeasible, Unbounded
 
 UNIT_SQUARE_M = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 UNIT_SQUARE_Q = np.array([1.0, 0.0, 1.0, 0.0])
@@ -150,3 +150,14 @@ class TestRemoveRedundant:
     def test_infeasible_raises(self):
         with pytest.raises(Infeasible):
             cs.remove_redundant(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_bounding_box_certifies(exact):
+    lo, hi = cs.bounding_box(np.vstack([UNIT_SQUARE_M, [[1.0, 1.0]]]), np.append(UNIT_SQUARE_Q, 1.5), exact=exact)
+    assert lo.tolist() == [0.0, 0.0]
+    assert hi.tolist() == [1.0, 1.0]
+    with pytest.raises(Infeasible):
+        cs.bounding_box(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]), exact=exact)
+    with pytest.raises(Unbounded):
+        cs.bounding_box(UNIT_SQUARE_M[:3], UNIT_SQUARE_Q[:3], exact=exact)

@@ -133,11 +133,16 @@ class TestFromHrep:
         assert P.vrep == pytest.approx(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
     def test_exact_matches_float(self):
-        M = np.array([[1, 1], [-1, 0], [0, -1]], float)
-        q = np.array([1, 0, 0], float)
-        A = gk.from_hrep(M, q)
-        B = gk.from_hrep(M, q, exact=True)
-        assert A.vrep == pytest.approx(B.vrep)
+        triangle = (np.array([[1, 1], [-1, 0], [0, -1]], float), np.array([1, 0, 0], float))
+        # a square pyramid: four facets meet at the apex, a non-simple vertex
+        pyramid = (
+            np.array([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [0, 0, -1]], float),
+            np.array([1, 1, 1, 1, 0], float),
+        )
+        for M, q in (triangle, pyramid):
+            A = gk.from_hrep(M, q)
+            B = gk.from_hrep(M, q, exact=True)
+            assert A.vrep == pytest.approx(B.vrep)
 
 
 class TestVolume:

@@ -131,6 +131,18 @@ class TestGenericAffine:
         assert gk.volume(S) == pytest.approx(0.7)
         assert S.vrep[:, 0].min() == pytest.approx(0.3)
 
+    def test_exact_agrees_with_float_and_zero_cost_face(self, toy):
+        gm = sv.GenericAffineMap(a_matrix=toy.a_matrix, b_matrix=toy.b_matrix, rhs=toy.rhs)
+        spec0 = sv.BilevelLinearSpec(
+            a_matrix=toy.a_matrix, b_matrix=toy.b_matrix, rhs=toy.rhs, cost=np.zeros(2)
+        )
+        assert gm.domain == sv.BilevelSolutionMap(spec=spec0).domain
+        for x in (0.0, 0.3, 1.0):
+            S = gm.evaluate(x, exact=True)
+            assert S.vrep == pytest.approx(gm.evaluate(x).vrep, abs=1e-12)
+            assert np.array_equal(S.vrep, sv.bilevel_solution(spec0, x, exact=True).vrep)
+            assert S.intrinsic_dim == (1 if x == 1.0 else 2)
+
 
 class TestRectDecompose:
     def test_anchor_reproduces_image(self, toy_map):
