@@ -199,11 +199,16 @@ def expect_neutral(P: Polytope, f: Integrand, tol: Tolerances = DEFAULT_TOL) -> 
     return value
 
 
+_MC_BATCHES = 20
+
+
 def expect_neutral_with_error(
     P: Polytope, f: Integrand, tol: Tolerances = DEFAULT_TOL, n_samples: int = 20000
 ):
     """Like ``expect_neutral`` but reports the standard error (0 on the exact
-    polynomial path)."""
+    polynomial path): the spread of ``_MC_BATCHES`` consecutive batch means
+    over sqrt(_MC_BATCHES), which stays valid for correlated hit-and-run
+    samples."""
     if P.intrinsic_dim == 0:
         return float(f(P.vrep[:1])[0]), 0.0
     if isinstance(f, Polynomial):
@@ -220,7 +225,9 @@ def expect_neutral_with_error(
         return total / mass, 0.0
     pts = sample_uniform(P, n_samples, tol.rng_seed, tol)
     vals = f(pts)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
+    batches = np.array_split(vals, min(_MC_BATCHES, n_samples))
+    means = np.array([b.mean() for b in batches])
+    return float(vals.mean()), float(means.std(ddof=1) / math.sqrt(len(batches)))
 
 
 def expect_density(P: Polytope, h: Integrand, f: Integrand, tol: Tolerances = DEFAULT_TOL) -> float:

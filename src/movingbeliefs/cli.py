@@ -69,7 +69,10 @@ def integrand_from_json(obj: dict) -> bl.Integrand:
         raise ValueError("opaque integrands need a 'module:attribute' callable")
     import importlib
 
-    fn = getattr(importlib.import_module(mod_name), attr)
+    try:
+        fn = getattr(importlib.import_module(mod_name), attr)
+    except (ImportError, AttributeError) as exc:
+        raise ValueError(f"cannot import opaque integrand {obj['callable']!r}: {exc}") from exc
     return Opaque(fn=fn, dim=obj["dim"], label=obj["callable"])
 
 

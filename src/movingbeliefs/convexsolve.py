@@ -9,6 +9,7 @@ thousands; determinism beats speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,23 +25,35 @@ UNBOUNDED = "unbounded"
 _FEAS_TOL = 1e-9
 
 
+def _finite(a: np.ndarray) -> bool:
+    if a.dtype != object:
+        return bool(np.isfinite(a).all())
+    return all(isinstance(v, Fraction) or math.isfinite(v) for v in a.flat)
+
+
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """min objective . y  subject to  constraint_matrix @ y <= rhs, y free."""
+    """min objective . y  subject to  constraint_matrix @ y <= rhs, y free.
+
+    The data are float arrays, or object arrays (e.g. of Fractions) when any
+    of the three is given as one, so an exact solve sees the rational data.
+    """
 
     objective: np.ndarray
     constraint_matrix: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        m = np.atleast_2d(np.asarray(self.constraint_matrix, dtype=float))
-        q = np.asarray(self.rhs, dtype=float)
+        data = (self.objective, self.constraint_matrix, self.rhs)
+        dtype = object if any(np.asarray(a).dtype == object for a in data) else float
+        c = np.asarray(self.objective, dtype=dtype)
+        m = np.atleast_2d(np.asarray(self.constraint_matrix, dtype=dtype))
+        q = np.asarray(self.rhs, dtype=dtype)
         if m.size == 0:
             m = m.reshape(0, c.shape[0])
         if m.shape[1] != c.shape[0] or m.shape[0] != q.shape[0]:
             raise ValueError("inconsistent LP dimensions")
-        if not (np.isfinite(c).all() and np.isfinite(m).all() and np.isfinite(q).all()):
+        if not all(_finite(a) for a in (c, m, q)):
             raise ValueError("LP data must be finite")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", m)
@@ -209,9 +222,9 @@ def lp_solve(prob: LpProblem, exact: bool = False, feas_tol: float = _FEAS_TOL) 
             exact_value=value if status == OPTIMAL else None,
             exact_point=tuple(y) if status == OPTIMAL else None,
         )
-    c = prob.objective.tolist()
-    M = prob.constraint_matrix.tolist()
-    q = prob.rhs.tolist()
+    c = np.asarray(prob.objective, dtype=float).tolist()
+    M = np.asarray(prob.constraint_matrix, dtype=float).tolist()
+    q = np.asarray(prob.rhs, dtype=float).tolist()
     status, value, y, basis = _solve_inequality_lp(c, M, q, feas_tol, 0.0)
     return LpResult(status=status, value=float(value), point=np.array(y, dtype=float), basis=basis)
 

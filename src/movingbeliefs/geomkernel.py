@@ -2,9 +2,10 @@
 
 Dual-representation polytopes carrying an orthonormal affine frame and an
 intrinsic dimension, with exact-where-possible measures (triangulated
-intrinsic volume, closed-form planar Steiner points) and the convex-body
-maps the rest of the package builds on: Hausdorff distance, Minkowski
-interpolation, symmetric-difference volume, minimum enclosing balls,
+intrinsic volume, Steiner points from external angles, exact for intrinsic
+dimension up to 3) and the convex-body maps the rest of the package builds
+on: Hausdorff distance, Minkowski interpolation, symmetric-difference
+volume, minimum enclosing balls (Welzl's recursion in every dimension),
 radial/inner-radius functionals and orthogonal projections.
 
 Conventions
@@ -637,24 +638,16 @@ def inner_radius(P: Polytope, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 def steiner_point(P: Polytope, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Mean-width centroid of the polytope.
+    """Mean-width centroid of the polytope, s(P) = sum_v gamma(P, v) v.
 
     Computed inside the affine hull (the functional is compatible with
-    embeddings): points and segments are exact, planar bodies use closed-form
-    arc-wise integration of the support function over the circle, and higher
-    intrinsic dimensions fall back to deterministic sphere quadrature with
-    ``tol.sphere_nodes`` nodes (O(nodes^-1/2) error).
+    embeddings) from the normalized external angles of ``_external_angles``:
+    exact up to rounding for intrinsic dimension k <= 3, a sphere-node count
+    with ``tol.sphere_nodes`` nodes (O(nodes^-1/2) error) above. Either way
+    the result is a convex combination of vertices.
     """
-    k = P.intrinsic_dim
-    if k == 0:
-        return P.vrep[0].copy()
     t = P.vertices_frame
-    if k == 1:
-        s_frame = np.array([0.5 * (t[:, 0].min() + t[:, 0].max())])
-    elif k == 2:
-        s_frame = _steiner_2d(t[P.hull_order])
-    else:
-        s_frame = _steiner_quadrature(t, k, tol)
+    s_frame = _external_angles(t, P.intrinsic_dim, tol) @ t
     point = P.frame.to_ambient(s_frame)[0]
     N, c = P.intrinsic_facets
     if N.shape[0] and np.any(N @ s_frame - c > 100 * tol.feas_tol):
@@ -664,37 +657,36 @@ def steiner_point(P: Polytope, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return point
 
 
-def _steiner_2d(hull_pts: np.ndarray) -> np.ndarray:
-    """Exact planar mean-width centroid: between consecutive edge normals the
-    support function is <u, vertex>, so each arc integrates in closed form."""
-    n = hull_pts.shape[0]
-    thetas = []
-    for i in range(n):
-        a, b = hull_pts[i], hull_pts[(i + 1) % n]
-        e = b - a
-        thetas.append(math.atan2(-e[0], e[1]))  # outward normal angle
-    total = np.zeros(2)
-    for i in range(n):
-        v = hull_pts[(i + 1) % n]  # vertex between edge i and edge i+1
-        a0 = thetas[i]
-        a1 = thetas[(i + 1) % n]
-        while a1 <= a0 - 1e-15:
-            a1 += 2 * math.pi
-        total += _arc_integral(a0, a1, v)
-    return total / math.pi
-
-
-def _arc_integral(a: float, b: float, v: np.ndarray) -> np.ndarray:
-    """Integral over angle in [a, b] of (cos t, sin t) * (v1 cos t + v2 sin t)."""
-
-    def anti(t):
-        c2 = math.cos(2 * t)
-        s2 = math.sin(2 * t)
-        ix = v[0] * (t / 2 + s2 / 4) + v[1] * (-c2 / 4)
-        iy = v[0] * (-c2 / 4) + v[1] * (t / 2 - s2 / 4)
-        return np.array([ix, iy])
-
-    return anti(b) - anti(a)
+def _external_angles(t: np.ndarray, k: int, tol: Tolerances) -> np.ndarray:
+    """Normalized external angle gamma_v (the share of the unit sphere in the
+    normal cone at v) of each extreme point of the k-dimensional frame points
+    ``t``; the gammas are nonnegative and sum to 1 (Schneider, Convex Bodies,
+    section 5.4)."""
+    n = t.shape[0]
+    if k <= 1:
+        return np.full(n, 1.0 / n)
+    if k == 2:  # turn angle at each vertex, in hull order
+        order = _ccw_order(t)
+        e = np.roll(t[order], -1, axis=0) - t[order]
+        ep = np.roll(e, 1, axis=0)
+        turn = np.arctan2(ep[:, 0] * e[:, 1] - ep[:, 1] * e[:, 0], np.einsum("ij,ij->i", ep, e))
+        gamma = np.empty(n)
+        gamma[order] = turn / (2 * math.pi)
+        return gamma
+    if k == 3:  # Girard: the normal cone's solid angle is the angle defect
+        hull = ConvexHull(t)
+        S = hull.simplices
+        face_angles = np.zeros(n)
+        for j in range(3):
+            a = t[S[:, (j + 1) % 3]] - t[S[:, j]]
+            b = t[S[:, (j + 2) % 3]] - t[S[:, j]]
+            ang = np.arctan2(np.linalg.norm(np.cross(a, b), axis=1), np.einsum("ij,ij->i", a, b))
+            np.add.at(face_angles, S[:, j], ang)
+        gamma = np.zeros(n)  # points Qhull keeps off the hull have no normal cone
+        gamma[hull.vertices] = (2 * math.pi - face_angles[hull.vertices]) / (4 * math.pi)
+        return gamma
+    u = _sphere_nodes(k, tol.sphere_nodes, tol.rng_seed)
+    return np.bincount(np.argmax(u @ t.T, axis=1), minlength=n) / tol.sphere_nodes
 
 
 def _sphere_nodes(k: int, n: int, seed: int) -> np.ndarray:
@@ -707,12 +699,6 @@ def _sphere_nodes(k: int, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, k))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def _steiner_quadrature(t: np.ndarray, k: int, tol: Tolerances) -> np.ndarray:
-    u = _sphere_nodes(k, tol.sphere_nodes, tol.rng_seed)
-    sigma = np.max(u @ t.T, axis=1)
-    return (k / tol.sphere_nodes) * (u * sigma[:, None]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -875,10 +861,6 @@ def scale(P: Polytope, factor: float) -> Polytope:
     )
 
 
-def affine_frame(P: Polytope) -> AffineFrame:
-    return P.frame
-
-
 def project(P: Polytope, sub: AffineFrame, tol: Tolerances = DEFAULT_TOL) -> Polytope:
     """Orthogonal projection of P onto the affine subspace of ``sub``."""
     if sub.orthonormality_defect() > 1e-10:
@@ -938,23 +920,12 @@ def _welzl(pts: np.ndarray, rng: np.random.Generator):
 
 
 def enclosing_ball(P: Polytope, tol: Tolerances = DEFAULT_TOL):
-    """Minimum enclosing ball of the vertices: exact recursive algorithm up to
-    ambient dimension 3, certified shrinking heuristic above."""
+    """Minimum enclosing ball (center, radius) of the vertices by Welzl's
+    randomized recursion, exact in every dimension (Welzl 1991); the radius
+    is the largest vertex distance from the center, so the ball encloses."""
     V = P.vrep
-    if V.shape[0] == 1:
-        return V[0].copy(), 0.0
-    if P.ambient_dim <= 3:
-        rng = np.random.default_rng(tol.rng_seed)
-        c, r = _welzl(V, rng)
-        return c, float(np.max(np.linalg.norm(V - c, axis=1)))
-    c = V.mean(axis=0)
-    for it in range(1, 2000):
-        d = np.linalg.norm(V - c, axis=1)
-        far = int(np.argmax(d))
-        step = 1.0 / (it + 1)
-        c = c + step * (V[far] - c)
-    r = float(np.max(np.linalg.norm(V - c, axis=1)))
-    return c, r
+    c, _ = _welzl(V, np.random.default_rng(tol.rng_seed))
+    return c, float(np.max(np.linalg.norm(V - c, axis=1)))
 
 
 # ---------------------------------------------------------------------------

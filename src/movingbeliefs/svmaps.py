@@ -97,14 +97,13 @@ def _linear_fiber(spec: BilevelLinearSpec, x, tol: Tolerances, exact: bool, cut:
     rational, and the vertices keep the rank-band check.
     """
     x = _as_param(x)
-    rhs = spec.rhs - spec.a_matrix @ np.asarray(x)
-    B, r, c = spec.b_matrix, rhs, spec.cost
+    B, r, c = spec.b_matrix, spec.rhs - spec.a_matrix @ np.asarray(x), spec.cost
     if exact:
         B, c = gk._rational(B), gk._rational(c)
         r = gk._rational(spec.rhs) - gk._rational(spec.a_matrix) @ gk._rational(x)
     rows = list(zip(B, r))
     if cut is not None:
-        res = convexsolve.lp_solve(convexsolve.LpProblem(spec.cost, spec.b_matrix, rhs), exact=exact, feas_tol=tol.feas_tol)
+        res = convexsolve.lp_solve(convexsolve.LpProblem(c, B, r), exact=exact, feas_tol=tol.feas_tol)
         if res.status == convexsolve.INFEASIBLE:
             raise ParameterInfeasible(f"no feasible response at parameter {x}")
         if res.status == convexsolve.UNBOUNDED:  # impossible once boundedness is certified
@@ -367,12 +366,7 @@ def _sandwich_check(t0, r0, t1, r1, target: Polytope, tol: Tolerances):
     if t0 is not None and r0 is not None:
         inner = gk.minkowski_sum(t0, r0, tol)
         gap = max(gap, _membership_gap(inner.vrep, target))
-    outer = gk.minkowski_sum(t1, r1, tol)
-    M, q = outer.hrep
-    if M.shape[0] == 0:
-        gap = max(gap, float(np.max(np.linalg.norm(target.vrep - outer.vrep[0], axis=1))))
-    else:
-        gap = max(gap, float(np.max(M @ target.vrep.T - q[:, None])))
+    gap = max(gap, _membership_gap(target.vrep, gk.minkowski_sum(t1, r1, tol)))
     return gap <= 1e-7, gap
 
 
@@ -529,13 +523,14 @@ class SelectionResult:
     slack_factor: float
 
 
-def _selection_through(spec, x, y_anchor, ball_facets, tol, exact):
-    img = eval_map(spec, x, tol, exact)
-    d, _ = gk.dist_point(img, y_anchor, tol)
+def _anchored_steiner(img: Polytope, y, ball_facets: int, tol: Tolerances) -> np.ndarray:
+    """Mean-width centroid of img cut by the ball about y of twice y's
+    distance to img; y itself when y lies in img."""
+    d, _ = gk.dist_point(img, y, tol)
     if d <= tol.feas_tol:
-        cap = gk._build_polytope(np.asarray(y_anchor, dtype=float)[None, :], tol)
+        cap = gk._build_polytope(np.asarray(y, dtype=float)[None, :], tol)
     else:
-        cap = ball_polytope(y_anchor, 2.0 * d, ball_facets, img.ambient_dim, tol)
+        cap = ball_polytope(y, 2.0 * d, ball_facets, img.ambient_dim, tol)
     inter = gk.intersect(img, cap, tol)
     assert inter is not None  # the ball radius guarantees a nonempty intersection
     return gk.steiner_point(inter, tol)
@@ -561,7 +556,7 @@ def lipschitz_selection(
     if not anchor_img.contains(y_anchor, 10 * tol.feas_tol):
         raise ValueError("anchor value must belong to the anchor image")
     pts = np.array([
-        _selection_through(spec, x, y_anchor, ball_facets, tol, exact) for x in grid
+        _anchored_steiner(eval_map(spec, x, tol, exact), y_anchor, ball_facets, tol) for x in grid
     ])
     return SelectionResult(points=pts, slack_factor=ball_slack_factor(ball_facets, anchor_img.ambient_dim))
 
@@ -592,16 +587,7 @@ def _frame_step(spec, x_from, x_to, seeds, comp, ball_facets, tol):
     dst = gk.scale(_centered(eval_map(spec, x_to, tol), tol), kappa)
     m = dst.ambient_dim
     k = len(seeds)
-    cols = []
-    for y_bar in seeds:
-        d, _ = gk.dist_point(dst, y_bar, tol)
-        if d <= tol.feas_tol:
-            cap = gk._build_polytope(np.asarray(y_bar, dtype=float)[None, :], tol)
-        else:
-            cap = ball_polytope(y_bar, 2.0 * d, ball_facets, m, tol)
-        inter = gk.intersect(dst, cap, tol)
-        assert inter is not None
-        cols.append(gk.steiner_point(inter, tol))
+    cols = [_anchored_steiner(dst, y_bar, ball_facets, tol) for y_bar in seeds]
     for j in range(m - k):
         cols.append(comp[:, j])
     B = np.empty((m, m))
@@ -656,11 +642,7 @@ def frame_selection(
     for gi, x in enumerate(grid):
         B, dst = _frame_step(spec, x_prev, x, seeds, comp, ball_facets, tol)
         frames[gi] = B
-        M, q = dst.hrep
-        if M.shape[0]:
-            defects[gi] = float(np.max(M @ B[:, :k] - q[:, None]))
-        else:
-            defects[gi] = float(np.max(np.linalg.norm(B[:, :k].T - dst.vrep[0], axis=1)))
+        defects[gi] = _membership_gap(B[:, :k].T, dst)
         seeds = [B[:, i] for i in range(k)]
         comp = B[:, k:]
         x_prev = x

@@ -158,6 +158,17 @@ class TestVerifyCommand:
         assert res.exit_code == 0
         assert json.loads(res.output)["passed"] is True
 
+    @pytest.mark.parametrize("command", [["bilevel"], ["verify", "tv-bound"]])
+    def test_unimportable_opaque_integrand_exits_2(self, runner, tmp_path, command):
+        for target in ("no_such_module:fn", "math:no_such_attr"):
+            obj = toy_problem([1.0, 0.0], count=5)
+            obj["belief"] = {"kind": "density", "density": {"kind": "opaque", "callable": target, "dim": 2}}
+            problem = tmp_path / "opaque.json"
+            problem.write_text(json.dumps(obj))
+            res = runner.invoke(cli.main, command + [str(problem)])
+            assert res.exit_code == 2
+            assert "precondition error" in res.output
+
     def test_w1_dimension_drop_exits_2(self, runner, tmp_path):
         problem = tmp_path / "w1bad.json"
         obj = toy_problem([1.0, 0.0], count=5)

@@ -1,5 +1,6 @@
 """Polytope kernel tests: constructors, measures, metrics, body maps."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from movingbeliefs.errors import (
     OriginNotRelativeInterior,
     Unbounded,
 )
+from movingbeliefs.probe import random_polytope
 
 TOL = gk.DEFAULT_TOL
 
@@ -290,7 +292,14 @@ class TestSteinerPoint:
 
     def test_three_dim_quadrature_cube(self):
         cube = gk.from_vrep([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-        assert gk.steiner_point(cube) == pytest.approx([0.5, 0.5, 0.5], abs=2e-3)
+        assert gk.steiner_point(cube) == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([2, 3]), st.booleans())
+    def test_external_angles_are_a_distribution(self, seed, k, sliver):
+        P = random_polytope(np.random.default_rng(seed), m=k, sliver=sliver)
+        gamma = gk._external_angles(P.vertices_frame, k, TOL)
+        assert gamma.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(gamma > 0)
 
 
 class TestHausdorff:
@@ -481,11 +490,17 @@ class TestEnclosingBall:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_radius_bound_random(self, seed):
         rng = np.random.default_rng(seed)
-        m = int(rng.integers(2, 4))
+        m = int(rng.integers(2, 6))
         P = gk.from_vrep(rng.random((int(rng.integers(m + 1, 9)), m)))
         c, r = gk.enclosing_ball(P)
         assert np.max(np.linalg.norm(P.vrep - c, axis=1)) <= r + 1e-9
         assert r <= gk.diameter(P) * math.sqrt(m / (2.0 * (m + 1.0))) + 1e-9
+
+    def test_four_cube_is_exact(self):
+        cube = gk.from_vrep(list(itertools.product((0.0, 1.0), repeat=4)))
+        c, r = gk.enclosing_ball(cube)
+        assert c == pytest.approx(np.full(4, 0.5), abs=1e-9)
+        assert r == pytest.approx(1.0, abs=1e-9)
 
 
 class TestProjectTranslateScale:
@@ -513,7 +528,6 @@ class TestProjectTranslateScale:
         S = gk.scale(P, 2.0)
         S.validate()
         assert gk.volume(S) == pytest.approx(4.0)
-        assert gk.affine_frame(P) is P.frame
 
 
 class TestVolumeLipschitzConstant:

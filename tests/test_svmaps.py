@@ -94,6 +94,20 @@ class TestBilevelSolution:
                     abs(xs[i] - xs[j]), abs=1e-9
                 )
 
+    def test_exact_face_solves_the_rational_lp(self):
+        # y <= 3x, y >= 0, 0 <= x <= 1, cost -y: at x = 0.1 the face is
+        # {3x}, but b - A x rounded to floats misses it by an ulp
+        spec = sv.BilevelLinearSpec(
+            a_matrix=np.array([[-3.0], [0.0], [1.0], [-1.0]]),
+            b_matrix=np.array([[1.0], [-1.0], [0.0], [0.0]]),
+            rhs=np.array([0.0, 0.0, 1.0, 0.0]),
+            cost=np.array([-1.0]),
+        )
+        S = sv.bilevel_solution(spec, 0.1, exact=True)
+        assert S.intrinsic_dim == 0
+        assert S.vrep[0] == pytest.approx([0.3], abs=1e-15)
+        assert np.array_equal(S.vrep, sv.bilevel_solution(spec, 0.1).vrep)
+
     def test_unbounded_joint_set_rejected(self):
         with pytest.raises(Unbounded):
             sv.BilevelLinearSpec(
