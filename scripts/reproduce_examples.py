@@ -25,12 +25,12 @@ def run(args, dest):
 
 
 def main() -> int:
-    worst = 0
-    worst |= run(["example", "trapezoid", "--grid", "log:1e-6:1:100"], OUT / "trapezoid.csv")
-    worst |= run(["example", "qmap", "--q", "1.5"], OUT / "qmap_q15.csv")
-    worst |= run(["example", "qmap", "--q", "3"], OUT / "qmap_q3.csv")
-    worst |= run(["example", "rotseg"], OUT / "rotseg.csv")
-    return worst
+    return max(
+        run(["example", "trapezoid", "--grid", "log:1e-6:1:100"], OUT / "trapezoid.csv"),
+        run(["example", "qmap", "--q", "1.5"], OUT / "qmap_q15.csv"),
+        run(["example", "qmap", "--q", "3"], OUT / "qmap_q3.csv"),
+        run(["example", "rotseg"], OUT / "rotseg.csv"),
+    )
 
 
 if __name__ == "__main__":

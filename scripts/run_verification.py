@@ -20,12 +20,12 @@ def run(args, dest):
 
 
 def main() -> int:
-    worst = 0
-    worst |= run(["body", "--seed", "7"], OUT / "body.json")
-    worst |= run(["tv-bound", str(PROBLEMS / "eps_toy.json")], OUT / "tv_bound.json")
-    worst |= run(["sandwich", "--builtin", "qmap"], OUT / "sandwich.json")
-    worst |= run(["w1", str(PROBLEMS / "w1_toy.json")], OUT / "w1.json")
-    return worst
+    return max(
+        run(["body", "--seed", "7"], OUT / "body.json"),
+        run(["tv-bound", str(PROBLEMS / "eps_toy.json")], OUT / "tv_bound.json"),
+        run(["sandwich", "--builtin", "qmap"], OUT / "sandwich.json"),
+        run(["w1", str(PROBLEMS / "w1_toy.json")], OUT / "w1.json"),
+    )
 
 
 if __name__ == "__main__":

@@ -175,17 +175,15 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def simplex_average(f: Callable, vertices: np.ndarray, degree: int) -> float:
-    """Average of ``f`` over the simplex spanned by ``vertices`` ((k+1, m)),
-    exact for polynomials up to ``degree``."""
-    k = vertices.shape[0] - 1
-    if k == 0:
-        return float(f(vertices[:1])[0])
-    s = max(0, (degree - 1 + 1) // 2)  # smallest s with 2s+1 >= degree
-    pts, wts = _gm_rule(k, s)
-    ambient = vertices[0] + pts @ (vertices[1:] - vertices[0])
-    vals = f(ambient)
-    return float((wts @ vals) / wts.sum())
+def simplex_average(f: Callable, vertices: np.ndarray, degree: int):
+    """Average of ``f`` over each simplex of the stack ``vertices``
+    ((..., k+1, m)), exact for polynomials up to ``degree``; ``f`` is called
+    once, at every quadrature node of every simplex."""
+    pts, wts = _gm_rule(vertices.shape[-2] - 1, degree // 2)  # smallest s with 2s+1 >= degree
+    V0 = vertices[..., :1, :]
+    ambient = V0 + pts @ (vertices[..., 1:, :] - V0)
+    vals = f(ambient.reshape(-1, vertices.shape[-1])).reshape(ambient.shape[:-1])
+    return np.vecdot(vals, wts) / wts.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +210,11 @@ def expect_neutral_with_error(
     if P.intrinsic_dim == 0:
         return float(f(P.vrep[:1])[0]), 0.0
     if isinstance(f, Polynomial):
-        total = 0.0
-        mass = 0.0
-        deg = f.degree
-        for simplex, vol in gk._simplex_volumes(P.vertices_frame, P.intrinsic_dim):
-            if vol == 0.0:
-                continue
-            total += vol * simplex_average(f, P.vrep[simplex], deg)
-            mass += vol
+        S, vols = gk._simplex_volumes(P.vertices_frame, P.intrinsic_dim)
+        mass = vols.sum()
         if mass == 0.0:
             raise ValueError("degenerate triangulation")
-        return total / mass, 0.0
+        return float((vols * simplex_average(f, P.vrep[S], f.degree)).sum() / mass), 0.0
     pts = sample_uniform(P, n_samples, tol.rng_seed, tol)
     vals = f(pts)
     batches = np.array_split(vals, min(_MC_BATCHES, n_samples))
@@ -245,11 +237,12 @@ def expect_density(P: Polytope, h: Integrand, f: Integrand, tol: Tolerances = DE
 
 
 def _check_positive(P: Polytope, h: Integrand, tol: Tolerances, n: int = 256) -> None:
-    if P.intrinsic_dim == 0:
-        vals = h(P.vrep[:1])
-    else:
-        vals = h(sample_uniform(P, n, tol.rng_seed ^ 0x5EED, tol))
-    if np.min(vals) <= 0.0:
+    """Exact at the vertices for affine densities, whose minimum over a
+    polytope sits at a vertex; other densities are also sampled at n points."""
+    pts = P.vrep
+    if not (isinstance(h, Polynomial) and h.degree <= 1):
+        pts = np.vstack([pts, sample_uniform(P, n, tol.rng_seed ^ 0x5EED, tol)])
+    if np.min(h(pts)) <= 0.0:
         raise PositivityViolation("density must be strictly positive on the support")
 
 
@@ -451,12 +444,8 @@ def w1_distance(
 def _centroid(P: Polytope) -> np.ndarray:
     if P.intrinsic_dim == 0:
         return P.vrep[0].copy()
-    total = np.zeros(P.ambient_dim)
-    mass = 0.0
-    for simplex, vol in gk._simplex_volumes(P.vertices_frame, P.intrinsic_dim):
-        total += vol * P.vrep[simplex].mean(axis=0)
-        mass += vol
-    return total / mass
+    S, vols = gk._simplex_volumes(P.vertices_frame, P.intrinsic_dim)
+    return (vols[:, None] * P.vrep[S].mean(axis=1)).sum(axis=0) / vols.sum()
 
 
 def _box_polytope(lo, hi, tol: Tolerances) -> Polytope:

@@ -33,9 +33,11 @@ from .geomkernel import Tolerances
 
 
 @functools.cache
-def _problem_schema() -> dict:
-    """The JSON schema of problem files, shipped as package data."""
-    return json.loads(resources.files(__package__).joinpath("problem_schema.json").read_text())
+def _problem_validator():
+    """Validator for the JSON schema of problem files, shipped as package
+    data; built once, so a parse does not re-check the schema itself."""
+    schema = json.loads(resources.files(__package__).joinpath("problem_schema.json").read_text())
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +215,7 @@ class ProblemFile:
 
     @staticmethod
     def parse(obj: dict) -> "ProblemFile":
-        jsonschema.validate(obj, _problem_schema())
+        _problem_validator().validate(obj)
         tol = tolerances_from_json(obj.get("tolerances"))
         spec = map_from_json(obj["map"], tol)
         g = obj["grid"]
@@ -262,14 +264,6 @@ def _fmt(v) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return ""
     return repr(float(v))
-
-
-def _json_rows(rows):
-    """NaN is not valid JSON; render undefined cells as null."""
-    out = []
-    for row in rows:
-        out.append({k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in row.items()})
-    return out
 
 
 def rows_to_csv(rows, extra_columns=()) -> str:
@@ -379,10 +373,7 @@ def cmd_example(name, q, grid_spec, seed, tol, out, fmt, exact):
         if report.notes:
             text += "".join(f"# {n}\n" for n in report.notes)
     else:
-        text = json.dumps(
-            {"rows": _json_rows(rows), "notes": report.notes, "max_ratio": report.max_ratio},
-            indent=2,
-        )
+        text = pr._dumps({"rows": rows, "notes": report.notes, "max_ratio": report.max_ratio})
     _emit(text, out)
     for note in report.notes:
         click.echo(f"note: {note}", err=True)
@@ -417,7 +408,7 @@ def _load_problem(path: str) -> ProblemFile:
 @click.argument("suite", type=click.Choice(["body", "tv-bound", "sandwich", "w1"]))
 @click.argument("problem", type=click.Path(exists=True), required=False)
 @click.option("--builtin", "builtin", default=None, help="eps-toy | bilevel-toy | trapezoid | qmap")
-@click.option("--samples", type=int, default=500, help="sample count for the body suite")
+@click.option("--samples", type=click.IntRange(min=2), default=500, help="sample count for the body suite")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
@@ -537,7 +528,7 @@ def cmd_bilevel(problem, out, fmt, exact):
             }
         )
     if fmt == "json":
-        _emit(json.dumps({"summary": summary, "rows": _json_rows(rows)}, indent=2) + "\n", out)
+        _emit(pr._dumps({"summary": summary, "rows": rows}) + "\n", out)
     else:
         _emit(rows_to_csv(rows), out)
     sys.exit(0)

@@ -318,29 +318,3 @@ def min_norm_point(vertices: Sequence, feas_tol: float = _FEAS_TOL, max_iter: Op
         return x
     raise SolverStall("minimum-norm point did not converge within the iteration cap")
 
-
-def remove_redundant(M: np.ndarray, q: np.ndarray, feas_tol: float = _FEAS_TOL):
-    """Drop rows whose omission does not enlarge the feasible set.
-
-    One LP per row: maximize the row functional subject to the other rows
-    (capped one unit above its own offset); the row is kept iff the optimum
-    exceeds its offset.
-    """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    q = np.asarray(q, dtype=float)
-    feas = lp_solve(LpProblem(np.zeros(M.shape[1]), M, q), feas_tol=feas_tol)
-    if feas.status == INFEASIBLE:
-        raise Infeasible("cannot prune an inconsistent system")
-    keep = list(range(M.shape[0]))
-    i = 0
-    while i < len(keep):
-        row = keep[i]
-        others = [r for r in keep if r != row]
-        cap_m = np.vstack([M[others], M[row][None, :]])
-        cap_q = np.append(q[others], q[row] + 1.0)
-        res = lp_solve(LpProblem(-M[row], cap_m, cap_q), feas_tol=feas_tol)
-        if res.status == OPTIMAL and -res.value <= q[row] + feas_tol:
-            keep.pop(i)
-        else:
-            i += 1
-    return M[keep], q[keep]

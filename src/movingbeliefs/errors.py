@@ -53,8 +53,9 @@ class DegreeCapExceeded(MovingBeliefsError):
 
 
 class PositivityViolation(MovingBeliefsError):
-    """A density must be strictly positive on its support but a sampled value
-    was not."""
+    """A density must be strictly positive on its support but was not.  The
+    check is exact for affine densities, whose minimum over a polytope sits
+    at a vertex; other densities are checked at the vertices and at samples."""
 
 
 class RejectionBudgetExceeded(MovingBeliefsError):

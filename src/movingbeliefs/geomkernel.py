@@ -231,15 +231,26 @@ def _numerical_rank(svals: np.ndarray, rank_tol: float, strict: bool = True) -> 
 
 
 def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    keep = []
-    for p in pts:
-        if not keep or min(np.linalg.norm(p - k) for k in keep[-8:]) > tol:
-            if keep and any(np.linalg.norm(p - k) <= tol for k in keep):
-                continue
-            keep.append(p)
-    return np.array(keep)
+    """The points in lexicographic order, each kept iff no kept point lies
+    within ``tol``.  Only pairs whose first coordinates differ by at most
+    2 tol can be that close, so only those are compared, each once.  Exact
+    repeats, never kept, are dropped first so that they cannot crowd a
+    window."""
+    pts = pts[np.lexsort(pts.T[::-1])]
+    new = np.ones(len(pts), dtype=bool)
+    new[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[new]
+    n = len(pts)
+    lo = np.searchsorted(pts[:, 0], pts[:, 0] - 2.0 * tol)  # first candidate partner of each point
+    span = np.arange(n) - lo
+    i = np.repeat(np.arange(n), span)
+    j = np.arange(len(i)) + np.repeat(lo + span - np.cumsum(span), span)
+    diff = pts[i] - pts[j]
+    close = np.sqrt(np.vecdot(diff, diff)) <= tol
+    keep = np.ones(n, dtype=bool)
+    for a, b in zip(i[close], j[close]):  # pairs come in increasing order of a
+        keep[a] &= not keep[b]
+    return pts[keep]
 
 
 def _monotone_chain(t: np.ndarray, eps: float):
@@ -266,19 +277,11 @@ def _monotone_chain(t: np.ndarray, eps: float):
 
 def _facets_from_hull_2d(t: np.ndarray):
     """Unit edge normals/offsets for ccw-ordered 2-D hull points."""
-    n = len(t)
-    normals, offsets = [], []
-    for i in range(n):
-        a, b = t[i], t[(i + 1) % n]
-        e = b - a
-        nrm = np.array([e[1], -e[0]])
-        ln = np.linalg.norm(nrm)
-        if ln == 0:
-            continue
-        nrm /= ln
-        normals.append(nrm)
-        offsets.append(float(nrm @ a))
-    return np.array(normals), np.array(offsets)
+    e = np.roll(t, -1, axis=0) - t
+    nrm = np.column_stack([e[:, 1], -e[:, 0]])
+    ln = np.sqrt(np.vecdot(nrm, nrm))
+    nrm = nrm[ln > 0] / ln[ln > 0, None]
+    return nrm, np.vecdot(nrm, t[ln > 0])
 
 
 def _intrinsic_facets(t: np.ndarray, k: int):
@@ -544,38 +547,31 @@ def from_hrep(M: Sequence, q: Sequence, tol: Tolerances = DEFAULT_TOL, exact: bo
 
 def volume(P: Polytope) -> float:
     """Intrinsic k-dimensional measure; a point has measure 1 by convention."""
-    if P.volume_cache is not None:
-        return P.volume_cache
-    k = P.intrinsic_dim
-    if k == 0:
-        val = 1.0
-    else:
-        val = 0.0
-        for _, vol in _simplex_volumes(P.vertices_frame, k):
-            val += vol
-    object.__setattr__(P, "volume_cache", val)
-    return val
+    if P.volume_cache is None:
+        k = P.intrinsic_dim
+        val = float(_simplex_volumes(P.vertices_frame, k)[1].sum()) if k else 1.0
+        object.__setattr__(P, "volume_cache", val)
+    return P.volume_cache
 
 
-def _triangulate_frame(t: np.ndarray, k: int):
+def _triangulate_frame(t: np.ndarray, k: int) -> np.ndarray:
+    """(s, k+1) vertex indices of a triangulation of the frame points t."""
     if k == 1:
-        return [np.array([int(np.argmin(t[:, 0])), int(np.argmax(t[:, 0]))])]
+        return np.array([[np.argmin(t[:, 0]), np.argmax(t[:, 0])]])
     if k == 2:
         order = _ccw_order(t)
-        return [np.array([order[0], order[i], order[i + 1]]) for i in range(1, len(order) - 1)]
+        return np.column_stack([np.full(len(order) - 2, order[0]), order[1:-1], order[2:]])
     try:
-        tri = Delaunay(t)
+        return Delaunay(t).simplices
     except QhullError:
-        tri = Delaunay(t, qhull_options="QJ")
-    sims = [s for s in tri.simplices]
-    return sims
+        return Delaunay(t, qhull_options="QJ").simplices
 
 
 def _simplex_volumes(t: np.ndarray, k: int):
-    """(simplex, k-volume) pairs of the triangulation of the frame points t."""
-    for simplex in _triangulate_frame(t, k):
-        d = t[simplex[1:]] - t[simplex[0]]
-        yield simplex, abs(float(np.linalg.det(d))) / math.factorial(k)
+    """(S, vols): the triangulation of the frame points t and the k-volume of
+    each of its simplices, from one stacked determinant."""
+    S = _triangulate_frame(t, k)
+    return S, np.abs(np.linalg.det(t[S[:, 1:]] - t[S[:, :1]])) / math.factorial(k)
 
 
 def triangulate(P: Polytope):
@@ -583,7 +579,7 @@ def triangulate(P: Polytope):
     to volume(P); a point yields a single 0-simplex."""
     if P.intrinsic_dim == 0:
         return [P.vrep[:1]]
-    return [P.vrep[s] for s in _triangulate_frame(P.vertices_frame, P.intrinsic_dim)]
+    return list(P.vrep[_triangulate_frame(P.vertices_frame, P.intrinsic_dim)])
 
 
 def support(P: Polytope, u) -> float:

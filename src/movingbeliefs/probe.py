@@ -138,30 +138,33 @@ class VerificationReport:
     def to_json(self) -> str:
         payload = {
             "suite": self.suite,
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "checks": [
-                {
-                    "name": c.name,
-                    "passed": bool(c.passed),
-                    "margin": float(c.margin),
-                    "detail": c.detail,
-                }
+                {"name": c.name, "passed": c.passed, "margin": c.margin, "detail": c.detail}
                 for c in self.checks
             ],
-            "metadata": _jsonable(self.metadata),
+            "metadata": self.metadata,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return _dumps(payload, sort_keys=True)
+
+
+def _dumps(payload, **kwargs) -> str:
+    """Standard JSON text: no NaN or Infinity, see ``_jsonable``."""
+    return json.dumps(_jsonable(payload), indent=2, allow_nan=False, **kwargs)
 
 
 def _jsonable(obj):
+    """Plain JSON values; a non-finite float, which JSON cannot hold, is null."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -353,6 +356,8 @@ def verify_body_lemmas(
     axioms, Minkowski-interpolation geodesics, 2-Lipschitz diameter,
     volume Lipschitz bound, the enclosing-ball radius bound, and the
     mean-width centroid's m-Lipschitz selection properties."""
+    if samples < 2:
+        raise ValueError("the body suite needs at least 2 samples (its triangle check pairs two trials)")
     if seed is None:
         seed = tol.rng_seed
     rng = np.random.default_rng(seed)

@@ -114,6 +114,18 @@ class TestQuadratureRule:
         got = avg / math.factorial(k)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_stack_matches_one_simplex_at_a_time(self, m):
+        """One call over the whole triangulation of a hull gives each simplex
+        the average that the rule applied to that simplex alone gives."""
+        P = gk.from_vrep(np.random.default_rng(m).standard_normal((10 * m, m)))
+        S, _ = gk._simplex_volumes(P.vertices_frame, m)
+        f = bl.Polynomial.from_dict({(2,) + (1,) * (m - 1): 1.0, (0,) * (m - 1) + (1,): -0.5}, m)
+        pts, wts = bl._gm_rule(m, f.degree // 2)
+        single = [float(wts @ f(V[0] + pts @ (V[1:] - V[0])) / wts.sum()) for V in P.vrep[S]]
+        stacked = bl.simplex_average(f, P.vrep[S], f.degree)
+        np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=1e-14)
+
 
 class TestExpectNeutral:
     def test_trapezoid_first_coordinate(self):
@@ -186,6 +198,25 @@ class TestExpectDensity:
         h = bl.Polynomial.from_dict({(1,): 1.0, (0,): -0.5}, 1)  # negative on [0, 0.5)
         with pytest.raises(PositivityViolation):
             bl.expect_density(seg, h, bl.Polynomial.coordinate(0, 1))
+
+    def test_affine_density_checked_at_the_vertices(self, monkeypatch):
+        """h = y1 + y2 - 1e-4 is negative only on a corner of area 5e-9 that
+        samples miss; its minimum over the square sits at the vertex (0, 0)."""
+        calls = []
+        monkeypatch.setattr(bl, "sample_uniform", lambda *a, **k: calls.append(a) or a[0].vrep)
+        h = bl.Polynomial.from_dict({(1, 0): 1.0, (0, 1): 1.0, (0, 0): -1e-4}, 2)
+        with pytest.raises(PositivityViolation):
+            bl.expect_density(unit_square(), h, Y1)
+        assert calls == []
+
+    def test_nonaffine_densities_are_sampled(self):
+        """Positive at the four vertices, negative on a disk of radius 0.1
+        about the centre: only the samples can see it."""
+        terms = {(2, 0): 1.0, (1, 0): -1.0, (0, 2): 1.0, (0, 1): -1.0, (0, 0): 0.49}
+        h = bl.Polynomial.from_dict(terms, 2)
+        for density in (h, bl.Opaque(fn=h, dim=2)):
+            with pytest.raises(PositivityViolation):
+                bl.expect_density(unit_square(), density, Y1)
 
     def test_degree_cap_products_stay_exact(self):
         # h and f both at the degree cap: the internal product has degree 16

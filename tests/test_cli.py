@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, formats, determinism, round-trips."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from click.testing import CliRunner
 from movingbeliefs import cli
 from movingbeliefs.errors import ParameterInfeasible
 
+PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "problems"
 
 TOY_MAP = {
     "kind": "bilevel_linear",
@@ -29,6 +31,15 @@ def toy_problem(h, count=21):
     }
 
 
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity constants that JSON lacks."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -42,6 +53,10 @@ class TestProblemFile:
         assert (again.grid == pf.grid).all()
         assert cli.map_to_json(again.map_spec) == cli.map_to_json(pf.map_spec)
         assert cli.belief_to_json(again.belief) == cli.belief_to_json(pf.belief)
+
+    def test_packaged_schema_is_valid(self):
+        validator = cli._problem_validator()
+        validator.check_schema(validator.schema)
 
     def test_schema_rejects_bad_version(self):
         import jsonschema
@@ -176,6 +191,31 @@ class TestVerifyCommand:
         problem.write_text(json.dumps(obj))  # grid reaches x=1 where the face is a point
         res = runner.invoke(cli.main, ["verify", "w1", str(problem)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_body_suite_needs_two_samples(self, runner, samples):
+        res = runner.invoke(cli.main, ["verify", "body", "--samples", samples])
+        assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["example", "trapezoid", "--grid", "log:1e-6:1:12", "--format", "json"],
+        ["example", "rotseg", "--grid", "0:0.9:10", "--format", "json"],
+        ["verify", "body", "--samples", "2", "--seed", "7"],
+        ["verify", "tv-bound", str(PROBLEMS / "eps_toy.json")],
+        ["verify", "sandwich", "--builtin", "qmap"],
+        ["verify", "w1", str(PROBLEMS / "w1_toy.json")],
+        ["bilevel", str(PROBLEMS / "toy_bilevel.json")],
+    ],
+)
+def test_json_output_is_strict(runner, args):
+    """Values that were never evaluated or are undefined print as null, not
+    as NaN or Infinity."""
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == 0
+    strict_json(res.stdout)
 
 
 class TestBilevelCommand:

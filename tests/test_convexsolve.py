@@ -128,30 +128,6 @@ class TestMinNormPoint:
         assert np.min(pts @ x) >= x @ x - 1e-7 * (1 + np.abs(pts).max() ** 2)
 
 
-class TestRemoveRedundant:
-    def test_duplicate_rows_pruned(self):
-        M = np.vstack([UNIT_SQUARE_M, UNIT_SQUARE_M[:1]])
-        q = np.concatenate([UNIT_SQUARE_Q, UNIT_SQUARE_Q[:1]])
-        M2, q2 = cs.remove_redundant(M, q)
-        assert M2.shape[0] == 4
-
-    def test_loose_row_dropped(self):
-        M = np.vstack([UNIT_SQUARE_M, [[1.0, 0.0]]])
-        q = np.concatenate([UNIT_SQUARE_Q, [2.0]])
-        M2, _ = cs.remove_redundant(M, q)
-        assert M2.shape[0] == 4
-
-    def test_tight_triangle_unchanged(self):
-        M = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        q = np.array([1.0, 0.0, 0.0])
-        M2, _ = cs.remove_redundant(M, q)
-        assert M2.shape[0] == 3
-
-    def test_infeasible_raises(self):
-        with pytest.raises(Infeasible):
-            cs.remove_redundant(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
-
-
 @pytest.mark.parametrize("exact", [False, True])
 def test_bounding_box_certifies(exact):
     lo, hi = cs.bounding_box(np.vstack([UNIT_SQUARE_M, [[1.0, 1.0]]]), np.append(UNIT_SQUARE_Q, 1.5), exact=exact)

@@ -97,6 +97,33 @@ class TestFromVrep:
                 assert gap > 1e-9
 
 
+class TestDedupPoints:
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([1e-12, 1e-10, 1e-9]),
+        st.floats(min_value=-14.0, max_value=-8.0),
+        st.booleans(),
+    )
+    def test_matches_greedy_reference(self, seed, m, tol, log_gap, ties):
+        """A point is kept iff no earlier kept point (in lexicographic order)
+        lies within tol, exactly as an O(n^2) greedy pass decides it; the
+        near-duplicates sit on both sides of tol and can form chains."""
+        rng = np.random.default_rng(seed)
+        base = rng.random((int(rng.integers(1, 30)), m))
+        if ties:
+            base[:, 0] = np.round(base[:, 0], 1)  # many equal first coordinates
+        near = base[rng.integers(0, len(base), 2 * len(base))]
+        near += rng.standard_normal(near.shape) * 10.0**log_gap
+        pts = np.vstack([base, near, near[::2]])  # with exact repeats
+        pts = pts[rng.permutation(len(pts))]
+        keep = []
+        for p in pts[np.lexsort(pts.T[::-1])]:
+            if all(np.linalg.norm(p - k) > tol for k in keep):
+                keep.append(p)
+        np.testing.assert_array_equal(gk._dedup_points(pts, tol), np.array(keep))
+
+
 def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
         gk.Tolerances(feas_tol=0.0)

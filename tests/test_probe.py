@@ -179,6 +179,12 @@ class TestVerifyBodyLemmas:
         rep = pr.verify_body_lemmas(samples=10, seed=1)
         assert '"suite": "body"' in rep.to_json()
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        """With one sample the triangle check never runs, with none no check does."""
+        with pytest.raises(ValueError):
+            pr.verify_body_lemmas(samples=samples)
+
 
 class TestVerifySandwich:
     def test_wedge_bounded_regime(self):
