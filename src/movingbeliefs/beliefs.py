@@ -11,7 +11,6 @@ singular, so their total variation distance is exactly 2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,6 +26,7 @@ from .errors import (
     PositivityViolation,
     RejectionBudgetExceeded,
     ResolutionTooCoarse,
+    SolverStall,
 )
 from .geomkernel import DEFAULT_TOL, Polytope, Tolerances
 
@@ -389,8 +389,10 @@ def w1_distance(
     Exact (error 0) for Dirac pairs and for uniform laws on intervals of a
     common line (which covers ambient dimension 1).  Otherwise both laws are
     discretized on a shared axis-aligned grid — cell mass proportional to the
-    exact intersection volume, mass placed at the piece centroid — and the
-    transportation LP is solved; the reported error bound is 2 * cell diameter.
+    exact volume of the piece in the cell, cut slab by slab from the support's
+    frame vertex array (``_grid_pieces``, no per-cell polytope), mass placed
+    at the piece centroid — and the transportation LP is solved; the reported
+    error bound is 2 * cell diameter.
     """
     P, Q = pair.P, pair.Q
     if P.intrinsic_dim == 0 and Q.intrinsic_dim == 0:
@@ -406,72 +408,63 @@ def w1_distance(
     if resolution is None:
         resolution = span / 12.0
     cells_per_axis = np.maximum(1, np.ceil((hi - lo) / resolution - 1e-12).astype(int))
-    m = P.ambient_dim
-    cell_diam = resolution * math.sqrt(m)
-
-    def discretize(R: Polytope):
-        masses, centers = [], []
-        r_lo, r_hi = R.bounding_box()
-        i_lo = np.clip(np.floor((r_lo - lo) / resolution).astype(int), 0, cells_per_axis - 1)
-        i_hi = np.clip(np.floor((r_hi - lo) / resolution - 1e-12).astype(int), 0, cells_per_axis - 1)
-        ranges = [range(i_lo[j], i_hi[j] + 1) for j in range(m)]
-        for idx in itertools.product(*ranges):
-            c_lo = lo + np.array(idx) * resolution
-            c_hi = c_lo + resolution
-            box = _box_polytope(c_lo, c_hi, tol)
-            piece = gk.intersect(R, box, tol)
-            if piece is None or piece.intrinsic_dim < R.intrinsic_dim:
-                continue
-            w = gk.volume(piece)
-            if w <= 0.0:
-                continue
-            masses.append(w)
-            centers.append(_centroid(piece))
-        if len(masses) < 8:
-            raise ResolutionTooCoarse(
-                f"only {len(masses)} cells receive mass; refine the grid"
-            )
-        mass = np.array(masses)
-        return mass / mass.sum(), np.array(centers)
-
-    a_mass, a_pts = discretize(P)
-    b_mass, b_pts = discretize(Q)
+    a_mass, a_pts = _grid_pieces(P, lo, resolution, cells_per_axis, tol)
+    b_mass, b_pts = _grid_pieces(Q, lo, resolution, cells_per_axis, tol)
     cost = np.linalg.norm(a_pts[:, None, :] - b_pts[None, :, :], axis=-1)
-    value = _transport_lp(a_mass, b_mass, cost)
-    return value, 2.0 * cell_diam
+    value = _transport_lp(a_mass / a_mass.sum(), b_mass / b_mass.sum(), cost)
+    return value, 2.0 * resolution * math.sqrt(P.ambient_dim)
 
 
-def _centroid(P: Polytope) -> np.ndarray:
-    if P.intrinsic_dim == 0:
-        return P.vrep[0].copy()
-    S, vols = gk._simplex_volumes(P.vertices_frame, P.intrinsic_dim)
-    return (vols[:, None] * P.vrep[S].mean(axis=1)).sum(axis=0) / vols.sum()
-
-
-def _box_polytope(lo, hi, tol: Tolerances) -> Polytope:
-    corners = gk._box_corners(np.asarray(lo, float), np.asarray(hi, float))
-    return gk._build_polytope(corners, tol, strict_rank=False)
+def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, tol: Tolerances):
+    """(masses, centroids) of R's pieces in the grid cells its bounding box
+    meets, in ``itertools.product`` order (axis 0 outermost).  R is cut slab
+    by slab on its frame vertex array: x_j = g is the unit row
+    (B[j] / |B[j]|) . t = (g - o_j) / |B[j]|, and each piece is clipped by its
+    cell's interior grid lines only.  An axis is skipped where R meets one
+    cell or x_j is constant on R (|B[j]| <= feas_tol)."""
+    k = R.intrinsic_dim
+    B, o = R.frame.basis, R.frame.origin
+    r_lo, r_hi = R.bounding_box()
+    i_lo = np.clip(np.floor((r_lo - lo) / resolution).astype(int), 0, cells_per_axis - 1)
+    i_hi = np.clip(np.floor((r_hi - lo) / resolution - 1e-12).astype(int), i_lo, cells_per_axis - 1)
+    pieces = [(R.vertices_frame, list(zip(*R.intrinsic_facets)))]
+    for j in range(R.ambient_dim):
+        ln = float(np.linalg.norm(B[j]))
+        if i_lo[j] == i_hi[j] or ln <= tol.feas_tol:
+            continue
+        u = B[j] / ln
+        g = (lo[j] + np.arange(i_lo[j] + 1, i_hi[j] + 1) * resolution - o[j]) / ln
+        walls = [[(u, g[0])], *([(-u, -a), (u, b)] for a, b in zip(g[:-1], g[1:])), [(-u, -g[-1])]]
+        pieces = [
+            (W, rows + cut)
+            for V, rows in pieces
+            for cut in walls
+            if (W := gk._clip(V, rows, cut, tol.feas_tol)) is not None
+        ]
+    masses, centroids = [], []
+    for V, _ in pieces:
+        if 0 < k < len(V):  # fewer points span no k-volume; a point is too coarse
+            S, vols = gk._simplex_volumes(V, k)
+            if (w := vols.sum()) > 0.0:
+                masses.append(w)
+                centroids.append(vols @ V[S].mean(axis=1) / w)
+    if len(masses) < 8:
+        raise ResolutionTooCoarse(f"only {len(masses)} cells receive mass; refine the grid")
+    return np.array(masses), R.frame.to_ambient(np.array(centroids))
 
 
 def _transport_lp(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> float:
-    """Transportation LP between discrete measures (scipy HiGHS backend)."""
+    """Transportation LP between discrete measures (scipy HiGHS backend).  The
+    last column-marginal row is redundant and dropped: HiGHS presolve calls
+    the full system infeasible when the two totals differ in the last ulp."""
     n1, n2 = cost.shape
-    data, rows, cols = [], [], []
-    for i in range(n1):
-        for j in range(n2):
-            rows.append(i)
-            cols.append(i * n2 + j)
-            data.append(1.0)
-    for j in range(n2):
-        for i in range(n1):
-            rows.append(n1 + j)
-            cols.append(i * n2 + j)
-            data.append(1.0)
-    A = sparse.csr_matrix((data, (rows, cols)), shape=(n1 + n2, n1 * n2))
-    rhs = np.concatenate([a, b])
-    res = linprog(cost.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
+    rows = np.concatenate([np.repeat(np.arange(n1), n2), n1 + np.tile(np.arange(n2), n1)])
+    cols = np.tile(np.arange(n1 * n2), 2)
+    A = sparse.csr_matrix((np.ones(cols.size), (rows, cols)), shape=(n1 + n2, n1 * n2))
+    b_eq = np.concatenate([a, b])[:-1]
+    res = linprog(cost.ravel(), A_eq=A[:-1], b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
-        raise RuntimeError(f"transportation LP failed: {res.message}")
+        raise SolverStall(f"transportation LP failed: {res.message}")
     return float(res.fun)
 
 

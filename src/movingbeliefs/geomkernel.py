@@ -232,24 +232,29 @@ def _numerical_rank(svals: np.ndarray, rank_tol: float, strict: bool = True) -> 
 
 def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
     """The points in lexicographic order, each kept iff no kept point lies
-    within ``tol``.  Only pairs whose first coordinates differ by at most
-    2 tol can be that close, so only those are compared, each once.  Exact
-    repeats, never kept, are dropped first so that they cannot crowd a
-    window."""
+    within ``tol``.  Only pairs within 2 tol along the axis of widest spread
+    are compared, each once, and the close ones are taken in lexicographic
+    order of their later point.  Exact repeats, never kept, are dropped
+    first so that they cannot crowd a window."""
     pts = pts[np.lexsort(pts.T[::-1])]
     new = np.ones(len(pts), dtype=bool)
     new[1:] = (pts[1:] != pts[:-1]).any(axis=1)
     pts = pts[new]
     n = len(pts)
-    lo = np.searchsorted(pts[:, 0], pts[:, 0] - 2.0 * tol)  # first candidate partner of each point
+    x = pts[:, np.argmax(pts.max(axis=0) - pts.min(axis=0))]
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    lo = np.searchsorted(x, x - 2.0 * tol)  # first candidate partner of each point
     span = np.arange(n) - lo
     i = np.repeat(np.arange(n), span)
     j = np.arange(len(i)) + np.repeat(lo + span - np.cumsum(span), span)
-    diff = pts[i] - pts[j]
+    diff = pts[order[i]] - pts[order[j]]
     close = np.sqrt(np.vecdot(diff, diff)) <= tol
     keep = np.ones(n, dtype=bool)
-    for a, b in zip(i[close], j[close]):  # pairs come in increasing order of a
-        keep[a] &= not keep[b]
+    if close.any():
+        a, b = order[i[close]], order[j[close]]
+        for p, q in sorted(zip(np.maximum(a, b).tolist(), np.minimum(a, b).tolist())):
+            keep[p] &= not keep[q]
     return pts[keep]
 
 
@@ -434,7 +439,8 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
             for i in np.nonzero(inside)[0]:
                 for j in np.nonzero(outside)[0]:
                     common = act[i] & act[j]
-                    if d == 1 or (common.sum() >= d - 1 and _row_rank(N[common]) >= d - 1):
+                    # rows are nonzero, so for d <= 2 the count alone fixes the rank
+                    if common.sum() >= d - 1 and (d <= 2 or _row_rank(N[common]) >= d - 1):
                         tcut = s[i] / (s[i] - s[j])
                         new_pts.append(V[i] + tcut * (V[j] - V[i]))
         keep = V[~outside]

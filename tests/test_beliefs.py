@@ -7,7 +7,9 @@ discretization is along y1 where the integrand is piecewise linear.
 """
 
 import dataclasses
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from movingbeliefs.errors import (
     DegreeCapExceeded,
     PositivityViolation,
     ResolutionTooCoarse,
+    SolverStall,
 )
 
 TOL = gk.DEFAULT_TOL
@@ -326,6 +329,10 @@ class TestW1Distance:
         with pytest.raises(ResolutionTooCoarse):
             bl.w1_distance(bl.MeasurePair.make(unit_square(), unit_square()), resolution=1.0)
 
+    def test_point_against_polygon_is_too_coarse(self):
+        with pytest.raises(ResolutionTooCoarse):
+            bl.w1_distance(bl.MeasurePair.make(gk.from_vrep([(0.45, 0.45)]), unit_square()), resolution=0.1)
+
     def test_quantile_formula_vs_numeric_quadrature(self, rng):
         """Independent oracle: trapezoidal quadrature of |F^-1 - G^-1|."""
         for _ in range(20):
@@ -353,6 +360,116 @@ class TestW1Distance:
             for f in tests:
                 gap = abs(bl.expect_neutral(A, f) - bl.expect_neutral(B, f))
                 assert gap <= w + err + 1e-9
+
+    def test_marginal_totals_one_ulp_apart(self):
+        """The two normalized mass vectors sum to 1 only up to an ulp; with
+        both marginal systems in full the LP was declared infeasible."""
+        rng = np.random.default_rng(27)
+        A = gk.from_vrep(rng.random((8, 2)))
+        B = gk.from_vrep(rng.random((8, 2)))
+        w, err = bl.w1_distance(bl.MeasurePair.make(A, B), resolution=0.05)
+        gap = abs(bl.expect_neutral(A, Y1) - bl.expect_neutral(B, Y1))
+        assert gap <= w + err
+
+    def test_axis_parallel_segment_on_a_grid_line(self):
+        """y = 0.5 lies on a grid line, so its cell range on y is empty by the
+        floor rule; the segment must still be discretized."""
+        P = gk.from_vrep([(0.1, 0.5), (0.9, 0.5)])
+        Q = gk.from_vrep([(0.0, 0.0), (1.0, 1.0)])
+        w, err = bl.w1_distance(bl.MeasurePair.make(P, Q), resolution=0.05)
+        # |y2 - 0.5| is 1-Lipschitz with means 0 and 1/4; the coupling
+        # (0.1 + 0.8 t, 0.5) -> (t, t) has cost at most its trapezoid sum
+        t = np.linspace(0.0, 1.0, 100_001)
+        coupling = np.trapezoid(np.hypot(0.1 - 0.2 * t, t - 0.5), t)
+        assert 0.25 - err <= w <= coupling + err
+
+    def test_lp_failure_is_a_solver_stall(self, monkeypatch):
+        failed = lambda *a, **k: SimpleNamespace(success=False, message="stalled")
+        monkeypatch.setattr(bl, "linprog", failed)
+        with pytest.raises(SolverStall):
+            bl.w1_distance(bl.MeasurePair.make(unit_square(), unit_square()), resolution=0.25)
+
+    def test_near_flat_cell_piece(self):
+        """A cell cuts three nearly coincident points off this tetrahedron;
+        building that piece as a polytope failed in Qhull."""
+        T = np.array([[0, 0, 0], [0.3, 0, 0], [0, 0.3, 0], [0, 0, 0.3], [0.5 + 1e-8, 0.1, 0.1]])
+        A, B = gk.from_vrep(T), gk.from_vrep(T[:4] + 0.1)
+        w, err = bl.w1_distance(bl.MeasurePair.make(A, B), resolution=0.125)
+        gap = abs(bl.expect_neutral(A, bl.Polynomial.coordinate(0, 3))
+                  - bl.expect_neutral(B, bl.Polynomial.coordinate(0, 3)))
+        assert math.isfinite(w) and gap <= w + err
+
+
+def cell_reference(R, lo, resolution, cells):
+    """Masses and centroids of R in each grid cell, one box polytope and one
+    intersection per cell."""
+    r_lo, r_hi = R.bounding_box()
+    i_lo = np.clip(np.floor((r_lo - lo) / resolution).astype(int), 0, cells - 1)
+    i_hi = np.clip(np.floor((r_hi - lo) / resolution - 1e-12).astype(int), i_lo, cells - 1)
+    m = R.ambient_dim
+    masses, cents = [], []
+    for idx in itertools.product(*[range(a, b + 1) for a, b in zip(i_lo, i_hi)]):
+        c_lo = lo + np.array(idx) * resolution
+        box = gk.from_vrep(list(itertools.product(*zip(c_lo, c_lo + resolution))))
+        piece = gk.intersect(R, box)
+        if piece is None or piece.intrinsic_dim < R.intrinsic_dim:
+            continue
+        masses.append(gk.volume(piece))
+        cents.append([bl.expect_neutral(piece, bl.Polynomial.coordinate(i, m)) for i in range(m)])
+    return np.array(masses), np.array(cents)
+
+
+def octagon(rng):
+    a = np.arange(8) * np.pi / 4 + rng.uniform(-0.15, 0.15, 8)
+    return gk.from_vrep(0.5 + 0.3 * np.column_stack([np.cos(a), np.sin(a)]))
+
+
+def tilted(rng, k, m):
+    """A random k-simplex centred at (0.5, ..., 0.5), radius 0.4, on a random
+    k-flat in R^m."""
+    basis = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    t = rng.standard_normal((k + 1, k))
+    t -= t.mean(axis=0)
+    return gk.from_vrep(0.5 + 0.4 * t / np.linalg.norm(t, axis=1).max() @ basis.T)
+
+
+class TestGridPieces:
+    @pytest.mark.parametrize(
+        "make, resolution",
+        [
+            (octagon, 0.075),
+            (lambda rng: gk.from_vrep(rng.random((8, 3))), 0.15),
+            (lambda rng: tilted(rng, 2, 3), 0.05),
+            (lambda rng: tilted(rng, 1, 2), 0.05),
+            (lambda rng: tilted(rng, 1, 3), 0.05),
+            (lambda rng: gk.from_vrep([(0.1, 0.5), (0.9, 0.5)]), 0.05),
+            (lambda rng: gk.from_vrep([(0.1, 0.5, 0.3), (0.9, 0.5, 0.6)]), 0.05),
+        ],
+        ids=["octagon", "hull3d", "tilted-triangle", "segment2d", "segment3d", "segment2d-y=0.5", "segment3d-y=0.5"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_cell_intersection(self, make, resolution, seed):
+        R = make(np.random.default_rng(seed))
+        lo = np.zeros(R.ambient_dim)
+        cells = np.full(R.ambient_dim, int(round(1 / resolution)))
+        masses, cents = bl._grid_pieces(R, lo, resolution, cells, TOL)
+        ref_m, ref_c = cell_reference(R, lo, resolution, cells)
+        assert masses.shape == ref_m.shape
+        np.testing.assert_allclose(masses, ref_m, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cents, ref_c, rtol=0, atol=1e-12)
+
+    def test_faces_on_grid_planes(self):
+        cube = gk.from_vrep(list(itertools.product([0.0, 1.0], repeat=3)))
+        moved = gk.translate(cube, np.array([-0.25, 0.0, 0.0]))
+        lo, cells = np.array([-0.25, 0.0, 0.0]), np.array([5, 4, 4])
+        for R in (cube, moved):
+            masses, cents = bl._grid_pieces(R, lo, 0.25, cells, TOL)
+            ref_m, ref_c = cell_reference(R, lo, 0.25, cells)
+            assert masses.shape == ref_m.shape == (64,)
+            np.testing.assert_allclose(masses, ref_m, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cents, ref_c, rtol=0, atol=1e-12)
+        w, err = bl.w1_distance(bl.MeasurePair.make(cube, moved), resolution=0.25)
+        assert w == pytest.approx(0.25, abs=1e-9)
 
 
 class TestW1TvInequality:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,19 @@ class TestDedupPoints:
             if all(np.linalg.norm(p - k) > tol for k in keep):
                 keep.append(p)
         np.testing.assert_array_equal(gk._dedup_points(pts, tol), np.array(keep))
+
+    def test_shared_first_coordinate_stays_small(self):
+        """Points that share their first coordinate are not all compared with
+        each other: the window runs along the axis of widest spread."""
+        pts = np.column_stack([np.zeros(4000), np.random.default_rng(0).random(4000)])
+        tracemalloc.start()
+        try:
+            out = gk._dedup_points(pts, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 4000
+        assert peak < 10e6
 
 
 def test_tolerances_must_be_positive():
