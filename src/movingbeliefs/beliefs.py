@@ -24,7 +24,6 @@ from . import geomkernel as gk
 from .errors import (
     DegreeCapExceeded,
     PositivityViolation,
-    RejectionBudgetExceeded,
     ResolutionTooCoarse,
     SolverStall,
 )
@@ -197,29 +196,29 @@ def expect_neutral(P: Polytope, f: Integrand, tol: Tolerances = DEFAULT_TOL) -> 
     return value
 
 
-_MC_BATCHES = 20
-
-
 def expect_neutral_with_error(
     P: Polytope, f: Integrand, tol: Tolerances = DEFAULT_TOL, n_samples: int = 20000
 ):
-    """Like ``expect_neutral`` but reports the standard error (0 on the exact
-    polynomial path): the spread of ``_MC_BATCHES`` consecutive batch means
-    over sqrt(_MC_BATCHES), which stays valid for correlated hit-and-run
-    samples."""
+    """Like ``expect_neutral`` but reports the standard error: 0 on the exact
+    polynomial path, std(ddof=1)/sqrt(n) of the i.i.d. ``sample_uniform``
+    values on the Monte Carlo path."""
     if P.intrinsic_dim == 0:
         return float(f(P.vrep[:1])[0]), 0.0
     if isinstance(f, Polynomial):
-        S, vols = gk._simplex_volumes(P.vertices_frame, P.intrinsic_dim)
-        mass = vols.sum()
-        if mass == 0.0:
-            raise ValueError("degenerate triangulation")
+        S, vols, mass = _triangulation(P)
         return float((vols * simplex_average(f, P.vrep[S], f.degree)).sum() / mass), 0.0
-    pts = sample_uniform(P, n_samples, tol.rng_seed, tol)
-    vals = f(pts)
-    batches = np.array_split(vals, min(_MC_BATCHES, n_samples))
-    means = np.array([b.mean() for b in batches])
-    return float(vals.mean()), float(means.std(ddof=1) / math.sqrt(len(batches)))
+    vals = f(sample_uniform(P, n_samples, tol.rng_seed))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
+
+
+def _triangulation(P: Polytope):
+    """(S, vols, mass): the simplices of P's frame triangulation, their
+    volumes and the total; a zero total raises ``ValueError``."""
+    S, vols = gk._simplex_volumes(P.vertices_frame, P.intrinsic_dim)
+    mass = vols.sum()
+    if mass == 0.0:
+        raise ValueError("degenerate triangulation")
+    return S, vols, mass
 
 
 def expect_density(P: Polytope, h: Integrand, f: Integrand, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -241,7 +240,7 @@ def _check_positive(P: Polytope, h: Integrand, tol: Tolerances, n: int = 256) ->
     polytope sits at a vertex; other densities are also sampled at n points."""
     pts = P.vrep
     if not (isinstance(h, Polynomial) and h.degree <= 1):
-        pts = np.vstack([pts, sample_uniform(P, n, tol.rng_seed ^ 0x5EED, tol)])
+        pts = np.vstack([pts, sample_uniform(P, n, tol.rng_seed ^ 0x5EED)])
     if np.min(h(pts)) <= 0.0:
         raise PositivityViolation("density must be strictly positive on the support")
 
@@ -256,67 +255,23 @@ def expect(P: Polytope, belief: Belief, f: Integrand, tol: Tolerances = DEFAULT_
 # sampling
 
 
-def sample_uniform(P: Polytope, n: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """n approximately-i.i.d. uniform points on P (deterministic per seed).
-
-    Rejection from the frame bounding box for intrinsic dimension <= 3,
-    hit-and-run with 100*k burn-in and k-fold thinning above.
-    """
+def sample_uniform(P: Polytope, n: int, seed: int) -> np.ndarray:
+    """n i.i.d. uniform points on P (deterministic per seed), exact in every
+    dimension: a simplex of the triangulation drawn with probability
+    proportional to its volume, then flat-Dirichlet barycentric weights from
+    normalized exponentials (Devroye, Non-Uniform Random Variate Generation,
+    1986, ch. 5)."""
     if n < 1:
         raise ValueError("need at least one sample")
     k = P.intrinsic_dim
     if k == 0:
         return np.repeat(P.vrep[:1], n, axis=0)
+    S, vols, mass = _triangulation(P)
     rng = np.random.default_rng(seed)
-    t = P.vertices_frame
-    lo, hi = t.min(axis=0), t.max(axis=0)
-    N, c = P.intrinsic_facets
-    if k <= 3:
-        out = []
-        drawn = 0
-        accepted = 0
-        while accepted < n:
-            batch = max(1024, 4 * (n - accepted))
-            cand = rng.uniform(lo, hi, size=(batch, k))
-            ok = np.all(cand @ N.T <= c + tol.feas_tol, axis=1)
-            got = cand[ok]
-            out.append(got)
-            drawn += batch
-            accepted += got.shape[0]
-            if drawn >= 1_000_000 and accepted / drawn < 1e-6:
-                raise RejectionBudgetExceeded(
-                    f"acceptance rate {accepted/drawn:.2e} below 1e-6"
-                )
-        coords = np.vstack(out)[:n]
-    else:
-        burn = 100 * k
-        thin = k
-        x = t.mean(axis=0)
-        samples = np.empty((n, k))
-        kept = 0
-        step = 0
-        while kept < n:
-            d = rng.standard_normal(k)
-            d /= np.linalg.norm(d)
-            denom = N @ d
-            bounds = c - N @ x
-            t_hi = np.inf
-            t_lo = -np.inf
-            pos = denom > 1e-14
-            neg = denom < -1e-14
-            if pos.any():
-                t_hi = np.min(bounds[pos] / denom[pos])
-            if neg.any():
-                t_lo = np.max(bounds[neg] / denom[neg])
-            if not (np.isfinite(t_hi) and np.isfinite(t_lo)):
-                raise RejectionBudgetExceeded("hit-and-run found an unbounded chord")
-            x = x + rng.uniform(t_lo, t_hi) * d
-            step += 1
-            if step > burn and (step - burn) % thin == 0:
-                samples[kept] = x
-                kept += 1
-        coords = samples
-    return P.frame.to_ambient(coords)
+    picked = rng.choice(len(S), n, p=vols / mass)
+    w = rng.exponential(size=(n, k + 1))
+    w /= w.sum(axis=1, keepdims=True)
+    return P.frame.to_ambient(np.einsum("nj,njk->nk", w, P.vertices_frame[S[picked]]))
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,16 @@ def integrand_to_json(f) -> dict:
     return {"kind": "opaque", "callable": f.label, "dim": f.dim}
 
 
-def integrand_from_json(obj: dict) -> bl.Integrand:
+def integrand_from_json(obj: dict, allow_imports: bool = False) -> bl.Integrand:
+    """A polynomial, or an opaque ``module:attribute`` callable, which is
+    imported only when ``allow_imports`` is set."""
     if obj["kind"] == "polynomial":
         terms = {tuple(t["exponents"]): t["coeff"] for t in obj["terms"]}
         return Polynomial.from_dict(terms, obj["dim"])
+    if not allow_imports:
+        raise ValueError(
+            f"opaque integrand {obj['callable']!r} would import a module; pass --allow-imports to allow it"
+        )
     mod_name, _, attr = obj["callable"].partition(":")
     if not attr:
         raise ValueError("opaque integrands need a 'module:attribute' callable")
@@ -146,10 +152,10 @@ def belief_to_json(b: Belief) -> dict:
     return {"kind": "density", "density": integrand_to_json(b.density)}
 
 
-def belief_from_json(obj: Optional[dict]) -> Belief:
+def belief_from_json(obj: Optional[dict], allow_imports: bool = False) -> Belief:
     if obj is None or obj["kind"] == "neutral":
         return NEUTRAL
-    return Belief(density=integrand_from_json(obj["density"]))
+    return Belief(density=integrand_from_json(obj["density"], allow_imports))
 
 
 @dataclass(frozen=True)
@@ -214,7 +220,7 @@ class ProblemFile:
     raw: dict
 
     @staticmethod
-    def parse(obj: dict) -> "ProblemFile":
+    def parse(obj: dict, allow_imports: bool = False) -> "ProblemFile":
         _problem_validator().validate(obj)
         tol = tolerances_from_json(obj.get("tolerances"))
         spec = map_from_json(obj["map"], tol)
@@ -228,7 +234,7 @@ class ProblemFile:
         return ProblemFile(
             version=obj["version"],
             map_spec=spec,
-            belief=belief_from_json(obj.get("belief")),
+            belief=belief_from_json(obj.get("belief"), allow_imports),
             theta=ThetaPoly.from_json(obj["theta"]) if "theta" in obj else None,
             grid=grid,
             tolerances=tol,
@@ -392,16 +398,19 @@ def _builtin_problem(name: str):
     raise click.UsageError(f"unknown builtin '{name}'")
 
 
-def _load_problem(path: str) -> ProblemFile:
+def _load_problem(path: str, allow_imports: bool) -> ProblemFile:
     """Parse a problem file; a schema or precondition error exits 2."""
     try:
         with open(path) as fh:
-            return ProblemFile.parse(json.load(fh))
+            return ProblemFile.parse(json.load(fh), allow_imports)
     except (jsonschema.ValidationError, json.JSONDecodeError) as exc:
         click.echo(f"schema error: {getattr(exc, 'message', exc)}", err=True)
     except (MovingBeliefsError, ValueError, KeyError) as exc:
         click.echo(f"precondition error: {type(exc).__name__}: {exc}", err=True)
     sys.exit(2)
+
+
+_ALLOW_IMPORTS_HELP = "let opaque integrands of the problem file import their module:attribute callable"
 
 
 @main.command("verify")
@@ -412,14 +421,15 @@ def _load_problem(path: str) -> ProblemFile:
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def cmd_verify(suite, problem, builtin, samples, seed, out, fmt):
+@click.option("--allow-imports", is_flag=True, help=_ALLOW_IMPORTS_HELP)
+def cmd_verify(suite, problem, builtin, samples, seed, out, fmt, allow_imports):
     """Run a verification suite; exit 0 iff no violations."""
     try:
         if suite == "body":
             report = pr.verify_body_lemmas(samples=samples, seed=seed)
         else:
             if problem:
-                pf = _load_problem(problem)
+                pf = _load_problem(problem, allow_imports)
                 spec, grid, anchor, tol = pf.map_spec, pf.grid, pf.anchor, pf.tolerances
                 y_box, resolution = pf.y_box, pf.w1_resolution
             elif builtin:
@@ -469,10 +479,11 @@ def cmd_verify(suite, problem, builtin, samples, seed, out, fmt):
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--exact", is_flag=True)
-def cmd_bilevel(problem, out, fmt, exact):
+@click.option("--allow-imports", is_flag=True, help=_ALLOW_IMPORTS_HELP)
+def cmd_bilevel(problem, out, fmt, exact, allow_imports):
     """Evaluate the leader objective g.x + E[h.y] on the grid under the
     neutral (or density) belief and report the grid argmin."""
-    pf = _load_problem(problem)
+    pf = _load_problem(problem, allow_imports)
     if pf.leader is None:
         raise click.UsageError("bilevel command needs a 'leader' section {g, h}")
     if not isinstance(pf.map_spec, (sv.BilevelSolutionMap, sv.EpsArgminMap)):

@@ -58,10 +58,6 @@ class PositivityViolation(MovingBeliefsError):
     at a vertex; other densities are checked at the vertices and at samples."""
 
 
-class RejectionBudgetExceeded(MovingBeliefsError):
-    """Rejection sampling acceptance rate fell below the configured floor."""
-
-
 class ResolutionTooCoarse(MovingBeliefsError):
     """A discretization grid is too coarse to carry the requested measure."""
 

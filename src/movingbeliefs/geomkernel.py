@@ -197,7 +197,8 @@ class Polytope:
             if float(np.max(np.abs(resid))) > 1e-7:
                 raise AssertionError("frame does not span the vertex differences")
         svals = np.linalg.svd(d, compute_uv=False) if self.n_vertices > 1 else np.zeros(1)
-        if _numerical_rank(svals, tol.rank_tol, strict=False) != self.intrinsic_dim:
+        floor = _merge_distance(self.vrep, tol.feas_tol)
+        if _numerical_rank(svals, tol.rank_tol, strict=False, floor=floor) != self.intrinsic_dim:
             raise AssertionError("intrinsic_dim disagrees with numerical rank")
 
 
@@ -215,7 +216,9 @@ def _canonical_signs(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _numerical_rank(svals: np.ndarray, rank_tol: float, strict: bool = True) -> int:
+def _numerical_rank(svals: np.ndarray, rank_tol: float, strict: bool = True, floor: float = 0.0) -> int:
+    """Singular values above rank_tol relative to the largest and above the
+    absolute ``floor``."""
     svals = np.asarray(svals, dtype=float)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
@@ -227,7 +230,13 @@ def _numerical_rank(svals: np.ndarray, rank_tol: float, strict: bool = True) -> 
                 raise NumericalRankAmbiguity(
                     f"singular value {s:.3e} lies inside the rank band ({lo:.1e}, {hi:.1e})"
                 )
-    return int(np.sum(svals > thresh))
+    return int(np.sum(svals > max(thresh, floor)))
+
+
+def _merge_distance(pts: np.ndarray, feas_tol: float) -> float:
+    """Distance below which points are one point, and a direction of no
+    greater width is rounding noise."""
+    return max(feas_tol, 1e-12) * (1.0 + float(np.max(np.abs(pts))))
 
 
 def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
@@ -324,7 +333,8 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
         raise ValueError("points must be finite")
     m = pts.shape[1]
     scale = 1.0 + float(np.max(np.abs(pts)))
-    pts = _dedup_points(pts, max(tol.feas_tol, 1e-12) * scale)
+    merge = _merge_distance(pts, tol.feas_tol)
+    pts = _dedup_points(pts, merge)
 
     centroid = pts.mean(axis=0)
     diffs = pts - centroid
@@ -333,7 +343,7 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
         basis = np.zeros((m, 0))
     else:
         _, svals, vt = np.linalg.svd(diffs, full_matrices=True)
-        k = _numerical_rank(svals, tol.rank_tol, strict=strict_rank)
+        k = _numerical_rank(svals, tol.rank_tol, strict=strict_rank, floor=merge)
         basis = _canonical_signs(vt[:k].T)
 
     t = diffs @ basis  # (n, k)
@@ -449,7 +459,7 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
         if exact:
             V = np.array(list(dict.fromkeys(map(tuple, keep))))
         else:
-            V = _dedup_points(keep, max(tol, 1e-12) * (1.0 + float(np.max(np.abs(keep)))))
+            V = _dedup_points(keep, _merge_distance(keep, tol))
         rows.append((nrm, off))
     return V
 

@@ -168,8 +168,8 @@ class TestExpectNeutral:
             assert abs(mc - exact) <= 4 * max(se, 1e-12)
 
     def test_hit_and_run_error_matches_spread(self):
-        """4-D hit-and-run samples are correlated; over 30 chain seeds the
-        spread of the estimate stays within 30% of the median reported error."""
+        """4-D samples are i.i.d.; over 30 seeds the spread of the estimate
+        stays within 30% of the median reported error."""
         P = gk.from_vrep(np.random.default_rng(2).standard_normal((30, 4)))
         f = bl.Opaque(fn=lambda y: y[:, 0], dim=4)
         runs = [
@@ -261,6 +261,59 @@ class TestSampling:
         cube = gk.from_vrep([v for v in np.ndindex(2, 2, 2, 2)])
         pts = bl.sample_uniform(cube, 4000, seed=13)
         assert pts.mean(axis=0) == pytest.approx([0.5] * 4, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "cloud",
+        [
+            np.random.default_rng(1).standard_normal((2, 3)),
+            np.random.default_rng(2).standard_normal((9, 2)),
+            np.random.default_rng(3).standard_normal((7, 2)) @ np.random.default_rng(4).standard_normal((2, 3)),
+            np.random.default_rng(5).standard_normal((14, 3)),
+            np.random.default_rng(6).standard_normal((30, 4)),
+        ],
+        ids=["segment-R3", "polygon", "polygon-in-R3", "hull3d", "hull4d"],
+    )
+    def test_samples_satisfy_hrep(self, cloud):
+        P = gk.from_vrep(cloud)
+        M, q = P.hrep
+        pts = bl.sample_uniform(P, 5000, seed=7)
+        assert pts.shape == (5000, P.ambient_dim)
+        assert np.max(pts @ M.T - q) <= TOL.feas_tol
+
+    @pytest.mark.parametrize(
+        "cloud",
+        [
+            np.random.default_rng(12).standard_normal((10, 2)),
+            np.random.default_rng(13).standard_normal((16, 3)),
+            np.random.default_rng(14).standard_normal((30, 4)) * [1.0, 0.8, 0.6, 0.5],
+            np.vstack([np.zeros(4), np.diag([1.0, 1e-3, 1e-3, 1e-3])]),
+        ],
+        ids=["hull2d", "hull3d", "hull4d", "needle4d"],
+    )
+    def test_moments_match_exact(self, cloud):
+        """Sample means of y_i and y_i y_j agree with the exact polynomial
+        expectations within 5 standard errors of the sample."""
+        P = gk.from_vrep(cloud)
+        m = P.ambient_dim
+        n = 40_000
+        pts = bl.sample_uniform(P, n, seed=21)
+        for i, j in itertools.combinations_with_replacement(range(-1, m), 2):
+            exps = [0] * m
+            for a in (i, j):
+                if a >= 0:
+                    exps[a] += 1
+            if not any(exps):
+                continue
+            f = bl.Polynomial.from_dict({tuple(exps): 1.0}, m)
+            vals = f(pts)
+            se = vals.std(ddof=1) / math.sqrt(n)
+            assert abs(vals.mean() - bl.expect_neutral(P, f)) <= 5 * se
+
+    def test_deterministic_under_seed_in_dimension_four(self):
+        P = gk.from_vrep(np.random.default_rng(8).standard_normal((25, 4)))
+        a = bl.sample_uniform(P, 300, seed=17)
+        assert (a == bl.sample_uniform(P, 300, seed=17)).all()
+        assert not (a == bl.sample_uniform(P, 300, seed=18)).all()
 
 
 class TestTvDistance:

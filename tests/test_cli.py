@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -180,9 +181,39 @@ class TestVerifyCommand:
             obj["belief"] = {"kind": "density", "density": {"kind": "opaque", "callable": target, "dim": 2}}
             problem = tmp_path / "opaque.json"
             problem.write_text(json.dumps(obj))
-            res = runner.invoke(cli.main, command + [str(problem)])
+            res = runner.invoke(cli.main, command + ["--allow-imports", str(problem)])
             assert res.exit_code == 2
             assert "precondition error" in res.output
+
+    @pytest.mark.parametrize("command", [["bilevel"], ["verify", "tv-bound"]])
+    def test_opaque_integrand_needs_allow_imports(self, runner, tmp_path, monkeypatch, command):
+        """Without the flag nothing is imported: the command exits 2 naming
+        the flag, and the module never reaches sys.modules."""
+        name = "movingbeliefs_test_density_" + command[-1].replace("-", "_")
+        (tmp_path / f"{name}.py").write_text("def density(y):\n    return 1.0 + y[:, 0]\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        obj = toy_problem([1.0, 0.0], count=5)
+        obj["belief"] = {"kind": "density", "density": {"kind": "opaque", "callable": f"{name}:density", "dim": 2}}
+        problem = tmp_path / "opaque.json"
+        problem.write_text(json.dumps(obj))
+        res = runner.invoke(cli.main, command + [str(problem)])
+        assert res.exit_code == 2
+        assert "--allow-imports" in res.output
+        assert name not in sys.modules
+
+    def test_allow_imports_runs_the_opaque_density(self, runner, tmp_path, monkeypatch):
+        name = "movingbeliefs_test_density_allowed"
+        (tmp_path / f"{name}.py").write_text("def density(y):\n    return 1.0 + y[:, 0]\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, name, raising=False)
+        obj = toy_problem([1.0, 0.0], count=5)
+        obj["belief"] = {"kind": "density", "density": {"kind": "opaque", "callable": f"{name}:density", "dim": 2}}
+        problem = tmp_path / "opaque.json"
+        problem.write_text(json.dumps(obj))
+        res = runner.invoke(cli.main, ["bilevel", "--allow-imports", str(problem)])
+        assert res.exit_code == 0, res.output
+        assert name in sys.modules
+        sys.modules.pop(name)
 
     def test_w1_dimension_drop_exits_2(self, runner, tmp_path):
         problem = tmp_path / "w1bad.json"

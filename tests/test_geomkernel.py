@@ -459,6 +459,18 @@ class TestIntersect:
         assert gk.volume(I) == pytest.approx(0.4, abs=1e-6)
         assert gk.sym_diff_volume(A, B) == pytest.approx(0.9, abs=1e-6)
 
+    def test_near_flat_piece_is_a_segment(self):
+        """A cell box cuts three points of spread 2.5e-9 from a near-flat
+        tetrahedron; directions no wider than the merge distance are noise,
+        so the piece is a segment, not a rank-3 cloud that Qhull rejects."""
+        R = gk.from_vrep([[0, 0, 0], [0.3, 0, 0], [0, 0.3, 0], [0, 0, 0.3], [0.5 + 1e-8, 0.1, 0.1]])
+        lo = R.vrep.min(axis=0) + np.array([1, 0, 2]) * 0.125
+        box = gk.from_vrep([lo + 0.125 * np.array(c) for c in itertools.product((0, 1), repeat=3)])
+        I = gk.intersect(R, box)
+        assert I.intrinsic_dim == 1
+        I.validate()
+        assert gk.volume(I) < 5e-9
+
 
 class TestMinkowski:
     def test_endpoint_identities(self, rng):
