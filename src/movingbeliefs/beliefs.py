@@ -201,7 +201,9 @@ def expect_neutral_with_error(
 ):
     """Like ``expect_neutral`` but reports the standard error: 0 on the exact
     polynomial path, std(ddof=1)/sqrt(n) of the i.i.d. ``sample_uniform``
-    values on the Monte Carlo path."""
+    values on the Monte Carlo path, which needs ``n_samples >= 2``."""
+    if n_samples < 2:
+        raise ValueError("the standard error needs at least 2 samples")
     if P.intrinsic_dim == 0:
         return float(f(P.vrep[:1])[0]), 0.0
     if isinstance(f, Polynomial):
@@ -214,7 +216,7 @@ def expect_neutral_with_error(
 def _triangulation(P: Polytope):
     """(S, vols, mass): the simplices of P's frame triangulation, their
     volumes and the total; a zero total raises ``ValueError``."""
-    S, vols = gk._simplex_volumes(P.vertices_frame, P.intrinsic_dim)
+    S, vols = P.triangulation
     mass = vols.sum()
     if mass == 0.0:
         raise ValueError("degenerate triangulation")

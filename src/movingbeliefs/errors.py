@@ -80,3 +80,8 @@ class DimensionDrift(MovingBeliefsError):
 
 class DimensionViolation(MovingBeliefsError):
     """An image fails a full-dimensionality precondition."""
+
+
+class QhullJoggleWarning(RuntimeWarning):
+    """Qhull rejected a degenerate input and the computation was retried with
+    the ``QJ`` joggle, which perturbs the points by a tiny random amount."""

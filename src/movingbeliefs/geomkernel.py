@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,6 +40,7 @@ from .errors import (
     NumericalRankAmbiguity,
     OriginNotContained,
     OriginNotRelativeInterior,
+    QhullJoggleWarning,
     QuadratureBudgetExceeded,
 )
 
@@ -173,11 +175,25 @@ class Polytope:
         """(N, c): unit facet normals/offsets in frame coordinates, N t <= c."""
         return _intrinsic_facets(self.vertices_frame, self.intrinsic_dim)
 
-    def contains(self, y, tol: float = DEFAULT_TOL.feas_tol) -> bool:
-        y = np.asarray(y, dtype=float)
+    @cached_property
+    def triangulation(self):
+        """(S, vols): the frame triangulation and the k-volume of each of its
+        simplices, built once; a point is one 0-simplex of measure 1."""
+        S, vols = _simplex_volumes(self.vertices_frame, self.intrinsic_dim)
+        S.setflags(write=False)
+        vols.setflags(write=False)
+        return S, vols
+
+    def violation(self, Y) -> np.ndarray:
+        """max_i (M_i y - q_i) for each point y of Y: at most 0 inside, and a
+        lower bound on d(y, P) outside, because the rows are unit normals."""
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if self.hrep_normals.shape[0] == 0:
-            return bool(np.linalg.norm(y - self.vrep[0]) <= tol)
-        return bool(np.max(self.hrep_normals @ y - self.hrep_offsets) <= tol)
+            return np.linalg.norm(Y - self.vrep[0], axis=1)
+        return np.max(Y @ self.hrep_normals.T - self.hrep_offsets, axis=1)
+
+    def contains(self, y, tol: float = DEFAULT_TOL.feas_tol) -> bool:
+        return bool(self.violation(y)[0] <= tol)
 
     def bounding_box(self):
         return self.vrep.min(axis=0), self.vrep.max(axis=0)
@@ -357,6 +373,7 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
         try:
             hull = ConvexHull(t)
         except QhullError:
+            warnings.warn("ConvexHull fell back to the QJ joggle", QhullJoggleWarning, stacklevel=2)
             hull = ConvexHull(t, qhull_options="QJ")
         sel = hull.vertices
     verts = pts[np.sort(sel)]
@@ -564,14 +581,14 @@ def from_hrep(M: Sequence, q: Sequence, tol: Tolerances = DEFAULT_TOL, exact: bo
 def volume(P: Polytope) -> float:
     """Intrinsic k-dimensional measure; a point has measure 1 by convention."""
     if P.volume_cache is None:
-        k = P.intrinsic_dim
-        val = float(_simplex_volumes(P.vertices_frame, k)[1].sum()) if k else 1.0
-        object.__setattr__(P, "volume_cache", val)
+        object.__setattr__(P, "volume_cache", float(P.triangulation[1].sum()))
     return P.volume_cache
 
 
 def _triangulate_frame(t: np.ndarray, k: int) -> np.ndarray:
     """(s, k+1) vertex indices of a triangulation of the frame points t."""
+    if k == 0:
+        return np.zeros((1, 1), dtype=int)
     if k == 1:
         return np.array([[np.argmin(t[:, 0]), np.argmax(t[:, 0])]])
     if k == 2:
@@ -580,6 +597,7 @@ def _triangulate_frame(t: np.ndarray, k: int) -> np.ndarray:
     try:
         return Delaunay(t).simplices
     except QhullError:
+        warnings.warn("Delaunay fell back to the QJ joggle", QhullJoggleWarning, stacklevel=2)
         return Delaunay(t, qhull_options="QJ").simplices
 
 
@@ -593,9 +611,7 @@ def _simplex_volumes(t: np.ndarray, k: int):
 def triangulate(P: Polytope):
     """Simplices (lists of ambient vertex arrays) whose intrinsic volumes sum
     to volume(P); a point yields a single 0-simplex."""
-    if P.intrinsic_dim == 0:
-        return [P.vrep[:1]]
-    return list(P.vrep[_triangulate_frame(P.vertices_frame, P.intrinsic_dim)])
+    return list(P.vrep[P.triangulation[0]])
 
 
 def support(P: Polytope, u) -> float:
@@ -717,42 +733,51 @@ def _sphere_nodes(k: int, n: int, seed: int) -> np.ndarray:
 # distances
 
 
-def _dist_point_polygon_2d(P: Polytope, y: np.ndarray) -> float:
-    if P.contains(y):
-        return 0.0
+def _excess(P: Polytope, Q: Polytope) -> float:
+    """max over the vertices v of P of d(v, Q)."""
     V = P.vrep
-    if P.intrinsic_dim == 0:
-        return float(np.linalg.norm(y - V[0]))
-    if P.intrinsic_dim == 1:
-        segs = [(V[0], V[-1])]
-    else:
-        order = P.hull_order
-        pts = V[order]
-        segs = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
-    best = math.inf
-    for a, b in segs:
-        e = b - a
-        denom = float(e @ e)
-        t = 0.0 if denom == 0 else float(np.clip((y - a) @ e / denom, 0.0, 1.0))
-        best = min(best, float(np.linalg.norm(y - (a + t * e))))
+    viol = Q.violation(V)
+    if P.ambient_dim == 2:  # every vertex against every edge of Q at once
+        if Q.intrinsic_dim == 2:
+            A = Q.vrep[Q.hull_order]
+            B = np.roll(A, -1, axis=0)
+        else:  # a segment, or a point as a zero-length edge
+            A, B = Q.vrep[:1], Q.vrep[-1:]
+        E = B - A
+        den = np.vecdot(E, E)  # on a zero-length edge t = 0 / 1
+        t = np.clip(np.vecdot(V[:, None, :] - A, E) / np.where(den > 0.0, den, 1.0), 0.0, 1.0)
+        diff = V[:, None, :] - (A + t[..., None] * E)
+        d = np.sqrt(np.vecdot(diff, diff)).min(axis=1)
+        return float(np.max(np.where(viol <= DEFAULT_TOL.feas_tol, 0.0, d)))
+    diff = V[:, None, :] - Q.vrep
+    ub = np.sqrt(np.vecdot(diff, diff).min(axis=1))
+    best = 0.0
+    for i in np.argsort(-ub, kind="stable"):
+        if ub[i] <= best:
+            break
+        if viol[i] > 0.0:
+            best = max(best, float(np.linalg.norm(convexsolve.min_norm_point(Q.vrep - V[i]))))
     return best
 
 
-def _dist_to_polytope(P: Polytope, y: np.ndarray) -> float:
-    if P.ambient_dim == 2:
-        return _dist_point_polygon_2d(P, y)
-    z = convexsolve.min_norm_point(P.vrep - y)
-    return float(np.linalg.norm(z))
-
-
 def hausdorff(P: Polytope, Q: Polytope) -> float:
-    """max of the two excesses; the point-to-set distance over a polytope is
-    attained at a vertex, so vertex sweeps are exact."""
+    """max(excess(P, Q), excess(Q, P)), with excess(P, Q) the largest d(v, Q)
+    over the vertices v of P (d(., Q) is convex, so its maximum over P sits
+    at a vertex).
+
+    In the plane the excess is one array computation of every vertex of P
+    against every ccw edge of Q (its segment when k = 1, its point when
+    k = 0): t clamped to [0, 1], minimum over edges, maximum over vertices;
+    vertices passing Q's H-rep test within feas_tol, as in ``contains``,
+    count 0.  Above the plane lb <= d(v, Q) <= ub, with lb the largest H-rep
+    violation (every row is a unit normal) and ub the distance to Q's
+    nearest vertex.  Wolfe's ``min_norm_point`` runs in decreasing ub, only
+    where lb > 0, until ub <= the best excess so far.  This is exact: a
+    skipped vertex lies in Q or has d(v, Q) <= ub <= the best excess.
+    """
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    e_pq = max(_dist_to_polytope(Q, v) for v in P.vrep)
-    e_qp = max(_dist_to_polytope(P, v) for v in Q.vrep)
-    return max(e_pq, e_qp)
+    return max(_excess(P, Q), _excess(Q, P))
 
 
 def dist_point(P: Polytope, y, tol: Tolerances = DEFAULT_TOL):

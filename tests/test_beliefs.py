@@ -167,6 +167,12 @@ class TestExpectNeutral:
             )
             assert abs(mc - exact) <= 4 * max(se, 1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_standard_error_needs_two_samples(self, n):
+        P = gk.from_vrep([(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            bl.expect_neutral_with_error(P, bl.Opaque(fn=lambda y: y[:, 0], dim=2), n_samples=n)
+
     def test_hit_and_run_error_matches_spread(self):
         """4-D samples are i.i.d.; over 30 seeds the spread of the estimate
         stays within 30% of the median reported error."""

@@ -7,8 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.spatial import QhullError
 
 import movingbeliefs.geomkernel as gk
+from movingbeliefs import convexsolve
 from movingbeliefs.errors import (
     AffineHullMismatch,
     EmptyInput,
@@ -16,6 +18,7 @@ from movingbeliefs.errors import (
     NumericalRankAmbiguity,
     OriginNotContained,
     OriginNotRelativeInterior,
+    QhullJoggleWarning,
     Unbounded,
 )
 from movingbeliefs.probe import random_polytope
@@ -147,6 +150,39 @@ def test_tolerances_must_be_positive():
         gk.Tolerances(sphere_nodes=0)
 
 
+class TestQhullJoggle:
+    """Both QJ fallbacks warn; each is forced by a first Qhull call that fails."""
+
+    @staticmethod
+    def _fail_once(monkeypatch, name):
+        real = getattr(gk, name)
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(kwargs.get("qhull_options"))
+            if len(calls) == 1:
+                raise QhullError("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gk, name, flaky)
+        return calls
+
+    def test_convex_hull_fallback_warns(self, rng, monkeypatch):
+        calls = self._fail_once(monkeypatch, "ConvexHull")
+        with pytest.warns(QhullJoggleWarning, match="ConvexHull"):
+            P = gk.from_vrep(rng.random((8, 3)))
+        assert calls[:2] == [None, "QJ"]
+        P.validate()
+
+    def test_delaunay_fallback_warns(self, rng, monkeypatch):
+        P = gk.from_vrep(rng.random((8, 3)))
+        calls = self._fail_once(monkeypatch, "Delaunay")
+        with pytest.warns(QhullJoggleWarning, match="Delaunay"):
+            vol = gk.volume(P)
+        assert calls == [None, "QJ"]
+        assert vol > 0.0
+
+
 class TestFromHrep:
     def test_unit_square(self):
         M = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], float)
@@ -216,6 +252,29 @@ class TestVolume:
                 d = P.frame.to_frame(simplex)
                 total += abs(np.linalg.det(d[1:] - d[0])) / math.factorial(P.intrinsic_dim)
             assert total == pytest.approx(gk.volume(P), rel=1e-10)
+
+    def test_triangulation_is_built_once(self, rng, monkeypatch):
+        calls = []
+        real = gk.Delaunay
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gk, "Delaunay", counting)
+        P = gk.from_vrep(rng.random((9, 3)))
+        S, vols = P.triangulation
+        assert gk.volume(P) == float(vols.sum())
+        assert len(gk.triangulate(P)) == len(S)
+        assert P.triangulation is P.triangulation
+        assert len(calls) == 1
+        assert not S.flags.writeable and not vols.flags.writeable
+
+    def test_point_triangulation_is_one_unit_simplex(self):
+        P = gk.from_vrep([(0.3, 0.7)])
+        S, vols = P.triangulation
+        assert S.tolist() == [[0]] and vols.tolist() == [1.0]
+        assert [s.tolist() for s in gk.triangulate(P)] == [[[0.3, 0.7]]]
 
     def test_volume_vs_monte_carlo(self, rng):
         """Rejection-sampling oracle: within 3 standard errors."""
@@ -377,6 +436,106 @@ class TestHausdorff:
         e_ab = max(gk.dist_point(B, v)[0] for v in A.vrep)
         e_ba = max(gk.dist_point(A, v)[0] for v in B.vrep)
         assert d == pytest.approx(max(e_ab, e_ba), abs=1e-9)
+
+
+def _seg_dist(v, a, b):
+    """Distance from the point v to the segment [a, b] (a point when a == b)."""
+    e = b - a
+    den = float(e @ e)
+    t = 0.0 if den == 0.0 else min(max(float((v - a) @ e) / den, 0.0), 1.0)
+    return float(np.linalg.norm(v - (a + t * e)))
+
+
+def _planar_excess_ref(P, Q):
+    """max over P's vertices of the distance to conv(Q's vertices), taken as
+    the union of the triangles, segments and points on those vertices: 0
+    inside a triangle (barycentric weights >= 0), else the nearest edge."""
+    W = Q.vrep
+    best = 0.0
+    for v in P.vrep:
+        d = min(_seg_dist(v, W[i], W[j]) for i in range(len(W)) for j in range(i, len(W)))
+        for i, j, k in itertools.combinations(range(len(W)), 3):
+            T = np.column_stack([W[j] - W[i], W[k] - W[i]])
+            if abs(np.linalg.det(T)) > 1e-14:
+                lam = np.linalg.solve(T, v - W[i])
+                if lam.min() >= 0.0 and lam.sum() <= 1.0:
+                    d = 0.0
+        best = max(best, d)
+    return best
+
+
+def _wolfe_excess_ref(P, Q):
+    """max over P's vertices of the Wolfe minimum-norm-point distance to Q."""
+    return max(float(np.linalg.norm(convexsolve.min_norm_point(Q.vrep - v))) for v in P.vrep)
+
+
+def _planar_bodies(rng):
+    return [
+        gk.from_vrep(rng.random((1, 2))),
+        gk.from_vrep(rng.random((2, 2))),
+        gk.from_vrep(rng.random((3, 2))),
+        random_polytope(rng, 2),
+        random_polytope(rng, 2, sliver=True),
+        gk.from_vrep(0.4 + 0.2 * rng.random((5, 2))),  # inside [0.4, 0.6]^2
+    ]
+
+
+def _spatial_bodies(rng):
+    return [
+        gk.from_vrep(rng.random((1, 3))),
+        gk.from_vrep(rng.random((2, 3))),
+        gk.from_vrep(rng.random((3, 3))),
+        random_polytope(rng, 3),
+        random_polytope(rng, 3, sliver=True),
+        gk.from_vrep(0.4 + 0.2 * rng.random((6, 3))),  # inside [0.4, 0.6]^3
+    ]
+
+
+class TestHausdorffReferences:
+    """hausdorff against references that share no code with it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planar_matches_vertex_segment_reference(self, seed):
+        bodies = _planar_bodies(np.random.default_rng(seed))
+        for A, B in itertools.product(bodies, repeat=2):
+            ref = max(_planar_excess_ref(A, B), _planar_excess_ref(B, A))
+            assert gk.hausdorff(A, B) == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spatial_matches_per_vertex_wolfe(self, seed):
+        bodies = _spatial_bodies(np.random.default_rng(seed))
+        for A, B in itertools.product(bodies, repeat=2):
+            ref = max(_wolfe_excess_ref(A, B), _wolfe_excess_ref(B, A))
+            assert gk.hausdorff(A, B) == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_symmetric_bitwise_and_zero_on_itself(self, m):
+        rng = np.random.default_rng(11)
+        bodies = _planar_bodies(rng) if m == 2 else _spatial_bodies(rng)
+        for A, B in itertools.product(bodies, repeat=2):
+            assert gk.hausdorff(A, B) == gk.hausdorff(B, A)
+        for A in bodies:
+            assert gk.hausdorff(A, A) == 0.0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_nested_body_has_zero_excess(self, m):
+        rng = np.random.default_rng(5)
+        inner = gk.from_vrep(0.4 + 0.2 * rng.random((6, m)))
+        outer = gk.from_vrep(np.vstack([np.eye(m), np.zeros(m), np.ones(m)]))
+        assert gk._excess(inner, outer) == 0.0
+        ref = _planar_excess_ref(outer, inner) if m == 2 else _wolfe_excess_ref(outer, inner)
+        assert gk.hausdorff(inner, outer) == pytest.approx(ref, abs=1e-12)
+        assert gk.hausdorff(inner, outer) > 0.0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-4])
+    def test_vertex_just_outside_counts(self, m, gap):
+        cube = gk.from_vrep(list(itertools.product((0.0, 1.0), repeat=m)))
+        tip = np.full(m, 0.5)
+        tip[0] = 1.0 + gap
+        P = gk.from_vrep(np.vstack([0.4 + 0.2 * np.eye(m), [tip]]))
+        assert gk._excess(P, cube) == pytest.approx(gap, abs=1e-12)
+        assert gk._excess(P, cube) == pytest.approx(_wolfe_excess_ref(P, cube), abs=1e-12)
 
 
 class TestDistPoint:
