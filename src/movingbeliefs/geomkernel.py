@@ -419,26 +419,44 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
 
 def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
     """Clip the polytope with vertex array ``V`` (full-dimensional in its d
-    coordinates, described by ``base_rows``) with ``new_rows``, keeping
-    vertex and active-row bookkeeping in step.  Returns None when empty.
+    coordinates, described by ``base_rows``) with ``new_rows``; None when
+    empty.  See ``_clip_active``."""
+    out = _clip_active(V, base_rows, new_rows, tol)
+    return None if out is None else out[0]
 
-    The scalar type of ``V`` decides the arithmetic: float arrays normalize
-    the rows and use ``tol``; object arrays of Fractions run exactly, with
-    zero tolerances and exact deduplication.
 
-    Adjacency of an (inside, outside) pair is decided by the rank of their
-    common active rows (== d-1 exactly on edges); the float active tolerance
-    is kept loose on purpose — spurious candidates are pruned by the final
-    hull reconstruction, missed edges would lose vertices.
+def _clip_active(V: np.ndarray, base_rows, new_rows, tol: float):
+    """(vertices, active-row matrix) of ``_clip``, by double description
+    (Fukuda & Prodon 1996): a new row keeps the vertices it does not cut off
+    and adds the cut point of every inside/outside pair spanning an edge,
+    all pairs of the row in one array computation.
+
+    The scalar type of ``V`` decides the arithmetic.  Float arrays normalize
+    the rows and use ``tol``; object arrays of Fractions run exactly, and
+    ``V`` must then be the vertex set (box corners are), which it stays.
+    Candidate pairs share >= d-1 active rows; rows are nonzero, so for
+    d <= 2 the count alone decides.  Above that the two paths differ:
+
+    - exact: the active matrix is computed once, then inherited: a kept
+      vertex gains the column s == 0, a cut point its pair's common rows
+      plus the new row, which equals V @ N.T == C.  A pair spans an edge iff
+      no third vertex is active on all its common rows; this combinatorial
+      test is exact because V is the vertex set.
+    - float: rounding breaks both premises, so the active rows are
+      recomputed per row with a loose tolerance (spurious candidates are
+      pruned by the final hull reconstruction, missed edges would lose
+      vertices) and a pair spans an edge iff its common rows have rank
+      d-1, from one stacked SVD.  No active matrix is returned.
     """
     exact = V.dtype == object
     d = V.shape[1]
-    rows = list(base_rows)
+    N = np.array([r[0] for r in base_rows], dtype=V.dtype).reshape(-1, d)
+    C = np.array([r[1] for r in base_rows], dtype=V.dtype)
     if exact:
-        tol = act_tol = 0
+        tol = 0
+        act = V @ N.T == C
     else:
         act_tol = max(100.0 * tol, 1e-7)
-
     for nrm, off in new_rows:
         nrm = np.asarray(nrm, dtype=V.dtype)
         ln = float(any(nrm)) if exact else float(np.linalg.norm(nrm))
@@ -450,57 +468,34 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
             nrm = nrm / ln
             off = off / ln
         s = off - V @ nrm
-        inside = s > tol
-        outside = s < -tol
-        if not outside.any():
-            rows.append((nrm, off))
-            continue
-        if outside.all():
+        out = s < -tol
+        if out.all():
             return None
-        new_pts = []
-        if inside.any():
-            N = np.array([r[0] for r in rows])
-            C = np.array([r[1] for r in rows])
-            G = V @ N.T
-            act = G == C if exact else np.abs(G - C) <= act_tol
-            for i in np.nonzero(inside)[0]:
-                for j in np.nonzero(outside)[0]:
-                    common = act[i] & act[j]
-                    # rows are nonzero, so for d <= 2 the count alone fixes the rank
-                    if common.sum() >= d - 1 and (d <= 2 or _row_rank(N[common]) >= d - 1):
-                        tcut = s[i] / (s[i] - s[j])
-                        new_pts.append(V[i] + tcut * (V[j] - V[i]))
-        keep = V[~outside]
-        if new_pts:
-            keep = np.vstack([keep, np.array(new_pts)])
-        if exact:
-            V = np.array(list(dict.fromkeys(map(tuple, keep))))
-        else:
-            V = _dedup_points(keep, _merge_distance(keep, tol))
-        rows.append((nrm, off))
-    return V
-
-
-def _row_rank(rows: np.ndarray) -> int:
-    """Rank of a stack of rows: by SVD with a 1e-7 relative cut for floats,
-    by Gaussian elimination for Fractions."""
-    if rows.dtype != object:
-        sv = np.linalg.svd(rows, compute_uv=False)
-        return int(np.sum(sv > 1e-7 * max(1.0, sv[0])))
-    mat = [list(r) for r in rows]
-    rank = 0
-    for col in range(rows.shape[1]):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col] / prow[col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], prow)]
-        rank += 1
-    return rank
+        if exact or out.any():
+            if not exact:
+                act = np.abs(V @ N.T - C) <= act_tol
+            I, J = np.nonzero(s > tol)[0], np.nonzero(out)[0]
+            common = act[I][:, None] & act[J][None]
+            ok = common.sum(axis=2) >= d - 1
+            if d > 2 and ok.any():
+                cand = common[ok]
+                if exact:
+                    on_all = cand.astype(np.int64) @ act.T == cand.sum(axis=1)[:, None]
+                    ok[ok] = on_all.sum(axis=1) == 2
+                else:
+                    sv = np.linalg.svd(cand[..., None] * N, compute_uv=False)
+                    ok[ok] = np.sum(sv > 1e-7 * np.maximum(1.0, sv[:, :1]), axis=1) >= d - 1
+            ii, jj = np.nonzero(ok)
+            i, j = I[ii], J[jj]
+            keep = np.vstack([V[~out], V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])])
+            if exact:  # distinct edges cut in distinct points: nothing to merge
+                act = np.vstack([np.column_stack([act[~out], s[~out] == 0]),
+                                 np.column_stack([common[ii, jj], np.ones(len(i), bool)])])
+                V = keep
+            else:
+                V = _dedup_points(keep, _merge_distance(keep, tol))
+        N, C = np.vstack([N, nrm]), np.append(C, off)
+    return V, act if exact else None
 
 
 def _box_rows(lo, hi):
@@ -748,7 +743,7 @@ def _excess(P: Polytope, Q: Polytope) -> float:
         t = np.clip(np.vecdot(V[:, None, :] - A, E) / np.where(den > 0.0, den, 1.0), 0.0, 1.0)
         diff = V[:, None, :] - (A + t[..., None] * E)
         d = np.sqrt(np.vecdot(diff, diff)).min(axis=1)
-        return float(np.max(np.where(viol <= DEFAULT_TOL.feas_tol, 0.0, d)))
+        return float(np.max(np.where(viol <= 0.0, 0.0, d)))
     diff = V[:, None, :] - Q.vrep
     ub = np.sqrt(np.vecdot(diff, diff).min(axis=1))
     best = 0.0
@@ -767,13 +762,13 @@ def hausdorff(P: Polytope, Q: Polytope) -> float:
 
     In the plane the excess is one array computation of every vertex of P
     against every ccw edge of Q (its segment when k = 1, its point when
-    k = 0): t clamped to [0, 1], minimum over edges, maximum over vertices;
-    vertices passing Q's H-rep test within feas_tol, as in ``contains``,
-    count 0.  Above the plane lb <= d(v, Q) <= ub, with lb the largest H-rep
+    k = 0): t clamped to [0, 1], minimum over edges, maximum over vertices.
+    Above the plane lb <= d(v, Q) <= ub, with lb the largest H-rep
     violation (every row is a unit normal) and ub the distance to Q's
     nearest vertex.  Wolfe's ``min_norm_point`` runs in decreasing ub, only
     where lb > 0, until ub <= the best excess so far.  This is exact: a
-    skipped vertex lies in Q or has d(v, Q) <= ub <= the best excess.
+    skipped vertex lies in Q or has d(v, Q) <= ub <= the best excess.  In
+    every dimension a vertex counts 0 only where lb <= 0, with no tolerance.
     """
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("ambient dimensions differ")

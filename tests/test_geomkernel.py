@@ -537,6 +537,16 @@ class TestHausdorffReferences:
         assert gk._excess(P, cube) == pytest.approx(gap, abs=1e-12)
         assert gk._excess(P, cube) == pytest.approx(_wolfe_excess_ref(P, cube), abs=1e-12)
 
+    def test_inside_rule_same_in_plane_and_space(self):
+        """A vertex 5e-10 outside (below feas_tol) counts in the plane as it
+        does on the plane z = 0 of 3-space."""
+        tri = np.array([[0.4, 0.4], [0.6, 0.4], [1.0 + 5e-10, 0.5]])
+        sq = np.array(list(itertools.product((0.0, 1.0), repeat=2)))
+        flat = [gk.from_vrep(np.column_stack([p, np.zeros(len(p))])) for p in (tri, sq)]
+        e2 = gk._excess(gk.from_vrep(tri), gk.from_vrep(sq))
+        assert e2 == pytest.approx(5e-10, rel=1e-6)
+        assert e2 == pytest.approx(gk._excess(*flat), abs=1e-20)
+
 
 class TestDistPoint:
     def test_outside_square(self):
