@@ -73,23 +73,41 @@ class LpResult:
     exact_point: Optional[tuple] = None
 
 
-def _pivot(tab, basis, row, col):
+def _pivot(tab, basis, row, col, den):
+    """Pivot on tab[row][col], every row of ``tab`` included; return the new
+    divisor.  ``den`` None means float rows: the pivot row is normalized and
+    eliminated from the others.  Otherwise ``tab`` is an integer tableau
+    whose rows share the divisor ``den`` (each is ``den`` times its rational
+    counterpart): the pivot row stays, every other row becomes
+    (row * piv - row[col] * pivot row) / den, and |piv| is the next divisor
+    (Edmonds 1967; Bareiss 1968).  The division is exact because each entry
+    is a minor of the initial integer tableau, which dropping a row does not
+    change; a negative pivot negates the tableau so that divisors stay
+    positive and every sign test reads the rational sign."""
     piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
+    basis[row] = col
+    if den is None:
+        tab[row] = [v / piv for v in tab[row]]
+        prow = tab[row]
+        for i, r in enumerate(tab):
+            if i != row and (f := r[col]) != 0:
+                tab[i] = [a - f * b for a, b in zip(r, prow)]
+        return None
     prow = tab[row]
     for i, r in enumerate(tab):
-        if i == row:
-            continue
-        f = r[col]
-        if f != 0:
-            tab[i] = [a - f * b for a, b in zip(r, prow)]
-    basis[row] = col
+        if i != row:
+            f = r[col]
+            tab[i] = [(a * piv - f * b) // den for a, b in zip(r, prow)]
+    if piv < 0:
+        tab[:] = [[-v for v in r] for r in tab]
+    return abs(piv)
 
 
-def _bland(tab, cost, basis, allowed, tol):
+def _bland(tab, basis, allowed, tol, den):
     """Primal simplex iterations with Bland's rule on tableau ``tab`` (rows of
-    [A | b]) and reduced-cost row ``cost`` ([z | -obj]).  Mutates in place."""
-    nrows = len(tab)
+    [A | b], then the reduced-cost row [z | -obj]).  Mutates in place and
+    returns (status, divisor); ratios of an integer tableau are Fractions."""
+    cost = tab[-1]
     while True:
         enter = -1
         for j in allowed:
@@ -97,37 +115,33 @@ def _bland(tab, cost, basis, allowed, tol):
                 enter = j
                 break
         if enter < 0:
-            return OPTIMAL
+            return OPTIMAL, den
         leave = -1
         best = None
-        for i in range(nrows):
+        for i in range(len(tab) - 1):
             a = tab[i][enter]
             if a > tol:
-                ratio = tab[i][-1] / a
+                ratio = tab[i][-1] / a if den is None else Fraction(tab[i][-1], a)
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave < 0:
-            return UNBOUNDED
-        _pivot(tab, basis, leave, enter)
-        f = cost[enter]
-        if f != 0:
-            prow = tab[leave]
-            for j in range(len(cost)):
-                cost[j] -= f * prow[j]
+            return UNBOUNDED, den
+        den = _pivot(tab, basis, leave, enter, den)
+        cost = tab[-1]
 
 
-def _solve_inequality_lp(c, M, q, tol, zero):
-    """min c.y s.t. M y <= q with free y, scalars of one type (float/Fraction).
+def _solve_inequality_lp(c, M, q, tol, den):
+    """min c.y s.t. M y <= q with free y, in floats (``den`` None) or on an
+    integer tableau (``den`` 1; c, M and q integers, see ``lp_solve``).
 
-    Returns (status, value, y, basis).
+    Returns (status, y, basis); y holds Fractions on the integer tableau.
     """
     m = len(c)
     p = len(q)
+    zero = 0.0 if den is None else 0
     if p == 0:
-        if all(v == zero for v in c):
-            return OPTIMAL, zero, [zero] * m, ()
-        return UNBOUNDED, zero, [zero] * m, ()
+        return (OPTIMAL if not any(c) else UNBOUNDED), [zero] * m, ()
 
     # columns: y+ (m) | y- (m) | slack (p) | artificials (appended as needed)
     ncols = 2 * m + p
@@ -167,11 +181,13 @@ def _solve_inequality_lp(c, M, q, tol, zero):
             if basis[i] in art_cols:
                 f = cost[basis[i]]
                 cost = [a - f * b for a, b in zip(cost, tab[i])]
-        status = _bland(tab, cost, basis, range(ntot), tol)
+        tab.append(cost)
+        status, den = _bland(tab, basis, range(ntot), tol, den)
         assert status == OPTIMAL  # phase 1 is always bounded
+        cost = tab.pop()
         scale = max((abs(v) for v in (list(q) + [zero])), default=zero)
         if -cost[-1] > tol * (1 + scale):
-            return INFEASIBLE, zero, [zero] * m, ()
+            return INFEASIBLE, [zero] * m, ()
         # Drive leftover artificials out of the basis; drop redundant rows.
         for i in range(p - 1, -1, -1):
             if basis[i] in art_cols:
@@ -181,39 +197,59 @@ def _solve_inequality_lp(c, M, q, tol, zero):
                         piv = j
                         break
                 if piv >= 0:
-                    _pivot(tab, basis, i, piv)
+                    den = _pivot(tab, basis, i, piv, den)
                 else:
                     tab.pop(i)
                     basis.pop(i)
 
+    # the reduced costs, scaled by the divisor on an integer tableau
     cost = list(c) + [-v for v in c] + [zero] * (len(tab[0]) - 2 * m - 1) + [zero]
+    if den is not None:
+        cost = [den * v for v in cost]
     for i in range(len(tab)):
-        f = cost[basis[i]]
+        f = cost[basis[i]] if den is None else cost[basis[i]] // den
         if f != 0:
             cost = [a - f * b for a, b in zip(cost, tab[i])]
-    status = _bland(tab, cost, basis, range(ncols), tol)
+    tab.append(cost)
+    status, den = _bland(tab, basis, range(ncols), tol, den)
+    tab.pop()
     if status == UNBOUNDED:
-        return UNBOUNDED, zero, [zero] * m, tuple(basis)
+        return UNBOUNDED, [zero] * m, tuple(basis)
 
     z = [zero] * len(tab[0])
     for i, b in enumerate(basis):
-        z[b] = tab[i][-1]
-    y = [z[j] - z[m + j] for j in range(m)]
-    value = sum(ci * yi for ci, yi in zip(c, y))
-    return OPTIMAL, value, y, tuple(basis)
+        z[b] = tab[i][-1] if den is None else Fraction(tab[i][-1], den)
+    return OPTIMAL, [z[j] - z[m + j] for j in range(m)], tuple(basis)
+
+
+def _integers(rows):
+    """Rows of rationals times their least common denominator: Python ints."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    lcd = math.lcm(*(int(v.denominator) for r in rows for v in r))
+    return [[int(v.numerator) * (lcd // int(v.denominator)) for v in r] for r in rows]
 
 
 def lp_solve(prob: LpProblem, exact: bool = False, feas_tol: float = _FEAS_TOL) -> LpResult:
     """Solve ``prob`` by two-phase simplex with Bland's rule.
 
-    With ``exact`` the whole pivot sequence runs in rational arithmetic and the
-    exact optimum is reported alongside its float rendering.
+    With ``exact`` the pivots run on an integer tableau and the exact optimum
+    is reported alongside its float rendering.  The constraint rows are
+    scaled by one common denominator and the objective by its own; positive
+    scalings of all rows, of the objective and (for the slack columns, whose
+    coefficient stays 1) of columns change no sign and scale every ratio of a
+    ratio test alike, so Bland's rule takes the pivots, and reaches the
+    basis, of the same solve in rational arithmetic.  Integer pivoting keeps
+    every entry a minor of the scaled data: the tableau holds Python ints of
+    a bounded size and never a Fraction; only the ratio test and the
+    returned point divide.
     """
     if exact:
         c = [Fraction(v) for v in prob.objective.tolist()]
-        M = [[Fraction(v) for v in row] for row in prob.constraint_matrix.tolist()]
-        q = [Fraction(v) for v in prob.rhs.tolist()]
-        status, value, y, basis = _solve_inequality_lp(c, M, q, Fraction(0), Fraction(0))
+        A = _integers([row + [b] for row, b in zip(prob.constraint_matrix.tolist(), prob.rhs.tolist())])
+        status, y, basis = _solve_inequality_lp(
+            _integers([c])[0], [r[:-1] for r in A], [r[-1] for r in A], 0, 1)
+        y = [Fraction(v) for v in y]
+        value = sum(ci * yi for ci, yi in zip(c, y)) if status == OPTIMAL else Fraction(0)
         return LpResult(
             status=status,
             value=float(value),
@@ -225,7 +261,8 @@ def lp_solve(prob: LpProblem, exact: bool = False, feas_tol: float = _FEAS_TOL) 
     c = np.asarray(prob.objective, dtype=float).tolist()
     M = np.asarray(prob.constraint_matrix, dtype=float).tolist()
     q = np.asarray(prob.rhs, dtype=float).tolist()
-    status, value, y, basis = _solve_inequality_lp(c, M, q, feas_tol, 0.0)
+    status, y, basis = _solve_inequality_lp(c, M, q, feas_tol, None)
+    value = sum(ci * yi for ci, yi in zip(c, y)) if status == OPTIMAL else 0.0
     return LpResult(status=status, value=float(value), point=np.array(y, dtype=float), basis=basis)
 
 

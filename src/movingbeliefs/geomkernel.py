@@ -432,70 +432,161 @@ def _clip_active(V: np.ndarray, base_rows, new_rows, tol: float):
     all pairs of the row in one array computation.
 
     The scalar type of ``V`` decides the arithmetic.  Float arrays normalize
-    the rows and use ``tol``; object arrays of Fractions run exactly, and
-    ``V`` must then be the vertex set (box corners are), which it stays.
-    Candidate pairs share >= d-1 active rows; rows are nonzero, so for
-    d <= 2 the count alone decides.  Above that the two paths differ:
+    the rows and use ``tol``; object arrays of rationals run exactly in
+    ``_clip_exact`` and come back as Fractions, and ``V`` must then be the
+    vertex set (box corners are), which it stays.  Candidate pairs share
+    >= d-1 active rows; rows are nonzero, so for d <= 2 the count alone
+    decides.  Above that the two paths differ:
 
-    - exact: the active matrix is computed once, then inherited: a kept
-      vertex gains the column s == 0, a cut point its pair's common rows
-      plus the new row, which equals V @ N.T == C.  A pair spans an edge iff
-      no third vertex is active on all its common rows; this combinatorial
+    - exact: vertices are held as integer numerators over one positive
+      denominator each, rows as coprime integers, in int64 where a bound
+      checked per row excludes overflow and in Python ints otherwise (see
+      ``_clip_exact``); Fractions are made only for the result.  The active
+      matrix is computed once, then inherited.  A pair spans an edge iff no
+      third vertex is active on all its common rows; this combinatorial
       test is exact because V is the vertex set.
-    - float: rounding breaks both premises, so the active rows are
-      recomputed per row with a loose tolerance (spurious candidates are
-      pruned by the final hull reconstruction, missed edges would lose
-      vertices) and a pair spans an edge iff its common rows have rank
-      d-1, from one stacked SVD.  No active matrix is returned.
+    - float: rounding breaks both premises, so the active rows carry a loose
+      tolerance (spurious candidates are pruned by the final hull
+      reconstruction, missed edges would lose vertices) and a pair spans an
+      edge iff its common rows have rank d-1, from one stacked SVD.  The
+      matrix |V @ N.T - C| <= act_tol is recomputed at each row that cuts:
+      at these sizes (tens of vertices and rows) one product takes fewer
+      array calls than inheriting columns and rows as the exact path does.
+      No active matrix is returned.
+
+    One ``_dedup_points`` at the end suffices.  Clipping treats V as a set:
+    each point's slack and cut points depend on that point alone (matrix
+    products round the same in every row position), so the order of V
+    changes only the order of the output.  While no two points lie within
+    twice the merge distance, a dedup after each row would only sort (that
+    is all it does to points farther apart than the merge distance), and the
+    final dedup sorts the same set.  When a cut adds a point that close to
+    another, V is deduplicated before the next row, as a per-row dedup would
+    have done.  A clip in which no row cuts returns ``V`` unchanged, in its
+    input order.
     """
-    exact = V.dtype == object
     d = V.shape[1]
-    N = np.array([r[0] for r in base_rows], dtype=V.dtype).reshape(-1, d)
-    C = np.array([r[1] for r in base_rows], dtype=V.dtype)
-    if exact:
-        tol = 0
-        act = V @ N.T == C
-    else:
-        act_tol = max(100.0 * tol, 1e-7)
+    if V.dtype == object:
+        out = _clip_exact(_homogeneous(V), [_int_row(*r) for r in base_rows], [_int_row(*r) for r in new_rows])
+        return None if out is None else (_fractions(out[0]), out[1])
+    N = np.array([r[0] for r in base_rows], dtype=float).reshape(-1, d)
+    C = np.array([r[1] for r in base_rows], dtype=float)
+    act_tol = max(100.0 * tol, 1e-7)
+    new, cut = 0, False  # points not yet checked for a merge; whether a row cut
     for nrm, off in new_rows:
-        nrm = np.asarray(nrm, dtype=V.dtype)
-        ln = float(any(nrm)) if exact else float(np.linalg.norm(nrm))
+        nrm = np.asarray(nrm, dtype=float)
+        ln = float(np.linalg.norm(nrm))
         if ln <= 1e-14:  # a zero row holds everywhere or nowhere
             if off < -tol:
                 return None
             continue
-        if not exact:
-            nrm = nrm / ln
-            off = off / ln
+        if new:  # would a dedup after the last cut merge anything?
+            reach = 2.0 * _merge_distance(V, tol)
+            diff = V[-new:, None] - V[None]
+            if np.count_nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach) > new:
+                V = _dedup_points(V, reach / 2.0)
+            new = 0
+        nrm = nrm / ln
+        off = off / ln
         s = off - V @ nrm
         out = s < -tol
         if out.all():
             return None
-        if exact or out.any():
-            if not exact:
-                act = np.abs(V @ N.T - C) <= act_tol
+        if out.any():
+            act = np.abs(V @ N.T - C) <= act_tol
             I, J = np.nonzero(s > tol)[0], np.nonzero(out)[0]
             common = act[I][:, None] & act[J][None]
             ok = common.sum(axis=2) >= d - 1
             if d > 2 and ok.any():
-                cand = common[ok]
-                if exact:
-                    on_all = cand.astype(np.int64) @ act.T == cand.sum(axis=1)[:, None]
-                    ok[ok] = on_all.sum(axis=1) == 2
-                else:
-                    sv = np.linalg.svd(cand[..., None] * N, compute_uv=False)
-                    ok[ok] = np.sum(sv > 1e-7 * np.maximum(1.0, sv[:, :1]), axis=1) >= d - 1
+                sv = np.linalg.svd(common[ok][..., None] * N, compute_uv=False)
+                ok[ok] = np.sum(sv > 1e-7 * np.maximum(1.0, sv[:, :1]), axis=1) >= d - 1
             ii, jj = np.nonzero(ok)
             i, j = I[ii], J[jj]
-            keep = np.vstack([V[~out], V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])])
-            if exact:  # distinct edges cut in distinct points: nothing to merge
-                act = np.vstack([np.column_stack([act[~out], s[~out] == 0]),
-                                 np.column_stack([common[ii, jj], np.ones(len(i), bool)])])
-                V = keep
-            else:
-                V = _dedup_points(keep, _merge_distance(keep, tol))
+            P = V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])
+            V = np.vstack([V[~out], P])
+            new, cut = (len(P) if cut else len(V)), True
         N, C = np.vstack([N, nrm]), np.append(C, off)
-    return V, act if exact else None
+    return (_dedup_points(V, _merge_distance(V, tol)) if cut else V), None
+
+
+def _int_row(nrm, off) -> list:
+    """The row nrm . y <= off as coprime integers (-a, b) with the same
+    solutions, so the slack of a homogeneous vertex (X, w) is (-a, b) . (X, w)."""
+    z = convexsolve._integers([[*nrm, off]])[0]
+    g = math.gcd(*z) or 1
+    return [-v // g for v in z[:-1]] + [z[-1] // g]
+
+
+def _homogeneous(V: np.ndarray) -> np.ndarray:
+    """Rows (X, w) of Python ints with V = X / w: w is the least common
+    denominator of the vertex, so w > 0 and the row has gcd 1."""
+    return np.array([convexsolve._integers([[*v, 1]])[0] for v in V.tolist()], dtype=object).reshape(len(V), -1)
+
+
+def _fractions(H: np.ndarray) -> np.ndarray:
+    """The vertices X / w of homogeneous rows, as Fractions."""
+    return np.array([[Fraction(x, h[-1]) for x in h[:-1]] for h in H.tolist()], dtype=object)
+
+
+def _to_float(H: np.ndarray) -> np.ndarray:
+    """X / w rounded as float(Fraction(X, w)): Python int division rounds
+    correctly, and so does numpy's on int64 entries below 2**53, which
+    convert to float exactly."""
+    if H.dtype == object or np.abs(H).max() >= 2**53:
+        H = H.astype(object)
+    return (H[:, :-1] / H[:, -1:]).astype(float)
+
+
+def _int_dtype(H: np.ndarray, rows) -> type:
+    """int64 when |r|_1 * max|H|**2 < 2**62 for every row r, else object
+    (Python ints).  The bound covers each slack r . h, each product s_i h_j
+    and each difference s_i h_j - s_j h_i of a clipping step."""
+    m = int(np.abs(H).max())
+    return np.int64 if max((sum(map(abs, r)) for r in rows), default=0) * m * m < 2**62 else object
+
+
+def _clip_exact(H: np.ndarray, base_rows, new_rows):
+    """Exact ``_clip_active`` on homogeneous integer vertices H = (X, w),
+    w > 0, with rows (-a, b) as from ``_int_row``; returns (H, act) or None.
+
+    The slacks of a row are s = H @ (-a, b) = b w - X a, of the sign of the
+    rational slacks; the cut point of an inside/outside pair (i, j) is
+    s_i H_j - s_j H_i (its w is positive), divided by the gcd of its entries.
+    The active matrix H @ R.T == 0 is computed once from the base rows, then
+    inherited: a kept vertex gains the column s == 0, a cut point its pair's
+    common rows plus the new row.  Each row runs in int64 where
+    ``_int_dtype`` proves that nothing overflows, else in Python ints.
+    """
+    d = H.shape[1] - 1
+    R = np.array(base_rows, dtype=object).reshape(-1, d + 1)
+    dt = _int_dtype(H, base_rows)
+    act = H.astype(dt) @ R.astype(dt).T == 0
+    for r in new_rows:
+        if not any(r[:-1]):  # a zero row holds everywhere or nowhere
+            if r[-1] < 0:
+                return None
+            continue
+        dt = _int_dtype(H, [r])
+        H = H.astype(dt, copy=False)
+        s = H @ np.array(r, dtype=dt)
+        out = s < 0
+        if out.all():
+            return None
+        I, J = np.nonzero(s > 0)[0], np.nonzero(out)[0]
+        common = act[I][:, None] & act[J][None]
+        ok = common.sum(axis=2) >= d - 1
+        if d > 2 and ok.any():
+            cand = common[ok]
+            on_all = cand.astype(np.int64) @ act.T == cand.sum(axis=1)[:, None]
+            ok[ok] = on_all.sum(axis=1) == 2
+        ii, jj = np.nonzero(ok)
+        i, j = I[ii], J[jj]
+        P = s[i, None] * H[j] - s[j, None] * H[i]
+        P //= np.gcd.reduce(P, axis=1)[:, None]
+        H = np.vstack([H[~out], P])
+        act = np.vstack([np.column_stack([act[~out], s[~out] == 0]),
+                         np.column_stack([common[ii, jj], np.ones(len(i), bool)])])
+    return H, act
 
 
 def _box_rows(lo, hi):
@@ -522,20 +613,25 @@ def _box_corners(lo, hi):
 def clip_with_box(box_lo, box_hi, rows, tol: Tolerances, strict_rank: bool = True) -> Optional[Polytope]:
     """Vertex-enumerate {y : rows} inside a known bounding box; None if empty.
 
-    Rows whose offsets are Fractions are clipped in rational arithmetic (the
-    box is widened to integers) and only the vertices are rounded to floats.
+    Rows whose offsets are Fractions are clipped exactly (``_clip_exact``)
+    from the box widened to integers, on homogeneous integer vertices that
+    are divided into floats only here, each rounded as float(Fraction) would
+    round it (``_to_float``).
     """
     box_lo = np.asarray(box_lo, dtype=float)
     box_hi = np.asarray(box_hi, dtype=float)
     if any(isinstance(off, Fraction) for _, off in rows):
-        lo = [Fraction(math.floor(v)) - 1 for v in box_lo]
-        hi = [Fraction(math.ceil(v)) + 1 for v in box_hi]
+        lo = [math.floor(v) - 1 for v in box_lo]
+        hi = [math.ceil(v) + 1 for v in box_hi]
+        H = np.array([[*c, 1] for c in itertools.product(*zip(lo, hi))], dtype=object)
+        out = _clip_exact(H, [_int_row(*r) for r in _box_rows(lo, hi)], [_int_row(*r) for r in rows])
+        V = None if out is None else _to_float(out[0])
     else:
         lo, hi = box_lo - 1.0, box_hi + 1.0
-    V = _clip(_box_corners(lo, hi), _box_rows(lo, hi), rows, tol.feas_tol)
+        V = _clip(_box_corners(lo, hi), _box_rows(lo, hi), rows, tol.feas_tol)
     if V is None:
         return None
-    return _build_polytope(np.asarray(V, dtype=float), tol, strict_rank=strict_rank)
+    return _build_polytope(V, tol, strict_rank=strict_rank)
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,6 @@ class BilevelLinearSpec:
         object.__setattr__(self, "y_box", (lo[n:], hi[n:]))
 
     @property
-    def n_params(self) -> int:
-        return self.a_matrix.shape[1]
-
-    @property
     def n_vars(self) -> int:
         return self.b_matrix.shape[1]
 

@@ -1,5 +1,7 @@
-"""Halfspace clipping (geomkernel._clip) against the pairwise reference it
-replaced, and the exact path's inherited active sets."""
+"""Halfspace clipping (geomkernel._clip) against two references: the
+pairwise clipper, and the row-at-a-time clipper with Fraction arithmetic and
+a dedup after every cutting row; and the exact path's inherited active
+sets, integer representation and overflow guard."""
 
 import itertools
 from fractions import Fraction
@@ -81,6 +83,61 @@ def _reference_rank(rows):
     return rank
 
 
+def _row_dedup_clip(V, base_rows, new_rows, tol):
+    """The row-at-a-time clipper: all pairs of a row in one array
+    computation, exact rows in Fraction arithmetic with the inherited active
+    matrix, float rows with the active matrix and ``_dedup_points`` redone
+    after every row that cuts.  Returns (vertices, active matrix or None)."""
+    exact = V.dtype == object
+    d = V.shape[1]
+    N = np.array([r[0] for r in base_rows], dtype=V.dtype).reshape(-1, d)
+    C = np.array([r[1] for r in base_rows], dtype=V.dtype)
+    if exact:
+        tol = 0
+        act = V @ N.T == C
+    else:
+        act_tol = max(100.0 * tol, 1e-7)
+    for nrm, off in new_rows:
+        nrm = np.asarray(nrm, dtype=V.dtype)
+        ln = float(any(nrm)) if exact else float(np.linalg.norm(nrm))
+        if ln <= 1e-14:
+            if off < -tol:
+                return None
+            continue
+        if not exact:
+            nrm = nrm / ln
+            off = off / ln
+        s = off - V @ nrm
+        out = s < -tol
+        if out.all():
+            return None
+        if exact or out.any():
+            if not exact:
+                act = np.abs(V @ N.T - C) <= act_tol
+            I, J = np.nonzero(s > tol)[0], np.nonzero(out)[0]
+            common = act[I][:, None] & act[J][None]
+            ok = common.sum(axis=2) >= d - 1
+            if d > 2 and ok.any():
+                cand = common[ok]
+                if exact:
+                    on_all = cand.astype(np.int64) @ act.T == cand.sum(axis=1)[:, None]
+                    ok[ok] = on_all.sum(axis=1) == 2
+                else:
+                    sv = np.linalg.svd(cand[..., None] * N, compute_uv=False)
+                    ok[ok] = np.sum(sv > 1e-7 * np.maximum(1.0, sv[:, :1]), axis=1) >= d - 1
+            ii, jj = np.nonzero(ok)
+            i, j = I[ii], J[jj]
+            keep = np.vstack([V[~out], V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])])
+            if exact:
+                act = np.vstack([np.column_stack([act[~out], s[~out] == 0]),
+                                 np.column_stack([common[ii, jj], np.ones(len(i), bool)])])
+                V = keep
+            else:
+                V = gk._dedup_points(keep, gk._merge_distance(keep, tol))
+        N, C = np.vstack([N, nrm]), np.append(C, off)
+    return V, act if exact else None
+
+
 def _random_rows(rng, d, kind, exact):
     """Rows cutting [0, 1]^d around its centre: generic, dyadic, a pyramid
     apex with >= 4 facets through it, or a system with duplicated rows."""
@@ -122,7 +179,22 @@ def _same(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
+def _same_active(got, want):
+    if got is None or want is None:
+        return got is None and want is None
+    return _same(got[0], want[0]) and (
+        got[1] is None and want[1] is None or np.array_equal(got[1], want[1]))
+
+
 CASES = list(itertools.product((2, 3, 4), ("generic", "dyadic", "apex", "duplicated"), (False, True)))
+
+
+def _check_clip(V, base, rows, tol):
+    """The vertices of the pairwise reference, and the vertices and (exact)
+    active matrix of the row-at-a-time reference, array for array."""
+    got = gk._clip_active(V, base, rows, tol)
+    assert _same(None if got is None else got[0], _reference_clip(V, base, rows, tol))
+    assert _same_active(got, _row_dedup_clip(V, base, rows, tol))
 
 
 @pytest.mark.parametrize("d,kind,exact", CASES)
@@ -132,15 +204,14 @@ def test_clip_matches_pairwise_reference(d, kind, exact):
     for _ in range(6 if exact and d == 4 else 12):
         V, base = _box(d, exact)
         rows = _random_rows(rng, d, kind, exact)
-        assert _same(gk._clip(V, base, rows, tol), _reference_clip(V, base, rows, tol))
+        _check_clip(V, base, rows, tol)
         # chained, as the grid splitter and intersect call it: a clipped
         # vertex array with its nonzero rows, cut again
         head = rows[: len(rows) // 2]
         W = _reference_clip(V, base, head, tol)
         if W is not None:
             base = base + [r for r in head if any(r[0])]
-            more = _random_rows(rng, d, "dyadic", exact)
-            assert _same(gk._clip(W, base, more, tol), _reference_clip(W, base, more, tol))
+            _check_clip(W, base, _random_rows(rng, d, "dyadic", exact), tol)
 
 
 @pytest.mark.parametrize("exact", (False, True))
@@ -175,3 +246,86 @@ def test_exact_active_sets_stay_recomputed(d, kind):
             C = np.array([r[1] for r in kept])
             assert np.array_equal(act, V @ N.T == C)
             assert len(set(map(tuple, V))) == len(V)
+
+
+def _non_dyadic_rows(rng, d):
+    """Rows from floats such as 0.1 and 1/3, whose exact values have
+    denominators near 2**55, around the centre of [0, 1]^d."""
+    vals = np.array([0.1, -0.1, 1 / 3, -1 / 3, 0.7, -2 / 3, 1.0])
+    n = rng.choice(vals, (rng.integers(3, 7), d))
+    off = n @ np.full(d, 0.5) + rng.choice([0.1, 1 / 3, 0.3], len(n))
+    to_q = np.vectorize(Fraction, otypes=[object])
+    return list(zip(to_q(n), to_q(off)))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_non_dyadic_rows_run_in_python_ints(d):
+    """The overflow guard sends rows with huge integers to Python ints
+    (object arrays); dyadic rows stay in int64; both agree with Fraction
+    arithmetic."""
+    rng = np.random.default_rng([d, 13])
+    V, base = _box(d, True)
+    H, base_int = gk._homogeneous(V), [gk._int_row(*r) for r in base]
+    for _ in range(4):
+        rows = _non_dyadic_rows(rng, d)
+        out = gk._clip_exact(H, base_int, [gk._int_row(*r) for r in rows])
+        assert out is not None and out[0].dtype == object
+        assert _same_active(gk._clip_active(V, base, rows, 0.0), _row_dedup_clip(V, base, rows, 0.0))
+        dyadic = [gk._int_row(*r) for r in _random_rows(rng, d, "dyadic", True)]
+        assert gk._int_dtype(H, dyadic) is np.int64
+        out = gk._clip_exact(H, base_int, dyadic)
+        assert out is None or out[0].dtype == np.int64
+
+
+def test_int_dtype_bound():
+    """int64 exactly when |r|_1 * max|H|**2 < 2**62."""
+    H = np.array([[2**20, -3, 1]], dtype=object)
+    assert gk._int_dtype(H, [[2**22 - 1, 0, 0]]) is np.int64
+    assert gk._int_dtype(H, [[2**22 - 1, 0, 1]]) is object
+    assert gk._int_dtype(H, [[1, 1, 0], [2**22, 0, 0]]) is object
+
+
+def test_int_row_is_coprime_and_keeps_the_halfspace():
+    nrm, off = np.array([Fraction(3, 4), Fraction(-3, 2)], dtype=object), Fraction(9, 8)
+    assert gk._int_row(nrm, off) == [-2, 4, 3]  # -a = (-6, 12)/3, b = 9/3 after scaling by 8
+    assert gk._int_row(np.array([0, 0]), -5) == [0, 0, -1]
+
+
+def test_homogeneous_division_rounds_like_fraction():
+    """X / w in floats equals float(Fraction(X, w)), for int64 entries below
+    2**53, int64 entries above it, and Python ints of any size."""
+    rng = np.random.default_rng(17)
+    for bits in (20, 52, 60, 62):
+        H = rng.integers(-(2**bits), 2**bits, (40, 4), dtype=np.int64)
+        H[:, -1] = np.abs(H[:, -1]) + 1
+        big = H.astype(object) * (3**40)
+        big[:, -1] += 1
+        for A in (H, big):
+            want = np.array([[float(Fraction(x, h[-1])) for x in h[:-1]] for h in A.tolist()])
+            got = gk._to_float(A)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_float_clip_that_cuts_nothing_keeps_the_input_order():
+    V, base = _box(3, False)
+    V = V[::-1].copy()  # not in lexicographic order
+    rows = [(np.array([1.0, 1.0, 0.0]), 10.0), (np.array([0.0, 0.0, -1.0]), 1.0)]
+    got = gk._clip(V, base, rows, 1e-9)
+    assert got is V
+    assert _same(got, _row_dedup_clip(V, base, rows, 1e-9)[0])
+
+
+def test_float_clip_merges_where_a_row_grazes_a_vertex(monkeypatch):
+    """A row 2e-9 inside two vertices of the square cuts its edges within the
+    merge distance 3e-9 of them.  The next row is clipped after those pairs
+    are merged, as a dedup after every row would, and the output is
+    bit-identical to that."""
+    V, base = _box(2, False)
+    rows = [(np.array([1.0, 0.0]), -1.0 + 2e-9), (np.array([0.0, 1.0]), 1.5)]
+    want = _row_dedup_clip(V, base, rows, 1e-9)[0]
+    calls = []
+    dedup = gk._dedup_points
+    monkeypatch.setattr(gk, "_dedup_points", lambda pts, tol: calls.append(len(pts)) or dedup(pts, tol))
+    got = gk._clip(V, base, rows, 1e-9)
+    assert _same(got, want)
+    assert len(got) == 2 and calls == [4, 2]  # 4 -> 2 after the first row, then the final sort
