@@ -346,10 +346,10 @@ def w1_distance(
     Exact (error 0) for Dirac pairs and for uniform laws on intervals of a
     common line (which covers ambient dimension 1).  Otherwise both laws are
     discretized on a shared axis-aligned grid — cell mass proportional to the
-    exact volume of the piece in the cell, cut slab by slab from the support's
-    frame vertex array (``_grid_pieces``, no per-cell polytope), mass placed
-    at the piece centroid — and the transportation LP is solved; the reported
-    error bound is 2 * cell diameter.
+    exact volume of the piece in the cell, cut from the support's frame vertex
+    array in one double-description step per piece and axis (``_grid_pieces``,
+    no per-cell polytope or clip), mass placed at the piece centroid — and the
+    transportation LP is solved; the reported error bound is 2 * cell diameter.
     """
     P, Q = pair.P, pair.Q
     if P.intrinsic_dim == 0 and Q.intrinsic_dim == 0:
@@ -374,11 +374,13 @@ def w1_distance(
 
 def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, tol: Tolerances):
     """(masses, centroids) of R's pieces in the grid cells its bounding box
-    meets, in ``itertools.product`` order (axis 0 outermost).  R is cut slab
-    by slab on its frame vertex array: x_j = g is the unit row
-    (B[j] / |B[j]|) . t = (g - o_j) / |B[j]|, and each piece is clipped by its
-    cell's interior grid lines only.  An axis is skipped where R meets one
-    cell or x_j is constant on R (|B[j]| <= feas_tol)."""
+    meets, in ``itertools.product`` order (axis 0 outermost).  R is cut axis
+    by axis on its frame vertex array: x_j = g is the unit row
+    (B[j] / |B[j]|) . t = (g - o_j) / |B[j]|, and ``gk._slab_pieces`` cuts a
+    piece by all interior lines of an axis in one step, exact because each
+    vertex of a slab's piece is a vertex of the piece or an edge's crossing
+    with a wall.  An axis is skipped where R meets one cell or x_j is
+    constant on R (|B[j]| <= feas_tol)."""
     k = R.intrinsic_dim
     B, o = R.frame.basis, R.frame.origin
     r_lo, r_hi = R.bounding_box()
@@ -391,13 +393,7 @@ def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, tol: Tolera
             continue
         u = B[j] / ln
         g = (lo[j] + np.arange(i_lo[j] + 1, i_hi[j] + 1) * resolution - o[j]) / ln
-        walls = [[(u, g[0])], *([(-u, -a), (u, b)] for a, b in zip(g[:-1], g[1:])), [(-u, -g[-1])]]
-        pieces = [
-            (W, rows + cut)
-            for V, rows in pieces
-            for cut in walls
-            if (W := gk._clip(V, rows, cut, tol.feas_tol)) is not None
-        ]
+        pieces = [cell for V, rows in pieces for cell in gk._slab_pieces(V, rows, u, g, tol.feas_tol)]
     masses, centroids = [], []
     for V, _ in pieces:
         if 0 < k < len(V):  # fewer points span no k-volume; a point is too coarse
@@ -412,43 +408,16 @@ def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, tol: Tolera
 
 def _transport_lp(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> float:
     """Transportation LP between discrete measures (scipy HiGHS backend).  The
-    last column-marginal row is redundant and dropped: HiGHS presolve calls
-    the full system infeasible when the two totals differ in the last ulp."""
+    last column-marginal row is redundant and left out, the CSR matrix being
+    built without it: HiGHS presolve calls the full system infeasible when
+    the two totals differ in the last ulp."""
     n1, n2 = cost.shape
-    rows = np.concatenate([np.repeat(np.arange(n1), n2), n1 + np.tile(np.arange(n2), n1)])
-    cols = np.tile(np.arange(n1 * n2), 2)
-    A = sparse.csr_matrix((np.ones(cols.size), (rows, cols)), shape=(n1 + n2, n1 * n2))
+    # row i < n1 holds columns i*n2 .. i*n2+n2-1; row n1+j holds j, n2+j, ...
+    cols = np.concatenate([np.arange(n1 * n2), (np.arange(n2 - 1)[:, None] + n2 * np.arange(n1)).ravel()])
+    ptr = np.concatenate([n2 * np.arange(n1 + 1), n1 * n2 + n1 * np.arange(1, n2)])
+    A = sparse.csr_matrix((np.ones(cols.size), cols, ptr), shape=(n1 + n2 - 1, n1 * n2))
     b_eq = np.concatenate([a, b])[:-1]
-    res = linprog(cost.ravel(), A_eq=A[:-1], b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(cost.ravel(), A_eq=A, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise SolverStall(f"transportation LP failed: {res.message}")
     return float(res.fun)
-
-
-@dataclass(frozen=True)
-class W1TvReport:
-    """Both sides of the diameter-scaled domination of W1 by total variation."""
-
-    w1: float
-    w1_error: float
-    tv: float
-    bound: float
-    margin: float
-
-    @property
-    def holds(self) -> bool:
-        return self.margin >= -(self.w1_error + 1e-9)
-
-
-def w1_tv_inequality_check(
-    pair: MeasurePair,
-    y_diam: float,
-    resolution: Optional[float] = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> W1TvReport:
-    """Evaluate W1 <= (diam(Y)/2) * TV for the pair inside a body of the given
-    diameter and report the margin."""
-    w1, err = w1_distance(pair, resolution, tol)
-    tv = tv_distance(pair, tol)
-    bound = 0.5 * y_diam * tv
-    return W1TvReport(w1=w1, w1_error=err, tv=tv, bound=bound, margin=bound - w1)

@@ -255,6 +255,11 @@ def _merge_distance(pts: np.ndarray, feas_tol: float) -> float:
     return max(feas_tol, 1e-12) * (1.0 + float(np.max(np.abs(pts))))
 
 
+def _spans(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges start[k], ..., start[k] + count[k] - 1, concatenated."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
 def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
     """The points in lexicographic order, each kept iff no kept point lies
     within ``tol``.  Only pairs within 2 tol along the axis of widest spread
@@ -271,8 +276,7 @@ def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
     x = x[order]
     lo = np.searchsorted(x, x - 2.0 * tol)  # first candidate partner of each point
     span = np.arange(n) - lo
-    i = np.repeat(np.arange(n), span)
-    j = np.arange(len(i)) + np.repeat(lo + span - np.cumsum(span), span)
+    i, j = np.repeat(np.arange(n), span), _spans(lo, span)
     diff = pts[order[i]] - pts[order[j]]
     close = np.sqrt(np.vecdot(diff, diff)) <= tol
     keep = np.ones(n, dtype=bool)
@@ -445,14 +449,11 @@ def _clip_active(V: np.ndarray, base_rows, new_rows, tol: float):
       matrix is computed once, then inherited.  A pair spans an edge iff no
       third vertex is active on all its common rows; this combinatorial
       test is exact because V is the vertex set.
-    - float: rounding breaks both premises, so the active rows carry a loose
-      tolerance (spurious candidates are pruned by the final hull
-      reconstruction, missed edges would lose vertices) and a pair spans an
-      edge iff its common rows have rank d-1, from one stacked SVD.  The
-      matrix |V @ N.T - C| <= act_tol is recomputed at each row that cuts:
-      at these sizes (tens of vertices and rows) one product takes fewer
-      array calls than inheriting columns and rows as the exact path does.
-      No active matrix is returned.
+    - float: rounding breaks both premises; ``_float_edges``, the float
+      adjacency rule that ``_slab_pieces`` (all parallel grid rows in one
+      step) shares, recomputes the active matrix at each row that cuts: at
+      these sizes one product takes fewer array calls than inheriting
+      columns and rows as the exact path does.  No active matrix is returned.
 
     One ``_dedup_points`` at the end suffices.  Clipping treats V as a set:
     each point's slack and cut points depend on that point alone (matrix
@@ -471,7 +472,6 @@ def _clip_active(V: np.ndarray, base_rows, new_rows, tol: float):
         return None if out is None else (_fractions(out[0]), out[1])
     N = np.array([r[0] for r in base_rows], dtype=float).reshape(-1, d)
     C = np.array([r[1] for r in base_rows], dtype=float)
-    act_tol = max(100.0 * tol, 1e-7)
     new, cut = 0, False  # points not yet checked for a merge; whether a row cut
     for nrm, off in new_rows:
         nrm = np.asarray(nrm, dtype=float)
@@ -493,20 +493,71 @@ def _clip_active(V: np.ndarray, base_rows, new_rows, tol: float):
         if out.all():
             return None
         if out.any():
-            act = np.abs(V @ N.T - C) <= act_tol
             I, J = np.nonzero(s > tol)[0], np.nonzero(out)[0]
-            common = act[I][:, None] & act[J][None]
-            ok = common.sum(axis=2) >= d - 1
-            if d > 2 and ok.any():
-                sv = np.linalg.svd(common[ok][..., None] * N, compute_uv=False)
-                ok[ok] = np.sum(sv > 1e-7 * np.maximum(1.0, sv[:, :1]), axis=1) >= d - 1
-            ii, jj = np.nonzero(ok)
-            i, j = I[ii], J[jj]
+            i, j = np.repeat(I, len(J)), np.tile(J, len(I))
+            ok = _float_edges(V, N, C, i, j, tol)
+            i, j = i[ok], j[ok]
             P = V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])
             V = np.vstack([V[~out], P])
             new, cut = (len(P) if cut else len(V)), True
         N, C = np.vstack([N, nrm]), np.append(C, off)
     return (_dedup_points(V, _merge_distance(V, tol)) if cut else V), None
+
+
+def _float_edges(V: np.ndarray, N: np.ndarray, C: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float):
+    """Mask of the vertex pairs (i[p], j[p]) of {y : N y <= C} that span an
+    edge: their common active rows (a loose tolerance: spurious candidates
+    are pruned later, missed edges would lose vertices) number >= d-1 and,
+    for d > 2, have rank d-1 by one stacked SVD."""
+    d = V.shape[1]
+    act = np.abs(V @ N.T - C) <= max(100.0 * tol, 1e-7)
+    common = act[i] & act[j]
+    ok = common.sum(axis=1) >= d - 1
+    if d > 2 and ok.any():
+        sv = np.linalg.svd(common[ok][..., None] * N, compute_uv=False)
+        ok[ok] = np.sum(sv > 1e-7 * np.maximum(1.0, sv[:, :1]), axis=1) >= d - 1
+    return ok
+
+
+def _slab_pieces(V: np.ndarray, rows, u: np.ndarray, g: np.ndarray, tol: float) -> list:
+    """The float polytope (V, rows) cut by every line u . y = g[l] (u a unit
+    row, g increasing) in one double-description step: [(vertices, rows +
+    walls)] for the nonempty slabs from below g[0] to above g[-1], each what
+    ``_clip`` with its walls returns, up to the rounding of cut points.
+
+    Exact as one cut is: a vertex of the polytope between two lines is one
+    of its vertices in the slab or an edge's crossing with a wall.  A vertex
+    within ``tol`` of a line is in both slabs beside it.  Pairs with a line
+    more than ``tol`` from both between them are edge-tested once; an edge
+    gives a point, interpolated along it, on each line it crosses, for the
+    two slabs beside the line.  A slab is deduplicated only where two of its
+    points lie within twice the merge distance, as in ``_clip_active``."""
+    p = V @ u
+    first = np.searchsorted(g, p - tol)  # slabs first..last of each vertex
+    last = np.searchsorted(g, p + tol, side="right")
+    i, j = np.nonzero(last[:, None] < first[None])  # lines last[i] .. first[j]-1 lie between
+    N = np.array([r[0] for r in rows], dtype=float).reshape(-1, V.shape[1])
+    C = np.array([r[1] for r in rows], dtype=float)
+    ok = _float_edges(V, N, C, i, j, tol)
+    i, j = i[ok], j[ok]
+    n = first[j] - last[i]
+    line = _spans(last[i], n)
+    i, j = np.repeat(i, n), np.repeat(j, n)
+    P = V[i] + ((g[line] - p[i]) / (p[j] - p[i]))[:, None] * (V[j] - V[i])
+    slab = np.concatenate([_spans(first, last - first + 1), line, line + 1])
+    order = np.argsort(slab, kind="stable")
+    pts, slab = np.vstack([np.repeat(V, last - first + 1, axis=0), P, P])[order], slab[order]
+    reach = 2.0 * _merge_distance(pts, tol)
+    diff = pts[:, None] - pts[None]
+    near = (np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach) & (slab[:, None] == slab[None])
+    merge = set(slab[near.sum(axis=1) > 1].tolist())
+    ends = np.searchsorted(slab, np.arange(len(g) + 2))
+    walls = [[(u, g[0])], *([(-u, -a), (u, b)] for a, b in zip(g[:-1], g[1:])), [(-u, -g[-1])]]
+    pieces = []
+    for l in np.nonzero(ends[1:] > ends[:-1])[0].tolist():
+        W = pts[ends[l] : ends[l + 1]]
+        pieces.append((_dedup_points(W, _merge_distance(W, tol)) if l in merge else W, rows + walls[l]))
+    return pieces
 
 
 def _int_row(nrm, off) -> list:
