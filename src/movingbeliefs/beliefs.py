@@ -379,11 +379,15 @@ def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, tol: Tolera
     (B[j] / |B[j]|) . t = (g - o_j) / |B[j]|, and ``gk._slab_pieces`` cuts a
     piece by all interior lines of an axis in one step, exact because each
     vertex of a slab's piece is a vertex of the piece or an edge's crossing
-    with a wall.  An axis is skipped where R meets one cell or x_j is
-    constant on R (|B[j]| <= feas_tol)."""
+    with a wall.  A line within feas_tol of R's extent is not interior: the
+    slab beyond it would hold only R's points within feas_tol of the line,
+    such as the coplanar corners of an axis-aligned face, which span no
+    k-volume and which Delaunay cannot triangulate.  An axis is skipped where
+    R meets one cell or x_j is constant on R (|B[j]| <= feas_tol)."""
     k = R.intrinsic_dim
     B, o = R.frame.basis, R.frame.origin
     r_lo, r_hi = R.bounding_box()
+    r_lo, r_hi = r_lo + tol.feas_tol, r_hi - tol.feas_tol
     i_lo = np.clip(np.floor((r_lo - lo) / resolution).astype(int), 0, cells_per_axis - 1)
     i_hi = np.clip(np.floor((r_hi - lo) / resolution - 1e-12).astype(int), i_lo, cells_per_axis - 1)
     pieces = [(R.vertices_frame, list(zip(*R.intrinsic_facets)))]

@@ -2,8 +2,8 @@
 grid-search evaluation of linear bilevel leader objectives.
 
 Problem files are JSON (schema-checked, version-tagged); bulk numeric output
-is CSV with the fixed column order x, phi, fd, ratio, bound_lhs, bound_rhs,
-margin (reference columns appended after, when a closed form exists).
+is CSV with the fixed column order of ``probe.COLUMNS`` (reference columns
+appended after, when a closed form exists).
 
 Exit-code contract: 0 pass, 1 verified-property violation, 2 usage/schema/
 precondition error.
@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -41,25 +41,11 @@ def _problem_validator():
 
 
 # ---------------------------------------------------------------------------
-# (de)serialization
-
-
-def polytope_to_json(P: gk.Polytope) -> dict:
-    return {"vertices": [[float(v) for v in row] for row in P.vrep]}
+# parsing
 
 
 def polytope_from_json(obj: dict, tol: Tolerances) -> gk.Polytope:
     return gk.from_vrep(np.asarray(obj["vertices"], dtype=float), tol)
-
-
-def integrand_to_json(f) -> dict:
-    if isinstance(f, Polynomial):
-        return {
-            "kind": "polynomial",
-            "dim": f.dim,
-            "terms": [{"exponents": list(e), "coeff": c} for e, c in f.terms],
-        }
-    return {"kind": "opaque", "callable": f.label, "dim": f.dim}
 
 
 def integrand_from_json(obj: dict, allow_imports: bool = False) -> bl.Integrand:
@@ -82,36 +68,6 @@ def integrand_from_json(obj: dict, allow_imports: bool = False) -> bl.Integrand:
     except (ImportError, AttributeError) as exc:
         raise ValueError(f"cannot import opaque integrand {obj['callable']!r}: {exc}") from exc
     return Opaque(fn=fn, dim=obj["dim"], label=obj["callable"])
-
-
-def map_to_json(spec: sv.MapSpec) -> dict:
-    kind = spec.kind
-    if kind == "trapezoid" or kind == "rotseg":
-        return {"kind": kind}
-    if kind == "qmap":
-        return {"kind": kind, "q": spec.q}
-    if kind == "interp":
-        return {"kind": kind, "body_a": polytope_to_json(spec.body_a), "body_b": polytope_to_json(spec.body_b)}
-    if kind in ("bilevel_linear", "eps_argmin"):
-        s = spec.spec
-        out = {
-            "kind": kind,
-            "a_matrix": s.a_matrix.tolist(),
-            "b_matrix": s.b_matrix.tolist(),
-            "rhs": s.rhs.tolist(),
-            "cost": s.cost.tolist(),
-        }
-        if kind == "eps_argmin":
-            out["eps"] = spec.eps
-        return out
-    if kind == "generic_affine":
-        return {
-            "kind": kind,
-            "a_matrix": spec.a_matrix.tolist(),
-            "b_matrix": spec.b_matrix.tolist(),
-            "rhs": spec.rhs.tolist(),
-        }
-    raise ValueError(f"unknown map kind {kind}")
 
 
 def map_from_json(obj: dict, tol: Tolerances) -> sv.MapSpec:
@@ -146,12 +102,6 @@ def map_from_json(obj: dict, tol: Tolerances) -> sv.MapSpec:
     raise ValueError(f"unknown map kind {kind}")
 
 
-def belief_to_json(b: Belief) -> dict:
-    if b.is_neutral:
-        return {"kind": "neutral"}
-    return {"kind": "density", "density": integrand_to_json(b.density)}
-
-
 def belief_from_json(obj: Optional[dict], allow_imports: bool = False) -> Belief:
     if obj is None or obj["kind"] == "neutral":
         return NEUTRAL
@@ -172,13 +122,6 @@ class ThetaPoly:
         for x_exp, y_exps, coeff in self.terms:
             agg[y_exps] = agg.get(y_exps, 0.0) + coeff * xv**x_exp
         return Polynomial.from_dict(agg, self.y_dim)
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"coeff": c, "x_exponent": a, "y_exponents": list(b)} for a, b, c in self.terms
-            ]
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "ThetaPoly":
@@ -207,7 +150,6 @@ def tolerances_from_json(obj: Optional[dict]) -> Tolerances:
 
 @dataclass(eq=False)
 class ProblemFile:
-    version: str
     map_spec: sv.MapSpec
     belief: Belief
     theta: Optional[ThetaPoly]
@@ -217,7 +159,6 @@ class ProblemFile:
     y_box: Optional[tuple]
     w1_resolution: Optional[float]
     leader: Optional[dict]
-    raw: dict
 
     @staticmethod
     def parse(obj: dict, allow_imports: bool = False) -> "ProblemFile":
@@ -232,7 +173,6 @@ class ProblemFile:
         if "y_box" in obj:
             y_box = (np.asarray(obj["y_box"][0], float), np.asarray(obj["y_box"][1], float))
         return ProblemFile(
-            version=obj["version"],
             map_spec=spec,
             belief=belief_from_json(obj.get("belief"), allow_imports),
             theta=ThetaPoly.from_json(obj["theta"]) if "theta" in obj else None,
@@ -242,29 +182,11 @@ class ProblemFile:
             y_box=y_box,
             w1_resolution=obj.get("w1_resolution"),
             leader=obj.get("leader"),
-            raw=obj,
         )
-
-    def serialize(self) -> dict:
-        out = {
-            "version": self.version,
-            "map": map_to_json(self.map_spec),
-            "belief": belief_to_json(self.belief),
-            "grid": dict(self.raw["grid"]),
-        }
-        if self.theta is not None:
-            out["theta"] = self.theta.to_json()
-        for key in ("tolerances", "anchor", "y_box", "w1_resolution", "leader"):
-            if key in self.raw:
-                out[key] = self.raw[key]
-        return out
 
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-CSV_COLUMNS = ["x", "phi", "fd", "ratio", "bound_lhs", "bound_rhs", "margin"]
-
 
 def _fmt(v) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
@@ -273,7 +195,7 @@ def _fmt(v) -> str:
 
 
 def rows_to_csv(rows, extra_columns=()) -> str:
-    cols = CSV_COLUMNS + list(extra_columns)
+    cols = list(pr.COLUMNS) + list(extra_columns)
     lines = [",".join(cols)]
     for row in rows:
         lines.append(",".join(_fmt(row.get(c)) for c in cols))
@@ -322,17 +244,13 @@ _CLOSED_FORMS = {
 @click.option("--tol", type=float, default=None, help="feasibility tolerance")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--exact", is_flag=True, help="rational vertex enumeration where applicable")
-def cmd_example(name, q, grid_spec, seed, tol, out, fmt, exact):
+def cmd_example(name, q, grid_spec, seed, tol, out, fmt):
     """Sweep a built-in example family and compare against its closed form."""
-    tolerances = gk.DEFAULT_TOL
-    if seed is not None or tol is not None:
-        tolerances = Tolerances(
-            feas_tol=tol or gk.DEFAULT_TOL.feas_tol,
-            rank_tol=gk.DEFAULT_TOL.rank_tol,
-            sphere_nodes=gk.DEFAULT_TOL.sphere_nodes,
-            rng_seed=seed if seed is not None else gk.DEFAULT_TOL.rng_seed,
-        )
+    tolerances = replace(
+        gk.DEFAULT_TOL,
+        feas_tol=tol or gk.DEFAULT_TOL.feas_tol,
+        rng_seed=gk.DEFAULT_TOL.rng_seed if seed is None else seed,
+    )
     if name == "trapezoid":
         spec = sv.TrapezoidMap()
         grid = _parse_grid_flag(grid_spec) if grid_spec else pr.make_grid(1e-6, 1.0, 100, log=True)
@@ -344,7 +262,7 @@ def cmd_example(name, q, grid_spec, seed, tol, out, fmt, exact):
         grid = _parse_grid_flag(grid_spec) if grid_spec else np.linspace(0.0, 1.0, 101)[:-1]
 
     try:
-        report = pr.sweep_phi(spec, NEUTRAL, None, grid, tolerances, exact=exact)
+        report = pr.sweep_phi(spec, NEUTRAL, None, grid, tolerances)
     except MovingBeliefsError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
@@ -454,22 +372,8 @@ def cmd_verify(suite, problem, builtin, samples, seed, out, fmt, allow_imports):
     else:
         meta = report.metadata
         rows = []
-        grid = meta.get("grid")
-        if grid is not None:
-            lhs = meta.get("lhs", np.full(len(grid), np.nan))
-            rhs = meta.get("rhs", np.full(len(grid), np.nan))
-            for i, x in enumerate(grid):
-                rows.append(
-                    {
-                        "x": float(x),
-                        "phi": math.nan,
-                        "fd": math.nan,
-                        "ratio": math.nan,
-                        "bound_lhs": float(lhs[i]),
-                        "bound_rhs": float(rhs[i]),
-                        "margin": float(rhs[i] - lhs[i]),
-                    }
-                )
+        if meta.get("grid") is not None:
+            rows = pr.table_rows(meta["grid"], bound_lhs=meta.get("lhs"), bound_rhs=meta.get("rhs"))
         _emit(rows_to_csv(rows), out)
     sys.exit(0 if report.passed else 1)
 
@@ -525,19 +429,7 @@ def cmd_bilevel(problem, out, fmt, exact, allow_imports):
         "lipschitz_estimate": float(np.max(ratios[1:][adjacent])) if adjacent.any() else 0.0,
         "skipped": skipped,
     }
-    rows = []
-    for i in range(len(xs)):
-        rows.append(
-            {
-                "x": float(xs[i]),
-                "phi": float(vals[i]),
-                "fd": math.nan,
-                "ratio": float(ratios[i]),
-                "bound_lhs": math.nan,
-                "bound_rhs": math.nan,
-                "margin": math.nan,
-            }
-        )
+    rows = pr.table_rows(xs, phi=vals, ratio=ratios)
     if fmt == "json":
         _emit(pr._dumps({"summary": summary, "rows": rows}) + "\n", out)
     else:

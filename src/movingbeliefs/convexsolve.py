@@ -223,10 +223,11 @@ def _solve_inequality_lp(c, M, q, tol, den):
 
 
 def _integers(rows):
-    """Rows of rationals times their least common denominator: Python ints."""
-    rows = [[Fraction(v) for v in r] for r in rows]
-    lcd = math.lcm(*(int(v.denominator) for r in rows for v in r))
-    return [[int(v.numerator) * (lcd // int(v.denominator)) for v in r] for r in rows]
+    """Rows of Python ints, floats or Fractions times their least common
+    denominator: Python ints."""
+    rows = [[v.as_integer_ratio() for v in r] for r in rows]
+    lcd = math.lcm(*(d for r in rows for _, d in r))
+    return [[n * (lcd // d) for n, d in r] for r in rows]
 
 
 def lp_solve(prob: LpProblem, exact: bool = False, feas_tol: float = _FEAS_TOL) -> LpResult:
@@ -293,25 +294,24 @@ def bounding_box(M, q, exact: bool = False, feas_tol: float = _FEAS_TOL):
     return lo, hi
 
 
-def min_norm_point(vertices: Sequence, feas_tol: float = _FEAS_TOL, max_iter: Optional[int] = None) -> np.ndarray:
+def min_norm_point(vertices: Sequence, feas_tol: float = _FEAS_TOL) -> np.ndarray:
     """Minimum-norm point of conv(vertices) by Wolfe's algorithm.
 
     Finite termination is certified by the optimality condition
-    <x, v - x> >= -tol for every vertex v; hitting the iteration cap without
-    the certificate raises ``SolverStall``.
+    <x, v - x> >= -tol for every vertex v; hitting the iteration cap of
+    50 max(n, 2) major steps (n vertices) without the certificate raises
+    ``SolverStall``.
     """
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     n = V.shape[0]
     if n == 0:
         raise ValueError("empty vertex set")
-    if max_iter is None:
-        max_iter = 50 * max(n, 2)
     norms = np.einsum("ij,ij->i", V, V)
     idx = [int(np.argmin(norms))]
     lam = np.array([1.0])
     x = V[idx[0]].copy()
     scale = 1.0 + float(np.max(np.abs(V))) ** 2
-    for _ in range(max_iter):
+    for _ in range(50 * max(n, 2)):
         scores = V @ x
         j = int(np.argmin(scores))
         if scores[j] >= x @ x - feas_tol * scale:

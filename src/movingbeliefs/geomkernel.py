@@ -422,54 +422,26 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
 
 
 def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
-    """Clip the polytope with vertex array ``V`` (full-dimensional in its d
-    coordinates, described by ``base_rows``) with ``new_rows``; None when
-    empty.  See ``_clip_active``."""
-    out = _clip_active(V, base_rows, new_rows, tol)
-    return None if out is None else out[0]
+    """Clip the float polytope with vertex array ``V`` (full-dimensional in
+    its d coordinates, described by ``base_rows``) with ``new_rows``; None
+    when empty.  Double description (Fukuda & Prodon 1996): a new row keeps
+    the vertices it does not cut off and adds the cut point of every
+    inside/outside pair spanning an edge, all pairs of the row in one array
+    computation.  Rows are normalized and slacks compared with ``tol``; at
+    each row that cuts, ``_float_edges`` (shared with ``_slab_pieces``)
+    recomputes the active matrix and tests the pairs.  The exact rule is
+    ``_clip_exact``'s.
 
-
-def _clip_active(V: np.ndarray, base_rows, new_rows, tol: float):
-    """(vertices, active-row matrix) of ``_clip``, by double description
-    (Fukuda & Prodon 1996): a new row keeps the vertices it does not cut off
-    and adds the cut point of every inside/outside pair spanning an edge,
-    all pairs of the row in one array computation.
-
-    The scalar type of ``V`` decides the arithmetic.  Float arrays normalize
-    the rows and use ``tol``; object arrays of rationals run exactly in
-    ``_clip_exact`` and come back as Fractions, and ``V`` must then be the
-    vertex set (box corners are), which it stays.  Candidate pairs share
-    >= d-1 active rows; rows are nonzero, so for d <= 2 the count alone
-    decides.  Above that the two paths differ:
-
-    - exact: vertices are held as integer numerators over one positive
-      denominator each, rows as coprime integers, in int64 where a bound
-      checked per row excludes overflow and in Python ints otherwise (see
-      ``_clip_exact``); Fractions are made only for the result.  The active
-      matrix is computed once, then inherited.  A pair spans an edge iff no
-      third vertex is active on all its common rows; this combinatorial
-      test is exact because V is the vertex set.
-    - float: rounding breaks both premises; ``_float_edges``, the float
-      adjacency rule that ``_slab_pieces`` (all parallel grid rows in one
-      step) shares, recomputes the active matrix at each row that cuts: at
-      these sizes one product takes fewer array calls than inheriting
-      columns and rows as the exact path does.  No active matrix is returned.
-
-    One ``_dedup_points`` at the end suffices.  Clipping treats V as a set:
-    each point's slack and cut points depend on that point alone (matrix
-    products round the same in every row position), so the order of V
-    changes only the order of the output.  While no two points lie within
-    twice the merge distance, a dedup after each row would only sort (that
-    is all it does to points farther apart than the merge distance), and the
-    final dedup sorts the same set.  When a cut adds a point that close to
-    another, V is deduplicated before the next row, as a per-row dedup would
-    have done.  A clip in which no row cuts returns ``V`` unchanged, in its
-    input order.
+    One ``_dedup_points`` at the end suffices.  Each point's slack and cut
+    points depend on that point alone (matrix products round the same in
+    every row position), so the order of V changes only the order of the
+    output.  While no two points lie within twice the merge
+    distance, a dedup after each row would only sort, and the final dedup
+    sorts the same set; when a cut adds a point that close to another, V is
+    deduplicated before the next row, as a per-row dedup would have done.  A
+    clip in which no row cuts returns ``V`` unchanged, in its input order.
     """
     d = V.shape[1]
-    if V.dtype == object:
-        out = _clip_exact(_homogeneous(V), [_int_row(*r) for r in base_rows], [_int_row(*r) for r in new_rows])
-        return None if out is None else (_fractions(out[0]), out[1])
     N = np.array([r[0] for r in base_rows], dtype=float).reshape(-1, d)
     C = np.array([r[1] for r in base_rows], dtype=float)
     new, cut = 0, False  # points not yet checked for a merge; whether a row cut
@@ -501,7 +473,7 @@ def _clip_active(V: np.ndarray, base_rows, new_rows, tol: float):
             V = np.vstack([V[~out], P])
             new, cut = (len(P) if cut else len(V)), True
         N, C = np.vstack([N, nrm]), np.append(C, off)
-    return (_dedup_points(V, _merge_distance(V, tol)) if cut else V), None
+    return _dedup_points(V, _merge_distance(V, tol)) if cut else V
 
 
 def _float_edges(V: np.ndarray, N: np.ndarray, C: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float):
@@ -531,7 +503,7 @@ def _slab_pieces(V: np.ndarray, rows, u: np.ndarray, g: np.ndarray, tol: float) 
     more than ``tol`` from both between them are edge-tested once; an edge
     gives a point, interpolated along it, on each line it crosses, for the
     two slabs beside the line.  A slab is deduplicated only where two of its
-    points lie within twice the merge distance, as in ``_clip_active``."""
+    points lie within twice the merge distance, as in ``_clip``."""
     p = V @ u
     first = np.searchsorted(g, p - tol)  # slabs first..last of each vertex
     last = np.searchsorted(g, p + tol, side="right")
@@ -563,20 +535,9 @@ def _slab_pieces(V: np.ndarray, rows, u: np.ndarray, g: np.ndarray, tol: float) 
 def _int_row(nrm, off) -> list:
     """The row nrm . y <= off as coprime integers (-a, b) with the same
     solutions, so the slack of a homogeneous vertex (X, w) is (-a, b) . (X, w)."""
-    z = convexsolve._integers([[*nrm, off]])[0]
+    z = convexsolve._integers([[*np.asarray(nrm).tolist(), off]])[0]
     g = math.gcd(*z) or 1
     return [-v // g for v in z[:-1]] + [z[-1] // g]
-
-
-def _homogeneous(V: np.ndarray) -> np.ndarray:
-    """Rows (X, w) of Python ints with V = X / w: w is the least common
-    denominator of the vertex, so w > 0 and the row has gcd 1."""
-    return np.array([convexsolve._integers([[*v, 1]])[0] for v in V.tolist()], dtype=object).reshape(len(V), -1)
-
-
-def _fractions(H: np.ndarray) -> np.ndarray:
-    """The vertices X / w of homogeneous rows, as Fractions."""
-    return np.array([[Fraction(x, h[-1]) for x in h[:-1]] for h in H.tolist()], dtype=object)
 
 
 def _to_float(H: np.ndarray) -> np.ndarray:
@@ -597,16 +558,20 @@ def _int_dtype(H: np.ndarray, rows) -> type:
 
 
 def _clip_exact(H: np.ndarray, base_rows, new_rows):
-    """Exact ``_clip_active`` on homogeneous integer vertices H = (X, w),
-    w > 0, with rows (-a, b) as from ``_int_row``; returns (H, act) or None.
+    """``_clip`` in exact arithmetic on homogeneous integer vertices
+    H = (X, w), w > 0, which must be the vertex set (box corners are), with
+    rows (-a, b) as from ``_int_row``; returns (H, act) or None.
 
     The slacks of a row are s = H @ (-a, b) = b w - X a, of the sign of the
     rational slacks; the cut point of an inside/outside pair (i, j) is
     s_i H_j - s_j H_i (its w is positive), divided by the gcd of its entries.
     The active matrix H @ R.T == 0 is computed once from the base rows, then
     inherited: a kept vertex gains the column s == 0, a cut point its pair's
-    common rows plus the new row.  Each row runs in int64 where
-    ``_int_dtype`` proves that nothing overflows, else in Python ints.
+    common rows plus the new row.  A pair spans an edge iff it shares >= d-1
+    active rows and, for d > 2, no third vertex is active on all of them;
+    this combinatorial test is exact because H is the vertex set.  Each row
+    runs in int64 where ``_int_dtype`` proves that nothing overflows, else in
+    Python ints.
     """
     d = H.shape[1] - 1
     R = np.array(base_rows, dtype=object).reshape(-1, d + 1)

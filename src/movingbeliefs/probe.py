@@ -70,6 +70,18 @@ def phi_function(
 # ---------------------------------------------------------------------------
 # reports
 
+COLUMNS = ("x", "phi", "fd", "ratio", "bound_lhs", "bound_rhs", "margin")
+
+
+def table_rows(x, phi=None, fd=None, ratio=None, bound_lhs=None, bound_rhs=None) -> list:
+    """CSV/JSON rows, dicts of floats in the fixed order ``COLUMNS``, one
+    per entry of ``x``, from column arrays of its length: an absent column
+    is NaN, and margin is bound_rhs - bound_lhs."""
+    cols = [np.full(len(x), np.nan) if c is None else np.asarray(c, dtype=float)
+            for c in (x, phi, fd, ratio, bound_lhs, bound_rhs)]
+    cols.append(cols[5] - cols[4])
+    return [dict(zip(COLUMNS, row)) for row in zip(*(c.tolist() for c in cols))]
+
 
 @dataclass(eq=False)
 class SweepReport:
@@ -81,32 +93,11 @@ class SweepReport:
     ratio: np.ndarray  # adjacent difference quotients; NaN at the first point
     max_ratio: float
     pairwise_ratios: Optional[np.ndarray] = None
-    bound_lhs: Optional[np.ndarray] = None
-    bound_rhs: Optional[np.ndarray] = None
-    bound_margins: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
     def rows(self):
-        """CSV/JSON rows in the fixed column order
-        x, phi, fd, ratio, bound_lhs, bound_rhs, margin."""
-        n = len(self.grid)
-        lhs = self.bound_lhs if self.bound_lhs is not None else np.full(n, np.nan)
-        rhs = self.bound_rhs if self.bound_rhs is not None else np.full(n, np.nan)
-        margin = rhs - lhs
-        out = []
-        for i in range(n):
-            out.append(
-                {
-                    "x": float(self.grid[i]),
-                    "phi": float(self.phi[i]),
-                    "fd": float(self.fd[i]),
-                    "ratio": float(self.ratio[i]),
-                    "bound_lhs": float(lhs[i]),
-                    "bound_rhs": float(rhs[i]),
-                    "margin": float(margin[i]),
-                }
-            )
-        return out
+        """The sweep as output rows, see ``table_rows``."""
+        return table_rows(self.grid, self.phi, self.fd, self.ratio)
 
 
 @dataclass(eq=False)
@@ -209,6 +200,9 @@ def sweep_phi(
     return SweepReport(grid=grid, phi=vals, fd=fd, ratio=ratio, max_ratio=max_ratio, pairwise_ratios=pw)
 
 
+_CALMNESS_FRACTIONS = (1.0, 0.5, 0.25, 0.125, 0.0625)
+
+
 def calmness_estimate(
     target: Union[Callable, sv.MapSpec],
     anchor: float,
@@ -216,14 +210,13 @@ def calmness_estimate(
     belief: Belief = NEUTRAL,
     theta: Optional[ThetaLike] = None,
     tol: Tolerances = DEFAULT_TOL,
-    fractions: Sequence[float] = (1.0, 0.5, 0.25, 0.125, 0.0625),
 ) -> CalmnessEstimate:
     """Difference-quotient suprema over shrinking balls around the anchor.
 
     ``target`` is a scalar function of the parameter or a map spec (then the
     expected value of ``theta`` under ``belief`` is probed).  Probe points are
-    the anchor offset by the radius fractions on both sides, clipped to the
-    map domain when one is known.
+    the anchor offset by r, r/2, r/4, r/8 and r/16 on both sides, clipped to
+    the map domain when one is known.
     """
     radii = np.asarray(list(radii), dtype=float)
     if np.any(np.diff(radii) >= 0):
@@ -240,7 +233,7 @@ def calmness_estimate(
     sups = np.zeros(len(radii))
     for i, r in enumerate(radii):
         best = 0.0
-        for frac in fractions:
+        for frac in _CALMNESS_FRACTIONS:
             for sign in (+1.0, -1.0):
                 x = anchor + sign * frac * r
                 if x == anchor or not in_domain(x):

@@ -90,12 +90,14 @@ def _linear_fiber(spec: BilevelLinearSpec, x, tol: Tolerances, exact: bool, cut:
     ``cut`` None keeps the whole fiber; 0 pins c.y to the optimal value v(x)
     from both sides (the optimal face); a positive cut keeps
     c.y <= v(x) + cut.  With ``exact`` the rows, v(x) and the clipping are
-    rational, and the vertices keep the rank-band check.
+    rational, and the vertices keep the rank-band check.  Only b - A x is
+    made of Fractions (its float would round): the LP and the clipper read
+    the float entries of B and c exactly, and Fraction offsets select the
+    exact clip.
     """
     x = _as_param(x)
     B, r, c = spec.b_matrix, spec.rhs - spec.a_matrix @ np.asarray(x), spec.cost
     if exact:
-        B, c = gk._rational(B), gk._rational(c)
         r = gk._rational(spec.rhs) - gk._rational(spec.a_matrix) @ gk._rational(x)
     rows = list(zip(B, r))
     if cut is not None:
@@ -350,19 +352,12 @@ class RectDecomposition:
         return self.r1
 
 
-def _membership_gap(points: np.ndarray, target: Polytope) -> float:
-    M, q = target.hrep
-    if M.shape[0] == 0:
-        return float(np.max(np.linalg.norm(points - target.vrep[0], axis=1)))
-    return float(np.max(M @ points.T - q[:, None]))
-
-
 def _sandwich_check(t0, r0, t1, r1, target: Polytope, tol: Tolerances):
     gap = 0.0
     if t0 is not None and r0 is not None:
         inner = gk.minkowski_sum(t0, r0, tol)
-        gap = max(gap, _membership_gap(inner.vrep, target))
-    gap = max(gap, _membership_gap(target.vrep, gk.minkowski_sum(t1, r1, tol)))
+        gap = max(gap, float(target.violation(inner.vrep).max()))
+    gap = max(gap, float(gk.minkowski_sum(t1, r1, tol).violation(target.vrep).max()))
     return gap <= 1e-7, gap
 
 
@@ -638,7 +633,7 @@ def frame_selection(
     for gi, x in enumerate(grid):
         B, dst = _frame_step(spec, x_prev, x, seeds, comp, ball_facets, tol)
         frames[gi] = B
-        defects[gi] = _membership_gap(B[:, :k].T, dst)
+        defects[gi] = float(dst.violation(B[:, :k].T).max())
         seeds = [B[:, i] for i in range(k)]
         comp = B[:, k:]
         x_prev = x

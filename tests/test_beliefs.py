@@ -548,6 +548,21 @@ class TestGridPieces:
         w, err = bl.w1_distance(bl.MeasurePair.make(cube, moved), resolution=0.25)
         assert w == pytest.approx(0.25, abs=1e-9)
 
+    @pytest.mark.parametrize("lo,hi,want", [
+        ((0.0, 0.0, 0.0), (1.0 + 5e-10,) * 3, 0.0),  # top faces 5e-10 beyond the last line
+        ((0.25 - 5e-10, 0.0, 0.0), (1.0,) * 3, 0.125),  # a bottom face 5e-10 below a line
+        ((0.0, 0.0, 0.0), (0.5 + 5e-10, 1.0, 1.0), 0.25),  # a face beside an interior line
+    ])
+    def test_faces_within_feas_tol_of_grid_planes(self, lo, hi, want):
+        """A grid plane within feas_tol of a box's extent is not cut: the
+        slab beyond it would hold only the face's four coplanar corners,
+        which Delaunay cannot triangulate.  W1 to the unit cube is that of
+        the x-marginals, by the quantile formula."""
+        R = gk.from_vrep(list(itertools.product(*zip(lo, hi))))
+        cube = gk.from_vrep(list(itertools.product([0.0, 1.0], repeat=3)))
+        w, err = bl.w1_distance(bl.MeasurePair.make(R, cube), resolution=0.25)
+        assert w == pytest.approx(want, abs=1e-8)
+
 
 class TestW1TvInequality:
     """W1 <= (diam(Y) / 2) * TV for a pair inside a body Y of that diameter,

@@ -1,15 +1,47 @@
-"""Halfspace clipping (geomkernel._clip) against two references: the
-pairwise clipper, and the row-at-a-time clipper with Fraction arithmetic and
-a dedup after every cutting row; and the exact path's inherited active
-sets, integer representation and overflow guard."""
+"""Halfspace clipping (geomkernel._clip, and geomkernel._clip_exact through
+``_clip_active`` below) against two references: the pairwise clipper, and
+the row-at-a-time clipper with Fraction arithmetic and a dedup after every
+cutting row; and the exact path's inherited active sets, integer
+representation and overflow guard."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from movingbeliefs import geomkernel as gk
+
+
+def _homogeneous(V):
+    """Rows (X, w) of Python ints with V = X / w, w the least common
+    denominator of the vertex."""
+    rows = []
+    for v in V.tolist():
+        w = math.lcm(*(Fraction(x).denominator for x in v))
+        rows.append([int(x * w) for x in v] + [w])
+    return np.array(rows, dtype=object).reshape(len(V), -1)
+
+
+def _clip_active(V, base_rows, new_rows, tol):
+    """(vertices, active matrix) of a clip, or None: a float ``V`` through
+    ``_clip`` (no active matrix), a Fraction ``V`` through ``_clip_exact`` on
+    homogeneous integer vertices, its result back as Fractions."""
+    if V.dtype != object:
+        out = gk._clip(V, base_rows, new_rows, tol)
+        return None if out is None else (out, None)
+    rows = [[gk._int_row(*r) for r in rs] for rs in (base_rows, new_rows)]
+    out = gk._clip_exact(_homogeneous(V), *rows)
+    if out is None:
+        return None
+    return np.array([[Fraction(x, h[-1]) for x in h[:-1]] for h in out[0].tolist()], dtype=object), out[1]
+
+
+def _clip(V, base_rows, new_rows, tol):
+    """The vertices of ``_clip_active``, or None."""
+    out = _clip_active(V, base_rows, new_rows, tol)
+    return None if out is None else out[0]
 
 
 def _reference_clip(V, base_rows, new_rows, tol):
@@ -192,7 +224,7 @@ CASES = list(itertools.product((2, 3, 4), ("generic", "dyadic", "apex", "duplica
 def _check_clip(V, base, rows, tol):
     """The vertices of the pairwise reference, and the vertices and (exact)
     active matrix of the row-at-a-time reference, array for array."""
-    got = gk._clip_active(V, base, rows, tol)
+    got = _clip_active(V, base, rows, tol)
     assert _same(None if got is None else got[0], _reference_clip(V, base, rows, tol))
     assert _same_active(got, _row_dedup_clip(V, base, rows, tol))
 
@@ -220,11 +252,11 @@ def test_clip_empty_and_zero_rows(exact):
     V, base = _box(3, exact)
     zero = np.array([0 * one] * 3)
     e0 = np.array([one, 0 * one, 0 * one])
-    assert gk._clip(V, base, [(e0, -5 * one)], 1e-9) is None  # cuts every vertex off
-    assert gk._clip(V, base, [(zero, -one)], 1e-9) is None  # a zero row that holds nowhere
-    kept = gk._clip(V, base, [(zero, one)], 1e-9)  # ... and one that holds everywhere
+    assert _clip(V, base, [(e0, -5 * one)], 1e-9) is None  # cuts every vertex off
+    assert _clip(V, base, [(zero, -one)], 1e-9) is None  # a zero row that holds nowhere
+    kept = _clip(V, base, [(zero, one)], 1e-9)  # ... and one that holds everywhere
     assert _same(kept, V)
-    assert _same(gk._clip(V, base, [(e0, 2 * one)], 1e-9), V)  # touches a facet, cuts nothing
+    assert _same(_clip(V, base, [(e0, 2 * one)], 1e-9), V)  # touches a facet, cuts nothing
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
@@ -237,7 +269,7 @@ def test_exact_active_sets_stay_recomputed(d, kind):
         V0, base = _box(d, True)
         rows = _random_rows(rng, d, kind, True)
         for k in range(1, len(rows) + 1):
-            out = gk._clip_active(V0, base, rows[:k], 0.0)
+            out = _clip_active(V0, base, rows[:k], 0.0)
             if out is None:
                 break
             V, act = out
@@ -265,12 +297,12 @@ def test_non_dyadic_rows_run_in_python_ints(d):
     arithmetic."""
     rng = np.random.default_rng([d, 13])
     V, base = _box(d, True)
-    H, base_int = gk._homogeneous(V), [gk._int_row(*r) for r in base]
+    H, base_int = _homogeneous(V), [gk._int_row(*r) for r in base]
     for _ in range(4):
         rows = _non_dyadic_rows(rng, d)
         out = gk._clip_exact(H, base_int, [gk._int_row(*r) for r in rows])
         assert out is not None and out[0].dtype == object
-        assert _same_active(gk._clip_active(V, base, rows, 0.0), _row_dedup_clip(V, base, rows, 0.0))
+        assert _same_active(_clip_active(V, base, rows, 0.0), _row_dedup_clip(V, base, rows, 0.0))
         dyadic = [gk._int_row(*r) for r in _random_rows(rng, d, "dyadic", True)]
         assert gk._int_dtype(H, dyadic) is np.int64
         out = gk._clip_exact(H, base_int, dyadic)
