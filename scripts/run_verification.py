@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Run all four verification suites and write their JSON reports to out/."""
+"""Run all four verification suites, and the bilevel command on the toy
+problem in float and in exact arithmetic, and write their JSON reports to
+out/ next to this script."""
 
 import pathlib
 import subprocess
@@ -12,7 +14,7 @@ PROBLEMS = HERE / "problems"
 
 def run(args, dest):
     dest.parent.mkdir(parents=True, exist_ok=True)
-    cmd = [sys.executable, "-m", "movingbeliefs.cli", "verify", *args, "--out", str(dest)]
+    cmd = [sys.executable, "-m", "movingbeliefs.cli", *args, "--out", str(dest)]
     print("+", " ".join(cmd))
     res = subprocess.run(cmd)
     print(f"  -> exit {res.returncode}")
@@ -21,10 +23,12 @@ def run(args, dest):
 
 def main() -> int:
     return max(
-        run(["body", "--seed", "7"], OUT / "body.json"),
-        run(["tv-bound", str(PROBLEMS / "eps_toy.json")], OUT / "tv_bound.json"),
-        run(["sandwich", "--builtin", "qmap"], OUT / "sandwich.json"),
-        run(["w1", str(PROBLEMS / "w1_toy.json")], OUT / "w1.json"),
+        run(["verify", "body", "--seed", "7"], OUT / "body.json"),
+        run(["verify", "tv-bound", str(PROBLEMS / "eps_toy.json")], OUT / "tv_bound.json"),
+        run(["verify", "sandwich", "--builtin", "qmap"], OUT / "sandwich.json"),
+        run(["verify", "w1", str(PROBLEMS / "w1_toy.json")], OUT / "w1.json"),
+        run(["bilevel", str(PROBLEMS / "toy_bilevel.json")], OUT / "bilevel.json"),
+        run(["bilevel", str(PROBLEMS / "toy_bilevel.json"), "--exact"], OUT / "bilevel_exact.json"),
     )
 
 

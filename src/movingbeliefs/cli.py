@@ -211,14 +211,15 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _parse_grid_flag(spec: str) -> np.ndarray:
+    """The grid of ``--grid``; a malformed spec is a usage error (exit 2)."""
     parts = spec.split(":")
-    if parts[0] == "log":
-        if len(parts) != 4:
-            raise click.UsageError("log grid spec is log:start:stop:count")
-        return pr.make_grid(float(parts[1]), float(parts[2]), int(parts[3]), log=True)
-    if len(parts) != 3:
-        raise click.UsageError("grid spec is start:stop:count or log:start:stop:count")
-    return pr.make_grid(float(parts[0]), float(parts[1]), int(parts[2]))
+    log = parts[0] == "log"
+    if len(parts) != 3 + log:
+        raise click.BadParameter("expected start:stop:count or log:start:stop:count", param_hint="'--grid'")
+    try:
+        return pr.make_grid(float(parts[log]), float(parts[log + 1]), int(parts[log + 2]), log=log)
+    except ValueError as exc:
+        raise click.BadParameter(f"{spec}: {exc}", param_hint="'--grid'") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +242,16 @@ _CLOSED_FORMS = {
 @click.option("--q", type=float, default=2.0, help="exponent of the power-wedge family")
 @click.option("--grid", "grid_spec", default=None, help="start:stop:count or log:start:stop:count")
 @click.option("--seed", type=int, default=None)
-@click.option("--tol", type=float, default=None, help="feasibility tolerance")
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=None, help="feasibility tolerance")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def cmd_example(name, q, grid_spec, seed, tol, out, fmt):
     """Sweep a built-in example family and compare against its closed form."""
+    if tol is not None and math.isnan(tol):  # FloatRange lets NaN through
+        raise click.BadParameter("nan is not a tolerance", param_hint="'--tol'")
     tolerances = replace(
         gk.DEFAULT_TOL,
-        feas_tol=tol or gk.DEFAULT_TOL.feas_tol,
+        feas_tol=gk.DEFAULT_TOL.feas_tol if tol is None else tol,
         rng_seed=gk.DEFAULT_TOL.rng_seed if seed is None else seed,
     )
     if name == "trapezoid":

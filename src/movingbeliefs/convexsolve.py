@@ -1,18 +1,16 @@
 """Dense linear-programming and minimum-norm subproblem engine.
 
 Everything here is desk-scale by design: a two-phase primal simplex with
-Bland's anti-cycling rule (float or end-to-end rational arithmetic) over
-free variables with inequality rows, plus Wolfe's minimum-norm-point
-algorithm over finite vertex sets.  Instances have tens of rows, not
-thousands; determinism beats speed.
+Bland's anti-cycling rule in floats over free variables with inequality rows
+(the bounding boxes of ``from_hrep`` and of linear lower levels), plus
+Wolfe's minimum-norm-point algorithm over finite vertex sets.  Instances have
+tens of rows, not thousands; determinism beats speed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,35 +23,23 @@ UNBOUNDED = "unbounded"
 _FEAS_TOL = 1e-9
 
 
-def _finite(a: np.ndarray) -> bool:
-    if a.dtype != object:
-        return bool(np.isfinite(a).all())
-    return all(isinstance(v, Fraction) or math.isfinite(v) for v in a.flat)
-
-
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """min objective . y  subject to  constraint_matrix @ y <= rhs, y free.
-
-    The data are float arrays, or object arrays (e.g. of Fractions) when any
-    of the three is given as one, so an exact solve sees the rational data.
-    """
+    """min objective . y  subject to  constraint_matrix @ y <= rhs, y free."""
 
     objective: np.ndarray
     constraint_matrix: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
-        data = (self.objective, self.constraint_matrix, self.rhs)
-        dtype = object if any(np.asarray(a).dtype == object for a in data) else float
-        c = np.asarray(self.objective, dtype=dtype)
-        m = np.atleast_2d(np.asarray(self.constraint_matrix, dtype=dtype))
-        q = np.asarray(self.rhs, dtype=dtype)
+        c = np.asarray(self.objective, dtype=float)
+        m = np.atleast_2d(np.asarray(self.constraint_matrix, dtype=float))
+        q = np.asarray(self.rhs, dtype=float)
         if m.size == 0:
             m = m.reshape(0, c.shape[0])
         if m.shape[1] != c.shape[0] or m.shape[0] != q.shape[0]:
             raise ValueError("inconsistent LP dimensions")
-        if not all(_finite(a) for a in (c, m, q)):
+        if not all(np.isfinite(a).all() for a in (c, m, q)):
             raise ValueError("LP data must be finite")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", m)
@@ -62,51 +48,30 @@ class LpProblem:
 
 @dataclass(frozen=True, eq=False)
 class LpResult:
-    """Solver outcome.  ``point``/``value`` are floats; the exact rational
-    counterparts are populated when the exact flag was set."""
+    """Solver outcome."""
 
     status: str
     value: float
     point: np.ndarray
     basis: tuple
-    exact_value: Optional[Fraction] = None
-    exact_point: Optional[tuple] = None
 
 
-def _pivot(tab, basis, row, col, den):
-    """Pivot on tab[row][col], every row of ``tab`` included; return the new
-    divisor.  ``den`` None means float rows: the pivot row is normalized and
-    eliminated from the others.  Otherwise ``tab`` is an integer tableau
-    whose rows share the divisor ``den`` (each is ``den`` times its rational
-    counterpart): the pivot row stays, every other row becomes
-    (row * piv - row[col] * pivot row) / den, and |piv| is the next divisor
-    (Edmonds 1967; Bareiss 1968).  The division is exact because each entry
-    is a minor of the initial integer tableau, which dropping a row does not
-    change; a negative pivot negates the tableau so that divisors stay
-    positive and every sign test reads the rational sign."""
+def _pivot(tab, basis, row, col):
+    """Pivot on tab[row][col], every row of ``tab`` included: the pivot row
+    is normalized and eliminated from the others."""
     piv = tab[row][col]
     basis[row] = col
-    if den is None:
-        tab[row] = [v / piv for v in tab[row]]
-        prow = tab[row]
-        for i, r in enumerate(tab):
-            if i != row and (f := r[col]) != 0:
-                tab[i] = [a - f * b for a, b in zip(r, prow)]
-        return None
+    tab[row] = [v / piv for v in tab[row]]
     prow = tab[row]
     for i, r in enumerate(tab):
-        if i != row:
-            f = r[col]
-            tab[i] = [(a * piv - f * b) // den for a, b in zip(r, prow)]
-    if piv < 0:
-        tab[:] = [[-v for v in r] for r in tab]
-    return abs(piv)
+        if i != row and (f := r[col]) != 0:
+            tab[i] = [a - f * b for a, b in zip(r, prow)]
 
 
-def _bland(tab, basis, allowed, tol, den):
+def _bland(tab, basis, allowed, tol):
     """Primal simplex iterations with Bland's rule on tableau ``tab`` (rows of
     [A | b], then the reduced-cost row [z | -obj]).  Mutates in place and
-    returns (status, divisor); ratios of an integer tableau are Fractions."""
+    returns the status."""
     cost = tab[-1]
     while True:
         enter = -1
@@ -115,33 +80,31 @@ def _bland(tab, basis, allowed, tol, den):
                 enter = j
                 break
         if enter < 0:
-            return OPTIMAL, den
+            return OPTIMAL
         leave = -1
         best = None
         for i in range(len(tab) - 1):
             a = tab[i][enter]
             if a > tol:
-                ratio = tab[i][-1] / a if den is None else Fraction(tab[i][-1], a)
+                ratio = tab[i][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave < 0:
-            return UNBOUNDED, den
-        den = _pivot(tab, basis, leave, enter, den)
+            return UNBOUNDED
+        _pivot(tab, basis, leave, enter)
         cost = tab[-1]
 
 
-def _solve_inequality_lp(c, M, q, tol, den):
-    """min c.y s.t. M y <= q with free y, in floats (``den`` None) or on an
-    integer tableau (``den`` 1; c, M and q integers, see ``lp_solve``).
+def _solve_inequality_lp(c, M, q, tol):
+    """min c.y s.t. M y <= q with free y, on lists of floats.
 
-    Returns (status, y, basis); y holds Fractions on the integer tableau.
+    Returns (status, y, basis).
     """
     m = len(c)
     p = len(q)
-    zero = 0.0 if den is None else 0
     if p == 0:
-        return (OPTIMAL if not any(c) else UNBOUNDED), [zero] * m, ()
+        return (OPTIMAL if not any(c) else UNBOUNDED), [0.0] * m, ()
 
     # columns: y+ (m) | y- (m) | slack (p) | artificials (appended as needed)
     ncols = 2 * m + p
@@ -149,14 +112,14 @@ def _solve_inequality_lp(c, M, q, tol, den):
     basis = []
     art_cols = []
     for i in range(p):
-        row = list(M[i]) + [-v for v in M[i]] + [zero] * p
+        row = list(M[i]) + [-v for v in M[i]] + [0.0] * p
         rhs = q[i]
-        row[2 * m + i] = zero + 1
-        if rhs < zero:
+        row[2 * m + i] = 1.0
+        if rhs < 0.0:
             row = [-v for v in row]
             rhs = -rhs
         tab.append(row + [rhs])
-        if row[2 * m + i] > zero:  # slack usable as initial basic
+        if row[2 * m + i] > 0.0:  # slack usable as initial basic
             basis.append(2 * m + i)
         else:
             basis.append(-1)
@@ -168,26 +131,26 @@ def _solve_inequality_lp(c, M, q, tol, den):
     ntot = ncols + len(art_cols)
     for i in range(p):
         row = tab[i]
-        ext = [zero] * len(art_cols) + [row.pop()]
+        ext = [0.0] * len(art_cols) + [row.pop()]
         tab[i] = row + ext
         if basis[i] >= ncols:
-            tab[i][basis[i]] = zero + 1
+            tab[i][basis[i]] = 1.0
 
     if art_cols:
-        cost = [zero] * (ntot + 1)
+        cost = [0.0] * (ntot + 1)
         for col in art_cols:
-            cost[col] = zero + 1
+            cost[col] = 1.0
         for i in range(p):
             if basis[i] in art_cols:
                 f = cost[basis[i]]
                 cost = [a - f * b for a, b in zip(cost, tab[i])]
         tab.append(cost)
-        status, den = _bland(tab, basis, range(ntot), tol, den)
+        status = _bland(tab, basis, range(ntot), tol)
         assert status == OPTIMAL  # phase 1 is always bounded
         cost = tab.pop()
-        scale = max((abs(v) for v in (list(q) + [zero])), default=zero)
+        scale = max((abs(v) for v in (list(q) + [0.0])), default=0.0)
         if -cost[-1] > tol * (1 + scale):
-            return INFEASIBLE, [zero] * m, ()
+            return INFEASIBLE, [0.0] * m, ()
         # Drive leftover artificials out of the basis; drop redundant rows.
         for i in range(p - 1, -1, -1):
             if basis[i] in art_cols:
@@ -197,82 +160,41 @@ def _solve_inequality_lp(c, M, q, tol, den):
                         piv = j
                         break
                 if piv >= 0:
-                    den = _pivot(tab, basis, i, piv, den)
+                    _pivot(tab, basis, i, piv)
                 else:
                     tab.pop(i)
                     basis.pop(i)
 
-    # the reduced costs, scaled by the divisor on an integer tableau
-    cost = list(c) + [-v for v in c] + [zero] * (len(tab[0]) - 2 * m - 1) + [zero]
-    if den is not None:
-        cost = [den * v for v in cost]
+    cost = list(c) + [-v for v in c] + [0.0] * (len(tab[0]) - 2 * m - 1) + [0.0]
     for i in range(len(tab)):
-        f = cost[basis[i]] if den is None else cost[basis[i]] // den
+        f = cost[basis[i]]
         if f != 0:
             cost = [a - f * b for a, b in zip(cost, tab[i])]
     tab.append(cost)
-    status, den = _bland(tab, basis, range(ncols), tol, den)
+    status = _bland(tab, basis, range(ncols), tol)
     tab.pop()
     if status == UNBOUNDED:
-        return UNBOUNDED, [zero] * m, tuple(basis)
+        return UNBOUNDED, [0.0] * m, tuple(basis)
 
-    z = [zero] * len(tab[0])
+    z = [0.0] * len(tab[0])
     for i, b in enumerate(basis):
-        z[b] = tab[i][-1] if den is None else Fraction(tab[i][-1], den)
+        z[b] = tab[i][-1]
     return OPTIMAL, [z[j] - z[m + j] for j in range(m)], tuple(basis)
 
 
-def _integers(rows):
-    """Rows of Python ints, floats or Fractions times their least common
-    denominator: Python ints."""
-    rows = [[v.as_integer_ratio() for v in r] for r in rows]
-    lcd = math.lcm(*(d for r in rows for _, d in r))
-    return [[n * (lcd // d) for n, d in r] for r in rows]
-
-
-def lp_solve(prob: LpProblem, exact: bool = False, feas_tol: float = _FEAS_TOL) -> LpResult:
-    """Solve ``prob`` by two-phase simplex with Bland's rule.
-
-    With ``exact`` the pivots run on an integer tableau and the exact optimum
-    is reported alongside its float rendering.  The constraint rows are
-    scaled by one common denominator and the objective by its own; positive
-    scalings of all rows, of the objective and (for the slack columns, whose
-    coefficient stays 1) of columns change no sign and scale every ratio of a
-    ratio test alike, so Bland's rule takes the pivots, and reaches the
-    basis, of the same solve in rational arithmetic.  Integer pivoting keeps
-    every entry a minor of the scaled data: the tableau holds Python ints of
-    a bounded size and never a Fraction; only the ratio test and the
-    returned point divide.
-    """
-    if exact:
-        c = [Fraction(v) for v in prob.objective.tolist()]
-        A = _integers([row + [b] for row, b in zip(prob.constraint_matrix.tolist(), prob.rhs.tolist())])
-        status, y, basis = _solve_inequality_lp(
-            _integers([c])[0], [r[:-1] for r in A], [r[-1] for r in A], 0, 1)
-        y = [Fraction(v) for v in y]
-        value = sum(ci * yi for ci, yi in zip(c, y)) if status == OPTIMAL else Fraction(0)
-        return LpResult(
-            status=status,
-            value=float(value),
-            point=np.array([float(v) for v in y]),
-            basis=basis,
-            exact_value=value if status == OPTIMAL else None,
-            exact_point=tuple(y) if status == OPTIMAL else None,
-        )
-    c = np.asarray(prob.objective, dtype=float).tolist()
-    M = np.asarray(prob.constraint_matrix, dtype=float).tolist()
-    q = np.asarray(prob.rhs, dtype=float).tolist()
-    status, y, basis = _solve_inequality_lp(c, M, q, feas_tol, None)
+def lp_solve(prob: LpProblem, feas_tol: float = _FEAS_TOL) -> LpResult:
+    """Solve ``prob`` by two-phase simplex with Bland's rule in floats."""
+    c = prob.objective.tolist()
+    status, y, basis = _solve_inequality_lp(c, prob.constraint_matrix.tolist(), prob.rhs.tolist(), feas_tol)
     value = sum(ci * yi for ci, yi in zip(c, y)) if status == OPTIMAL else 0.0
     return LpResult(status=status, value=float(value), point=np.array(y, dtype=float), basis=basis)
 
 
-def bounding_box(M, q, exact: bool = False, feas_tol: float = _FEAS_TOL):
+def bounding_box(M, q, feas_tol: float = _FEAS_TOL):
     """Per-coordinate bounds (lo, hi) of {y : M y <= q} from 2 * dim LPs.
 
     Raises ``Infeasible`` for an empty system and ``Unbounded`` along the
-    first coordinate direction it recedes in; ``exact`` runs the LPs in
-    rational arithmetic.
+    first coordinate direction it recedes in.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     m = M.shape[1]
@@ -281,12 +203,12 @@ def bounding_box(M, q, exact: bool = False, feas_tol: float = _FEAS_TOL):
     for i in range(m):
         e = np.zeros(m)
         e[i] = 1.0
-        res_min = lp_solve(LpProblem(e, M, q), exact=exact, feas_tol=feas_tol)
+        res_min = lp_solve(LpProblem(e, M, q), feas_tol=feas_tol)
         if res_min.status == INFEASIBLE:
             raise Infeasible("inequality system has no solution")
         if res_min.status == UNBOUNDED:
             raise Unbounded(f"recession direction along -e_{i}")
-        res_max = lp_solve(LpProblem(-e, M, q), exact=exact, feas_tol=feas_tol)
+        res_max = lp_solve(LpProblem(-e, M, q), feas_tol=feas_tol)
         if res_max.status == UNBOUNDED:
             raise Unbounded(f"recession direction along +e_{i}")
         lo[i] = res_min.value

@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,7 +59,7 @@ class Tolerances:
     rng_seed: int = 20250810
 
     def __post_init__(self):
-        if self.feas_tol <= 0 or self.rank_tol <= 0 or self.sphere_nodes <= 0:
+        if not (self.feas_tol > 0 and self.rank_tol > 0 and self.sphere_nodes > 0):  # NaN too
             raise ValueError("tolerances must be strictly positive")
 
 
@@ -70,11 +70,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
     a.setflags(write=False)
     return a
-
-
-def _rational(a) -> np.ndarray:
-    """Element-wise Fraction copy (object dtype) of a float array."""
-    return np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,13 +416,14 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
 # incremental halfspace clipping (double-description style)
 
 
-def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
+def _clip(V: np.ndarray, base_rows, new_rows, tol: float, then=None):
     """Clip the float polytope with vertex array ``V`` (full-dimensional in
-    its d coordinates, described by ``base_rows``) with ``new_rows``; None
-    when empty.  Double description (Fukuda & Prodon 1996): a new row keeps
-    the vertices it does not cut off and adds the cut point of every
-    inside/outside pair spanning an edge, all pairs of the row in one array
-    computation.  Rows are normalized and slacks compared with ``tol``; at
+    its d coordinates, described by ``base_rows``) with ``new_rows``, then,
+    if ``then`` is given, with the rows it returns for the vertices at that
+    point; None when empty.  Double description (Fukuda & Prodon 1996): a
+    new row keeps the vertices it does not cut off and adds the cut point of
+    every inside/outside pair spanning an edge, all pairs of the row in one
+    array computation.  Rows are normalized and slacks compared with ``tol``; at
     each row that cuts, ``_float_edges`` (shared with ``_slab_pieces``)
     recomputes the active matrix and tests the pairs.  The exact rule is
     ``_clip_exact``'s.
@@ -445,34 +441,35 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
     N = np.array([r[0] for r in base_rows], dtype=float).reshape(-1, d)
     C = np.array([r[1] for r in base_rows], dtype=float)
     new, cut = 0, False  # points not yet checked for a merge; whether a row cut
-    for nrm, off in new_rows:
-        nrm = np.asarray(nrm, dtype=float)
-        ln = float(np.linalg.norm(nrm))
-        if ln <= 1e-14:  # a zero row holds everywhere or nowhere
-            if off < -tol:
+    for stage in (new_rows, then):
+        for nrm, off in stage(V) if callable(stage) else stage or ():
+            nrm = np.asarray(nrm, dtype=float)
+            ln = float(np.linalg.norm(nrm))
+            if ln <= 1e-14:  # a zero row holds everywhere or nowhere
+                if off < -tol:
+                    return None
+                continue
+            if new:  # would a dedup after the last cut merge anything?
+                reach = 2.0 * _merge_distance(V, tol)
+                diff = V[-new:, None] - V[None]
+                if np.count_nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach) > new:
+                    V = _dedup_points(V, reach / 2.0)
+                new = 0
+            nrm = nrm / ln
+            off = off / ln
+            s = off - V @ nrm
+            out = s < -tol
+            if out.all():
                 return None
-            continue
-        if new:  # would a dedup after the last cut merge anything?
-            reach = 2.0 * _merge_distance(V, tol)
-            diff = V[-new:, None] - V[None]
-            if np.count_nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach) > new:
-                V = _dedup_points(V, reach / 2.0)
-            new = 0
-        nrm = nrm / ln
-        off = off / ln
-        s = off - V @ nrm
-        out = s < -tol
-        if out.all():
-            return None
-        if out.any():
-            I, J = np.nonzero(s > tol)[0], np.nonzero(out)[0]
-            i, j = np.repeat(I, len(J)), np.tile(J, len(I))
-            ok = _float_edges(V, N, C, i, j, tol)
-            i, j = i[ok], j[ok]
-            P = V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])
-            V = np.vstack([V[~out], P])
-            new, cut = (len(P) if cut else len(V)), True
-        N, C = np.vstack([N, nrm]), np.append(C, off)
+            if out.any():
+                I, J = np.nonzero(s > tol)[0], np.nonzero(out)[0]
+                i, j = np.repeat(I, len(J)), np.tile(J, len(I))
+                ok = _float_edges(V, N, C, i, j, tol)
+                i, j = i[ok], j[ok]
+                P = V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])
+                V = np.vstack([V[~out], P])
+                new, cut = (len(P) if cut else len(V)), True
+            N, C = np.vstack([N, nrm]), np.append(C, off)
     return _dedup_points(V, _merge_distance(V, tol)) if cut else V
 
 
@@ -532,10 +529,18 @@ def _slab_pieces(V: np.ndarray, rows, u: np.ndarray, g: np.ndarray, tol: float) 
     return pieces
 
 
+def _integers(rows):
+    """Rows of Python ints, floats or Fractions times their least common
+    denominator: Python ints."""
+    rows = [[v.as_integer_ratio() for v in r] for r in rows]
+    lcd = math.lcm(*(d for r in rows for _, d in r))
+    return [[n * (lcd // d) for n, d in r] for r in rows]
+
+
 def _int_row(nrm, off) -> list:
     """The row nrm . y <= off as coprime integers (-a, b) with the same
     solutions, so the slack of a homogeneous vertex (X, w) is (-a, b) . (X, w)."""
-    z = convexsolve._integers([[*np.asarray(nrm).tolist(), off]])[0]
+    z = _integers([[*np.asarray(nrm).tolist(), off]])[0]
     g = math.gcd(*z) or 1
     return [-v // g for v in z[:-1]] + [z[-1] // g]
 
@@ -557,10 +562,11 @@ def _int_dtype(H: np.ndarray, rows) -> type:
     return np.int64 if max((sum(map(abs, r)) for r in rows), default=0) * m * m < 2**62 else object
 
 
-def _clip_exact(H: np.ndarray, base_rows, new_rows):
+def _clip_exact(H: np.ndarray, base_rows, new_rows, then=None):
     """``_clip`` in exact arithmetic on homogeneous integer vertices
     H = (X, w), w > 0, which must be the vertex set (box corners are), with
-    rows (-a, b) as from ``_int_row``; returns (H, act) or None.
+    rows (-a, b) as from ``_int_row`` (``then`` maps H to such rows); returns
+    (H, act) or None.
 
     The slacks of a row are s = H @ (-a, b) = b w - X a, of the sign of the
     rational slacks; the cut point of an inside/outside pair (i, j) is
@@ -577,32 +583,50 @@ def _clip_exact(H: np.ndarray, base_rows, new_rows):
     R = np.array(base_rows, dtype=object).reshape(-1, d + 1)
     dt = _int_dtype(H, base_rows)
     act = H.astype(dt) @ R.astype(dt).T == 0
-    for r in new_rows:
-        if not any(r[:-1]):  # a zero row holds everywhere or nowhere
-            if r[-1] < 0:
+    for stage in (new_rows, then):
+        for r in stage(H) if callable(stage) else stage or ():
+            if not any(r[:-1]):  # a zero row holds everywhere or nowhere
+                if r[-1] < 0:
+                    return None
+                continue
+            dt = _int_dtype(H, [r])
+            H = H.astype(dt, copy=False)
+            s = H @ np.array(r, dtype=dt)
+            out = s < 0
+            if out.all():
                 return None
-            continue
-        dt = _int_dtype(H, [r])
-        H = H.astype(dt, copy=False)
-        s = H @ np.array(r, dtype=dt)
-        out = s < 0
-        if out.all():
-            return None
-        I, J = np.nonzero(s > 0)[0], np.nonzero(out)[0]
-        common = act[I][:, None] & act[J][None]
-        ok = common.sum(axis=2) >= d - 1
-        if d > 2 and ok.any():
-            cand = common[ok]
-            on_all = cand.astype(np.int64) @ act.T == cand.sum(axis=1)[:, None]
-            ok[ok] = on_all.sum(axis=1) == 2
-        ii, jj = np.nonzero(ok)
-        i, j = I[ii], J[jj]
-        P = s[i, None] * H[j] - s[j, None] * H[i]
-        P //= np.gcd.reduce(P, axis=1)[:, None]
-        H = np.vstack([H[~out], P])
-        act = np.vstack([np.column_stack([act[~out], s[~out] == 0]),
-                         np.column_stack([common[ii, jj], np.ones(len(i), bool)])])
+            I, J = np.nonzero(s > 0)[0], np.nonzero(out)[0]
+            common = act[I][:, None] & act[J][None]
+            ok = common.sum(axis=2) >= d - 1
+            if d > 2 and ok.any():
+                cand = common[ok]
+                on_all = cand.astype(np.int64) @ act.T == cand.sum(axis=1)[:, None]
+                ok[ok] = on_all.sum(axis=1) == 2
+            ii, jj = np.nonzero(ok)
+            i, j = I[ii], J[jj]
+            P = s[i, None] * H[j] - s[j, None] * H[i]
+            P //= np.gcd.reduce(P, axis=1)[:, None]
+            H = np.vstack([H[~out], P])
+            act = np.vstack([np.column_stack([act[~out], s[~out] == 0]),
+                             np.column_stack([common[ii, jj], np.ones(len(i), bool)])])
     return H, act
+
+
+def _least(H: np.ndarray, c) -> Fraction:
+    """min c . X / w over the homogeneous integer vertices (X, w) of H, exactly."""
+    *num, den = _integers([[*np.asarray(c).tolist(), 1.0]])[0]  # c = num / den
+    vals = (H[:, :-1].astype(object) @ np.array(num, dtype=object)).tolist()
+    return min(Fraction(v, w * den) for v, w in zip(vals, H[:, -1].tolist()))
+
+
+def _objective_rows(c, cut, exact: bool, V: np.ndarray) -> list:
+    """The rows c . y <= v + cut, and c . y >= v when cut is 0, where v is the
+    least c . y over the vertices V: the float minimum of V @ c, or with
+    ``exact`` the exact one over homogeneous integer vertices, the rows then
+    as from ``_int_row``."""
+    v, cut = (_least(V, c), Fraction(cut)) if exact else (float(np.min(V @ c)), cut)
+    rows = [(c, v), (-c, -v)] if cut == 0 else [(c, v + cut)]
+    return [_int_row(*r) for r in rows] if exact else rows
 
 
 def _box_rows(lo, hi):
@@ -626,25 +650,32 @@ def _box_corners(lo, hi):
     return np.array(list(itertools.product(*zip(lo, hi))))
 
 
-def clip_with_box(box_lo, box_hi, rows, tol: Tolerances, strict_rank: bool = True) -> Optional[Polytope]:
+def clip_with_box(box_lo, box_hi, rows, tol: Tolerances, strict_rank: bool = True,
+                  objective=None) -> Optional[Polytope]:
     """Vertex-enumerate {y : rows} inside a known bounding box; None if empty.
 
     Rows whose offsets are Fractions are clipped exactly (``_clip_exact``)
     from the box widened to integers, on homogeneous integer vertices that
     are divided into floats only here, each rounded as float(Fraction) would
     round it (``_to_float``).
+
+    ``objective`` (c, cut) continues the same clip with c . y <= v + cut, and
+    c . y >= v when cut is 0, where v is the least c . y over the vertices of
+    {y : rows} (``_objective_rows``): exact when the rows are.
     """
     box_lo = np.asarray(box_lo, dtype=float)
     box_hi = np.asarray(box_hi, dtype=float)
-    if any(isinstance(off, Fraction) for _, off in rows):
+    exact = any(isinstance(off, Fraction) for _, off in rows)
+    then = None if objective is None else partial(_objective_rows, *objective, exact)
+    if exact:
         lo = [math.floor(v) - 1 for v in box_lo]
         hi = [math.ceil(v) + 1 for v in box_hi]
         H = np.array([[*c, 1] for c in itertools.product(*zip(lo, hi))], dtype=object)
-        out = _clip_exact(H, [_int_row(*r) for r in _box_rows(lo, hi)], [_int_row(*r) for r in rows])
+        out = _clip_exact(H, [_int_row(*r) for r in _box_rows(lo, hi)], [_int_row(*r) for r in rows], then)
         V = None if out is None else _to_float(out[0])
     else:
         lo, hi = box_lo - 1.0, box_hi + 1.0
-        V = _clip(_box_corners(lo, hi), _box_rows(lo, hi), rows, tol.feas_tol)
+        V = _clip(_box_corners(lo, hi), _box_rows(lo, hi), rows, tol.feas_tol, then)
     if V is None:
         return None
     return _build_polytope(V, tol, strict_rank=strict_rank)
@@ -662,19 +693,16 @@ def from_vrep(points: Sequence, tol: Tolerances = DEFAULT_TOL) -> Polytope:
     return _build_polytope(pts, tol)
 
 
-def from_hrep(M: Sequence, q: Sequence, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
+def from_hrep(M: Sequence, q: Sequence, tol: Tolerances = DEFAULT_TOL) -> Polytope:
     """Polytope from inequality rows M y <= q.
 
     Feasibility and boundedness are certified by 2m LPs; the vertex set is
     then enumerated by incremental halfspace clipping of the certified
-    bounding box.  ``exact`` runs the LPs and the clipping in rational
-    arithmetic before rounding the vertices to floats.
+    bounding box.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     q = np.asarray(q, dtype=float)
-    lo, hi = convexsolve.bounding_box(M, q, exact=exact, feas_tol=tol.feas_tol)
-    if exact:
-        M, q = _rational(M), _rational(q)
+    lo, hi = convexsolve.bounding_box(M, q, feas_tol=tol.feas_tol)
     poly = clip_with_box(lo, hi, list(zip(M, q)), tol)
     if poly is None:
         raise Infeasible("inequality system has no solution")

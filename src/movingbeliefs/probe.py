@@ -182,12 +182,14 @@ def sweep_phi(
     n = len(grid)
     fd = np.full(n, np.nan)
     for i in range(1, n - 1):
-        fd[i] = (vals[i + 1] - vals[i - 1]) / (grid[i + 1] - grid[i - 1])
+        h = grid[i + 1] - grid[i - 1]
+        fd[i] = (vals[i + 1] - vals[i - 1]) / h if h != 0 else np.nan
     ratio = np.full(n, np.nan)
     for i in range(1, n):
         d = sv.param_distance(spec, grid[i - 1], grid[i])
         ratio[i] = abs(vals[i] - vals[i - 1]) / d if d > 0 else np.nan
-    max_ratio = float(np.nanmax(ratio)) if n > 1 else 0.0
+    seen = ratio[~np.isnan(ratio)]  # none on a single point or on coincident points
+    max_ratio = float(seen.max()) if seen.size else 0.0
     pw = None
     if pairwise:
         pw = np.zeros((n, n))

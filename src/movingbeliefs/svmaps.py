@@ -22,10 +22,14 @@ from .errors import (
     DimensionDrift,
     DomainViolation,
     ParameterInfeasible,
-    Unbounded,
     ZeroDenominator,
 )
 from .geomkernel import DEFAULT_TOL, AffineFrame, Polytope, Tolerances
+
+
+def _rational(a) -> np.ndarray:
+    """Element-wise Fraction copy (object dtype) of a float array."""
+    return np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=float))
 
 
 def _as_param(x) -> tuple:
@@ -89,41 +93,32 @@ def _linear_fiber(spec: BilevelLinearSpec, x, tol: Tolerances, exact: bool, cut:
 
     ``cut`` None keeps the whole fiber; 0 pins c.y to the optimal value v(x)
     from both sides (the optimal face); a positive cut keeps
-    c.y <= v(x) + cut.  With ``exact`` the rows, v(x) and the clipping are
-    rational, and the vertices keep the rank-band check.  Only b - A x is
-    made of Fractions (its float would round): the LP and the clipper read
-    the float entries of B and c exactly, and Fraction offsets select the
-    exact clip.
+    c.y <= v(x) + cut.  The fiber rows are clipped once: v(x) is the least
+    c.y over the vertices they leave, and the same clip goes on with the cut
+    rows (``gk.clip_with_box``'s objective).  With ``exact`` the rows, v(x)
+    and the clipping are rational, and the vertices keep the rank-band
+    check.  Only b - A x is made of Fractions (its float would round): the
+    clipper reads the float entries of B and c exactly, and Fraction offsets
+    select the exact clip.  An empty fiber raises ``ParameterInfeasible``.
     """
     x = _as_param(x)
-    B, r, c = spec.b_matrix, spec.rhs - spec.a_matrix @ np.asarray(x), spec.cost
+    r = spec.rhs - spec.a_matrix @ np.asarray(x)
     if exact:
-        r = gk._rational(spec.rhs) - gk._rational(spec.a_matrix) @ gk._rational(x)
-    rows = list(zip(B, r))
-    if cut is not None:
-        res = convexsolve.lp_solve(convexsolve.LpProblem(c, B, r), exact=exact, feas_tol=tol.feas_tol)
-        if res.status == convexsolve.INFEASIBLE:
-            raise ParameterInfeasible(f"no feasible response at parameter {x}")
-        if res.status == convexsolve.UNBOUNDED:  # impossible once boundedness is certified
-            raise Unbounded("lower level unbounded despite certification")
-        v = res.exact_value if exact else res.value
-        if cut == 0:
-            rows += [(c, v), (-c, -v)]
-        else:
-            rows.append((c, v + (Fraction(cut) if exact else cut)))
+        r = _rational(spec.rhs) - _rational(spec.a_matrix) @ _rational(x)
     lo, hi = spec.y_box
-    poly = gk.clip_with_box(lo, hi, rows, tol, strict_rank=exact)
+    objective = None if cut is None else (spec.cost, cut)
+    poly = gk.clip_with_box(lo, hi, list(zip(spec.b_matrix, r)), tol, strict_rank=exact, objective=objective)
     if poly is None:
-        raise ParameterInfeasible(f"empty image at parameter {x}")
+        raise ParameterInfeasible(f"no feasible response at parameter {x}")
     return poly
 
 
 def bilevel_solution(spec: BilevelLinearSpec, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
     """Optimal-face polytope of the lower level at parameter x.
 
-    The optimal value is turned into a two-sided cut; with ``exact`` the value
-    and the cut are rational, so degenerate faces are captured without
-    tolerance slack.
+    The optimal value, read off the fiber's vertices, is turned into a
+    two-sided cut; with ``exact`` the value and the cut are rational, so
+    degenerate faces are captured without tolerance slack.
     """
     return _linear_fiber(spec, x, tol, exact, cut=0.0)
 

@@ -136,6 +136,31 @@ class TestExampleCommand:
         assert "rows" in payload
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tol", "-1"],
+            ["--tol", "0"],
+            ["--tol", "nan"],
+            ["--grid", "a:b:c"],
+            ["--grid", "0:1:2.5"],
+            ["--grid", "1:0.1:0"],
+            ["--grid", "log:-1:1:5"],
+            ["--grid", "0:1"],
+        ],
+    )
+    def test_bad_tol_or_grid_is_usage_error(self, runner, flags):
+        res = runner.invoke(cli.main, ["example", "qmap", *flags])
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert f"Invalid value for '{flags[0]}'" in res.output
+
+    def test_coincident_grid_points_report_zero_ratio(self, runner):
+        res = runner.invoke(cli.main, ["example", "qmap", "--grid", "0.5:0.5:3", "--format", "json"])
+        assert res.exit_code == 0
+        assert strict_json(res.stdout)["max_ratio"] == 0.0
+
+
 class TestVerifyCommand:
     def test_body_suite(self, runner):
         res = runner.invoke(cli.main, ["verify", "body", "--samples", "40", "--seed", "7"])
@@ -168,6 +193,14 @@ class TestVerifyCommand:
         bad.write_text(json.dumps({"version": "1"}))
         res = runner.invoke(cli.main, ["verify", "tv-bound", str(bad)])
         assert res.exit_code == 2
+
+    def test_nan_tolerance_in_problem_file_exits_2(self, runner, tmp_path):
+        # json reads the NaN token, and the schema's exclusiveMinimum lets it through
+        problem = tmp_path / "nan_tol.json"
+        problem.write_text(json.dumps({**toy_problem([1.0, 0.0]), "tolerances": {"feas_tol": float("nan")}}))
+        res = runner.invoke(cli.main, ["bilevel", str(problem)])
+        assert res.exit_code == 2
+        assert "precondition error" in res.stderr
 
     def test_sandwich_problem_file_with_anchor(self, runner, tmp_path):
         problem = tmp_path / "sandwich.json"

@@ -1,7 +1,5 @@
 """LP engine tests: simplex statuses, strong duality, Wolfe projections, and
-the integer-pivot exact simplex against a Fraction reference."""
-
-from fractions import Fraction
+the simplex against a reference implementation, bit for bit."""
 
 import numpy as np
 import pytest
@@ -48,15 +46,6 @@ def test_no_constraints():
     assert cs.lp_solve(cs.LpProblem(np.ones(2), np.zeros((0, 2)), np.zeros(0))).status == cs.UNBOUNDED
 
 
-def test_exact_mode_reports_rationals():
-    res = cs.lp_solve(
-        cs.LpProblem(np.array([1.0, 0.0]), UNIT_SQUARE_M, UNIT_SQUARE_Q), exact=True
-    )
-    assert res.status == cs.OPTIMAL
-    assert res.exact_value == 0
-    assert res.exact_point is not None
-
-
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
     st.integers(min_value=2, max_value=4),
@@ -81,19 +70,6 @@ def test_strong_duality_on_random_bounded_instances(seed, m, extra_rows):
     dual = cs.lp_solve(cs.LpProblem(q, dual_M, dual_q))
     assert dual.status == cs.OPTIMAL
     assert -dual.value == pytest.approx(primal.value, abs=1e-8)
-
-
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_exact_and_float_modes_agree(seed):
-    rng = np.random.default_rng(seed)
-    m = 3
-    M = np.vstack([np.eye(m), -np.eye(m), rng.normal(size=(2, m))])
-    q = np.concatenate([np.full(2 * m, 1.0), rng.random(2) + 0.5])
-    c = rng.normal(size=m)
-    a = cs.lp_solve(cs.LpProblem(c, M, q))
-    b = cs.lp_solve(cs.LpProblem(c, M, q), exact=True)
-    assert a.status == b.status == cs.OPTIMAL
-    assert a.value == pytest.approx(b.value, abs=1e-9)
 
 
 class TestMinNormPoint:
@@ -131,19 +107,18 @@ class TestMinNormPoint:
         assert np.min(pts @ x) >= x @ x - 1e-7 * (1 + np.abs(pts).max() ** 2)
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_bounding_box_certifies(exact):
-    lo, hi = cs.bounding_box(np.vstack([UNIT_SQUARE_M, [[1.0, 1.0]]]), np.append(UNIT_SQUARE_Q, 1.5), exact=exact)
+def test_bounding_box_certifies():
+    lo, hi = cs.bounding_box(np.vstack([UNIT_SQUARE_M, [[1.0, 1.0]]]), np.append(UNIT_SQUARE_Q, 1.5))
     assert lo.tolist() == [0.0, 0.0]
     assert hi.tolist() == [1.0, 1.0]
     with pytest.raises(Infeasible):
-        cs.bounding_box(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]), exact=exact)
+        cs.bounding_box(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
     with pytest.raises(Unbounded):
-        cs.bounding_box(UNIT_SQUARE_M[:3], UNIT_SQUARE_Q[:3], exact=exact)
+        cs.bounding_box(UNIT_SQUARE_M[:3], UNIT_SQUARE_Q[:3])
 
 
 # ---------------------------------------------------------------------------
-# the integer tableau against a reference simplex in Fraction (and float) arithmetic
+# the simplex against a reference implementation
 
 
 def _ref_pivot(tab, basis, row, col):
@@ -190,8 +165,8 @@ def _ref_bland(tab, cost, basis, allowed, tol):
 
 
 def _ref_solve(c, M, q, tol, zero, events):
-    """The two-phase Bland simplex on one scalar type (float or Fraction);
-    ``events`` records what the drive-out of leftover artificials did."""
+    """The two-phase Bland simplex on one scalar type; ``events`` records
+    what the drive-out of leftover artificials did."""
     m = len(c)
     p = len(q)
     if p == 0:
@@ -274,57 +249,16 @@ def _ref_solve(c, M, q, tol, zero, events):
     return cs.OPTIMAL, value, y, tuple(basis)
 
 
-def _ref_lp(prob, exact=False, feas_tol=cs._FEAS_TOL, events=None):
-    """lp_solve on the reference simplex, Fractions when ``exact``:
-    (status, value, point, basis, exact_value, exact_point)."""
+def _ref_lp(prob, feas_tol=cs._FEAS_TOL, events=None):
+    """lp_solve on the reference simplex: (status, value, point, basis)."""
     events = [] if events is None else events
-    if exact:
-        c = [Fraction(v) for v in prob.objective.tolist()]
-        M = [[Fraction(v) for v in row] for row in prob.constraint_matrix.tolist()]
-        q = [Fraction(v) for v in prob.rhs.tolist()]
-        status, value, y, basis = _ref_solve(c, M, q, Fraction(0), Fraction(0), events)
-        opt = status == cs.OPTIMAL
-        return (status, float(value), [float(v) for v in y], basis,
-                value if opt else None, tuple(y) if opt else None)
     c, M, q = (np.asarray(a, dtype=float).tolist() for a in (prob.objective, prob.constraint_matrix, prob.rhs))
     status, value, y, basis = _ref_solve(c, M, q, feas_tol, 0.0, events)
-    return status, float(value), [float(v) for v in y], basis, None, None
+    return status, float(value), [float(v) for v in y], basis
 
 
 def _result(res):
-    return (res.status, res.value, res.point.tolist(), res.basis, res.exact_value, res.exact_point)
-
-
-def _rational_lp(rng, m, p, redundant):
-    """Rows around a box, some with negative right-hand sides, entries in
-    small rationals; ``redundant`` repeats and rescales some rows."""
-    den = rng.choice([1, 2, 3, 4, 7], (p, m + 1))
-    num = rng.integers(-6, 7, (p, m + 1))
-    M = [[Fraction(int(a), int(b)) for a, b in zip(num[i, :m], den[i, :m])] for i in range(p)]
-    q = [Fraction(int(num[i, m]), int(den[i, m])) for i in range(p)]
-    M += [[Fraction(int(k == j) * s) for k in range(m)] for j in range(m) for s in (1, -1)]
-    q += [Fraction(3)] * (2 * m)
-    if redundant:
-        for i in rng.integers(0, len(M), 2):
-            f = Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-            M.append([f * v for v in M[i]])
-            q.append(f * q[i])
-    c = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(-5, 6, m), rng.choice([1, 2, 3, 5], m))]
-    return cs.LpProblem(*(np.array(a, dtype=object) for a in (c, M, q)))
-
-
-@pytest.mark.parametrize("redundant", (False, True))
-def test_integer_pivots_match_fraction_reference(redundant):
-    """Status, basis, exact value and exact point equal the Fraction solve
-    on random rational LPs, feasible or not."""
-    rng = np.random.default_rng(31 + redundant)
-    statuses = set()
-    for _ in range(150):
-        prob = _rational_lp(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)), redundant)
-        want = _ref_lp(prob, exact=True)
-        assert _result(cs.lp_solve(prob, exact=True)) == want
-        statuses.add(want[0])
-    assert statuses == {cs.OPTIMAL, cs.INFEASIBLE}
+    return (res.status, res.value, res.point.tolist(), res.basis)
 
 
 def test_float_pivots_match_reference_bit_for_bit():
@@ -338,32 +272,34 @@ def test_float_pivots_match_reference_bit_for_bit():
 
 def test_beale_cycling_example():
     """Beale (1955): the textbook rule cycles here; Bland's rule reaches the
-    optimum -5/4 at x = (1, 0, 1, 0) in both arithmetics."""
-    F = Fraction
-    A = [[F(1, 4), F(-8), F(-1), F(9)], [F(1, 2), F(-12), F(-1, 2), F(3)], [F(0), F(0), F(1), F(0)]]
-    M = A + [[F(-int(k == j)) for k in range(4)] for j in range(4)]
-    q = [F(0), F(0), F(1)] + [F(0)] * 4
-    c = [F(-3, 4), F(20), F(-1, 2), F(6)]
-    prob = cs.LpProblem(np.array(c, dtype=object), np.array(M, dtype=object), np.array(q, dtype=object))
-    res = cs.lp_solve(prob, exact=True)
-    assert _result(res) == _ref_lp(prob, exact=True)
-    assert res.exact_value == F(-5, 4) and res.exact_point == (1, 0, 1, 0)
+    optimum -5/4 at x = (1, 0, 1, 0), up to the rounding of the pivots."""
+    A = [[1 / 4, -8, -1, 9], [1 / 2, -12, -1 / 2, 3], [0, 0, 1, 0]]
+    M = A + [[-float(k == j) for k in range(4)] for j in range(4)]
+    q = [0, 0, 1] + [0] * 4
+    c = [-3 / 4, 20, -1 / 2, 6]
+    prob = cs.LpProblem(np.array(c), np.array(M), np.array(q))
+    res = cs.lp_solve(prob)
+    assert _result(res) == _ref_lp(prob)
+    assert res.point == pytest.approx([1, 0, 1, 0], abs=1e-15)
+    assert res.value == pytest.approx(-5 / 4, abs=1e-15)
 
 
 @pytest.mark.parametrize(
     "c,M,q,status",
     [
-        ([1], [[1], [-1]], [Fraction(1, 3), Fraction(-1, 2)], cs.INFEASIBLE),  # y <= 1/3 and y >= 1/2
-        ([1, 1], [[-1, 0], [0, -1], [1, 1]], [Fraction(-1, 3), 0, Fraction(1, 7)], cs.INFEASIBLE),
-        ([-1, 0], [[-1, 0], [0, 1], [0, -1]], [Fraction(1, 3), 1, 0], cs.UNBOUNDED),
-        ([0, -1], [[-1, 0], [1, -1]], [Fraction(-2, 3), 0], cs.UNBOUNDED),  # needs phase 1 first
+        ([1], [[1], [-1]], [1 / 3, -1 / 2], cs.INFEASIBLE),  # y <= 1/3 and y >= 1/2
+        ([1, 1], [[-1, 0], [0, -1], [1, 1]], [-1 / 3, 0, 1 / 7], cs.INFEASIBLE),
+        ([-1, 0], [[-1, 0], [0, 1], [0, -1]], [1 / 3, 1, 0], cs.UNBOUNDED),
+        ([0, -1], [[-1, 0], [1, -1]], [-2 / 3, 0], cs.UNBOUNDED),  # needs phase 1 first
     ],
 )
 def test_integer_pivots_infeasible_and_unbounded(c, M, q, status):
-    prob = cs.LpProblem(*(np.vectorize(Fraction, otypes=[object])(a) for a in (c, M, q)))
-    res = cs.lp_solve(prob, exact=True)
+    """Infeasible and unbounded statuses, from phase 1 and from phase 2, on
+    small rational data rounded to floats."""
+    prob = cs.LpProblem(*(np.array(a, dtype=float) for a in (c, M, q)))
+    res = cs.lp_solve(prob)
     assert res.status == status
-    assert _result(res) == _ref_lp(prob, exact=True)
+    assert _result(res) == _ref_lp(prob)
 
 
 @pytest.mark.parametrize(
@@ -376,12 +312,11 @@ def test_integer_pivots_infeasible_and_unbounded(c, M, q, status):
 def test_integer_pivots_drive_out_artificials(M, q):
     """Phase 1 ends degenerate with artificials basic at level 0, and the
     drive-out pivots them out through real columns.  (Its other branch, the
-    drop of an all-zero row, cannot run in exact arithmetic: every row owns
-    a slack column, so the real part of a tableau row is never zero.)"""
-    to_q = np.vectorize(Fraction, otypes=[object])
+    drop of a row with no entry above ``feas_tol`` on the real columns, no
+    test reaches: every row owns a slack column.)"""
     for c in ([1, 1], [1, -1], [-1, 0], [0, 1]):
-        prob = cs.LpProblem(to_q(c), to_q(M), to_q(q))
+        prob = cs.LpProblem(*(np.array(a, dtype=float) for a in (c, M, q)))
         events = []
-        want = _ref_lp(prob, exact=True, events=events)
+        want = _ref_lp(prob, events=events)
         assert events and set(events) == {"pivot"}
-        assert _result(cs.lp_solve(prob, exact=True)) == want
+        assert _result(cs.lp_solve(prob)) == want

@@ -55,6 +55,13 @@ class TestSweepPhi:
         rows = rep.rows()
         assert list(rows[0].keys()) == ["x", "phi", "fd", "ratio", "bound_lhs", "bound_rhs", "margin"]
 
+    def test_coincident_points_have_no_ratio(self):
+        # no two distinct parameters: as for a single point, the estimate is 0
+        for grid in ([0.5, 0.5, 0.5], [0.5]):
+            rep = pr.sweep_phi(sv.QMap(q=2.0), grid=grid)
+            assert np.isnan(rep.ratio).all()
+            assert rep.max_ratio == 0.0
+
     def test_parameter_dependent_cost_family(self):
         # theta(x, y) = x * y1: the sweep sees phi(x) = x * E[y1 over S(x)]
         from movingbeliefs.cli import ThetaPoly

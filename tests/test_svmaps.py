@@ -138,6 +138,94 @@ class TestEpsArgmin:
             sv.eps_argmin(toy, 0.0, 0.5)
 
 
+def _dyadic(rng, lo, hi, size=None):
+    return rng.integers(int(4 * lo), int(4 * hi) + 1, size=size) / 4.0
+
+
+def _sweep_shape_spec(rng):
+    """y in [0,1]^3, w.y >= beta + alpha x, u.y <= delta + gamma x, x in [0, 1],
+    with dyadic data and a random dyadic nonzero cost."""
+    w = _dyadic(rng, 0.5, 1.0, 3)
+    u = rng.integers(-1, 2, 3).astype(float)
+    u[0] = u[0] or 1.0
+    alpha, beta = _dyadic(rng, 0.25, 0.5), _dyadic(rng, 0.25, 0.5)
+    gamma, delta = _dyadic(rng, 0.0, 0.5), _dyadic(rng, 0.5, 1.0)
+    c = _dyadic(rng, -1.0, 1.0, 3)
+    c[2] = c[2] or 0.5
+    eye = np.eye(3)
+    return sv.BilevelLinearSpec(
+        a_matrix=np.array([[0.0]] * 6 + [[-1.0], [1.0], [alpha], [-gamma]]),
+        b_matrix=np.vstack([-eye, eye, np.zeros((2, 3)), -w, u]),
+        rhs=np.concatenate([np.zeros(3), np.ones(3), [0.0, 1.0, -beta, delta]]),
+        cost=c,
+    )
+
+
+def _cube_spec(a_row, cost):
+    """y in [0,1]^3 and ones.y >= a_row * x, x in [0, 1]."""
+    return sv.BilevelLinearSpec(
+        a_matrix=np.array([[0.0]] * 6 + [[-1.0], [1.0], [a_row]]),
+        b_matrix=np.vstack([-np.eye(3), np.eye(3), np.zeros((2, 3)), -np.ones((1, 3))]),
+        rhs=np.concatenate([np.zeros(3), np.ones(3), [0.0, 1.0, 0.0]]),
+        cost=np.asarray(cost, dtype=float),
+    )
+
+
+class TestLinearFiber:
+    """Optimal faces and eps-sets read off the fiber's vertices, float and
+    exact, against the HiGHS optimum."""
+
+    EPS = 0.25
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_faces_and_eps_sets_match_highs(self, seed):
+        from scipy.optimize import linprog
+
+        spec = _sweep_shape_spec(np.random.default_rng([seed, 41]))
+        B, c = spec.b_matrix, spec.cost
+        for x in [*np.linspace(0.0, 1.0, 5), 1.25]:  # no response beyond x = 1
+            r = spec.rhs - spec.a_matrix @ [x]
+            opt = linprog(c, A_ub=B, b_ub=r, bounds=[(None, None)] * 3, method="highs")
+            if opt.status == 2:
+                for exact in (False, True):
+                    with pytest.raises(ParameterInfeasible):
+                        sv.bilevel_solution(spec, x, exact=exact)
+                continue
+            assert opt.status == 0
+            got = {}
+            for exact in (False, True):
+                face = sv.bilevel_solution(spec, x, exact=exact).vrep
+                eps_set = sv.eps_argmin(spec, self.EPS, x, exact=exact).vrep
+                for V in (face, eps_set):
+                    assert (V @ B.T - r).max() <= 1e-9
+                assert np.abs(face @ c - opt.fun).max() <= 1e-9
+                assert (eps_set @ c).max() <= opt.fun + self.EPS + 1e-9
+                got[exact] = face, eps_set
+            for V, W in zip(got[False], got[True]):
+                assert V.shape == W.shape
+                assert np.abs(V - W).max() <= 1e-12
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_cost_parallel_to_a_facet(self, exact):
+        # min ones.y over the cube cut by ones.y >= 3/4: the face is that facet
+        spec = _cube_spec(1.5, [1.0, 1.0, 1.0])
+        S = sv.bilevel_solution(spec, 0.5, exact=exact)
+        assert S.intrinsic_dim == 2
+        assert np.array_equal(S.vrep, np.array([[0, 0, 0.75], [0, 0.75, 0], [0.75, 0, 0]]))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_fiber_is_a_single_point(self, exact):
+        # ones.y >= 3 leaves the corner (1, 1, 1) of the cube alone
+        spec = _cube_spec(3.0, [0.5, -0.25, 1.0])
+        for P in (
+            sv._linear_fiber(spec, 1.0, gk.DEFAULT_TOL, exact),
+            sv.bilevel_solution(spec, 1.0, exact=exact),
+            sv.eps_argmin(spec, self.EPS, 1.0, exact=exact),
+        ):
+            assert P.intrinsic_dim == 0
+            assert P.vrep.tolist() == [[1.0, 1.0, 1.0]]
+
+
 class TestGenericAffine:
     def test_matches_bilevel_fiber(self, toy):
         gm = sv.GenericAffineMap(a_matrix=toy.a_matrix, b_matrix=toy.b_matrix, rhs=toy.rhs)
