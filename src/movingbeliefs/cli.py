@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
@@ -241,19 +241,10 @@ _CLOSED_FORMS = {
 @click.argument("name", type=click.Choice(["trapezoid", "qmap", "rotseg"]))
 @click.option("--q", type=float, default=2.0, help="exponent of the power-wedge family")
 @click.option("--grid", "grid_spec", default=None, help="start:stop:count or log:start:stop:count")
-@click.option("--seed", type=int, default=None)
-@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=None, help="feasibility tolerance")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def cmd_example(name, q, grid_spec, seed, tol, out, fmt):
+def cmd_example(name, q, grid_spec, out, fmt):
     """Sweep a built-in example family and compare against its closed form."""
-    if tol is not None and math.isnan(tol):  # FloatRange lets NaN through
-        raise click.BadParameter("nan is not a tolerance", param_hint="'--tol'")
-    tolerances = replace(
-        gk.DEFAULT_TOL,
-        feas_tol=gk.DEFAULT_TOL.feas_tol if tol is None else tol,
-        rng_seed=gk.DEFAULT_TOL.rng_seed if seed is None else seed,
-    )
     if name == "trapezoid":
         spec = sv.TrapezoidMap()
         grid = _parse_grid_flag(grid_spec) if grid_spec else pr.make_grid(1e-6, 1.0, 100, log=True)
@@ -265,7 +256,7 @@ def cmd_example(name, q, grid_spec, seed, tol, out, fmt):
         grid = _parse_grid_flag(grid_spec) if grid_spec else np.linspace(0.0, 1.0, 101)[:-1]
 
     try:
-        report = pr.sweep_phi(spec, NEUTRAL, None, grid, tolerances)
+        report = pr.sweep_phi(spec, NEUTRAL, None, grid, gk.DEFAULT_TOL)
     except MovingBeliefsError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

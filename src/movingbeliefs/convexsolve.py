@@ -151,19 +151,13 @@ def _solve_inequality_lp(c, M, q, tol):
         scale = max((abs(v) for v in (list(q) + [0.0])), default=0.0)
         if -cost[-1] > tol * (1 + scale):
             return INFEASIBLE, [0.0] * m, ()
-        # Drive leftover artificials out of the basis; drop redundant rows.
+        # Drive leftover artificials out of the basis.  Every row owns a slack
+        # column, so its real part is never zero: pivot on its first entry
+        # above tol, or else on its largest.
         for i in range(p - 1, -1, -1):
             if basis[i] in art_cols:
-                piv = -1
-                for j in range(ncols):
-                    if abs(tab[i][j]) > tol:
-                        piv = j
-                        break
-                if piv >= 0:
-                    _pivot(tab, basis, i, piv)
-                else:
-                    tab.pop(i)
-                    basis.pop(i)
+                real = [abs(v) for v in tab[i][:ncols]]
+                _pivot(tab, basis, i, next((j for j, v in enumerate(real) if v > tol), real.index(max(real))))
 
     cost = list(c) + [-v for v in c] + [0.0] * (len(tab[0]) - 2 * m - 1) + [0.0]
     for i in range(len(tab)):

@@ -10,6 +10,7 @@ orthogonal part, and Lipschitz selections built from mean-width centroids.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -469,38 +470,36 @@ def steiner_selection(spec: MapSpec, grid: Sequence, tol: Tolerances = DEFAULT_T
     return np.array([gk.steiner_point(eval_map(spec, x, tol, exact), tol) for x in grid])
 
 
-def ball_polytope(center, radius: float, facets: int, m: int, tol: Tolerances = DEFAULT_TOL) -> Polytope:
-    """Circumscribed regular polytope around a ball (contains it; contained in
-    the ball inflated by the facet slack factor)."""
-    if facets < 8:
-        raise ValueError("need at least 8 facets")
-    center = np.asarray(center, dtype=float)
-    if radius <= 0.0:
-        return gk._build_polytope(center[None, :], tol)
+@functools.lru_cache(maxsize=32)
+def _unit_ball_polytope(facets: int, m: int) -> Polytope:
+    """The regular polytope circumscribed about the unit ball at 0: tangent
+    rows u . y <= 1 at ``facets`` equally spaced directions u in the plane,
+    at ``facets`` sphere nodes and their antipodes above it."""
     if m == 2:
         ang = 2.0 * math.pi * np.arange(facets) / facets
         normals = np.column_stack([np.cos(ang), np.sin(ang)])
     else:
         normals = gk._sphere_nodes(m, facets, DEFAULT_TOL.rng_seed)
         normals = np.vstack([normals, -normals])
-    rows = [(normals[i], radius + float(normals[i] @ center)) for i in range(normals.shape[0])]
-    slack = ball_slack_factor(facets, m)
-    lo = center - radius * slack
-    hi = center + radius * slack
-    poly = gk.clip_with_box(lo, hi, rows, tol, strict_rank=False)
-    assert poly is not None
-    return poly
+    return gk.from_hrep(normals, np.ones(len(normals)))
+
+
+def ball_polytope(center, radius: float, facets: int, m: int) -> Polytope:
+    """Circumscribed regular polytope around a ball (contains it; contained in
+    the ball inflated by ``ball_slack_factor``): the unit one, scaled and
+    translated."""
+    if facets < 8:
+        raise ValueError("need at least 8 facets")
+    center = np.asarray(center, dtype=float)
+    if radius <= 0.0:
+        return gk._build_polytope(center[None, :], DEFAULT_TOL)
+    return gk.translate(gk.scale(_unit_ball_polytope(facets, m), radius), center)
 
 
 def ball_slack_factor(facets: int, m: int) -> float:
-    """Ratio of the circumscribed polytope's circumradius to the ball radius."""
-    if m == 2:
-        return 1.0 / math.cos(math.pi / facets)
-    normals = np.vstack([gk._sphere_nodes(m, facets, DEFAULT_TOL.rng_seed)])
-    normals = np.vstack([normals, -normals])
-    probe = gk._sphere_nodes(m, 4096, DEFAULT_TOL.rng_seed ^ 0xF00D)
-    cover = np.max(probe @ normals.T, axis=1)
-    return float(1.0 / np.min(cover))
+    """Ratio of the circumscribed polytope's circumradius to the ball radius:
+    the largest vertex norm of the unit one."""
+    return float(np.max(np.linalg.norm(_unit_ball_polytope(facets, m).vrep, axis=1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,7 +515,7 @@ def _anchored_steiner(img: Polytope, y, ball_facets: int, tol: Tolerances) -> np
     if d <= tol.feas_tol:
         cap = gk._build_polytope(np.asarray(y, dtype=float)[None, :], tol)
     else:
-        cap = ball_polytope(y, 2.0 * d, ball_facets, img.ambient_dim, tol)
+        cap = ball_polytope(y, 2.0 * d, ball_facets, img.ambient_dim)
     inter = gk.intersect(img, cap, tol)
     assert inter is not None  # the ball radius guarantees a nonempty intersection
     return gk.steiner_point(inter, tol)

@@ -311,9 +311,9 @@ def test_integer_pivots_infeasible_and_unbounded(c, M, q, status):
 )
 def test_integer_pivots_drive_out_artificials(M, q):
     """Phase 1 ends degenerate with artificials basic at level 0, and the
-    drive-out pivots them out through real columns.  (Its other branch, the
-    drop of a row with no entry above ``feas_tol`` on the real columns, no
-    test reaches: every row owns a slack column.)"""
+    drive-out pivots them out through real columns.  (The reference's other
+    branch, the drop of a row with no entry above ``feas_tol`` on the real
+    columns, never runs: every row owns a slack column.)"""
     for c in ([1, 1], [1, -1], [-1, 0], [0, 1]):
         prob = cs.LpProblem(*(np.array(a, dtype=float) for a in (c, M, q)))
         events = []

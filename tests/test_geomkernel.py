@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 import movingbeliefs.geomkernel as gk
 from movingbeliefs import convexsolve
@@ -183,6 +183,55 @@ class TestQhullJoggle:
             vol = gk.volume(P)
         assert calls == [None, "QJ"]
         assert vol > 0.0
+
+
+class TestOneHullPerPolytope:
+    """Vertices, facet rows and boundary come from the hull computed once
+    when the polytope is built; nothing read off it computes a hull again."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        real = getattr(gk, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gk, name, counting)
+        return calls
+
+    def test_one_qhull_call_each_in_3d(self, rng, monkeypatch):
+        hulls, delaunays = self._count(monkeypatch, "ConvexHull"), self._count(monkeypatch, "Delaunay")
+        P = gk.from_vrep(rng.standard_normal((30, 3)))
+        gk.volume(P)
+        P.intrinsic_facets
+        gk.steiner_point(P)
+        gk.steiner_point(P)
+        assert (len(hulls), len(delaunays)) == (1, 1)
+
+    def test_no_angle_sort_in_the_plane(self, rng, monkeypatch):
+        sorts = self._count(monkeypatch, "_ccw_order")
+        P, Q = gk.from_vrep(rng.random((12, 2))), gk.from_vrep(rng.random((9, 2)))
+        gk.volume(P)
+        P.intrinsic_facets
+        gk.steiner_point(P)
+        gk.steiner_point(P)
+        gk.hausdorff(P, Q)
+        assert sorts == []
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_facets_match_a_fresh_hull(self, m):
+        rng = np.random.default_rng(m)
+        cube = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
+        for P in (gk.from_vrep(rng.standard_normal((10 * m, m))), gk.from_vrep(cube)):
+            shift = rng.uniform(-2.0, 2.0, m)
+            for Q in (P, gk.translate(P, shift), gk.scale(P, 2.5), gk.scale(gk.translate(P, shift), 0.4)):
+                N, c = Q.intrinsic_facets
+                eqs = ConvexHull(Q.vertices_frame).equations
+                got, want = np.column_stack([N, c]), np.column_stack([eqs[:, :-1], -eqs[:, -1]])
+                gap = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+                assert gap.min(axis=1).max() <= 1e-12 and gap.min(axis=0).max() <= 1e-12
 
 
 class TestFromHrep:
@@ -387,7 +436,7 @@ class TestSteinerPoint:
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([2, 3]), st.booleans())
     def test_external_angles_are_a_distribution(self, seed, k, sliver):
         P = random_polytope(np.random.default_rng(seed), m=k, sliver=sliver)
-        gamma = gk._external_angles(P.vertices_frame, k, TOL)
+        gamma = gk._external_angles(P, TOL)
         assert gamma.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(gamma > 0)
 

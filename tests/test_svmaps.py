@@ -406,6 +406,18 @@ class TestSelections:
             img = sv.eval_map(toy_map, x)
             assert img.contains(p, 1e-7)
 
+    @pytest.mark.parametrize("facets, m", [(64, 3), (16, 3), (32, 4), (64, 2)])
+    def test_ball_slack_factor_bounds_every_vertex(self, facets, m):
+        """r times the factor is the largest distance of a vertex from the
+        center, and the polytope contains the ball."""
+        c, r = np.linspace(-0.8, 1.1, m), 0.7
+        P = sv.ball_polytope(c, r, facets, m)
+        dist = np.linalg.norm(P.vrep - c, axis=1)
+        factor = sv.ball_slack_factor(facets, m)
+        assert dist.max() <= r * factor * (1 + 1e-12)
+        assert dist.max() >= r * factor * (1 - 1e-12)
+        assert np.all(P.violation(c + r * gk._sphere_nodes(m, 500, 1)) <= 1e-12)
+
     def test_anchor_must_lie_in_image(self, toy_map):
         with pytest.raises(ValueError):
             sv.lipschitz_selection(toy_map, 0.3, np.array([0.0, 0.5]), [0.3])
