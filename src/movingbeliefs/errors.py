@@ -23,7 +23,7 @@ class Infeasible(MovingBeliefsError):
 
 
 class Unbounded(MovingBeliefsError):
-    """A linear system admits a recession direction (or an LP is unbounded)."""
+    """A linear inequality system admits a recession direction."""
 
 
 class OriginNotContained(MovingBeliefsError):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,7 @@ from .errors import (
     OriginNotRelativeInterior,
     QhullJoggleWarning,
     QuadratureBudgetExceeded,
+    Unbounded,
 )
 
 
@@ -531,21 +533,24 @@ def _int_dtype(H: np.ndarray, rows) -> type:
 
 
 def _clip_exact(H: np.ndarray, base_rows, new_rows, then=None):
-    """``_clip`` in exact arithmetic on homogeneous integer vertices
-    H = (X, w), w > 0, which must be the vertex set (box corners are), with
-    rows (-a, b) as from ``_int_row`` (``then`` maps H to such rows); returns
-    (H, act) or None.
+    """``_clip`` in exact arithmetic on homogeneous integer rays H = (X, w),
+    w >= 0, which must be the extreme rays of the pointed cone {(X, w) :
+    r . (X, w) >= 0 for r in base_rows} (``_cone_start``'s are), with rows
+    (-a, b) as from ``_int_row`` (``then`` maps H to such rows); returns
+    (H, act), or None when no ray is left.  The rays with w > 0 are the
+    vertices X / w of the polyhedron, those with w = 0 its recession rays
+    (Motzkin et al. 1953; Fukuda & Prodon 1996).
 
     The slacks of a row are s = H @ (-a, b) = b w - X a, of the sign of the
-    rational slacks; the cut point of an inside/outside pair (i, j) is
-    s_i H_j - s_j H_i (its w is positive), divided by the gcd of its entries.
+    rational slacks; the cut ray of an inside/outside pair (i, j) is
+    s_i H_j - s_j H_i (its w is >= 0), divided by the gcd of its entries.
     The active matrix H @ R.T == 0 is computed once from the base rows, then
-    inherited: a kept vertex gains the column s == 0, a cut point its pair's
-    common rows plus the new row.  A pair spans an edge iff it shares >= d-1
-    active rows and, for d > 2, no third vertex is active on all of them;
-    this combinatorial test is exact because H is the vertex set.  Each row
-    runs in int64 where ``_int_dtype`` proves that nothing overflows, else in
-    Python ints.
+    inherited: a kept ray gains the column s == 0, a cut ray its pair's
+    common rows plus the new row.  A pair spans an edge (a 2-face of the
+    cone) iff it shares >= d-1 active rows and, for d > 2, no third ray is
+    active on all of them; this combinatorial test is exact because H holds
+    the extreme rays of a pointed cone.  Each row runs in int64 where
+    ``_int_dtype`` proves that nothing overflows, else in Python ints.
     """
     d = H.shape[1] - 1
     R = np.array(base_rows, dtype=object).reshape(-1, d + 1)
@@ -553,7 +558,7 @@ def _clip_exact(H: np.ndarray, base_rows, new_rows, then=None):
     act = H.astype(dt) @ R.astype(dt).T == 0
     for stage in (new_rows, then):
         for r in stage(H) if callable(stage) else stage or ():
-            if not any(r[:-1]):  # a zero row holds everywhere or nowhere
+            if not any(r[:-1]):  # a zero row holds everywhere or forces w = 0
                 if r[-1] < 0:
                     return None
                 continue
@@ -561,6 +566,9 @@ def _clip_exact(H: np.ndarray, base_rows, new_rows, then=None):
             H = H.astype(dt, copy=False)
             s = H @ np.array(r, dtype=dt)
             out = s < 0
+            if not out.any():
+                act = np.column_stack([act, s == 0])
+                continue
             if out.all():
                 return None
             I, J = np.nonzero(s > 0)[0], np.nonzero(out)[0]
@@ -578,6 +586,80 @@ def _clip_exact(H: np.ndarray, base_rows, new_rows, then=None):
             act = np.vstack([np.column_stack([act[~out], s[~out] == 0]),
                              np.column_stack([common[ii, jj], np.ones(len(i), bool)])])
     return H, act
+
+
+def _cone_start(rows, d):
+    """The start of a homogeneous double description for the integer rows
+    (-a, b) of a . y <= b, as from ``_int_row``: (H, base_rows, other_rows)
+    for ``_clip_exact``.
+
+    The base rows are w >= 0, the row [0, ..., 0, 1], and the first d rows
+    that raise the rank, in input order (as cdd picks them); they form a
+    nonsingular matrix A0, and the extreme rays of the simplicial cone they
+    bound are the columns of A0^-1, each with slack 1 on its own row and 0
+    on the others.  One fraction-free Gauss-Jordan pass (Bareiss) on the
+    columns of the transform C, every division exact, makes each row's
+    slacks r . C zero but on one free pivot column; a row with no nonzero
+    free slack depends on those before it.  At the end C = D A0^-1 up to the
+    order of its columns, and the rays are its columns times the sign of D,
+    over their gcds.  Where the rows have rank r < d, the result is instead
+    (None, pivots, line): r coordinates on which the a have rank r, and an
+    integer vector with a . line = 0 on every row."""
+    C = [[int(i == j) for i in range(d + 1)] for j in range(d + 1)]  # C[j] is column j
+    free, base, rest, D = list(range(d + 1)), [], [], 1
+    for r in [[0] * d + [1], *rows]:
+        c = next((j for j in free if sum(map(operator.mul, r, C[j]))), None)
+        if c is None:
+            rest.append(r)
+            continue
+        s = [sum(map(operator.mul, r, col)) for col in C]
+        C = [col if j == c else [(s[c] * x - s[j] * y) // D for x, y in zip(col, C[c])]
+             for j, col in enumerate(C)]
+        D = s[c]
+        free.remove(c)
+        base.append(r)
+    if free:
+        return None, sorted(set(range(d)) - set(free)), C[free[0]][:d]
+    H = np.array(C, dtype=object) * (1 if D > 0 else -1)
+    return H // np.gcd.reduce(H, axis=1)[:, None], base, rest
+
+
+def _direction(v) -> tuple:
+    """The integer vector v over its largest entry in absolute value, in floats."""
+    v = [int(x) for x in v]
+    m = max(map(abs, v))
+    return tuple(float(Fraction(x, m)) for x in v)
+
+
+def _hrep_vertices(M, q) -> np.ndarray:
+    """The vertices of {y : M y <= q}, each coordinate the float nearest its
+    exact value, by the homogeneous double description of the float data
+    read exactly: ``_cone_start``, then ``_clip_exact`` with the other rows.
+    No ray with w > 0 left means the set is empty (``Infeasible``), a ray
+    with w = 0 that it recedes along it (``Unbounded``, naming the ray).
+    When M has rank < d the set is empty or holds a line; the same call on
+    M's pivot columns tells which."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    q = np.asarray(q, dtype=float)
+    if q.shape != M.shape[:1]:
+        raise ValueError("inconsistent inequality dimensions")
+    if not (np.isfinite(M).all() and np.isfinite(q).all()):
+        raise ValueError("inequality data must be finite")
+    d = M.shape[1]
+    H, base, rest = _cone_start([_int_row(a, b) for a, b in zip(M, q)], d)
+    if H is None:  # rank < d: empty, or it holds the line along ``rest``
+        try:
+            _hrep_vertices(M[:, base], q)
+        except Unbounded:
+            pass
+        raise Unbounded(f"recession direction {_direction(rest)} and its opposite: the set holds a line")
+    out = _clip_exact(H, base, rest)
+    H = np.zeros((0, d + 1), dtype=np.int64) if out is None else out[0]
+    if not (H[:, -1] > 0).any():
+        raise Infeasible("inequality system has no solution")
+    if not H[:, -1].all():
+        raise Unbounded(f"recession direction {_direction(H[H[:, -1] == 0][0, :-1])}")
+    return _to_float(H)
 
 
 def _least(H: np.ndarray, c) -> Fraction:
@@ -620,12 +702,14 @@ def _box_corners(lo, hi):
 
 def clip_with_box(box_lo, box_hi, rows, tol: Tolerances, strict_rank: bool = True,
                   objective=None) -> Optional[Polytope]:
-    """Vertex-enumerate {y : rows} inside a known bounding box; None if empty.
+    """Vertex-enumerate the bounded set {y : rows}; None if empty.
 
-    Rows whose offsets are Fractions are clipped exactly (``_clip_exact``)
-    from the box widened to integers, on homogeneous integer vertices that
-    are divided into floats only here, each rounded as float(Fraction) would
-    round it (``_to_float``).
+    Float rows are clipped (``_clip``) from a known bounding box
+    [box_lo, box_hi], widened by 1.  Rows whose offsets are Fractions are
+    clipped exactly (``_clip_exact``) from ``_cone_start`` of the rows
+    themselves, with no box, on homogeneous integer vertices that are
+    divided into floats only here, each rounded as float(Fraction) would
+    round it (``_to_float``); the set being bounded, its rows have rank d.
 
     ``objective`` (c, cut) continues the same clip with c . y <= v + cut, and
     c . y >= v when cut is 0, where v is the least c . y over the vertices of
@@ -636,10 +720,9 @@ def clip_with_box(box_lo, box_hi, rows, tol: Tolerances, strict_rank: bool = Tru
     exact = any(isinstance(off, Fraction) for _, off in rows)
     then = None if objective is None else partial(_objective_rows, *objective, exact)
     if exact:
-        lo = [math.floor(v) - 1 for v in box_lo]
-        hi = [math.ceil(v) + 1 for v in box_hi]
-        H = np.array([[*c, 1] for c in itertools.product(*zip(lo, hi))], dtype=object)
-        out = _clip_exact(H, [_int_row(*r) for r in _box_rows(lo, hi)], [_int_row(*r) for r in rows], then)
+        H, base, rest = _cone_start([_int_row(*r) for r in rows], len(box_lo))
+        assert H is not None, "a bounded set has rows of rank d"
+        out = _clip_exact(H, base, rest, then)
         V = None if out is None else _to_float(out[0])
     else:
         lo, hi = box_lo - 1.0, box_hi + 1.0
@@ -664,17 +747,13 @@ def from_vrep(points: Sequence, tol: Tolerances = DEFAULT_TOL) -> Polytope:
 def from_hrep(M: Sequence, q: Sequence, tol: Tolerances = DEFAULT_TOL) -> Polytope:
     """Polytope from inequality rows M y <= q.
 
-    Feasibility and boundedness are certified by 2m LPs; the vertex set is
-    then enumerated by incremental halfspace clipping of the certified
-    bounding box.
+    Feasibility and boundedness are decided exactly on the float data, and
+    the vertices enumerated exactly, each rounded once, by
+    ``_hrep_vertices``; an empty set raises ``Infeasible``, an unbounded one
+    ``Unbounded`` naming a recession direction, non-finite data
+    ``ValueError``.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    q = np.asarray(q, dtype=float)
-    lo, hi = convexsolve.bounding_box(M, q, feas_tol=tol.feas_tol)
-    poly = clip_with_box(lo, hi, list(zip(M, q)), tol)
-    if poly is None:
-        raise Infeasible("inequality system has no solution")
-    return poly
+    return _build_polytope(_hrep_vertices(M, q), tol)
 
 
 # ---------------------------------------------------------------------------

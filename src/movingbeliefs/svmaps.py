@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import convexsolve, geomkernel as gk
+from . import geomkernel as gk
 from .errors import (
     DimensionDrift,
     DomainViolation,
@@ -47,7 +47,10 @@ def _as_param(x) -> tuple:
 class BilevelLinearSpec:
     """Data of a fully linear lower level: argmin_y {c.y : A x + B y <= b}.
 
-    Boundedness of the joint constraint set is certified at construction.
+    The joint constraint set is enumerated exactly at construction
+    (``gk._hrep_vertices``), which certifies that it is nonempty and
+    bounded; ``x_box`` and ``y_box`` are the least and greatest vertex
+    coordinates, each the float nearest the exact extreme.
     """
 
     a_matrix: np.ndarray  # (p, n)
@@ -68,7 +71,8 @@ class BilevelLinearSpec:
         object.__setattr__(self, "b_matrix", B)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "cost", c)
-        lo, hi = convexsolve.bounding_box(np.hstack([A, B]), b, feas_tol=DEFAULT_TOL.feas_tol)
+        V = gk._hrep_vertices(np.hstack([A, B]), b)
+        lo, hi = V.min(axis=0), V.max(axis=0)
         n = A.shape[1]
         object.__setattr__(self, "x_box", (lo[:n], hi[:n]))
         object.__setattr__(self, "y_box", (lo[n:], hi[n:]))
@@ -89,8 +93,9 @@ def toy_bilevel_spec() -> BilevelLinearSpec:
 
 
 def _linear_fiber(spec: BilevelLinearSpec, x, tol: Tolerances, exact: bool, cut: Optional[float] = None) -> Polytope:
-    """The fiber {y : B y <= b - A x}, cut by the lower-level objective and
-    clipped inside the certified response box.
+    """The fiber {y : B y <= b - A x}, cut by the lower-level objective: in
+    floats clipped inside the response box ``y_box``, with ``exact`` from
+    its own rows (``gk.clip_with_box``).
 
     ``cut`` None keeps the whole fiber; 0 pins c.y to the optimal value v(x)
     from both sides (the optimal face); a positive cut keeps
@@ -234,8 +239,8 @@ class InterpMap(MapSpecBase):
 
 @dataclass(frozen=True, eq=False)
 class _LinearFiberMap(MapSpecBase):
-    """Maps whose images are fibers of ``spec``; the domain is the certified
-    parameter box."""
+    """Maps whose images are fibers of ``spec``; the domain is the parameter
+    box ``spec.x_box``."""
 
     @property
     def domain(self) -> tuple:

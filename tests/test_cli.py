@@ -372,6 +372,29 @@ class TestBilevelCommand:
         assert res.exit_code == 2
         assert "Infeasible" in res.output
 
+    def test_nonfinite_rhs_exits_2(self, runner, tmp_path):
+        """Python's json reads Infinity; the joint set's rows must be finite,
+        and a non-finite one is a precondition error, not a crash."""
+        obj = toy_problem([1.0, 0.0])
+        obj["map"] = dict(TOY_MAP, rhs=[float("inf")] + TOY_MAP["rhs"][1:])
+        problem = tmp_path / "inf.json"
+        problem.write_text(json.dumps(obj))
+        assert "Infinity" in problem.read_text()
+        res = runner.invoke(cli.main, ["bilevel", str(problem)])
+        assert res.exit_code == 2
+        assert "precondition error" in res.output
+
+    def test_unbounded_joint_set_exits_2(self, runner, tmp_path):
+        """Without the rows 0 <= x <= 1 the joint set recedes as x falls; the
+        message names a recession direction."""
+        obj = toy_problem([1.0, 0.0])
+        obj["map"] = dict(TOY_MAP, **{key: TOY_MAP[key][:4] for key in ("a_matrix", "b_matrix", "rhs")})
+        problem = tmp_path / "unbounded.json"
+        problem.write_text(json.dumps(obj))
+        res = runner.invoke(cli.main, ["bilevel", str(problem)])
+        assert res.exit_code == 2
+        assert "precondition error: Unbounded: recession direction" in res.output
+
     def test_inconsistent_theta_exits_2(self, runner, tmp_path):
         obj = toy_problem([1.0, 0.0])
         obj["theta"] = {"terms": [{"coeff": 1.0, "y_exponents": [1, 0]}, {"coeff": 1.0, "y_exponents": [1]}]}

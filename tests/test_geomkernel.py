@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -261,6 +262,95 @@ class TestFromHrep:
         P = gk.from_hrep(M, q)
         assert P.intrinsic_dim == 1
         assert P.vrep == pytest.approx(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "M,q,error",
+        [
+            ([[1], [-1]], [1 / 3, -1 / 2], Infeasible),  # y <= 1/3 and y >= 1/2
+            ([[-1, 0], [0, -1], [1, 1]], [-1 / 3, 0, 1 / 7], Infeasible),
+            ([[-1, 0], [0, 1], [0, -1]], [1 / 3, 1, 0], Unbounded),
+            ([[-1, 0], [1, -1]], [-2 / 3, 0], Unbounded),
+            ([[1, 0], [-1, 0]], [1, 0], Unbounded),  # rank 1: a strip holds a line
+            (np.zeros((0, 2)), [], Unbounded),
+        ],
+        ids=["interval", "triangle", "half-strip", "wedge", "strip", "no-rows"],
+    )
+    def test_rational_status(self, M, q, error):
+        """Empty and unbounded systems on small rational data rounded to
+        floats; an unbounded one names a recession direction d (M d <= 0,
+        and M d = 0 along a line)."""
+        M = np.array(M, dtype=float)
+        with pytest.raises(error) as info:
+            gk.from_hrep(M, np.array(q, dtype=float))
+        if error is Unbounded:
+            named = re.search(r"recession direction \(([^)]*)\)", str(info.value))[1]
+            d = np.array([float(v) for v in named.split(",")])
+            assert np.abs(d).max() == 1.0 and (M @ d <= 0).all()
+            assert "line" not in str(info.value) or (M @ d == 0).all()
+
+    @pytest.mark.parametrize(
+        "M,q",
+        [
+            ([[-2, -1], [2, 0], [1, 0], [0, 1]], [0, -2, 2, 2]),
+            ([[-2, -1], [2, 0], [2, 0], [1, 0], [0, 1]], [0, -2, -2, 2, 2]),  # a repeated row
+        ],
+        ids=["three-rows", "repeated-row"],
+    )
+    def test_repeated_rows(self, M, q):
+        """A degenerate system whose only point (-1, 2) lies on three rows,
+        or four with one repeated."""
+        P = gk.from_hrep(np.array(M, dtype=float), np.array(q, dtype=float))
+        assert P.intrinsic_dim == 0 and P.vrep.tolist() == [[-1.0, 2.0]]
+
+    def test_zero_rows_hold_or_empty(self):
+        M = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]], float)
+        P = gk.from_hrep(M, np.array([1, 1, 0, 1, 0], float))
+        assert P.vrep.tolist() == unit_square().vrep.tolist()
+        with pytest.raises(Infeasible):
+            gk.from_hrep(M, np.array([-1, 1, 0, 1, 0], float))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_raises(self, bad):
+        M = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], float)
+        q = np.array([1, 0, 1, 0], float)
+        with pytest.raises(ValueError):
+            gk.from_hrep(M, np.where(np.arange(4) == 1, bad, q))
+        with pytest.raises(ValueError):
+            gk.from_hrep(np.where(M == 1, bad, M), q)
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_dyadic_vertices_match_brute_force_bit_for_bit(self, d, brute_vertices):
+        """Random systems of multiples of 1/4 about a box: the vertex set is
+        the brute-force one (every nonsingular d-subset solved in Fractions,
+        the feasible solutions rounded), bit for bit."""
+        rng = np.random.default_rng([d, 31])
+        for _ in range(4):
+            n = int(rng.integers(2, 6))
+            M = np.vstack([np.eye(d), -np.eye(d), rng.integers(-8, 9, (n, d)) / 4.0])
+            q = np.concatenate([rng.integers(2, 9, 2 * d) / 4.0, rng.integers(1, 9, n) / 4.0])
+            want = brute_vertices(M, q)
+            got = gk.from_hrep(M, q).vrep
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_unit_normal_vertices_match_brute_force(self, d, brute_vertices):
+        """Random unit-normal systems of up to 16 rows around the origin: the
+        vertices are the brute-force ones within 1e-12."""
+        rng = np.random.default_rng([d, 37])
+        for p in (2 * d + 1, 16):
+            while True:  # draw until the system is bounded
+                N = rng.standard_normal((p, d))
+                N /= np.linalg.norm(N, axis=1, keepdims=True)
+                q = rng.uniform(0.2, 1.0, p)
+                try:
+                    got = gk.from_hrep(N, q).vrep
+                    break
+                except Unbounded:
+                    pass
+            want = brute_vertices(N, q)
+            gap = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+            assert got.shape == want.shape
+            assert gap.min(axis=1).max() <= 1e-12 and gap.min(axis=0).max() <= 1e-12
 
 
 class TestVolume:

@@ -205,6 +205,20 @@ class TestLinearFiber:
                 assert V.shape == W.shape
                 assert np.abs(V - W).max() <= 1e-12
 
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_boxes_are_the_rounded_exact_extremes(self, seed, brute_vertices):
+        """x_box and y_box are the least and greatest vertex coordinates of the
+        joint set, each the float nearest its exact value: the brute-force
+        vertices (Fraction solves, each rounded once) give them bit for bit."""
+        rng = np.random.default_rng([seed, 43])
+        for _ in range(32):
+            spec = _sweep_shape_spec(rng)
+            V = brute_vertices(np.hstack([spec.a_matrix, spec.b_matrix]), spec.rhs)
+            got = np.concatenate([*spec.x_box, *spec.y_box])
+            lo, hi = V.min(axis=0), V.max(axis=0)
+            want = np.concatenate([lo[:1], hi[:1], lo[1:], hi[1:]])
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_cost_parallel_to_a_facet(self, exact):
         # min ones.y over the cube cut by ones.y >= 3/4: the face is that facet
