@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Run all four verification suites, and the bilevel command on the toy
-problem in float and in exact arithmetic, and write their JSON reports to
-out/ next to this script."""
+problem, and write their JSON reports to out/ next to this script."""
 
 import pathlib
 import subprocess
@@ -28,7 +27,6 @@ def main() -> int:
         run(["verify", "sandwich", "--builtin", "qmap"], OUT / "sandwich.json"),
         run(["verify", "w1", str(PROBLEMS / "w1_toy.json")], OUT / "w1.json"),
         run(["bilevel", str(PROBLEMS / "toy_bilevel.json")], OUT / "bilevel.json"),
-        run(["bilevel", str(PROBLEMS / "toy_bilevel.json"), "--exact"], OUT / "bilevel_exact.json"),
     )
 
 

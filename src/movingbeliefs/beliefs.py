@@ -283,23 +283,15 @@ def sample_uniform(P: Polytope, n: int, seed: int) -> np.ndarray:
 def tv_distance(pair: MeasurePair, tol: Tolerances = DEFAULT_TOL) -> float:
     """Total variation (un-halved, range [0, 2]) between the uniform laws.
 
-    Closed form from intersection volumes when the affine hulls coincide;
-    mutually singular (distance 2) otherwise.
+    Closed form when the affine hulls coincide: the densities 1/vol P and
+    1/vol Q differ by |1/vol P - 1/vol Q| on P ∩ Q, so the distance is
+    2 - 2 vol(P ∩ Q) / max(vol P, vol Q); mutually singular (distance 2)
+    otherwise.
     """
     if not pair.common_hull:
         return 2.0
     P, Q = pair.P, pair.Q
-    vol_p = gk.volume(P)
-    vol_q = gk.volume(Q)
-    inter = gk.intersect(P, Q, tol)
-    vol_i = 0.0
-    if inter is not None and inter.intrinsic_dim == P.intrinsic_dim:
-        vol_i = gk.volume(inter)
-    return (
-        (vol_p - vol_i) / vol_p
-        + (vol_q - vol_i) / vol_q
-        + vol_i * abs(1.0 / vol_p - 1.0 / vol_q)
-    )
+    return 2.0 - 2.0 * gk._common_volume(P, Q, tol) / max(gk.volume(P), gk.volume(Q))
 
 
 def _segment_coords_on_common_line(P: Polytope, Q: Polytope, tol: Tolerances):

@@ -376,9 +376,8 @@ def cmd_verify(suite, problem, builtin, samples, seed, out, fmt, allow_imports):
 @click.argument("problem", type=click.Path(exists=True))
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--exact", is_flag=True)
 @click.option("--allow-imports", is_flag=True, help=_ALLOW_IMPORTS_HELP)
-def cmd_bilevel(problem, out, fmt, exact, allow_imports):
+def cmd_bilevel(problem, out, fmt, allow_imports):
     """Evaluate the leader objective g.x + E[h.y] on the grid under the
     neutral (or density) belief and report the grid argmin."""
     pf = _load_problem(problem, allow_imports)
@@ -398,7 +397,7 @@ def cmd_bilevel(problem, out, fmt, exact, allow_imports):
     skipped = []
     for k, x in enumerate(pf.grid):
         try:
-            img = sv.eval_map(pf.map_spec, x, pf.tolerances, exact)
+            img = sv.eval_map(pf.map_spec, x, pf.tolerances)
         except MovingBeliefsError as exc:
             skipped.append(float(x))
             click.echo(f"warning: skipping x={x}: {type(exc).__name__}", err=True)

@@ -21,13 +21,12 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -150,10 +149,6 @@ class Polytope:
     @property
     def hrep(self):
         return self.hrep_normals, self.hrep_offsets
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return self.vrep
 
     @property
     def ambient_dim(self) -> int:
@@ -386,14 +381,14 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
 # incremental halfspace clipping (double-description style)
 
 
-def _clip(V: np.ndarray, base_rows, new_rows, tol: float, then=None):
+def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
     """Clip the float polytope with vertex array ``V`` (full-dimensional in
-    its d coordinates, described by ``base_rows``) with ``new_rows``, then,
-    if ``then`` is given, with the rows it returns for the vertices at that
-    point; None when empty.  Double description (Fukuda & Prodon 1996): a
-    new row keeps the vertices it does not cut off and adds the cut point of
-    every inside/outside pair spanning an edge, all pairs of the row in one
-    array computation.  Rows are normalized and slacks compared with ``tol``; at
+    its d coordinates, described by ``base_rows``) with ``new_rows``; None
+    when empty.  ``intersect`` is its one caller: a polytope given by rows
+    alone is enumerated exactly (``from_hrep``).  Double description
+    (Fukuda & Prodon 1996): a new row keeps the vertices it does not cut
+    off and adds the cut point of every inside/outside pair spanning an
+    edge, all pairs of the row in one array computation.  Rows are normalized and slacks compared with ``tol``; at
     each row that cuts, ``_float_edges`` (shared with ``_slab_pieces``)
     recomputes the active matrix and tests the pairs.  The exact rule is
     ``_clip_exact``'s.
@@ -411,35 +406,34 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float, then=None):
     N = np.array([r[0] for r in base_rows], dtype=float).reshape(-1, d)
     C = np.array([r[1] for r in base_rows], dtype=float)
     new, cut = 0, False  # points not yet checked for a merge; whether a row cut
-    for stage in (new_rows, then):
-        for nrm, off in stage(V) if callable(stage) else stage or ():
-            nrm = np.asarray(nrm, dtype=float)
-            ln = float(np.linalg.norm(nrm))
-            if ln <= 1e-14:  # a zero row holds everywhere or nowhere
-                if off < -tol:
-                    return None
-                continue
-            if new:  # would a dedup after the last cut merge anything?
-                reach = 2.0 * _merge_distance(V, tol)
-                diff = V[-new:, None] - V[None]
-                if np.count_nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach) > new:
-                    V = _dedup_points(V, reach / 2.0)
-                new = 0
-            nrm = nrm / ln
-            off = off / ln
-            s = off - V @ nrm
-            out = s < -tol
-            if out.all():
+    for nrm, off in new_rows:
+        nrm = np.asarray(nrm, dtype=float)
+        ln = float(np.linalg.norm(nrm))
+        if ln <= 1e-14:  # a zero row holds everywhere or nowhere
+            if off < -tol:
                 return None
-            if out.any():
-                I, J = np.nonzero(s > tol)[0], np.nonzero(out)[0]
-                i, j = np.repeat(I, len(J)), np.tile(J, len(I))
-                ok = _float_edges(V, N, C, i, j, tol)
-                i, j = i[ok], j[ok]
-                P = V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])
-                V = np.vstack([V[~out], P])
-                new, cut = (len(P) if cut else len(V)), True
-            N, C = np.vstack([N, nrm]), np.append(C, off)
+            continue
+        if new:  # would a dedup after the last cut merge anything?
+            reach = 2.0 * _merge_distance(V, tol)
+            diff = V[-new:, None] - V[None]
+            if np.count_nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach) > new:
+                V = _dedup_points(V, reach / 2.0)
+            new = 0
+        nrm = nrm / ln
+        off = off / ln
+        s = off - V @ nrm
+        out = s < -tol
+        if out.all():
+            return None
+        if out.any():
+            I, J = np.nonzero(s > tol)[0], np.nonzero(out)[0]
+            i, j = np.repeat(I, len(J)), np.tile(J, len(I))
+            ok = _float_edges(V, N, C, i, j, tol)
+            i, j = i[ok], j[ok]
+            P = V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])
+            V = np.vstack([V[~out], P])
+            new, cut = (len(P) if cut else len(V)), True
+        N, C = np.vstack([N, nrm]), np.append(C, off)
     return _dedup_points(V, _merge_distance(V, tol)) if cut else V
 
 
@@ -631,20 +625,26 @@ def _direction(v) -> tuple:
     return tuple(float(Fraction(x, m)) for x in v)
 
 
-def _hrep_vertices(M, q) -> np.ndarray:
-    """The vertices of {y : M y <= q}, each coordinate the float nearest its
-    exact value, by the homogeneous double description of the float data
-    read exactly: ``_cone_start``, then ``_clip_exact`` with the other rows.
-    No ray with w > 0 left means the set is empty (``Infeasible``), a ray
-    with w = 0 that it recedes along it (``Unbounded``, naming the ray).
-    When M has rank < d the set is empty or holds a line; the same call on
-    M's pivot columns tells which."""
+def _hrep_vertices(M, q, objective=None) -> np.ndarray:
+    """The vertices of the polytope {y : M y <= q} as homogeneous integer
+    rows (X, w), w > 0, with y = X / w exactly, by the homogeneous double
+    description of the data read exactly: ``_cone_start``, then
+    ``_clip_exact`` with the other rows.  The offsets q are floats or
+    Fractions; the rows M floats.  No ray with w > 0 left means the set is
+    empty (``Infeasible``), a ray with w = 0 that it recedes along it
+    (``Unbounded``, naming the ray).  When M has rank < d the set is empty or
+    holds a line; the same call on M's pivot columns tells which.
+
+    ``objective`` (c, cut) continues the same clip with c . y <= v + cut,
+    and c . y >= v when cut is 0, where v is the least c . y over the
+    vertices of {y : M y <= q} (``_objective_rows``)."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    q = np.asarray(q, dtype=float)
-    if q.shape != M.shape[:1]:
+    qf = np.asarray(q, dtype=float)
+    if qf.shape != M.shape[:1]:
         raise ValueError("inconsistent inequality dimensions")
-    if not (np.isfinite(M).all() and np.isfinite(q).all()):
+    if not (np.isfinite(M).all() and np.isfinite(qf).all()):
         raise ValueError("inequality data must be finite")
+    q = [v if isinstance(v, Fraction) else float(v) for v in q]
     d = M.shape[1]
     H, base, rest = _cone_start([_int_row(a, b) for a, b in zip(M, q)], d)
     if H is None:  # rank < d: empty, or it holds the line along ``rest``
@@ -653,13 +653,20 @@ def _hrep_vertices(M, q) -> np.ndarray:
         except Unbounded:
             pass
         raise Unbounded(f"recession direction {_direction(rest)} and its opposite: the set holds a line")
-    out = _clip_exact(H, base, rest)
-    H = np.zeros((0, d + 1), dtype=np.int64) if out is None else out[0]
+    then = None if objective is None else (lambda H: _objective_rows(*objective, _bounded(H)))
+    out = _clip_exact(H, base, rest, then)
+    return _bounded(np.zeros((0, d + 1), dtype=np.int64) if out is None else out[0])
+
+
+def _bounded(H: np.ndarray) -> np.ndarray:
+    """H, the homogeneous rays of a polyhedron, when they are the vertices of
+    a polytope: ``Infeasible`` without a ray with w > 0, ``Unbounded`` with
+    one with w = 0."""
     if not (H[:, -1] > 0).any():
         raise Infeasible("inequality system has no solution")
     if not H[:, -1].all():
         raise Unbounded(f"recession direction {_direction(H[H[:, -1] == 0][0, :-1])}")
-    return _to_float(H)
+    return H
 
 
 def _least(H: np.ndarray, c) -> Fraction:
@@ -669,67 +676,13 @@ def _least(H: np.ndarray, c) -> Fraction:
     return min(Fraction(v, w * den) for v, w in zip(vals, H[:, -1].tolist()))
 
 
-def _objective_rows(c, cut, exact: bool, V: np.ndarray) -> list:
+def _objective_rows(c, cut, H: np.ndarray) -> list:
     """The rows c . y <= v + cut, and c . y >= v when cut is 0, where v is the
-    least c . y over the vertices V: the float minimum of V @ c, or with
-    ``exact`` the exact one over homogeneous integer vertices, the rows then
-    as from ``_int_row``."""
-    v, cut = (_least(V, c), Fraction(cut)) if exact else (float(np.min(V @ c)), cut)
+    least c . y over the homogeneous integer vertices H, exactly, as from
+    ``_int_row``."""
+    v, cut = _least(H, c), Fraction(cut)
     rows = [(c, v), (-c, -v)] if cut == 0 else [(c, v + cut)]
-    return [_int_row(*r) for r in rows] if exact else rows
-
-
-def _box_rows(lo, hi):
-    """Facet rows e_i . y <= hi_i and -e_i . y <= -lo_i, in the scalar type of
-    the bounds."""
-    d = len(lo)
-    one = type(lo[0])(1)
-    zero = one - one
-    rows = []
-    for i in range(d):
-        e = [zero] * d
-        e[i] = one
-        rows.append((np.array(e), hi[i]))
-        e2 = [zero] * d
-        e2[i] = -one
-        rows.append((np.array(e2), -lo[i]))
-    return rows
-
-
-def _box_corners(lo, hi):
-    return np.array(list(itertools.product(*zip(lo, hi))))
-
-
-def clip_with_box(box_lo, box_hi, rows, tol: Tolerances, strict_rank: bool = True,
-                  objective=None) -> Optional[Polytope]:
-    """Vertex-enumerate the bounded set {y : rows}; None if empty.
-
-    Float rows are clipped (``_clip``) from a known bounding box
-    [box_lo, box_hi], widened by 1.  Rows whose offsets are Fractions are
-    clipped exactly (``_clip_exact``) from ``_cone_start`` of the rows
-    themselves, with no box, on homogeneous integer vertices that are
-    divided into floats only here, each rounded as float(Fraction) would
-    round it (``_to_float``); the set being bounded, its rows have rank d.
-
-    ``objective`` (c, cut) continues the same clip with c . y <= v + cut, and
-    c . y >= v when cut is 0, where v is the least c . y over the vertices of
-    {y : rows} (``_objective_rows``): exact when the rows are.
-    """
-    box_lo = np.asarray(box_lo, dtype=float)
-    box_hi = np.asarray(box_hi, dtype=float)
-    exact = any(isinstance(off, Fraction) for _, off in rows)
-    then = None if objective is None else partial(_objective_rows, *objective, exact)
-    if exact:
-        H, base, rest = _cone_start([_int_row(*r) for r in rows], len(box_lo))
-        assert H is not None, "a bounded set has rows of rank d"
-        out = _clip_exact(H, base, rest, then)
-        V = None if out is None else _to_float(out[0])
-    else:
-        lo, hi = box_lo - 1.0, box_hi + 1.0
-        V = _clip(_box_corners(lo, hi), _box_rows(lo, hi), rows, tol.feas_tol, then)
-    if V is None:
-        return None
-    return _build_polytope(V, tol, strict_rank=strict_rank)
+    return [_int_row(*r) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -744,16 +697,21 @@ def from_vrep(points: Sequence, tol: Tolerances = DEFAULT_TOL) -> Polytope:
     return _build_polytope(pts, tol)
 
 
-def from_hrep(M: Sequence, q: Sequence, tol: Tolerances = DEFAULT_TOL) -> Polytope:
-    """Polytope from inequality rows M y <= q.
+def from_hrep(M: Sequence, q: Sequence, tol: Tolerances = DEFAULT_TOL, objective=None) -> Polytope:
+    """Polytope from inequality rows M y <= q: the one vertex enumerator for
+    polytopes given by rows.
 
-    Feasibility and boundedness are decided exactly on the float data, and
-    the vertices enumerated exactly, each rounded once, by
+    The offsets q may be floats or Fractions (a parametric right-hand side
+    b - A x formed exactly); the float rows M are read exactly.
+    Feasibility and boundedness are decided exactly, and the vertices
+    enumerated exactly, each rounded once (``_to_float``), by
     ``_hrep_vertices``; an empty set raises ``Infeasible``, an unbounded one
     ``Unbounded`` naming a recession direction, non-finite data
-    ``ValueError``.
+    ``ValueError``.  ``objective`` (c, cut) returns instead the part of the
+    polytope where c . y is within cut of its least value v, the face
+    c . y = v when cut is 0, from the same exact clip.
     """
-    return _build_polytope(_hrep_vertices(M, q), tol)
+    return _build_polytope(_to_float(_hrep_vertices(M, q, objective)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,15 +999,18 @@ def minkowski_interpolate(P: Polytope, Q: Polytope, t: float, tol: Tolerances = 
     return _build_polytope(pts, tol, strict_rank=False)
 
 
+def _common_volume(P: Polytope, Q: Polytope, tol: Tolerances) -> float:
+    """lambda_k(P ∩ Q) for polytopes sharing an affine hull: 0 when the
+    intersection is empty or of lower dimension."""
+    pq = intersect(P, Q, tol)
+    return volume(pq) if pq is not None and pq.intrinsic_dim == P.intrinsic_dim else 0.0
+
+
 def sym_diff_volume(P: Polytope, Q: Polytope, tol: Tolerances = DEFAULT_TOL) -> float:
     """lambda_k(P Δ Q) for polytopes sharing an affine hull."""
     if not same_affine_hull(P, Q, tol):
         raise AffineHullMismatch("symmetric-difference volume needs identical affine hulls")
-    pq = intersect(P, Q, tol)
-    common = 0.0
-    if pq is not None and pq.intrinsic_dim == P.intrinsic_dim:
-        common = volume(pq)
-    return volume(P) + volume(Q) - 2.0 * common
+    return volume(P) + volume(Q) - 2.0 * _common_volume(P, Q, tol)
 
 
 def translate(P: Polytope, v) -> Polytope:

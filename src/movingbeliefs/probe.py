@@ -55,12 +55,11 @@ def phi_function(
     belief: Belief = NEUTRAL,
     theta: Optional[ThetaLike] = None,
     tol: Tolerances = DEFAULT_TOL,
-    exact: bool = False,
 ) -> Callable[[float], float]:
     """The expected-value function x -> E_{belief on S(x)}[theta(x, .)]."""
 
     def phi(x) -> float:
-        img = sv.eval_map(spec, x, tol, exact)
+        img = sv.eval_map(spec, x, tol)
         th = _theta_at(theta, x) if theta is not None else default_theta(img.ambient_dim)
         return bl.expect(img, belief, th, tol)
 
@@ -171,13 +170,12 @@ def sweep_phi(
     theta: Optional[ThetaLike] = None,
     grid: Sequence = None,
     tol: Tolerances = DEFAULT_TOL,
-    exact: bool = False,
     pairwise: bool = False,
 ) -> SweepReport:
     """Evaluate phi on the grid with central finite differences and adjacent
     difference quotients; the max adjacent quotient is the Lipschitz estimate."""
     grid = np.asarray(list(grid), dtype=float)
-    phi = phi_function(spec, belief, theta, tol, exact)
+    phi = phi_function(spec, belief, theta, tol)
     vals = np.array([phi(x) for x in grid])
     n = len(grid)
     fd = np.full(n, np.nan)
@@ -248,13 +246,13 @@ def calmness_estimate(
     return CalmnessEstimate(anchor=float(anchor), radii=radii, sup_ratios=sups, extrapolate=float(sups[-1]))
 
 
-def hausdorff_lip(spec: sv.MapSpec, grid: Sequence, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> float:
+def hausdorff_lip(spec: sv.MapSpec, grid: Sequence, tol: Tolerances = DEFAULT_TOL) -> float:
     """Max pairwise Hausdorff difference quotient of the map on the grid
     (circle metric honored for circle-parameterized maps)."""
     grid = list(grid)
     if len(grid) < 2:
         raise ValueError("need at least two grid points")
-    imgs = [sv.eval_map(spec, x, tol, exact) for x in grid]
+    imgs = [sv.eval_map(spec, x, tol) for x in grid]
     best = 0.0
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):

@@ -22,6 +22,7 @@ from . import geomkernel as gk
 from .errors import (
     DimensionDrift,
     DomainViolation,
+    Infeasible,
     ParameterInfeasible,
     ZeroDenominator,
 )
@@ -49,8 +50,10 @@ class BilevelLinearSpec:
 
     The joint constraint set is enumerated exactly at construction
     (``gk._hrep_vertices``), which certifies that it is nonempty and
-    bounded; ``x_box`` and ``y_box`` are the least and greatest vertex
-    coordinates, each the float nearest the exact extreme.
+    bounded.  ``x_box`` holds the least and greatest parameter coordinates
+    of its vertices rounded inward: lo the least float >= the exact
+    minimum, hi the greatest float <= the exact maximum, so that the fiber
+    at every float parameter of the box is nonempty.
     """
 
     a_matrix: np.ndarray  # (p, n)
@@ -58,7 +61,6 @@ class BilevelLinearSpec:
     rhs: np.ndarray  # (p,)
     cost: np.ndarray  # (m,)
     x_box: tuple = field(default=None, repr=False)
-    y_box: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
@@ -71,15 +73,20 @@ class BilevelLinearSpec:
         object.__setattr__(self, "b_matrix", B)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "cost", c)
-        V = gk._hrep_vertices(np.hstack([A, B]), b)
-        lo, hi = V.min(axis=0), V.max(axis=0)
-        n = A.shape[1]
-        object.__setattr__(self, "x_box", (lo[:n], hi[:n]))
-        object.__setattr__(self, "y_box", (lo[n:], hi[n:]))
+        H = gk._hrep_vertices(np.hstack([A, B]), b).tolist()
+        xs = [[Fraction(h[j], h[-1]) for h in H] for j in range(A.shape[1])]
+        lo, hi = zip(*(_inward(min(v), max(v)) for v in xs))
+        object.__setattr__(self, "x_box", (np.array(lo), np.array(hi)))
 
     @property
     def n_vars(self) -> int:
         return self.b_matrix.shape[1]
+
+
+def _inward(lo: Fraction, hi: Fraction) -> tuple:
+    """(the least float >= lo, the greatest float <= hi)."""
+    a, b = float(lo), float(hi)
+    return (a if a >= lo else math.nextafter(a, math.inf)), (b if b <= hi else math.nextafter(b, -math.inf))
 
 
 def toy_bilevel_spec() -> BilevelLinearSpec:
@@ -92,49 +99,45 @@ def toy_bilevel_spec() -> BilevelLinearSpec:
     return BilevelLinearSpec(a_matrix=A, b_matrix=B, rhs=b, cost=c)
 
 
-def _linear_fiber(spec: BilevelLinearSpec, x, tol: Tolerances, exact: bool, cut: Optional[float] = None) -> Polytope:
-    """The fiber {y : B y <= b - A x}, cut by the lower-level objective: in
-    floats clipped inside the response box ``y_box``, with ``exact`` from
-    its own rows (``gk.clip_with_box``).
+def _linear_fiber(spec: BilevelLinearSpec, x, tol: Tolerances, cut: Optional[float] = None) -> Polytope:
+    """The fiber {y : B y <= b - A x}, cut by the lower-level objective,
+    enumerated exactly by ``gk.from_hrep``.
 
     ``cut`` None keeps the whole fiber; 0 pins c.y to the optimal value v(x)
     from both sides (the optimal face); a positive cut keeps
     c.y <= v(x) + cut.  The fiber rows are clipped once: v(x) is the least
     c.y over the vertices they leave, and the same clip goes on with the cut
-    rows (``gk.clip_with_box``'s objective).  With ``exact`` the rows, v(x)
-    and the clipping are rational, and the vertices keep the rank-band
-    check.  Only b - A x is made of Fractions (its float would round): the
-    clipper reads the float entries of B and c exactly, and Fraction offsets
-    select the exact clip.  An empty fiber raises ``ParameterInfeasible``.
+    rows (``gk.from_hrep``'s objective).  The rows, v(x) and the clipping
+    are rational, and the vertices keep the rank-band check.  Only b - A x
+    is made of Fractions (its float would round): the enumerator reads the
+    float entries of B and c exactly.  An empty fiber raises
+    ``ParameterInfeasible``.
     """
     x = _as_param(x)
-    r = spec.rhs - spec.a_matrix @ np.asarray(x)
-    if exact:
-        r = _rational(spec.rhs) - _rational(spec.a_matrix) @ _rational(x)
-    lo, hi = spec.y_box
+    r = _rational(spec.rhs) - _rational(spec.a_matrix) @ _rational(x)
     objective = None if cut is None else (spec.cost, cut)
-    poly = gk.clip_with_box(lo, hi, list(zip(spec.b_matrix, r)), tol, strict_rank=exact, objective=objective)
-    if poly is None:
-        raise ParameterInfeasible(f"no feasible response at parameter {x}")
-    return poly
+    try:
+        return gk.from_hrep(spec.b_matrix, r, tol, objective)
+    except Infeasible:
+        raise ParameterInfeasible(f"no feasible response at parameter {x}") from None
 
 
-def bilevel_solution(spec: BilevelLinearSpec, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
+def bilevel_solution(spec: BilevelLinearSpec, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
     """Optimal-face polytope of the lower level at parameter x.
 
-    The optimal value, read off the fiber's vertices, is turned into a
-    two-sided cut; with ``exact`` the value and the cut are rational, so
-    degenerate faces are captured without tolerance slack.
+    The optimal value, read exactly off the fiber's vertices, is turned into
+    a rational two-sided cut, so degenerate faces are captured without
+    tolerance slack.
     """
-    return _linear_fiber(spec, x, tol, exact, cut=0.0)
+    return _linear_fiber(spec, x, tol, cut=0.0)
 
 
-def eps_argmin(spec: BilevelLinearSpec, eps: float, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
+def eps_argmin(spec: BilevelLinearSpec, eps: float, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
     """Relaxed solution set {y feasible : c.y <= v(x) + eps}; full-dimensional
     whenever the fiber has interior."""
     if eps <= 0:
         raise ValueError("relaxation must be positive")
-    return _linear_fiber(spec, x, tol, exact, cut=eps)
+    return _linear_fiber(spec, x, tol, cut=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +176,7 @@ class TrapezoidMap(MapSpecBase):
 
     kind = "trapezoid"
 
-    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
+    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
         (v,) = _as_param(x)
         a = v ** 0.25
         return gk.from_vrep([(0.0, 0.0), (1.0, 0.0), (1.0, v), (a, v)], tol)
@@ -193,7 +196,7 @@ class QMap(MapSpecBase):
         if self.q < 1.0:
             raise ValueError("exponent must be >= 1")
 
-    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
+    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
         (v,) = _as_param(x)
         return gk.from_vrep([(0.0, -v), (1.0, -v), (1.0, v**self.q), (0.0, 0.0)], tol)
 
@@ -215,7 +218,7 @@ class RotSegMap(MapSpecBase):
         p = _as_param(x)
         return len(p) == 1 and -1e-12 <= p[0] < 1.0
 
-    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
+    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
         (v,) = _as_param(x)
         g = np.array([math.cos(math.pi * v), math.sin(math.pi * v)])
         return gk.from_vrep([2.0 * g, -2.0 * g], tol)
@@ -232,7 +235,7 @@ class InterpMap(MapSpecBase):
 
     kind = "interp"
 
-    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
+    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
         (t,) = _as_param(x)
         return gk.minkowski_interpolate(self.body_a, self.body_b, t, tol)
 
@@ -256,8 +259,8 @@ class BilevelSolutionMap(_LinearFiberMap):
 
     kind = "bilevel_linear"
 
-    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
-        return bilevel_solution(self.spec, x, tol, exact)
+    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
+        return bilevel_solution(self.spec, x, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,8 +276,8 @@ class EpsArgminMap(_LinearFiberMap):
         if self.eps <= 0:
             raise ValueError("relaxation must be positive")
 
-    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
-        return eps_argmin(self.spec, self.eps, x, tol, exact)
+    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
+        return eps_argmin(self.spec, self.eps, x, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,8 +300,8 @@ class GenericAffineMap(_LinearFiberMap):
         object.__setattr__(self, "rhs", spec.rhs)
         object.__setattr__(self, "spec", spec)
 
-    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
-        return _linear_fiber(self.spec, x, tol, exact)
+    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
+        return _linear_fiber(self.spec, x, tol)
 
 
 MapSpec = Union[
@@ -307,10 +310,13 @@ MapSpec = Union[
 
 
 def eval_map(spec: MapSpec, x, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> Polytope:
-    """Image polytope of the map at parameter x (domain-checked)."""
+    """Image polytope of the map at parameter x (domain-checked).
+
+    ``exact`` is ignored: every linear fiber is enumerated exactly.  It is
+    kept only because the benchmark's workloads still pass it."""
     if not spec.in_domain(x):
         raise DomainViolation(f"parameter {x} outside the domain of {spec.kind}")
-    return spec.evaluate(x, tol, exact)
+    return spec.evaluate(x, tol)
 
 
 def param_distance(spec: MapSpec, x, x2) -> float:
@@ -367,7 +373,6 @@ def rect_decompose(
     x_anchor,
     x,
     tol: Tolerances = DEFAULT_TOL,
-    exact: bool = False,
 ) -> RectDecomposition:
     """Decompose S(x) around the anchor image.
 
@@ -379,9 +384,9 @@ def rect_decompose(
     """
     if not spec.in_domain(x_anchor) or not spec.in_domain(x):
         raise DomainViolation("anchor or probe parameter outside the map domain")
-    s_bar = eval_map(spec, x_anchor, tol, exact)
+    s_bar = eval_map(spec, x_anchor, tol)
     s = gk.steiner_point(s_bar, tol)
-    s_x = eval_map(spec, x, tol, exact)
+    s_x = eval_map(spec, x, tol)
     shifted = gk.translate(s_x, -s)
 
     basis = s_bar.frame.basis
@@ -469,10 +474,10 @@ def h_ratio(decomp: RectDecomposition) -> float:
 # selections
 
 
-def steiner_selection(spec: MapSpec, grid: Sequence, tol: Tolerances = DEFAULT_TOL, exact: bool = False) -> np.ndarray:
+def steiner_selection(spec: MapSpec, grid: Sequence, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Mean-width-centroid selection x -> s(S(x)); each point is certified to
     lie in the relative interior by the centroid routine itself."""
-    return np.array([gk.steiner_point(eval_map(spec, x, tol, exact), tol) for x in grid])
+    return np.array([gk.steiner_point(eval_map(spec, x, tol), tol) for x in grid])
 
 
 @functools.lru_cache(maxsize=32)
@@ -533,7 +538,6 @@ def lipschitz_selection(
     grid: Sequence,
     ball_facets: int = 64,
     tol: Tolerances = DEFAULT_TOL,
-    exact: bool = False,
 ) -> SelectionResult:
     """Selection through a prescribed anchor point: the mean-width centroid of
     S(x) intersected with a circumscribed ball of radius twice the distance
@@ -541,12 +545,12 @@ def lipschitz_selection(
     to the anchor value itself."""
     if ball_facets < 8:
         raise ValueError("need at least 8 ball facets")
-    anchor_img = eval_map(spec, x_anchor, tol, exact)
+    anchor_img = eval_map(spec, x_anchor, tol)
     y_anchor = np.asarray(y_anchor, dtype=float)
     if not anchor_img.contains(y_anchor, 10 * tol.feas_tol):
         raise ValueError("anchor value must belong to the anchor image")
     pts = np.array([
-        _anchored_steiner(eval_map(spec, x, tol, exact), y_anchor, ball_facets, tol) for x in grid
+        _anchored_steiner(eval_map(spec, x, tol), y_anchor, ball_facets, tol) for x in grid
     ])
     return SelectionResult(points=pts, slack_factor=ball_slack_factor(ball_facets, anchor_img.ambient_dim))
 

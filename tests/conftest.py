@@ -36,20 +36,31 @@ def _solve(A, b):
     return [T[i][n] / T[i][i] for i in range(n)]
 
 
-def _brute_vertices(M, q):
-    """The vertices of {y : M y <= q} by brute force: the feasible solution
-    of every nonsingular d-subset of rows, in Fractions, rounded to floats;
-    lexicographically sorted, as ``Polytope.vrep`` is."""
-    M = [[Fraction(float(v)) for v in r] for r in np.asarray(M, dtype=float)]
-    q = [Fraction(float(v)) for v in np.asarray(q, dtype=float)]
+def _brute_fractions(M, q) -> set:
+    """The vertices of {y : M y <= q} by brute force, in Fractions: the
+    feasible solution of every nonsingular d-subset of rows.  The entries of
+    M and q are floats or Fractions, read exactly."""
+    M = [[Fraction(v) for v in r] for r in np.asarray(M, dtype=object)]
+    q = [Fraction(v) for v in q]
     pts = set()
     for S in itertools.combinations(range(len(M)), len(M[0])):
         y = _solve([M[i] for i in S], [q[i] for i in S])
         if y is not None and all(sum(a * v for a, v in zip(r, y)) <= c for r, c in zip(M, q)):
-            pts.add(tuple(float(v) for v in y))
-    return np.array(sorted(pts))
+            pts.add(tuple(y))
+    return pts
+
+
+def _brute_vertices(M, q):
+    """``_brute_fractions``, each vertex rounded to floats; lexicographically
+    sorted, as ``Polytope.vrep`` is."""
+    return np.array(sorted({tuple(float(v) for v in y) for y in _brute_fractions(M, q)}))
 
 
 @pytest.fixture
 def brute_vertices():
     return _brute_vertices
+
+
+@pytest.fixture
+def brute_fractions():
+    return _brute_fractions

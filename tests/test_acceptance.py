@@ -163,7 +163,7 @@ def test_10_bilevel_toy_end_to_end():
         spec = sv.toy_bilevel_spec()
         bm = sv.BilevelSolutionMap(spec=spec)
         xs = pr.make_grid(0.0, 1.0, 11)
-        polys = [sv.bilevel_solution(spec, x, exact=True) for x in xs]
+        polys = [sv.bilevel_solution(spec, x) for x in xs]
         for i in range(len(xs)):
             for j in range(i + 1, len(xs)):
                 assert abs(gk.hausdorff(polys[i], polys[j]) - abs(xs[i] - xs[j])) < 1e-9

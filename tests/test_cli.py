@@ -302,17 +302,6 @@ class TestBilevelCommand:
         # estimate should find exactly that
         assert payload["summary"]["lipschitz_estimate"] == pytest.approx(0.5, abs=1e-9)
 
-    def test_exact_matches_float_run(self, runner):
-        """``bilevel --exact`` (rational LPs and clipping) on the shipped toy
-        problem exits 0 with the float run's argmin."""
-        problem = str(PROBLEMS / "toy_bilevel.json")
-        flt = runner.invoke(cli.main, ["bilevel", problem])
-        ext = runner.invoke(cli.main, ["bilevel", problem, "--exact"])
-        assert flt.exit_code == 0 and ext.exit_code == 0
-        a, b = strict_json(flt.stdout)["summary"], strict_json(ext.stdout)["summary"]
-        assert b["argmin_x"] == a["argmin_x"]
-        assert b["argmin_value"] == pytest.approx(a["argmin_value"], abs=1e-12)
-
     def test_argmin_flips_with_negated_cost(self, runner, tmp_path):
         problem = tmp_path / "toy_neg.json"
         problem.write_text(json.dumps(toy_problem([-1.0, 0.0])))

@@ -200,9 +200,11 @@ def _random_rows(rng, d, kind, exact):
 
 
 def _box(d, exact):
+    """The corners and facet rows of [-1, 2]^d, in Fractions or floats."""
     one = Fraction(1) if exact else 1.0
-    lo, hi = [-one] * d, [2 * one] * d
-    return gk._box_corners(lo, hi), gk._box_rows(lo, hi)
+    eye = np.array([[one * (i == j) for j in range(d)] for i in range(d)])
+    rows = [r for e in eye for r in ((e, 2 * one), (-e, one))]
+    return np.array(list(itertools.product((-one, 2 * one), repeat=d))), rows
 
 
 def _same(a, b):

@@ -122,7 +122,7 @@ class TestHausdorffLip:
 
     def test_toy_bilevel_exact(self):
         bm = sv.BilevelSolutionMap(spec=sv.toy_bilevel_spec())
-        est = pr.hausdorff_lip(bm, pr.make_grid(0, 1, 15), exact=True)
+        est = pr.hausdorff_lip(bm, pr.make_grid(0, 1, 15))
         assert est == pytest.approx(1.0, abs=1e-9)
 
     def test_rotating_segment_circle_metric(self):

@@ -1,6 +1,7 @@
 """Parametric maps: images, solution faces, decompositions, selections."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ class TestBilevelSolution:
 
     def test_exact_mode_hausdorff_identity(self, toy):
         xs = np.linspace(0.0, 1.0, 9)
-        polys = [sv.bilevel_solution(toy, x, exact=True) for x in xs]
+        polys = [sv.bilevel_solution(toy, x) for x in xs]
         for i in range(len(xs)):
             for j in range(i + 1, len(xs)):
                 assert gk.hausdorff(polys[i], polys[j]) == pytest.approx(
@@ -103,10 +104,9 @@ class TestBilevelSolution:
             rhs=np.array([0.0, 0.0, 1.0, 0.0]),
             cost=np.array([-1.0]),
         )
-        S = sv.bilevel_solution(spec, 0.1, exact=True)
+        S = sv.bilevel_solution(spec, 0.1)
         assert S.intrinsic_dim == 0
         assert S.vrep[0] == pytest.approx([0.3], abs=1e-15)
-        assert np.array_equal(S.vrep, sv.bilevel_solution(spec, 0.1).vrep)
 
     def test_unbounded_joint_set_rejected(self):
         with pytest.raises(Unbounded):
@@ -171,9 +171,23 @@ def _cube_spec(a_row, cost):
     )
 
 
+def _non_dyadic_spec(rng):
+    """y in [0, 1]^3 and x in [-1, 2] cut by three random rows with entries
+    such as 0.1 and 1/3, each 0.1 to 0.35 from the centre (1/2, ..., 1/2):
+    the extremes of the parameter box and the fibers' vertices are mostly
+    not floats."""
+    vals = np.array([0.1, -0.1, 1 / 3, -1 / 3, 0.7, -2 / 3, 0.3])
+    N = rng.choice(vals, (3, 4))
+    off = N @ np.full(4, 0.5) + rng.uniform(0.1, 0.35, 3)
+    eye = np.eye(4)
+    M = np.vstack([-eye, eye, N])
+    rhs = np.concatenate([[1.0, 0.0, 0.0, 0.0, 2.0, 1.0, 1.0, 1.0], off])
+    return sv.BilevelLinearSpec(a_matrix=M[:, :1], b_matrix=M[:, 1:], rhs=rhs, cost=rng.choice(vals, 3))
+
+
 class TestLinearFiber:
-    """Optimal faces and eps-sets read off the fiber's vertices, float and
-    exact, against the HiGHS optimum."""
+    """Optimal faces and eps-sets read exactly off the fiber's vertices,
+    against the HiGHS optimum and the Fraction brute force."""
 
     EPS = 0.25
 
@@ -187,54 +201,86 @@ class TestLinearFiber:
             r = spec.rhs - spec.a_matrix @ [x]
             opt = linprog(c, A_ub=B, b_ub=r, bounds=[(None, None)] * 3, method="highs")
             if opt.status == 2:
-                for exact in (False, True):
-                    with pytest.raises(ParameterInfeasible):
-                        sv.bilevel_solution(spec, x, exact=exact)
+                with pytest.raises(ParameterInfeasible):
+                    sv.bilevel_solution(spec, x)
                 continue
             assert opt.status == 0
-            got = {}
-            for exact in (False, True):
-                face = sv.bilevel_solution(spec, x, exact=exact).vrep
-                eps_set = sv.eps_argmin(spec, self.EPS, x, exact=exact).vrep
-                for V in (face, eps_set):
-                    assert (V @ B.T - r).max() <= 1e-9
-                assert np.abs(face @ c - opt.fun).max() <= 1e-9
-                assert (eps_set @ c).max() <= opt.fun + self.EPS + 1e-9
-                got[exact] = face, eps_set
-            for V, W in zip(got[False], got[True]):
-                assert V.shape == W.shape
-                assert np.abs(V - W).max() <= 1e-12
+            face = sv.bilevel_solution(spec, x).vrep
+            eps_set = sv.eps_argmin(spec, self.EPS, x).vrep
+            for V in (face, eps_set):
+                assert (V @ B.T - r).max() <= 1e-9
+            assert np.abs(face @ c - opt.fun).max() <= 1e-9
+            assert (eps_set @ c).max() <= opt.fun + self.EPS + 1e-9
+
+    @staticmethod
+    def _check_inward(spec, brute_fractions):
+        """x_box is the parameter range of the joint set's brute-force
+        vertices (Fraction solves) rounded inward: lo is the least float
+        >= the exact minimum, hi the greatest float <= the exact maximum."""
+        xs = [y[0] for y in brute_fractions(np.hstack([spec.a_matrix, spec.b_matrix]), spec.rhs)]
+        (lo,), (hi,) = spec.x_box
+        assert Fraction(lo) >= min(xs) > Fraction(math.nextafter(lo, -math.inf))
+        assert Fraction(hi) <= max(xs) < Fraction(math.nextafter(hi, math.inf))
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_boxes_are_the_rounded_exact_extremes(self, seed, brute_vertices):
-        """x_box and y_box are the least and greatest vertex coordinates of the
-        joint set, each the float nearest its exact value: the brute-force
-        vertices (Fraction solves, each rounded once) give them bit for bit."""
+    def test_boxes_are_the_rounded_exact_extremes(self, seed, brute_fractions):
         rng = np.random.default_rng([seed, 43])
         for _ in range(32):
-            spec = _sweep_shape_spec(rng)
-            V = brute_vertices(np.hstack([spec.a_matrix, spec.b_matrix]), spec.rhs)
-            got = np.concatenate([*spec.x_box, *spec.y_box])
-            lo, hi = V.min(axis=0), V.max(axis=0)
-            want = np.concatenate([lo[:1], hi[:1], lo[1:], hi[1:]])
-            assert np.array_equal(got, want)
+            self._check_inward(_sweep_shape_spec(rng), brute_fractions)
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_cost_parallel_to_a_facet(self, exact):
+    def test_fibers_at_the_domain_ends(self, brute_fractions):
+        """The parameter box rounded inward: at both of its ends of specs
+        whose extremes are not floats, the fiber, the face and the eps-set
+        are nonempty.  The float nearest an extreme can lie outside the
+        joint set's projection, where the fiber is empty."""
+        rng = np.random.default_rng(7)
+        for _ in range(39):
+            spec = _non_dyadic_spec(rng)
+            self._check_inward(spec, brute_fractions)
+            for x in (spec.x_box[0][0], spec.x_box[1][0]):
+                sv._linear_fiber(spec, x, gk.DEFAULT_TOL)
+                sv.bilevel_solution(spec, x)
+                sv.eps_argmin(spec, self.EPS, x)
+
+    @pytest.mark.parametrize("kind", ("sweep", "non-dyadic"))
+    def test_fibers_match_the_fraction_brute_force(self, kind, brute_fractions, brute_vertices):
+        """At interior parameters the fiber {y : B y <= b - A x}, the face and
+        the eps-set are, bit for bit, the float rounding of the Fraction
+        brute force of B y <= b - A x with the cut rows c.y <= v + cut (and
+        c.y >= v for the face), v the exact least c.y over the fiber."""
+        if kind == "sweep":
+            rngs = [np.random.default_rng([seed, 43]) for seed in (1, 2, 3)]
+            specs = [_sweep_shape_spec(rng) for rng in rngs for _ in range(3)]
+        else:
+            rng = np.random.default_rng(11)
+            specs = [_non_dyadic_spec(rng) for _ in range(4)]
+        for spec in specs:
+            B, c = spec.b_matrix, spec.cost
+            (lo,), (hi,) = spec.x_box
+            for x in lo + (hi - lo) * np.array([0.2, 0.5, 0.9]):
+                r = [Fraction(b) - Fraction(a) * Fraction(x) for (a,), b in zip(spec.a_matrix, spec.rhs)]
+                fiber = brute_fractions(B, r)
+                v = min(sum(Fraction(ci) * yi for ci, yi in zip(c, y)) for y in fiber)
+                assert np.array_equal(sv._linear_fiber(spec, x, gk.DEFAULT_TOL).vrep, brute_vertices(B, r))
+                assert np.array_equal(sv.bilevel_solution(spec, x).vrep,
+                                      brute_vertices(np.vstack([B, c, -c]), [*r, v, -v]))
+                assert np.array_equal(sv.eps_argmin(spec, self.EPS, x).vrep,
+                                      brute_vertices(np.vstack([B, c]), [*r, v + Fraction(self.EPS)]))
+
+    def test_cost_parallel_to_a_facet(self):
         # min ones.y over the cube cut by ones.y >= 3/4: the face is that facet
         spec = _cube_spec(1.5, [1.0, 1.0, 1.0])
-        S = sv.bilevel_solution(spec, 0.5, exact=exact)
+        S = sv.bilevel_solution(spec, 0.5)
         assert S.intrinsic_dim == 2
         assert np.array_equal(S.vrep, np.array([[0, 0, 0.75], [0, 0.75, 0], [0.75, 0, 0]]))
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_fiber_is_a_single_point(self, exact):
+    def test_fiber_is_a_single_point(self):
         # ones.y >= 3 leaves the corner (1, 1, 1) of the cube alone
         spec = _cube_spec(3.0, [0.5, -0.25, 1.0])
         for P in (
-            sv._linear_fiber(spec, 1.0, gk.DEFAULT_TOL, exact),
-            sv.bilevel_solution(spec, 1.0, exact=exact),
-            sv.eps_argmin(spec, self.EPS, 1.0, exact=exact),
+            sv._linear_fiber(spec, 1.0, gk.DEFAULT_TOL),
+            sv.bilevel_solution(spec, 1.0),
+            sv.eps_argmin(spec, self.EPS, 1.0),
         ):
             assert P.intrinsic_dim == 0
             assert P.vrep.tolist() == [[1.0, 1.0, 1.0]]
@@ -254,9 +300,8 @@ class TestGenericAffine:
         )
         assert gm.domain == sv.BilevelSolutionMap(spec=spec0).domain
         for x in (0.0, 0.3, 1.0):
-            S = gm.evaluate(x, exact=True)
-            assert S.vrep == pytest.approx(gm.evaluate(x).vrep, abs=1e-12)
-            assert np.array_equal(S.vrep, sv.bilevel_solution(spec0, x, exact=True).vrep)
+            S = gm.evaluate(x)
+            assert np.array_equal(S.vrep, sv.bilevel_solution(spec0, x).vrep)
             assert S.intrinsic_dim == (1 if x == 1.0 else 2)
 
 
@@ -332,7 +377,7 @@ class TestRectDecompose:
         ])
         b = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
         spec2 = sv.BilevelLinearSpec(a_matrix=A, b_matrix=B, rhs=b, cost=np.array([1.0, 1.0]))
-        S = sv.bilevel_solution(spec2, (0.3, 0.6), exact=True)
+        S = sv.bilevel_solution(spec2, (0.3, 0.6))
         assert S.intrinsic_dim == 0
         assert S.vrep[0] == pytest.approx([0.3, 0.6])
         E = sv.eps_argmin(spec2, 0.1, (0.3, 0.6))
