@@ -267,16 +267,28 @@ class TestLinearFiber:
                 assert np.array_equal(sv.eps_argmin(spec, self.EPS, x).vrep,
                                       brute_vertices(np.vstack([B, c]), [*r, v + Fraction(self.EPS)]))
 
-    def test_cost_parallel_to_a_facet(self):
+    @staticmethod
+    def _rows(spec, reverse):
+        """The spec, or the same spec with its rows in reverse order: the
+        exact vertex enumeration does not depend on the order of the rows."""
+        if not reverse:
+            return spec
+        return sv.BilevelLinearSpec(
+            a_matrix=spec.a_matrix[::-1], b_matrix=spec.b_matrix[::-1], rhs=spec.rhs[::-1], cost=spec.cost
+        )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_cost_parallel_to_a_facet(self, reverse):
         # min ones.y over the cube cut by ones.y >= 3/4: the face is that facet
-        spec = _cube_spec(1.5, [1.0, 1.0, 1.0])
+        spec = self._rows(_cube_spec(1.5, [1.0, 1.0, 1.0]), reverse)
         S = sv.bilevel_solution(spec, 0.5)
         assert S.intrinsic_dim == 2
         assert np.array_equal(S.vrep, np.array([[0, 0, 0.75], [0, 0.75, 0], [0.75, 0, 0]]))
 
-    def test_fiber_is_a_single_point(self):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_fiber_is_a_single_point(self, reverse):
         # ones.y >= 3 leaves the corner (1, 1, 1) of the cube alone
-        spec = _cube_spec(3.0, [0.5, -0.25, 1.0])
+        spec = self._rows(_cube_spec(3.0, [0.5, -0.25, 1.0]), reverse)
         for P in (
             sv._linear_fiber(spec, 1.0, gk.DEFAULT_TOL),
             sv.bilevel_solution(spec, 1.0),
