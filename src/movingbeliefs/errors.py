@@ -63,7 +63,8 @@ class ResolutionTooCoarse(MovingBeliefsError):
 
 
 class DomainViolation(MovingBeliefsError):
-    """A parameter lies outside the domain of a set-valued map."""
+    """A parameter lies outside the domain of a set-valued map, or an image
+    outside a box declared to hold it."""
 
 
 class ParameterInfeasible(MovingBeliefsError):

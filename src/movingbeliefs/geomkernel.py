@@ -526,14 +526,14 @@ def _int_dtype(H: np.ndarray, rows) -> type:
     return np.int64 if max((sum(map(abs, r)) for r in rows), default=0) * m * m < 2**62 else object
 
 
-def _clip_exact(H: np.ndarray, base_rows, new_rows, then=None):
+def _clip_exact(H: np.ndarray, base_rows, new_rows):
     """``_clip`` in exact arithmetic on homogeneous integer rays H = (X, w),
     w >= 0, which must be the extreme rays of the pointed cone {(X, w) :
-    r . (X, w) >= 0 for r in base_rows} (``_cone_start``'s are), with rows
-    (-a, b) as from ``_int_row`` (``then`` maps H to such rows); returns
-    (H, act), or None when no ray is left.  The rays with w > 0 are the
-    vertices X / w of the polyhedron, those with w = 0 its recession rays
-    (Motzkin et al. 1953; Fukuda & Prodon 1996).
+    r . (X, w) >= 0 for r in base_rows} (``_cone_start``'s and
+    ``_hrep_vertices``' are), with rows (-a, b) as from ``_int_row``;
+    returns (H, act), or None when no ray is left.  The rays with w > 0 are
+    the vertices X / w of the polyhedron, those with w = 0 its recession
+    rays (Motzkin et al. 1953; Fukuda & Prodon 1996).
 
     The slacks of a row are s = H @ (-a, b) = b w - X a, of the sign of the
     rational slacks; the cut ray of an inside/outside pair (i, j) is
@@ -550,35 +550,34 @@ def _clip_exact(H: np.ndarray, base_rows, new_rows, then=None):
     R = np.array(base_rows, dtype=object).reshape(-1, d + 1)
     dt = _int_dtype(H, base_rows)
     act = H.astype(dt) @ R.astype(dt).T == 0
-    for stage in (new_rows, then):
-        for r in stage(H) if callable(stage) else stage or ():
-            if not any(r[:-1]):  # a zero row holds everywhere or forces w = 0
-                if r[-1] < 0:
-                    return None
-                continue
-            dt = _int_dtype(H, [r])
-            H = H.astype(dt, copy=False)
-            s = H @ np.array(r, dtype=dt)
-            out = s < 0
-            if not out.any():
-                act = np.column_stack([act, s == 0])
-                continue
-            if out.all():
+    for r in new_rows:
+        if not any(r[:-1]):  # a zero row holds everywhere or forces w = 0
+            if r[-1] < 0:
                 return None
-            I, J = np.nonzero(s > 0)[0], np.nonzero(out)[0]
-            common = act[I][:, None] & act[J][None]
-            ok = common.sum(axis=2) >= d - 1
-            if d > 2 and ok.any():
-                cand = common[ok]
-                on_all = cand.astype(np.int64) @ act.T == cand.sum(axis=1)[:, None]
-                ok[ok] = on_all.sum(axis=1) == 2
-            ii, jj = np.nonzero(ok)
-            i, j = I[ii], J[jj]
-            P = s[i, None] * H[j] - s[j, None] * H[i]
-            P //= np.gcd.reduce(P, axis=1)[:, None]
-            H = np.vstack([H[~out], P])
-            act = np.vstack([np.column_stack([act[~out], s[~out] == 0]),
-                             np.column_stack([common[ii, jj], np.ones(len(i), bool)])])
+            continue
+        dt = _int_dtype(H, [r])
+        H = H.astype(dt, copy=False)
+        s = H @ np.array(r, dtype=dt)
+        out = s < 0
+        if not out.any():
+            act = np.column_stack([act, s == 0])
+            continue
+        if out.all():
+            return None
+        I, J = np.nonzero(s > 0)[0], np.nonzero(out)[0]
+        common = act[I][:, None] & act[J][None]
+        ok = common.sum(axis=2) >= d - 1
+        if d > 2 and ok.any():
+            cand = common[ok]
+            on_all = cand.astype(np.int64) @ act.T == cand.sum(axis=1)[:, None]
+            ok[ok] = on_all.sum(axis=1) == 2
+        ii, jj = np.nonzero(ok)
+        i, j = I[ii], J[jj]
+        P = s[i, None] * H[j] - s[j, None] * H[i]
+        P //= np.gcd.reduce(P, axis=1)[:, None]
+        H = np.vstack([H[~out], P])
+        act = np.vstack([np.column_stack([act[~out], s[~out] == 0]),
+                         np.column_stack([common[ii, jj], np.ones(len(i), bool)])])
     return H, act
 
 
@@ -625,37 +624,35 @@ def _direction(v) -> tuple:
     return tuple(float(Fraction(x, m)) for x in v)
 
 
-def _hrep_vertices(M, q, objective=None) -> np.ndarray:
-    """The vertices of the polytope {y : M y <= q} as homogeneous integer
-    rows (X, w), w > 0, with y = X / w exactly, by the homogeneous double
-    description of the data read exactly: ``_cone_start``, then
-    ``_clip_exact`` with the other rows.  The offsets q are floats or
-    Fractions; the rows M floats.  No ray with w > 0 left means the set is
-    empty (``Infeasible``), a ray with w = 0 that it recedes along it
-    (``Unbounded``, naming the ray).  When M has rank < d the set is empty or
-    holds a line; the same call on M's pivot columns tells which.
-
-    ``objective`` (c, cut) continues the same clip with c . y <= v + cut,
-    and c . y >= v when cut is 0, where v is the least c . y over the
-    vertices of {y : M y <= q} (``_objective_rows``)."""
+def _hrep_vertices(M, q) -> tuple:
+    """The vertices of the polytope {y : M y <= q}, the float data read
+    exactly, by the homogeneous double description: ``_cone_start``, then
+    ``_clip_exact`` with the other rows.  Returns (H, rows): H the vertices
+    as homogeneous integer rows (X, w), w > 0, with y = X / w exactly, and
+    rows the integer rows of w >= 0 and of M y <= q (``_int_row``).  H is
+    the set of extreme rays of those rows' cone, so ``_clip_exact(H, rows,
+    more)`` clips the polytope further.  No ray with w > 0 left means the
+    set is empty (``Infeasible``), a ray with w = 0 that it recedes along it
+    (``Unbounded``, naming the ray).  When M has rank < d the set is empty
+    or holds a line; the same call on M's pivot columns tells which."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    qf = np.asarray(q, dtype=float)
-    if qf.shape != M.shape[:1]:
+    q = np.asarray(q, dtype=float)
+    if q.shape != M.shape[:1]:
         raise ValueError("inconsistent inequality dimensions")
-    if not (np.isfinite(M).all() and np.isfinite(qf).all()):
+    if not (np.isfinite(M).all() and np.isfinite(q).all()):
         raise ValueError("inequality data must be finite")
-    q = [v if isinstance(v, Fraction) else float(v) for v in q]
     d = M.shape[1]
-    H, base, rest = _cone_start([_int_row(a, b) for a, b in zip(M, q)], d)
+    rows = [_int_row(a, b) for a, b in zip(M, q)]
+    H, base, rest = _cone_start(rows, d)
     if H is None:  # rank < d: empty, or it holds the line along ``rest``
         try:
             _hrep_vertices(M[:, base], q)
         except Unbounded:
             pass
         raise Unbounded(f"recession direction {_direction(rest)} and its opposite: the set holds a line")
-    then = None if objective is None else (lambda H: _objective_rows(*objective, _bounded(H)))
-    out = _clip_exact(H, base, rest, then)
-    return _bounded(np.zeros((0, d + 1), dtype=np.int64) if out is None else out[0])
+    out = _clip_exact(H, base, rest)
+    H = _bounded(np.zeros((0, d + 1), dtype=np.int64) if out is None else out[0])
+    return H, [[0] * d + [1], *rows]
 
 
 def _bounded(H: np.ndarray) -> np.ndarray:
@@ -669,20 +666,11 @@ def _bounded(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def _least(H: np.ndarray, c) -> Fraction:
-    """min c . X / w over the homogeneous integer vertices (X, w) of H, exactly."""
+def _values(H: np.ndarray, c) -> list:
+    """c . X / w at each homogeneous integer vertex (X, w) of H, as Fractions."""
     *num, den = _integers([[*np.asarray(c).tolist(), 1.0]])[0]  # c = num / den
     vals = (H[:, :-1].astype(object) @ np.array(num, dtype=object)).tolist()
-    return min(Fraction(v, w * den) for v, w in zip(vals, H[:, -1].tolist()))
-
-
-def _objective_rows(c, cut, H: np.ndarray) -> list:
-    """The rows c . y <= v + cut, and c . y >= v when cut is 0, where v is the
-    least c . y over the homogeneous integer vertices H, exactly, as from
-    ``_int_row``."""
-    v, cut = _least(H, c), Fraction(cut)
-    rows = [(c, v), (-c, -v)] if cut == 0 else [(c, v + cut)]
-    return [_int_row(*r) for r in rows]
+    return [Fraction(v, w * den) for v, w in zip(vals, H[:, -1].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -697,21 +685,17 @@ def from_vrep(points: Sequence, tol: Tolerances = DEFAULT_TOL) -> Polytope:
     return _build_polytope(pts, tol)
 
 
-def from_hrep(M: Sequence, q: Sequence, tol: Tolerances = DEFAULT_TOL, objective=None) -> Polytope:
+def from_hrep(M: Sequence, q: Sequence, tol: Tolerances = DEFAULT_TOL) -> Polytope:
     """Polytope from inequality rows M y <= q: the one vertex enumerator for
     polytopes given by rows.
 
-    The offsets q may be floats or Fractions (a parametric right-hand side
-    b - A x formed exactly); the float rows M are read exactly.
-    Feasibility and boundedness are decided exactly, and the vertices
-    enumerated exactly, each rounded once (``_to_float``), by
-    ``_hrep_vertices``; an empty set raises ``Infeasible``, an unbounded one
-    ``Unbounded`` naming a recession direction, non-finite data
-    ``ValueError``.  ``objective`` (c, cut) returns instead the part of the
-    polytope where c . y is within cut of its least value v, the face
-    c . y = v when cut is 0, from the same exact clip.
+    The float data are read exactly.  Feasibility and boundedness are
+    decided exactly, and the vertices enumerated exactly, each rounded once
+    (``_to_float``), by ``_hrep_vertices``; an empty set raises
+    ``Infeasible``, an unbounded one ``Unbounded`` naming a recession
+    direction, non-finite data ``ValueError``.
     """
-    return _build_polytope(_to_float(_hrep_vertices(M, q, objective)), tol)
+    return _build_polytope(_to_float(_hrep_vertices(M, q)[0]), tol)
 
 
 # ---------------------------------------------------------------------------

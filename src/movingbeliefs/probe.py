@@ -22,7 +22,7 @@ from . import beliefs as bl
 from . import geomkernel as gk
 from . import svmaps as sv
 from .beliefs import Belief, Integrand, MeasurePair, NEUTRAL, Polynomial
-from .errors import DimensionViolation, ZeroDenominator
+from .errors import DimensionViolation, DomainViolation, ZeroDenominator
 from .geomkernel import DEFAULT_TOL, Polytope, Tolerances
 
 
@@ -184,7 +184,7 @@ def sweep_phi(
         fd[i] = (vals[i + 1] - vals[i - 1]) / h if h != 0 else np.nan
     ratio = np.full(n, np.nan)
     for i in range(1, n):
-        d = sv.param_distance(spec, grid[i - 1], grid[i])
+        d = spec.distance(grid[i - 1], grid[i])
         ratio[i] = abs(vals[i] - vals[i - 1]) / d if d > 0 else np.nan
     seen = ratio[~np.isnan(ratio)]  # none on a single point or on coincident points
     max_ratio = float(seen.max()) if seen.size else 0.0
@@ -193,7 +193,7 @@ def sweep_phi(
         pw = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
-                d = sv.param_distance(spec, grid[i], grid[j])
+                d = spec.distance(grid[i], grid[j])
                 if d > 0:
                     pw[i, j] = pw[j, i] = abs(vals[i] - vals[j]) / d
         max_ratio = max(max_ratio, float(pw.max()))
@@ -228,7 +228,7 @@ def calmness_estimate(
     else:
         f = phi_function(target, belief, theta, tol)
         in_domain = target.in_domain
-        dist = lambda a, b: sv.param_distance(target, a, b)  # noqa: E731
+        dist = target.distance
     f_anchor = f(anchor)
     sups = np.zeros(len(radii))
     for i, r in enumerate(radii):
@@ -256,7 +256,7 @@ def hausdorff_lip(spec: sv.MapSpec, grid: Sequence, tol: Tolerances = DEFAULT_TO
     best = 0.0
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):
-            d = sv.param_distance(spec, grid[i], grid[j])
+            d = spec.distance(grid[i], grid[j])
             if d <= 0:
                 continue
             best = max(best, gk.hausdorff(imgs[i], imgs[j]) / d)
@@ -275,7 +275,9 @@ def verify_tv_bound(
 ) -> VerificationReport:
     """Check the total-variation bound for full-dimensional images: between
     adjacent grid points, d_TV <= (2 L / vol(S(x))) d_H(S(x), S(x')) with L
-    the volume Lipschitz constant of the enclosing box."""
+    the volume Lipschitz constant of the enclosing box: ``y_box``, which
+    must have the images' dimension and hold every image (else
+    ``DomainViolation``, up to ``feas_tol``), or the images' bounding box."""
     grid = np.asarray(list(grid), dtype=float)
     imgs = [sv.eval_map(spec, x, tol) for x in grid]
     m = imgs[0].ambient_dim
@@ -289,6 +291,12 @@ def verify_tv_bound(
         hi = np.max([p.vrep.max(axis=0) for p in imgs], axis=0)
     else:
         lo, hi = (np.asarray(v, dtype=float) for v in y_box)
+        if lo.shape != (m,) or hi.shape != (m,):
+            raise DomainViolation(f"y_box corners need {m} coordinates")
+        V = np.vstack([p.vrep for p in imgs])
+        out = float(np.max([lo - V, V - hi]))
+        if out > tol.feas_tol:
+            raise DomainViolation(f"an image vertex lies {out:.6g} outside y_box")
     diam = float(np.linalg.norm(hi - lo))
     L = gk.volume_lipschitz_constant(diam, m)
 
@@ -463,7 +471,7 @@ def verify_sandwich_and_h(
     h_vals = np.array(h_vals)
     dq = np.full(len(grid), np.nan)
     for i in range(1, len(grid)):
-        d = sv.param_distance(spec, grid[i - 1], grid[i])
+        d = spec.distance(grid[i - 1], grid[i])
         if d > 0 and not (math.isnan(h_vals[i]) or math.isnan(h_vals[i - 1])):
             dq[i] = abs(h_vals[i] - h_vals[i - 1]) / d
 
@@ -512,7 +520,7 @@ def verify_w1_regime(
     def ratios(indices):
         out = []
         for a, b in zip(indices[:-1], indices[1:]):
-            d = sv.param_distance(spec, grid[a], grid[b])
+            d = spec.distance(grid[a], grid[b])
             if d <= 0:
                 continue
             w1, err = bl.w1_distance(MeasurePair.make(imgs[a], imgs[b], tol), resolution, tol)

@@ -22,16 +22,10 @@ from . import geomkernel as gk
 from .errors import (
     DimensionDrift,
     DomainViolation,
-    Infeasible,
     ParameterInfeasible,
     ZeroDenominator,
 )
 from .geomkernel import DEFAULT_TOL, AffineFrame, Polytope, Tolerances
-
-
-def _rational(a) -> np.ndarray:
-    """Element-wise Fraction copy (object dtype) of a float array."""
-    return np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=float))
 
 
 def _as_param(x) -> tuple:
@@ -48,19 +42,23 @@ def _as_param(x) -> tuple:
 class BilevelLinearSpec:
     """Data of a fully linear lower level: argmin_y {c.y : A x + B y <= b}.
 
-    The joint constraint set is enumerated exactly at construction
-    (``gk._hrep_vertices``), which certifies that it is nonempty and
-    bounded.  ``x_box`` holds the least and greatest parameter coordinates
-    of its vertices rounded inward: lo the least float >= the exact
-    minimum, hi the greatest float <= the exact maximum, so that the fiber
-    at every float parameter of the box is nonempty.
+    The joint constraint set {(x, y) : A x + B y <= b} is enumerated
+    exactly once, at construction, which certifies that it is nonempty and
+    bounded.  ``joint`` keeps that enumeration, ``gk._hrep_vertices``' pair
+    (H, rows): every fiber, optimal face and eps-set is an exact slice of
+    it (``_linear_fiber``).  ``x_box`` holds the least and greatest
+    parameter coordinates of its vertices rounded inward: lo the least
+    float >= the exact minimum, hi the greatest float <= the exact maximum.
+    For a scalar parameter the fiber at every float of the box is nonempty;
+    with more parameters the box only bounds the joint set's projection.
     """
 
     a_matrix: np.ndarray  # (p, n)
     b_matrix: np.ndarray  # (p, m)
     rhs: np.ndarray  # (p,)
     cost: np.ndarray  # (m,)
-    x_box: tuple = field(default=None, repr=False)
+    x_box: tuple = field(init=False, repr=False)
+    joint: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
@@ -73,10 +71,11 @@ class BilevelLinearSpec:
         object.__setattr__(self, "b_matrix", B)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "cost", c)
-        H = gk._hrep_vertices(np.hstack([A, B]), b).tolist()
-        xs = [[Fraction(h[j], h[-1]) for h in H] for j in range(A.shape[1])]
+        H, rows = gk._hrep_vertices(np.hstack([A, B]), b)
+        xs = [[Fraction(h[j], h[-1]) for h in H.tolist()] for j in range(A.shape[1])]
         lo, hi = zip(*(_inward(min(v), max(v)) for v in xs))
         object.__setattr__(self, "x_box", (np.array(lo), np.array(hi)))
+        object.__setattr__(self, "joint", (H, rows))
 
     @property
     def n_vars(self) -> int:
@@ -100,26 +99,36 @@ def toy_bilevel_spec() -> BilevelLinearSpec:
 
 
 def _linear_fiber(spec: BilevelLinearSpec, x, tol: Tolerances, cut: Optional[float] = None) -> Polytope:
-    """The fiber {y : B y <= b - A x}, cut by the lower-level objective,
-    enumerated exactly by ``gk.from_hrep``.
+    """The fiber {y : B y <= b - A x}, cut by the lower-level objective: a
+    slice at x of the spec's exact joint enumeration.
 
-    ``cut`` None keeps the whole fiber; 0 pins c.y to the optimal value v(x)
-    from both sides (the optimal face); a positive cut keeps
-    c.y <= v(x) + cut.  The fiber rows are clipped once: v(x) is the least
-    c.y over the vertices they leave, and the same clip goes on with the cut
-    rows (``gk.from_hrep``'s objective).  The rows, v(x) and the clipping
-    are rational, and the vertices keep the rank-band check.  Only b - A x
-    is made of Fractions (its float would round): the enumerator reads the
-    float entries of B and c exactly.  An empty fiber raises
-    ``ParameterInfeasible``.
+    The joint vertices are clipped exactly (``gk._clip_exact``) by the pins
+    x'_j <= x_j and -x'_j <= -x_j, the float x read exactly; the rays left
+    are the vertices (x, y) of the fiber, and none left means it is empty
+    (``ParameterInfeasible``).  ``cut`` None keeps the whole fiber; 0 keeps
+    its optimal face, the hull of the vertices where c.y equals the exact
+    least value v(x); a positive cut clips once more, with the exact row
+    c.y <= v(x) + cut.  The x columns are dropped and the vertices rounded
+    once, and they keep the rank-band check.
     """
     x = _as_param(x)
-    r = _rational(spec.rhs) - _rational(spec.a_matrix) @ _rational(x)
-    objective = None if cut is None else (spec.cost, cut)
-    try:
-        return gk.from_hrep(spec.b_matrix, r, tol, objective)
-    except Infeasible:
-        raise ParameterInfeasible(f"no feasible response at parameter {x}") from None
+    n = spec.a_matrix.shape[1]
+    H, rows = spec.joint
+    unit = np.eye(H.shape[1] - 1)[:n]
+    pins = [gk._int_row(s * u, s * v) for u, v in zip(unit, x, strict=True) for s in (1.0, -1.0)]
+    out = gk._clip_exact(H, rows, pins)
+    if out is None:  # the joint set is bounded: no ray has w = 0
+        raise ParameterInfeasible(f"no feasible response at parameter {x}")
+    H = out[0]
+    if cut is not None:
+        c = np.concatenate([np.zeros(n), spec.cost])
+        vals = gk._values(H, c)
+        v = min(vals)
+        if cut == 0:
+            H = H[[u == v for u in vals]]
+        else:
+            H = gk._clip_exact(H, rows + pins, [gk._int_row(c, v + Fraction(cut))])[0]
+    return gk._build_polytope(gk._to_float(H[:, n:]), tol)
 
 
 def bilevel_solution(spec: BilevelLinearSpec, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
@@ -317,10 +326,6 @@ def eval_map(spec: MapSpec, x, tol: Tolerances = DEFAULT_TOL, exact: bool = Fals
     if not spec.in_domain(x):
         raise DomainViolation(f"parameter {x} outside the domain of {spec.kind}")
     return spec.evaluate(x, tol)
-
-
-def param_distance(spec: MapSpec, x, x2) -> float:
-    return spec.distance(x, x2)
 
 
 def dim_profile(spec: MapSpec, grid: Sequence, tol: Tolerances = DEFAULT_TOL):

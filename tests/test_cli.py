@@ -169,6 +169,20 @@ class TestVerifyCommand:
         res = runner.invoke(cli.main, ["verify", "tv-bound", "--builtin", "eps-toy"])
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("box", [[[0.0, 0.0], [0.2, 0.2]], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]],
+                             ids=["misses-the-images", "three-coordinates"])
+    def test_tv_bound_y_box_must_hold_the_images(self, runner, tmp_path, box):
+        """L is the volume Lipschitz constant of y_box, valid only when y_box
+        holds every image: a box that misses them, or has another dimension,
+        is a precondition error."""
+        obj = json.loads((PROBLEMS / "eps_toy.json").read_text())
+        obj["y_box"] = box
+        problem = tmp_path / "small_box.json"
+        problem.write_text(json.dumps(obj))
+        res = runner.invoke(cli.main, ["verify", "tv-bound", str(problem)])
+        assert res.exit_code == 2
+        assert "DomainViolation" in res.stderr
+
     def test_tv_bound_dimension_violation_exits_2(self, runner):
         res = runner.invoke(cli.main, ["verify", "tv-bound", "--builtin", "trapezoid"])
         assert res.exit_code == 2

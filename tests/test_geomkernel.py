@@ -288,18 +288,6 @@ class TestFromHrep:
             assert np.abs(d).max() == 1.0 and (M @ d <= 0).all()
             assert "line" not in str(info.value) or (M @ d == 0).all()
 
-    @pytest.mark.parametrize("M,q,error", [
-        ([[-1, 0], [0, 1], [0, -1]], [1 / 3, 1, 0], Unbounded),
-        ([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, -1, 1, 0], Infeasible),
-    ], ids=["half-strip", "empty"])
-    def test_objective_needs_a_polytope(self, M, q, error):
-        """The objective's least value is taken over vertices only once the
-        rows are known to bound a nonempty polytope, even where c . y is
-        bounded below on the set."""
-        for cut in (0.0, 0.5):
-            with pytest.raises(error):
-                gk.from_hrep(np.array(M, dtype=float), q, objective=(np.array([1.0, 0.0]), cut))
-
     @pytest.mark.parametrize(
         "M,q",
         [

@@ -57,8 +57,8 @@ class TestEvalMap:
 
     def test_circle_metric(self):
         rs = sv.RotSegMap()
-        assert sv.param_distance(rs, 0.05, 0.95) == pytest.approx(0.1)
-        assert sv.param_distance(sv.TrapezoidMap(), 0.05, 0.95) == pytest.approx(0.9)
+        assert rs.distance(0.05, 0.95) == pytest.approx(0.1)
+        assert sv.TrapezoidMap().distance(0.05, 0.95) == pytest.approx(0.9)
 
 
 class TestBilevelSolution:
@@ -185,6 +185,20 @@ def _non_dyadic_spec(rng):
     return sv.BilevelLinearSpec(a_matrix=M[:, :1], b_matrix=M[:, 1:], rhs=rhs, cost=rng.choice(vals, 3))
 
 
+def _two_parameter_spec(rng):
+    """``_non_dyadic_spec`` with two parameters: x in [-1, 2]^2 and y in
+    [0, 1]^3, cut by three random rows in (x, y).  Each row keeps a slack
+    of at least 0.1 at the centre and its x part moves by at most 0.07
+    within 0.05 of x = (1/2, 1/2), so the fiber there holds y = (1/2, ...)."""
+    vals = np.array([0.1, -0.1, 1 / 3, -1 / 3, 0.7, -2 / 3, 0.3])
+    N = rng.choice(vals, (3, 5))
+    off = N @ np.full(5, 0.5) + rng.uniform(0.1, 0.35, 3)
+    eye = np.eye(5)
+    M = np.vstack([-eye, eye, N])
+    rhs = np.concatenate([[1.0, 1.0, 0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 1.0, 1.0], off])
+    return sv.BilevelLinearSpec(a_matrix=M[:, :2], b_matrix=M[:, 2:], rhs=rhs, cost=rng.choice(vals, 3))
+
+
 class TestLinearFiber:
     """Optimal faces and eps-sets read exactly off the fiber's vertices,
     against the HiGHS optimum and the Fraction brute force."""
@@ -231,18 +245,24 @@ class TestLinearFiber:
     def test_fibers_at_the_domain_ends(self, brute_fractions):
         """The parameter box rounded inward: at both of its ends of specs
         whose extremes are not floats, the fiber, the face and the eps-set
-        are nonempty.  The float nearest an extreme can lie outside the
-        joint set's projection, where the fiber is empty."""
+        are nonempty, and one ulp beyond either end all three raise
+        ``ParameterInfeasible``.  The float nearest an extreme can lie
+        outside the joint set's projection, where the fiber is empty."""
         rng = np.random.default_rng(7)
         for _ in range(39):
             spec = _non_dyadic_spec(rng)
             self._check_inward(spec, brute_fractions)
-            for x in (spec.x_box[0][0], spec.x_box[1][0]):
-                sv._linear_fiber(spec, x, gk.DEFAULT_TOL)
-                sv.bilevel_solution(spec, x)
-                sv.eps_argmin(spec, self.EPS, x)
+            (lo,), (hi,) = spec.x_box
+            slices = (lambda x: sv._linear_fiber(spec, x, gk.DEFAULT_TOL),
+                      lambda x: sv.bilevel_solution(spec, x),
+                      lambda x: sv.eps_argmin(spec, self.EPS, x))
+            for x, beyond in ((lo, -math.inf), (hi, math.inf)):
+                for f in slices:
+                    f(x)
+                    with pytest.raises(ParameterInfeasible):
+                        f(math.nextafter(x, beyond))
 
-    @pytest.mark.parametrize("kind", ("sweep", "non-dyadic"))
+    @pytest.mark.parametrize("kind", ("sweep", "non-dyadic", "two-parameter"))
     def test_fibers_match_the_fraction_brute_force(self, kind, brute_fractions, brute_vertices):
         """At interior parameters the fiber {y : B y <= b - A x}, the face and
         the eps-set are, bit for bit, the float rounding of the Fraction
@@ -251,14 +271,22 @@ class TestLinearFiber:
         if kind == "sweep":
             rngs = [np.random.default_rng([seed, 43]) for seed in (1, 2, 3)]
             specs = [_sweep_shape_spec(rng) for rng in rngs for _ in range(3)]
-        else:
+        elif kind == "non-dyadic":
             rng = np.random.default_rng(11)
             specs = [_non_dyadic_spec(rng) for _ in range(4)]
+        else:
+            rng = np.random.default_rng(13)
+            specs = [_two_parameter_spec(rng) for _ in range(4)]
         for spec in specs:
             B, c = spec.b_matrix, spec.cost
-            (lo,), (hi,) = spec.x_box
-            for x in lo + (hi - lo) * np.array([0.2, 0.5, 0.9]):
-                r = [Fraction(b) - Fraction(a) * Fraction(x) for (a,), b in zip(spec.a_matrix, spec.rhs)]
+            if kind == "two-parameter":
+                xs = [(0.5, 0.5), (0.45, 0.55), (0.5 + 1 / 30, 0.46)]
+            else:
+                (lo,), (hi,) = spec.x_box
+                xs = [(x,) for x in lo + (hi - lo) * np.array([0.2, 0.5, 0.9])]
+            for x in xs:
+                r = [Fraction(b) - sum(Fraction(ai) * Fraction(xi) for ai, xi in zip(a, x))
+                     for a, b in zip(spec.a_matrix, spec.rhs)]
                 fiber = brute_fractions(B, r)
                 v = min(sum(Fraction(ci) * yi for ci, yi in zip(c, y)) for y in fiber)
                 assert np.array_equal(sv._linear_fiber(spec, x, gk.DEFAULT_TOL).vrep, brute_vertices(B, r))
@@ -296,6 +324,25 @@ class TestLinearFiber:
         ):
             assert P.intrinsic_dim == 0
             assert P.vrep.tolist() == [[1.0, 1.0, 1.0]]
+
+    def test_one_enumeration_per_spec(self, toy, monkeypatch):
+        """The joint set is enumerated once, when the spec is built; every
+        fiber, face and eps-set after that is a slice of that enumeration."""
+        calls = []
+        enumerate_joint = gk._hrep_vertices
+        monkeypatch.setattr(gk, "_hrep_vertices", lambda *a: calls.append(a) or enumerate_joint(*a))
+        spec = sv.BilevelLinearSpec(a_matrix=toy.a_matrix, b_matrix=toy.b_matrix, rhs=toy.rhs, cost=toy.cost)
+        generic = sv.GenericAffineMap(a_matrix=toy.a_matrix, b_matrix=toy.b_matrix, rhs=toy.rhs)
+        assert len(calls) == 2
+        for m in (sv.BilevelSolutionMap(spec=spec), sv.EpsArgminMap(spec=spec, eps=self.EPS), generic):
+            for x in np.linspace(0.0, 1.0, 5):
+                sv.eval_map(m, x)
+        assert len(calls) == 2
+
+    def test_parameter_box_is_not_an_argument(self, toy):
+        with pytest.raises(TypeError):
+            sv.BilevelLinearSpec(a_matrix=toy.a_matrix, b_matrix=toy.b_matrix, rhs=toy.rhs, cost=toy.cost,
+                                 x_box=(np.zeros(1), np.ones(1)))
 
 
 class TestGenericAffine:
