@@ -66,6 +66,8 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+MAX_COORD = 1e150  # largest coordinate magnitude: squared differences stay finite
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
@@ -219,13 +221,9 @@ class Polytope:
 
 
 def _canonical_signs(basis: np.ndarray) -> np.ndarray:
-    basis = basis.copy()
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        lead = np.argmax(np.abs(col))
-        if col[lead] < 0:
-            basis[:, j] = -col
-    return basis
+    """Each column negated where its entry of largest magnitude is negative."""
+    lead = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
+    return np.where(lead < 0, -basis, basis)
 
 
 def _numerical_rank(svals: np.ndarray, rank_tol: float, strict: bool = True, floor: float = 0.0) -> int:
@@ -235,14 +233,13 @@ def _numerical_rank(svals: np.ndarray, rank_tol: float, strict: bool = True, flo
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     thresh = rank_tol * svals[0]
-    if strict:
-        lo, hi = thresh / 10.0, thresh * 10.0
-        for s in svals:
-            if lo < s < hi:
-                raise NumericalRankAmbiguity(
-                    f"singular value {s:.3e} lies inside the rank band ({lo:.1e}, {hi:.1e})"
-                )
-    return int(np.sum(svals > max(thresh, floor)))
+    lo, hi = thresh / 10.0, thresh * 10.0
+    band = (lo < svals) & (svals < hi)
+    if strict and band.any():
+        raise NumericalRankAmbiguity(
+            f"singular value {svals[band.argmax()]:.3e} lies inside the rank band ({lo:.1e}, {hi:.1e})"
+        )
+    return int(np.count_nonzero(svals > max(thresh, floor)))
 
 
 def _merge_distance(pts: np.ndarray, feas_tol: float) -> float:
@@ -261,15 +258,18 @@ def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
     within ``tol``.  Only pairs within 2 tol along the axis of widest spread
     are compared, each once, and the close ones are taken in lexicographic
     order of their later point.  Exact repeats, never kept, are dropped
-    first so that they cannot crowd a window."""
+    first so that they cannot crowd a window.  With no two neighbours along
+    that axis within 2 tol no pair is compared: all are kept at once."""
     pts = pts[np.lexsort(pts.T[::-1])]
-    new = np.ones(len(pts), dtype=bool)
-    new[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-    pts = pts[new]
+    new = (pts[1:] != pts[:-1]).any(axis=1)
+    if not new.all():
+        pts = pts[np.concatenate([[True], new])]
     n = len(pts)
     x = pts[:, np.argmax(pts.max(axis=0) - pts.min(axis=0))]
     order = np.argsort(x, kind="stable")
     x = x[order]
+    if not (x[:-1] >= x[1:] - 2.0 * tol).any():
+        return pts
     lo = np.searchsorted(x, x - 2.0 * tol)  # first candidate partner of each point
     span = np.arange(n) - lo
     i, j = np.repeat(np.arange(n), span), _spans(lo, span)
@@ -285,24 +285,23 @@ def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
 
 def _monotone_chain(t: np.ndarray, eps: float):
     """Indices of hull vertices of 2-D points ``t`` in ccw order; collinear
-    interior points are dropped."""
+    interior points are dropped.  Both scans run on Python floats, whose
+    arithmetic is numpy's IEEE double arithmetic."""
     order = np.lexsort((t[:, 1], t[:, 0]))
-    pts = t[order]
+    pts = t[order].tolist()
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower, upper = [], []
-    for i in range(len(pts)):
-        while len(lower) >= 2 and cross(pts[lower[-2]], pts[lower[-1]], pts[i]) <= eps:
-            lower.pop()
-        lower.append(i)
-    for i in range(len(pts) - 1, -1, -1):
-        while len(upper) >= 2 and cross(pts[upper[-2]], pts[upper[-1]], pts[i]) <= eps:
-            upper.pop()
-        upper.append(i)
-    hull = lower[:-1] + upper[:-1]
-    return order[hull]
+    def scan(idx):
+        chain = []
+        for i in idx:
+            while len(chain) >= 2 and cross(pts[chain[-2]], pts[chain[-1]], pts[i]) <= eps:
+                chain.pop()
+            chain.append(i)
+        return chain[:-1]
+
+    return order[scan(range(len(pts))) + scan(range(len(pts) - 1, -1, -1))]
 
 
 def _ccw_order(t: np.ndarray) -> np.ndarray:
@@ -317,18 +316,23 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
     affine hull, and take the extreme points, the facet rows and the
     boundary from one hull computation in coordinates t about the points'
     centroid: the monotone chain's ccw ring and its edges for k = 2; for
-    k >= 3 one ``ConvexHull``, whose vertices, ``equations`` (one row per
-    coplanar facet kept) and facet ``simplices`` these are.  A facet row
-    N t <= c is the ambient row (N B^T) y <= c + (N B^T) . centroid; the
-    frame origin is the vertices' mean."""
+    k >= 3 one ``ConvexHull``, whose vertices, ``equations`` (the first of
+    each group of coplanar facets) and facet ``simplices`` these are.  A
+    facet row N t <= c is the ambient row (N B^T) y <= c + (N B^T) . centroid;
+    the frame origin is the vertices' mean.  Coordinates above ``MAX_COORD``
+    raise ValueError.  The dedup returns at once when no two neighbours along
+    its axis lie within twice the merge distance: no pair is then close, so
+    every point would be kept anyway."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise EmptyInput("no points supplied")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
+    peak = float(np.abs(pts).max())
+    if not peak <= MAX_COORD:  # NaN and inf too
+        bound = f"coordinates must be at most {MAX_COORD:g} in magnitude, got {peak:.3g}"
+        raise ValueError(bound if math.isfinite(peak) else "points must be finite")
     m = pts.shape[1]
-    scale = 1.0 + float(np.max(np.abs(pts)))
-    merge = _merge_distance(pts, tol.feas_tol)
+    scale = 1.0 + peak
+    merge = max(tol.feas_tol, 1e-12) * scale  # _merge_distance(pts, tol.feas_tol)
     pts = _dedup_points(pts, merge)  # lexicographically sorted, as vrep is
 
     centroid = pts.mean(axis=0)
@@ -350,27 +354,33 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
         N, c = np.array([[1.0], [-1.0]]), np.array([t[sel[1], 0], -t[sel[0], 0]])
     elif k == 2:
         sel = bnd = _monotone_chain(t, 1e-12 * scale * scale)
-        e = np.roll(t[bnd], -1, axis=0) - t[bnd]
-        N = np.column_stack([e[:, 1], -e[:, 0]]) / np.sqrt(np.vecdot(e, e))[:, None]
-        c = np.vecdot(N, t[bnd])
+        ring = t[bnd]
+        e = ring[np.arange(1, len(ring) + 1) % len(ring)] - ring
+        N = e[:, ::-1] * (1.0, -1.0) / np.sqrt(np.vecdot(e, e))[:, None]
+        c = np.vecdot(N, ring)
     else:
         try:
             hull = ConvexHull(t)
         except QhullError:
             warnings.warn("ConvexHull fell back to the QJ joggle", QhullJoggleWarning, stacklevel=2)
             hull = ConvexHull(t, qhull_options="QJ")
-        _, uniq = np.unique(np.round(hull.equations, 9), axis=0, return_index=True)
-        eqs = hull.equations[np.sort(uniq)]  # A t + b <= 0
-        N, c = eqs[:, :-1], -eqs[:, -1]
+        r = np.round(hull.equations, 9)
+        order = np.lexsort(r.T[::-1])  # stable: each group of equal rows starts at its first row
+        r = r[order]
+        eqs = hull.equations[np.sort(order[np.concatenate([[True], (r[1:] != r[:-1]).any(axis=1)])])]
+        N, c = eqs[:, :-1], -eqs[:, -1]  # A t + b <= 0
         sel, bnd = hull.vertices, hull.simplices
     idx = np.sort(sel)
-    frame = AffineFrame(origin=pts[idx].mean(axis=0), basis=basis)
-    comp = frame.complement.T
-    M = np.vstack([N @ basis.T, comp, -comp])
+    vrep = pts[idx]
+    frame = AffineFrame(origin=vrep.mean(axis=0), basis=basis)
+    M = N @ basis.T
+    if k < m:
+        comp = frame.complement.T
+        M, c = np.vstack([M, comp, -comp]), np.concatenate([c, np.zeros(2 * len(comp))])
     return Polytope(
         hrep_normals=M,
-        hrep_offsets=np.concatenate([c, np.zeros(2 * len(comp))]) + M @ centroid,
-        vrep=pts[idx],
+        hrep_offsets=c + M @ centroid,
+        vrep=vrep,
         frame=frame,
         intrinsic_dim=k,
         boundary=np.searchsorted(idx, bnd),

@@ -274,6 +274,24 @@ class TestVerifyCommand:
         res = runner.invoke(cli.main, ["verify", "w1", str(problem)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("suite", ["w1", "tv-bound"])
+    def test_coordinates_above_the_bound_exit_2(self, runner, tmp_path, suite):
+        """Bodies whose coordinates would overflow squared differences are
+        refused as input, naming the bound, before any image is built."""
+        s = 1e155
+        body_a = {"vertices": [[0.0, 0.0], [s, 0.0], [s, s], [0.0, s]]}
+        body_b = {"vertices": [[0.0, 0.0], [2 * s, 0.0], [2 * s, s], [0.0, s]]}
+        problem = tmp_path / "huge.json"
+        problem.write_text(json.dumps({
+            "version": "1",
+            "map": {"kind": "interp", "body_a": body_a, "body_b": body_b},
+            "grid": {"start": 0.0, "stop": 1.0, "count": 5},
+        }))
+        res = runner.invoke(cli.main, ["verify", suite, str(problem)])
+        assert res.exit_code == 2
+        assert "precondition error: ValueError" in res.stderr
+        assert "at most 1e+150 in magnitude" in res.stderr
+
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_body_suite_needs_two_samples(self, runner, samples):
         res = runner.invoke(cli.main, ["verify", "body", "--samples", samples])

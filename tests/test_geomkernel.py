@@ -73,8 +73,22 @@ class TestFromVrep:
     def test_rank_ambiguity_reported(self):
         # second axis spread sits inside the (rank_tol/10, 10*rank_tol) band
         eps = 3e-9
-        with pytest.raises(NumericalRankAmbiguity):
+        msg = "singular value 2.449e-09 lies inside the rank band (7.1e-11, 7.1e-09)"
+        with pytest.raises(NumericalRankAmbiguity, match=f"^{re.escape(msg)}$"):
             gk.from_vrep([(0, 0), (1, 0), (0.5, eps)])
+
+    @pytest.mark.parametrize("s", [1e155, 1e200, -1e200])
+    def test_coordinates_above_the_bound_raise(self, s):
+        """Squared differences of such coordinates overflow: the square would
+        come out with zero facet normals, or as a 2-vertex set of volume 0."""
+        with pytest.raises(ValueError, match=re.escape("at most 1e+150 in magnitude")):
+            gk.from_vrep(np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * s)
+
+    def test_coordinates_at_the_bound_build(self):
+        P = gk.from_vrep(np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)]) * gk.MAX_COORD)
+        P.validate()
+        assert (P.n_vertices, P.intrinsic_dim) == (4, 2)
+        assert gk.volume(P) == pytest.approx(4.0 * gk.MAX_COORD**2)
 
     @given(point_clouds)
     def test_invariants_on_random_clouds(self, pts):
@@ -107,13 +121,15 @@ class TestDedupPoints:
         st.integers(min_value=0, max_value=2**31 - 1),
         st.integers(min_value=1, max_value=4),
         st.sampled_from([1e-12, 1e-10, 1e-9]),
-        st.floats(min_value=-14.0, max_value=-8.0),
+        st.floats(min_value=-14.0, max_value=-7.0),
         st.booleans(),
     )
     def test_matches_greedy_reference(self, seed, m, tol, log_gap, ties):
         """A point is kept iff no earlier kept point (in lexicographic order)
         lies within tol, exactly as an O(n^2) greedy pass decides it; the
-        near-duplicates sit on both sides of tol and can form chains."""
+        near-duplicates sit on both sides of tol and can form chains; at the
+        widest gaps often no two points lie within 2 tol along the widest
+        axis, so that the early return is taken."""
         rng = np.random.default_rng(seed)
         base = rng.random((int(rng.integers(1, 30)), m))
         if ties:
@@ -140,6 +156,51 @@ class TestDedupPoints:
             tracemalloc.stop()
         assert len(out) == 4000
         assert peak < 10e6
+
+
+class TestMonotoneChain:
+    @pytest.mark.parametrize("n", [3, 4, 7, 20, 60])
+    def test_ccw_ring_of_the_hull_vertices(self, rng, n):
+        """On general-position clouds the ring is the set of ConvexHull's
+        vertices, and every turn along it is counterclockwise."""
+        for _ in range(20):
+            t = rng.standard_normal((n, 2))
+            ring = gk._monotone_chain(t, 1e-12)
+            assert sorted(ring.tolist()) == sorted(ConvexHull(t).vertices.tolist())
+            a, b, c = t[ring], t[np.roll(ring, -1)], t[np.roll(ring, -2)]
+            turn = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+            assert (turn > 0).all()
+
+    def test_edge_midpoints_are_dropped(self):
+        corners = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        t = np.vstack([corners, (corners + np.roll(corners, -1, axis=0)) / 2.0])
+        assert gk._monotone_chain(t, 1e-12).tolist() == [0, 1, 2, 3]
+
+
+class TestFacetRows:
+    """For k >= 3 the facet rows are the first of each group of Qhull's
+    equations that agree to 9 decimals, in Qhull's order."""
+
+    def test_cube_and_tesseract(self):
+        for m, rows in ((3, 6), (4, 8)):
+            P = gk.from_vrep(np.array(list(itertools.product((0.0, 1.0), repeat=m))))
+            assert P.hrep_normals.shape == (rows, m)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_rows_and_order_match_unique(self, rng, monkeypatch, m):
+        hulls = []
+
+        def recording(*args, **kwargs):
+            hulls.append(ConvexHull(*args, **kwargs))
+            return hulls[-1]
+
+        monkeypatch.setattr(gk, "ConvexHull", recording)
+        for cloud in (rng.standard_normal((8 * m, m)), rng.integers(0, 3, (8 * m, m)).astype(float)):
+            N = gk.from_vrep(cloud).intrinsic_facets[0]
+            eqs = hulls[-1].equations
+            _, first = np.unique(np.round(eqs, 9), axis=0, return_index=True)
+            np.testing.assert_allclose(N, eqs[np.sort(first), :-1], rtol=0, atol=1e-12)
+        assert len(first) < len(eqs)  # the lattice cloud's coplanar facets repeat rows
 
 
 def test_tolerances_must_be_positive():
