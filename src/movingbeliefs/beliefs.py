@@ -340,8 +340,10 @@ def w1_distance(
     discretized on a shared axis-aligned grid — cell mass proportional to the
     exact volume of the piece in the cell, cut from the support's frame vertex
     array in one double-description step per piece and axis (``_grid_pieces``,
-    no per-cell polytope or clip), mass placed at the piece centroid — and the
-    transportation LP is solved; the reported error bound is 2 * cell diameter.
+    no per-cell polytope or clip), mass placed at the piece centroid, the
+    moments of all pieces from one stacked pass (``_piece_moments``) — and the
+    transportation LP is solved by HiGHS without presolve (``_transport_lp``);
+    the reported error bound is 2 * cell diameter.
     """
     P, Q = pair.P, pair.Q
     if P.intrinsic_dim == 0 and Q.intrinsic_dim == 0:
@@ -375,7 +377,10 @@ def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, tol: Tolera
     slab beyond it would hold only R's points within feas_tol of the line,
     such as the coplanar corners of an axis-aligned face, which span no
     k-volume and which Delaunay cannot triangulate.  An axis is skipped where
-    R meets one cell or x_j is constant on R (|B[j]| <= feas_tol)."""
+    R meets one cell or x_j is constant on R (|B[j]| <= feas_tol).  The
+    pieces' masses and centroids come from one stacked pass over them all
+    (``_piece_moments``); pieces of at most k points or of zero k-volume
+    carry no mass and are left out."""
     k = R.intrinsic_dim
     B, o = R.frame.basis, R.frame.origin
     r_lo, r_hi = R.bounding_box()
@@ -390,30 +395,60 @@ def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, tol: Tolera
         u = B[j] / ln
         g = (lo[j] + np.arange(i_lo[j] + 1, i_hi[j] + 1) * resolution - o[j]) / ln
         pieces = [cell for V, rows in pieces for cell in gk._slab_pieces(V, rows, u, g, tol.feas_tol)]
-    masses, centroids = [], []
-    for V, _ in pieces:
-        if 0 < k < len(V):  # fewer points span no k-volume; a point is too coarse
-            S, vols = gk._simplex_volumes(V, k)
-            if (w := vols.sum()) > 0.0:
-                masses.append(w)
-                centroids.append(vols @ V[S].mean(axis=1) / w)
+    kept = [V for V, _ in pieces if 0 < k < len(V)]  # fewer points span no k-volume; a point is too coarse
+    masses, centroids = _piece_moments(kept, k) if kept else ([], [])
     if len(masses) < 8:
         raise ResolutionTooCoarse(f"only {len(masses)} cells receive mass; refine the grid")
-    return np.array(masses), R.frame.to_ambient(np.array(centroids))
+    return masses, R.frame.to_ambient(centroids)
+
+
+def _piece_moments(pieces: list, k: int):
+    """(masses, centroids) of the frame point sets ``pieces``, each of more
+    than k >= 1 points, in order, leaving out those of zero k-volume.  One
+    stacked pass over all pieces: each is triangulated -- in the plane by
+    the fan from the first point of its ccw ring, every ring from one
+    ``lexsort`` of the angles about the pieces' means (the order of
+    ``gk._ccw_order``, whose mean may differ in the last bit); above it by
+    Delaunay, piece by piece -- and the simplices' volumes (one stacked
+    determinant, each the one ``gk._simplex_volumes`` takes) and
+    volume-weighted vertex means are summed per piece by ``np.bincount``."""
+    n = np.array([len(V) for V in pieces])
+    start = np.cumsum(n) - n
+    T = np.vstack(pieces)
+    if k == 2:
+        d = T - (np.add.reduceat(T, start) / n[:, None]).repeat(n, axis=0)
+        ring = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), np.arange(len(n)).repeat(n)))
+        count = n - 2  # fan triangles per piece; the i-th is ring[s], ring[s+1+i], ring[s+2+i]
+        at = np.arange(count.sum()) + (start - np.cumsum(count) + count + 1).repeat(count)
+        S = np.column_stack([ring[start.repeat(count)], ring[at], ring[at + 1]])
+    else:
+        S = [gk._triangulate_frame(V, k) + s for V, s in zip(pieces, start)]
+        count = np.array([len(s) for s in S])
+        S = np.vstack(S)
+    owner = np.arange(len(n)).repeat(count)
+    X = T[S]
+    vols = np.abs(np.linalg.det(X[:, 1:] - X[:, :1])) / math.factorial(k)
+    mass = np.bincount(owner, vols, len(n))
+    moment = np.column_stack([np.bincount(owner, vols * c, len(n)) for c in X.mean(axis=1).T])
+    keep = mass > 0.0
+    return mass[keep], moment[keep] / mass[keep, None]
 
 
 def _transport_lp(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> float:
     """Transportation LP between discrete measures (scipy HiGHS backend).  The
     last column-marginal row is redundant and left out, the CSR matrix being
     built without it: HiGHS presolve calls the full system infeasible when
-    the two totals differ in the last ulp."""
+    the two totals differ in the last ulp.  Presolve is off: once that row
+    is gone it removes no row, column or nonzero of a transportation LP
+    (HiGHS reports it "Not reduced"), yet cost about a quarter of the solve;
+    the optimum agrees with the presolved one to HiGHS's 1e-7."""
     n1, n2 = cost.shape
     # row i < n1 holds columns i*n2 .. i*n2+n2-1; row n1+j holds j, n2+j, ...
     cols = np.concatenate([np.arange(n1 * n2), (np.arange(n2 - 1)[:, None] + n2 * np.arange(n1)).ravel()])
     ptr = np.concatenate([n2 * np.arange(n1 + 1), n1 * n2 + n1 * np.arange(1, n2)])
     A = sparse.csr_matrix((np.ones(cols.size), cols, ptr), shape=(n1 + n2 - 1, n1 * n2))
     b_eq = np.concatenate([a, b])[:-1]
-    res = linprog(cost.ravel(), A_eq=A, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(cost.ravel(), A_eq=A, b_eq=b_eq, bounds=(0, None), method="highs", options={"presolve": False})
     if not res.success:
         raise SolverStall(f"transportation LP failed: {res.message}")
     return float(res.fun)

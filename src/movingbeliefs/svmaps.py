@@ -450,13 +450,11 @@ def qmap_reference_decomposition(spec: QMap, x, tol: Tolerances = DEFAULT_TOL) -
 
 
 def _measure_in_dim(P: Polytope, d: int) -> float:
-    if d < 0:
-        raise ValueError("negative dimension")
     if P.intrinsic_dim == d:
         return gk.volume(P)
     if P.intrinsic_dim < d:
         return 0.0
-    raise ValueError("part has higher dimension than the decomposition allows")
+    raise DimensionDrift(f"a part of dimension {P.intrinsic_dim} exceeds the decomposition's {d}")
 
 
 def h_ratio(decomp: RectDecomposition) -> float:
@@ -468,6 +466,10 @@ def h_ratio(decomp: RectDecomposition) -> float:
     if decomp.t0 is None or decomp.r0 is None:
         raise ZeroDenominator("inner part of the decomposition is empty")
     d = decomp.image_dim - decomp.anchor_dim
+    if d < 0:
+        raise DimensionDrift(
+            f"image dimension {decomp.image_dim} is below the anchor dimension {decomp.anchor_dim}"
+        )
     num = _measure_in_dim(decomp.r0, d) * _measure_in_dim(decomp.t0, decomp.anchor_dim)
     den = _measure_in_dim(decomp.r1, d) * _measure_in_dim(decomp.t1, decomp.anchor_dim)
     if num <= 0.0:

@@ -564,6 +564,108 @@ class TestGridPieces:
         assert w == pytest.approx(want, abs=1e-8)
 
 
+def convex_points(rng, n, m=2):
+    """n points in convex position, in random order: a rotated, stretched
+    and shifted sample of the unit circle (the unit sphere for m > 2)."""
+    if m == 2:
+        ang = rng.uniform(0.0, 2.0 * np.pi, n)
+        pts = np.column_stack([np.cos(ang), np.sin(ang)])
+    else:
+        pts = rng.standard_normal((n, m))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+    rot = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    return (pts * rng.uniform(0.1, 2.0, m)) @ rot.T + rng.uniform(-3.0, 3.0, m)
+
+
+def random_grid_pieces(rng, R):
+    """The frame pieces of R cut by the lines of two random directions: a few
+    evenly spaced lines across R, and two more between 3e-9 and 1e-6 from
+    vertices, which cut off slivers."""
+    pieces = [(R.vertices_frame, list(zip(*R.intrinsic_facets)))]
+    for _ in range(2):
+        u = rng.standard_normal(R.intrinsic_dim)
+        u /= np.linalg.norm(u)
+        p = R.vertices_frame @ u
+        near = rng.choice(p, 2) + rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-8.5, -6.0, 2)
+        g = np.sort(np.concatenate([np.linspace(p.min(), p.max(), rng.integers(3, 9))[1:-1], near]))
+        g = g[(g > p.min() + TOL.feas_tol) & (g < p.max() - TOL.feas_tol)]
+        pieces = [q for V, rows in pieces for q in gk._slab_pieces(V, rows, u, g, TOL.feas_tol)]
+    return [V for V, _ in pieces]
+
+
+def moments_reference(pieces, k):
+    """Masses and centroids piece by piece, one ``gk._simplex_volumes`` call
+    each, leaving out pieces of zero volume."""
+    masses, cents = [], []
+    for V in pieces:
+        S, vols = gk._simplex_volumes(V, k)
+        if (w := vols.sum()) > 0.0:
+            masses.append(w)
+            cents.append(vols @ V[S].mean(axis=1) / w)
+    return np.array(masses), np.array(cents)
+
+
+class TestPieceMoments:
+    """The stacked moment pass against one ``_simplex_volumes`` call per
+    piece.  The volumes are the same determinants; only the order of the
+    sums differs (bincount adds in sequence, numpy's sum pairwise from 8
+    terms on), so masses agree to 1e-15 relative in the plane, and to 1e-14
+    for 3-D pieces of about a hundred simplices."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_planar_pieces_match_per_piece_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        pieces = []
+        for n in range(3, 13):
+            P = convex_points(rng, n)
+            dup = np.vstack([P, P[rng.integers(0, n, 3)]])  # exact repeats
+            sliver = P * [1.0, 1e-9]
+            pieces += [P, dup[rng.permutation(len(dup))], sliver]
+        pieces += random_grid_pieces(rng, gk.from_vrep(convex_points(rng, int(rng.integers(5, 12)))))
+        pieces.append(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))  # zero area: left out
+        pieces = [V for V in pieces if len(V) > 2]
+        masses, cents = bl._piece_moments(pieces, 2)
+        ref_m, ref_c = moments_reference(pieces, 2)
+        assert masses.shape == ref_m.shape == (len(pieces) - 1,)
+        np.testing.assert_allclose(masses, ref_m, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(cents, ref_c, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spatial_pieces_match_per_piece_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        pieces = [V for V in random_grid_pieces(rng, gk.from_vrep(convex_points(rng, 10, 3))) if len(V) > 3]
+        masses, cents = bl._piece_moments(pieces, 3)
+        ref_m, ref_c = moments_reference(pieces, 3)
+        assert masses.shape == ref_m.shape
+        np.testing.assert_allclose(masses, ref_m, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(cents, ref_c, rtol=0, atol=1e-12)
+
+
+class TestTransportLp:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_no_presolve_matches_presolve(self, seed, monkeypatch):
+        """HiGHS without presolve returns the presolved optimum to within its
+        1e-7 tolerance, on random planar transportation instances and on
+        totals one ulp apart (six masses of 1/6 sum to 1 - 2**-53)."""
+        calls = []
+        real = bl.linprog
+        monkeypatch.setattr(bl, "linprog", lambda *a, **k: calls.append((a, k)) or real(*a, **k))
+        rng = np.random.default_rng(seed)
+        if seed == 0:
+            a, b = np.full(6, 1 / 6), np.full(4, 0.25)
+            assert a.sum() == 1.0 - 2.0**-53 and b.sum() == 1.0
+        else:
+            a, b = rng.random(rng.integers(2, 60)), rng.random(rng.integers(2, 60))
+            a, b = a / a.sum(), b / b.sum()
+        cost = np.linalg.norm(rng.random((len(a), 2))[:, None] - rng.random((len(b), 2))[None], axis=-1)
+        value = bl._transport_lp(a, b, cost)
+        args, kwargs = calls[-1]
+        assert kwargs["options"] == {"presolve": False}
+        presolved = real(*args, **{**kwargs, "options": {"presolve": True}})
+        assert presolved.success
+        assert value == pytest.approx(presolved.fun, rel=1e-7, abs=0)
+
+
 class TestW1TvInequality:
     """W1 <= (diam(Y) / 2) * TV for a pair inside a body Y of that diameter,
     holding up to the W1 error bound."""

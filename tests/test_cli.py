@@ -195,6 +195,12 @@ class TestVerifyCommand:
         res = runner.invoke(cli.main, ["verify", "sandwich", "--builtin", "qmap"])
         assert res.exit_code == 0
 
+    def test_sandwich_image_below_anchor_dimension_exits_2(self, runner):
+        """The toy bilevel image drops from a segment to a point at x = 1."""
+        res = runner.invoke(cli.main, ["verify", "sandwich", str(PROBLEMS / "toy_bilevel.json")])
+        assert res.exit_code == 2
+        assert "DimensionDrift: image dimension 0 is below the anchor dimension 1" in res.stderr
+
     def test_w1_builtin_toy(self, runner):
         res = runner.invoke(cli.main, ["verify", "w1", "--builtin", "bilevel-toy"])
         assert res.exit_code == 0
@@ -296,6 +302,20 @@ class TestVerifyCommand:
     def test_body_suite_needs_two_samples(self, runner, samples):
         res = runner.invoke(cli.main, ["verify", "body", "--samples", samples])
         assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
+def test_exit_contract_on_every_problem_file(runner, tmp_path, problem):
+    """Every verify suite and bilevel on every shipped problem file: no
+    uncaught exception, and exit 1 only where the written report failed."""
+    commands = [["verify", suite, "--samples", "40"] for suite in ("body", "tv-bound", "sandwich", "w1")]
+    for args in [*commands, ["bilevel"]]:
+        out = tmp_path / f"{'-'.join(args[:2])}.json"
+        res = runner.invoke(cli.main, [*args, str(problem), "--out", str(out)])
+        assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.exception)
+        assert res.exit_code in (0, 1, 2), args
+        if res.exit_code == 1:
+            assert json.loads(out.read_text())["passed"] is False, args
 
 
 @pytest.mark.parametrize(

@@ -461,6 +461,14 @@ class TestHRatio:
         d = sv.qmap_reference_decomposition(sv.QMap(q=2.0), 0.0)
         assert sv.h_ratio(d) == 1.0
 
+    def test_image_below_the_anchor_dimension_is_a_dimension_drift(self, toy_map):
+        """The toy image is a segment at x = 0 and a point at x = 1: the
+        dimension jump is negative, which names both dimensions."""
+        d = sv.rect_decompose(toy_map, 0.0, 1.0)
+        assert (d.anchor_dim, d.image_dim) == (1, 0)
+        with pytest.raises(DimensionDrift, match="image dimension 0 is below the anchor dimension 1"):
+            sv.h_ratio(d)
+
     def test_empty_inner_part_is_flagged(self):
         seg = gk.from_vrep([(0.0, 0.0), (1.0, 0.0)])
         d = sv.RectDecomposition(
