@@ -38,10 +38,9 @@ class Polynomial:
 
     terms: tuple  # tuple of (exponent tuple, coeff), sorted
     dim: int
-    lip_hint: Optional[float] = None
 
     @staticmethod
-    def from_dict(terms: dict, dim: int, lip_hint=None, cap: int = DEGREE_CAP) -> "Polynomial":
+    def from_dict(terms: dict, dim: int, cap: int = DEGREE_CAP) -> "Polynomial":
         clean = {}
         for exps, coeff in terms.items():
             exps = tuple(int(e) for e in exps)
@@ -54,7 +53,7 @@ class Polynomial:
         deg = max((sum(e) for e in clean), default=0)
         if deg > cap:
             raise DegreeCapExceeded(f"degree {deg} exceeds the cap {cap}")
-        return Polynomial(terms=tuple(sorted(clean.items())), dim=dim, lip_hint=lip_hint)
+        return Polynomial(terms=tuple(sorted(clean.items())), dim=dim)
 
     @staticmethod
     def constant(c: float, dim: int) -> "Polynomial":
@@ -99,7 +98,6 @@ class Opaque:
 
     fn: Callable[[np.ndarray], np.ndarray]
     dim: int
-    lip_hint: Optional[float] = None
     label: str = "opaque"
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -407,10 +405,9 @@ def _piece_moments(pieces: list, k: int):
     than k >= 1 points, in order, leaving out those of zero k-volume.  One
     stacked pass over all pieces: each is triangulated -- in the plane by
     the fan from the first point of its ccw ring, every ring from one
-    ``lexsort`` of the angles about the pieces' means (the order of
-    ``gk._ccw_order``, whose mean may differ in the last bit); above it by
-    Delaunay, piece by piece -- and the simplices' volumes (one stacked
-    determinant, each the one ``gk._simplex_volumes`` takes) and
+    ``lexsort`` of the angles about the pieces' means; above it by Delaunay,
+    piece by piece -- and the simplices' volumes (one stacked determinant,
+    each the one ``gk._simplex_volumes`` takes) and
     volume-weighted vertex means are summed per piece by ``np.bincount``."""
     n = np.array([len(V) for V in pieces])
     start = np.cumsum(n) - n
@@ -422,7 +419,7 @@ def _piece_moments(pieces: list, k: int):
         at = np.arange(count.sum()) + (start - np.cumsum(count) + count + 1).repeat(count)
         S = np.column_stack([ring[start.repeat(count)], ring[at], ring[at + 1]])
     else:
-        S = [gk._triangulate_frame(V, k) + s for V, s in zip(pieces, start)]
+        S = [gk._triangulate_frame(V, k, None) + s for V, s in zip(pieces, start)]  # k != 2: no ring
         count = np.array([len(s) for s in S])
         S = np.vstack(S)
     owner = np.arange(len(n)).repeat(count)

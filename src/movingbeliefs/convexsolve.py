@@ -1,8 +1,11 @@
 """Minimum-norm points of polytopes given by their vertices.
 
-Wolfe's minimum-norm-point algorithm over finite vertex sets, the
-subproblem of Hausdorff distances and projections.  Instances have tens of
-vertices, not thousands; determinism beats speed.
+Wolfe's minimum-norm-point algorithm over finite vertex sets: the
+projection of ``geomkernel.dist_point``, and the vertex distances of
+Hausdorff excesses outside the plane and outside full-dimensional bodies in
+3-space (lower-dimensional bodies in 3-space, and every body in 4 or more
+dimensions).  Instances have tens of vertices, not thousands; determinism
+beats speed.
 """
 
 from __future__ import annotations

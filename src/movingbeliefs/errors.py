@@ -83,6 +83,12 @@ class DimensionViolation(MovingBeliefsError):
     """An image fails a full-dimensionality precondition."""
 
 
+class QhullFailure(MovingBeliefsError):
+    """Qhull rejected a point set both as given and with the ``QJ`` joggle.
+    Its precision limits can do so on coordinates far below
+    ``geomkernel.MAX_COORD``: the 3-cube of side 1e60 is one example."""
+
+
 class QhullJoggleWarning(RuntimeWarning):
     """Qhull rejected a degenerate input and the computation was retried with
     the ``QJ`` joggle, which perturbs the points by a tiny random amount."""

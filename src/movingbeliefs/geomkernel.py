@@ -26,7 +26,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .errors import (
     NumericalRankAmbiguity,
     OriginNotContained,
     OriginNotRelativeInterior,
+    QhullFailure,
     QhullJoggleWarning,
     QuadratureBudgetExceeded,
     Unbounded,
@@ -253,19 +254,28 @@ def _spans(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
+@cache
+def _window_direction(m: int) -> np.ndarray:
+    """The unit vector along (sqrt 2, sqrt 3, ..., sqrt(m + 1)): irrational
+    ratios, so points of a lattice or on a coordinate line spread along it."""
+    u = np.sqrt(np.arange(2.0, m + 2.0))
+    return _readonly(u / np.linalg.norm(u))
+
+
 def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
     """The points in lexicographic order, each kept iff no kept point lies
-    within ``tol``.  Only pairs within 2 tol along the axis of widest spread
-    are compared, each once, and the close ones are taken in lexicographic
-    order of their later point.  Exact repeats, never kept, are dropped
-    first so that they cannot crowd a window.  With no two neighbours along
-    that axis within 2 tol no pair is compared: all are kept at once."""
+    within ``tol``.  Only pairs within 2 tol along ``_window_direction``
+    are compared, each once (a pair within tol lies within tol along every
+    unit direction), and the close ones are taken in lexicographic order of
+    their later point.  Exact repeats, never kept, are dropped first so
+    that they cannot crowd a window.  With no two neighbours along that
+    direction within 2 tol no pair is compared: all are kept at once."""
     pts = pts[np.lexsort(pts.T[::-1])]
     new = (pts[1:] != pts[:-1]).any(axis=1)
     if not new.all():
         pts = pts[np.concatenate([[True], new])]
     n = len(pts)
-    x = pts[:, np.argmax(pts.max(axis=0) - pts.min(axis=0))]
+    x = pts @ _window_direction(pts.shape[1])
     order = np.argsort(x, kind="stable")
     x = x[order]
     if not (x[:-1] >= x[1:] - 2.0 * tol).any():
@@ -304,13 +314,6 @@ def _monotone_chain(t: np.ndarray, eps: float):
     return order[scan(range(len(pts))) + scan(range(len(pts) - 1, -1, -1))]
 
 
-def _ccw_order(t: np.ndarray) -> np.ndarray:
-    """Counterclockwise order of 2-D points by angle about their mean."""
-    c = t.mean(axis=0)
-    ang = np.arctan2(t[:, 1] - c[1], t[:, 0] - c[0])
-    return np.argsort(ang, kind="stable")
-
-
 def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = True) -> Polytope:
     """Canonicalize an ambient point cloud into a Polytope: dedup, detect the
     affine hull, and take the extreme points, the facet rows and the
@@ -321,7 +324,7 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
     facet row N t <= c is the ambient row (N B^T) y <= c + (N B^T) . centroid;
     the frame origin is the vertices' mean.  Coordinates above ``MAX_COORD``
     raise ValueError.  The dedup returns at once when no two neighbours along
-    its axis lie within twice the merge distance: no pair is then close, so
+    its direction lie within twice the merge distance: no pair is then close, so
     every point would be kept anyway."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -359,11 +362,7 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
         N = e[:, ::-1] * (1.0, -1.0) / np.sqrt(np.vecdot(e, e))[:, None]
         c = np.vecdot(N, ring)
     else:
-        try:
-            hull = ConvexHull(t)
-        except QhullError:
-            warnings.warn("ConvexHull fell back to the QJ joggle", QhullJoggleWarning, stacklevel=2)
-            hull = ConvexHull(t, qhull_options="QJ")
+        hull = _qhull(ConvexHull, t, "ConvexHull")
         r = np.round(hull.equations, 9)
         order = np.lexsort(r.T[::-1])  # stable: each group of equal rows starts at its first row
         r = r[order]
@@ -719,28 +718,38 @@ def volume(P: Polytope) -> float:
     return P.volume_cache
 
 
-def _triangulate_frame(t: np.ndarray, k: int, ring=None) -> np.ndarray:
+def _triangulate_frame(t: np.ndarray, k: int, ring) -> np.ndarray:
     """(s, k+1) vertex indices of a triangulation of the frame points t: for
-    k = 2 the fan from the first vertex of the ccw ``ring`` (by default the
-    angle order about the mean), for k >= 3 Delaunay's.  Coning a vertex
-    over Qhull's facet simplices is not used above the plane: where Qhull
-    merges facets a ridge can be shared by four of them (a 4-D example lost
-    7.3e-6 of its volume, relative)."""
+    k = 2 the fan from the first vertex of the ccw ``ring`` of their hull
+    (read for k = 2 only), for k >= 3 Delaunay's.  Coning a vertex over
+    Qhull's facet simplices is not used above the plane: where Qhull merges
+    facets a ridge can be shared by four of them (a 4-D example lost 7.3e-6
+    of its volume, relative)."""
     if k == 0:
         return np.zeros((1, 1), dtype=int)
     if k == 1:
         return np.array([[np.argmin(t[:, 0]), np.argmax(t[:, 0])]])
     if k == 2:
-        ring = _ccw_order(t) if ring is None else ring
         return np.column_stack([np.full(len(ring) - 2, ring[0]), ring[1:-1], ring[2:]])
+    return _qhull(Delaunay, t, "Delaunay").simplices
+
+
+def _qhull(build, t: np.ndarray, name: str):
+    """``build(t)`` for Qhull's ``ConvexHull`` or ``Delaunay`` (``name``).
+    Where Qhull rejects t it is retried once with the ``QJ`` joggle, with a
+    ``QhullJoggleWarning``; where the joggle fails too, ``QhullFailure``."""
     try:
-        return Delaunay(t).simplices
+        return build(t)
     except QhullError:
-        warnings.warn("Delaunay fell back to the QJ joggle", QhullJoggleWarning, stacklevel=2)
-        return Delaunay(t, qhull_options="QJ").simplices
+        warnings.warn(f"{name} fell back to the QJ joggle", QhullJoggleWarning, stacklevel=3)
+    try:
+        return build(t, qhull_options="QJ")
+    except QhullError as exc:
+        first = str(exc).strip().partition("\n")[0]
+        raise QhullFailure(f"{name} failed on {len(t)} points in {t.shape[1]} dimensions, joggled too: {first}") from exc
 
 
-def _simplex_volumes(t: np.ndarray, k: int, ring=None):
+def _simplex_volumes(t: np.ndarray, k: int, ring):
     """(S, vols): the triangulation of the frame points t (``ring`` as in
     ``_triangulate_frame``) and the k-volume of each of its simplices, from
     one stacked determinant."""
@@ -835,8 +844,8 @@ def _external_angles(P: Polytope, tol: Tolerances) -> np.ndarray:
         return np.full(n, 1.0 / n)
     if k == 2:  # turn angle at each vertex, in ring order
         ring = P.boundary
-        e = np.roll(t[ring], -1, axis=0) - t[ring]
-        ep = np.roll(e, 1, axis=0)
+        e = t[ring[np.arange(1, n + 1) % n]] - t[ring]
+        ep = e[np.arange(-1, n - 1)]
         turn = np.arctan2(ep[:, 0] * e[:, 1] - ep[:, 1] * e[:, 0], np.einsum("ij,ij->i", ep, e))
         gamma = np.empty(n)
         gamma[ring] = turn / (2 * math.pi)
@@ -870,18 +879,42 @@ def _sphere_nodes(k: int, n: int, seed: int) -> np.ndarray:
 # distances
 
 
+def _segment_distances(V: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(n, s) distances from each point of V to each segment [A_j, B_j] (a
+    point where A_j = B_j): the nearest point's parameter along B_j - A_j,
+    clamped to [0, 1]."""
+    E = B - A
+    den = np.vecdot(E, E)  # on a zero-length edge t = 0 / 1
+    t = np.clip(np.vecdot(V[:, None, :] - A, E) / np.where(den > 0.0, den, 1.0), 0.0, 1.0)
+    diff = V[:, None, :] - (A + t[..., None] * E)
+    return np.sqrt(np.vecdot(diff, diff))
+
+
 def _excess(P: Polytope, Q: Polytope) -> float:
     """max over the vertices v of P of d(v, Q)."""
     V = P.vrep
     viol = Q.violation(V)
     if P.ambient_dim == 2:  # every vertex against every edge of Q's boundary ring at once
         A = Q.vrep[Q.boundary]  # a segment is two edges, a point one of zero length
-        E = np.roll(A, -1, axis=0) - A
-        den = np.vecdot(E, E)  # on a zero-length edge t = 0 / 1
-        t = np.clip(np.vecdot(V[:, None, :] - A, E) / np.where(den > 0.0, den, 1.0), 0.0, 1.0)
-        diff = V[:, None, :] - (A + t[..., None] * E)
-        d = np.sqrt(np.vecdot(diff, diff)).min(axis=1)
+        d = _segment_distances(V, A, A[np.arange(1, len(A) + 1) % len(A)]).min(axis=1)
         return float(np.max(np.where(viol <= 0.0, 0.0, d)))
+    if P.ambient_dim == 3 and Q.intrinsic_dim == 3:  # every vertex outside against every facet triangle at once
+        V = V[viol > 0.0]
+        if not len(V):
+            return 0.0
+        T = Q.vrep[Q.boundary]  # (f, 3, 3)
+        d = _segment_distances(V, T.reshape(-1, 3), T[:, [1, 2, 0]].reshape(-1, 3)).min(axis=1)
+        a, e1, e2 = T[:, 0], T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]
+        g11, g12, g22 = np.vecdot(e1, e1), np.vecdot(e1, e2), np.vecdot(e2, e2)
+        det = g11 * g22 - g12 * g12  # not > 0 on a zero-area triangle: its edges alone count
+        ap = V[:, None, :] - a
+        r1, r2 = np.vecdot(ap, e1), np.vecdot(ap, e2)
+        den = np.where(det > 0.0, det, 1.0)
+        u, w = (g22 * r1 - g12 * r2) / den, (g11 * r2 - g12 * r1) / den
+        inside = (det > 0.0) & (u >= 0.0) & (w >= 0.0) & (u + w <= 1.0)
+        diff = ap - u[..., None] * e1 - w[..., None] * e2
+        face = np.where(inside, np.sqrt(np.vecdot(diff, diff)), np.inf).min(axis=1)
+        return float(np.minimum(d, face).max())
     diff = V[:, None, :] - Q.vrep
     ub = np.sqrt(np.vecdot(diff, diff).min(axis=1))
     best = 0.0
@@ -900,13 +933,21 @@ def hausdorff(P: Polytope, Q: Polytope) -> float:
 
     In the plane the excess is one array computation of every vertex of P
     against every edge of Q's ``boundary`` ring (its segment when k = 1,
-    its point when k = 0): t clamped to [0, 1], minimum over edges, maximum over vertices.
-    Above the plane lb <= d(v, Q) <= ub, with lb the largest H-rep
-    violation (every row is a unit normal) and ub the distance to Q's
-    nearest vertex.  Wolfe's ``min_norm_point`` runs in decreasing ub, only
-    where lb > 0, until ub <= the best excess so far.  This is exact: a
-    skipped vertex lies in Q or has d(v, Q) <= ub <= the best excess.  In
-    every dimension a vertex counts 0 only where lb <= 0, with no tolerance.
+    its point when k = 0): t clamped to [0, 1], minimum over edges, maximum
+    over vertices.  Above the plane lb <= d(v, Q), with lb the largest H-rep
+    violation (every row is a unit normal); a vertex counts 0 only where
+    lb <= 0, with no tolerance, in every dimension.  For a full-dimensional
+    Q in 3-space d(v, Q) outside Q is the least distance to a triangle of
+    Q's ``boundary`` (Qhull's triangulated facets), all in one array
+    computation: the foot of the perpendicular when the 2x2 Gram solve puts
+    it inside the triangle, else the nearest of its edges by the planar
+    segment rule; a zero-area triangle, which Qhull emits on merged facets,
+    counts through its edges alone (Ericson, Real-Time Collision Detection,
+    2005, 5.1.5).  Otherwise (k < 3 in 3-space, or m >= 4) d(v, Q) <= ub,
+    the distance to Q's nearest vertex, and Wolfe's ``min_norm_point`` runs
+    in decreasing ub, only where lb > 0, until ub <= the best excess so
+    far.  This is exact: a skipped vertex lies in Q or has d(v, Q) <= ub <=
+    the best excess.
     """
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("ambient dimensions differ")

@@ -123,7 +123,7 @@ class TestQuadratureRule:
         """One call over the whole triangulation of a hull gives each simplex
         the average that the rule applied to that simplex alone gives."""
         P = gk.from_vrep(np.random.default_rng(m).standard_normal((10 * m, m)))
-        S, _ = gk._simplex_volumes(P.vertices_frame, m)
+        S, _ = P.triangulation
         f = bl.Polynomial.from_dict({(2,) + (1,) * (m - 1): 1.0, (0,) * (m - 1) + (1,): -0.5}, m)
         pts, wts = bl._gm_rule(m, f.degree // 2)
         single = [float(wts @ f(V[0] + pts @ (V[1:] - V[0])) / wts.sum()) for V in P.vrep[S]]
@@ -593,12 +593,21 @@ def random_grid_pieces(rng, R):
     return [V for V, _ in pieces]
 
 
+def angle_ring(t):
+    """For planar points t, their indices in counterclockwise order of the
+    angle about the mean (a ring for the fan); None above the plane."""
+    if t.shape[1] != 2:
+        return None
+    d = t - t.mean(axis=0)
+    return np.argsort(np.arctan2(d[:, 1], d[:, 0]), kind="stable")
+
+
 def moments_reference(pieces, k):
     """Masses and centroids piece by piece, one ``gk._simplex_volumes`` call
-    each, leaving out pieces of zero volume."""
+    each on its ``angle_ring``, leaving out pieces of zero volume."""
     masses, cents = [], []
     for V in pieces:
-        S, vols = gk._simplex_volumes(V, k)
+        S, vols = gk._simplex_volumes(V, k, angle_ring(V))
         if (w := vols.sum()) > 0.0:
             masses.append(w)
             cents.append(vols @ V[S].mean(axis=1) / w)

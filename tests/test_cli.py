@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, formats, determinism, problem-file parsing."""
 
+import itertools
 import json
 import pathlib
 import sys
@@ -9,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from movingbeliefs import cli
-from movingbeliefs.errors import ParameterInfeasible
+from movingbeliefs.errors import ParameterInfeasible, QhullJoggleWarning
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "problems"
 
@@ -297,6 +298,23 @@ class TestVerifyCommand:
         assert res.exit_code == 2
         assert "precondition error: ValueError" in res.stderr
         assert "at most 1e+150 in magnitude" in res.stderr
+
+    @pytest.mark.parametrize("suite", ["w1", "tv-bound"])
+    def test_qhull_failure_exits_2(self, runner, tmp_path, suite):
+        """Two 3-cubes of side 1e60, far below the coordinate bound, on which
+        Qhull fails with and without its joggle: a named error, exit 2."""
+        cube = [[1e60 * c for c in p] for p in itertools.product((0.0, 1.0), repeat=3)]
+        shifted = [[x + 5e59, y, z] for x, y, z in cube]
+        problem = tmp_path / "cubes.json"
+        problem.write_text(json.dumps({
+            "version": "1",
+            "map": {"kind": "interp", "body_a": {"vertices": cube}, "body_b": {"vertices": shifted}},
+            "grid": {"start": 0.0, "stop": 1.0, "count": 5},
+        }))
+        with pytest.warns(QhullJoggleWarning):
+            res = runner.invoke(cli.main, ["verify", suite, str(problem)])
+        assert res.exit_code == 2
+        assert "precondition error: QhullFailure" in res.stderr
 
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_body_suite_needs_two_samples(self, runner, samples):

@@ -1,9 +1,11 @@
 """Polytope kernel tests: constructors, measures, metrics, body maps."""
 
+import dataclasses
 import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from movingbeliefs.errors import (
     NumericalRankAmbiguity,
     OriginNotContained,
     OriginNotRelativeInterior,
+    QhullFailure,
     QhullJoggleWarning,
     Unbounded,
 )
@@ -128,8 +131,8 @@ class TestDedupPoints:
         """A point is kept iff no earlier kept point (in lexicographic order)
         lies within tol, exactly as an O(n^2) greedy pass decides it; the
         near-duplicates sit on both sides of tol and can form chains; at the
-        widest gaps often no two points lie within 2 tol along the widest
-        axis, so that the early return is taken."""
+        widest gaps often no two points lie within 2 tol along the window
+        direction, so that the early return is taken."""
         rng = np.random.default_rng(seed)
         base = rng.random((int(rng.integers(1, 30)), m))
         if ties:
@@ -146,7 +149,7 @@ class TestDedupPoints:
 
     def test_shared_first_coordinate_stays_small(self):
         """Points that share their first coordinate are not all compared with
-        each other: the window runs along the axis of widest spread."""
+        each other: the window runs along a direction with no zero entry."""
         pts = np.column_stack([np.zeros(4000), np.random.default_rng(0).random(4000)])
         tracemalloc.start()
         try:
@@ -246,6 +249,15 @@ class TestQhullJoggle:
         assert calls == [None, "QJ"]
         assert vol > 0.0
 
+    @pytest.mark.parametrize("name", ["ConvexHull", "Delaunay"])
+    def test_joggle_failure_is_a_named_error(self, rng, monkeypatch, name):
+        def failing(*args, **kwargs):
+            raise QhullError("forced")
+
+        monkeypatch.setattr(gk, name, failing)
+        with pytest.warns(QhullJoggleWarning), pytest.raises(QhullFailure, match=name):
+            gk.volume(gk.from_vrep(rng.random((8, 3))))
+
 
 class TestOneHullPerPolytope:
     """Vertices, facet rows and boundary come from the hull computed once
@@ -271,16 +283,6 @@ class TestOneHullPerPolytope:
         gk.steiner_point(P)
         gk.steiner_point(P)
         assert (len(hulls), len(delaunays)) == (1, 1)
-
-    def test_no_angle_sort_in_the_plane(self, rng, monkeypatch):
-        sorts = self._count(monkeypatch, "_ccw_order")
-        P, Q = gk.from_vrep(rng.random((12, 2))), gk.from_vrep(rng.random((9, 2)))
-        gk.volume(P)
-        P.intrinsic_facets
-        gk.steiner_point(P)
-        gk.steiner_point(P)
-        gk.hausdorff(P, Q)
-        assert sorts == []
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_facets_match_a_fresh_hull(self, m):
@@ -681,6 +683,18 @@ def _spatial_bodies(rng):
     ]
 
 
+def _bodies_trials(rng):
+    """Pairs shaped like the bodies benchmark's 3-D trials: six-point bodies,
+    slivers among them, and two Minkowski interpolants of each pair."""
+    pairs = []
+    for sliver in (False, True, False):
+        A = random_polytope(rng, 3, n_points=(6, 7), sliver=sliver)
+        B = random_polytope(rng, 3, n_points=(6, 7))
+        t, s = sorted(rng.random(2))
+        pairs += [(A, B), (gk.minkowski_interpolate(A, B, t), gk.minkowski_interpolate(A, B, s))]
+    return pairs
+
+
 class TestHausdorffReferences:
     """hausdorff against references that share no code with it."""
 
@@ -726,6 +740,49 @@ class TestHausdorffReferences:
         P = gk.from_vrep(np.vstack([0.4 + 0.2 * np.eye(m), [tip]]))
         assert gk._excess(P, cube) == pytest.approx(gap, abs=1e-12)
         assert gk._excess(P, cube) == pytest.approx(_wolfe_excess_ref(P, cube), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "point, want",
+        [
+            ((0.5, 0.5, 1.3), 0.3),  # above the interior of the facet z = 1
+            ((1.3, 0.5, 1.4), 0.5),  # nearest the edge x = z = 1
+            ((1.2, 1.3, -0.6), 0.7),  # nearest the vertex (1, 1, 0)
+        ],
+    )
+    def test_unit_cube_closed_forms(self, point, want):
+        cube = gk.from_vrep(list(itertools.product((0.0, 1.0), repeat=3)))
+        assert gk._excess(gk.from_vrep([point]), cube) == pytest.approx(want, abs=1e-15)
+
+    def test_merged_coplanar_facets_match_wolfe(self, rng):
+        """A cube with its face centres, which Qhull merges into square
+        facets, and the same cube with zero-area triangles added to its
+        boundary: the same excesses as Wolfe's, with no warning."""
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+        centres = np.array([[v if j == i else 0.5 for j in range(3)] for i in range(3) for v in (0.0, 1.0)])
+        cube = gk.from_vrep(np.vstack([corners, centres]))
+        flat = dataclasses.replace(cube, boundary=np.vstack([cube.boundary, [[0, 0, 1], [2, 3, 3], [5, 5, 5]]]))
+        outer = gk.from_vrep(rng.uniform(-0.5, 1.5, (12, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for P in (outer, gk.from_vrep(rng.uniform(-0.2, 1.2, (6, 3))), gk.from_vrep([(1.2, 1.3, -0.6)])):
+                want = _wolfe_excess_ref(P, cube)
+                assert gk._excess(P, cube) == pytest.approx(want, abs=1e-12)
+                assert gk._excess(P, flat) == gk._excess(P, cube)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bodies_trials_match_wolfe_without_it(self, seed, monkeypatch):
+        """The excesses of full-dimensional bodies in 3-space take no Wolfe
+        step, and agree with the per-vertex Wolfe reference."""
+        pairs = _bodies_trials(np.random.default_rng(seed))
+        refs = [(_wolfe_excess_ref(A, B), _wolfe_excess_ref(B, A)) for A, B in pairs]
+
+        def no_wolfe(*args, **kwargs):
+            raise AssertionError("Wolfe ran on a full-dimensional body in 3-space")
+
+        monkeypatch.setattr(convexsolve, "min_norm_point", no_wolfe)
+        for (A, B), (ab, ba) in zip(pairs, refs):
+            assert gk._excess(A, B) == pytest.approx(ab, abs=1e-12)
+            assert gk._excess(B, A) == pytest.approx(ba, abs=1e-12)
 
     def test_inside_rule_same_in_plane_and_space(self):
         """A vertex 5e-10 outside (below feas_tol) counts in the plane as it

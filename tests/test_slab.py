@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from movingbeliefs import geomkernel as gk
+from test_beliefs import angle_ring
 from test_clip import _box, _random_rows
 
 TOL = gk.DEFAULT_TOL.feas_tol
@@ -35,7 +36,7 @@ def _split(V, rows, axes, split):
 
 def _moments(W):
     k = W.shape[1]
-    S, vols = gk._simplex_volumes(W, k)
+    S, vols = gk._simplex_volumes(W, k, angle_ring(W))
     return vols.sum(), vols @ W[S].mean(axis=1) / vols.sum()
 
 
