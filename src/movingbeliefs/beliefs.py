@@ -17,15 +17,13 @@ from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from . import geomkernel as gk
+from .convexsolve import equality_lp as linprog  # the name the transport LP is traced under
 from .errors import (
     DegreeCapExceeded,
     PositivityViolation,
     ResolutionTooCoarse,
-    SolverStall,
 )
 from .geomkernel import DEFAULT_TOL, Polytope, Tolerances
 
@@ -340,8 +338,9 @@ def w1_distance(
     array in one double-description step per piece and axis (``_grid_pieces``,
     no per-cell polytope or clip), mass placed at the piece centroid, the
     moments of all pieces from one stacked pass (``_piece_moments``) — and the
-    transportation LP is solved by HiGHS without presolve (``_transport_lp``);
-    the reported error bound is 2 * cell diameter.
+    transportation LP goes to the HiGHS bindings without presolve and
+    without scipy's ``linprog`` layer (``_transport_lp``); the reported
+    error bound is 2 * cell diameter.
     """
     P, Q = pair.P, pair.Q
     if P.intrinsic_dim == 0 and Q.intrinsic_dim == 0:
@@ -432,20 +431,19 @@ def _piece_moments(pieces: list, k: int):
 
 
 def _transport_lp(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> float:
-    """Transportation LP between discrete measures (scipy HiGHS backend).  The
-    last column-marginal row is redundant and left out, the CSR matrix being
-    built without it: HiGHS presolve calls the full system infeasible when
-    the two totals differ in the last ulp.  Presolve is off: once that row
-    is gone it removes no row, column or nonzero of a transportation LP
-    (HiGHS reports it "Not reduced"), yet cost about a quarter of the solve;
-    the optimum agrees with the presolved one to HiGHS's 1e-7."""
+    """Transportation LP between discrete measures, its column-wise matrix
+    written directly and solved by HiGHS through ``convexsolve.equality_lp``
+    (bound here as ``linprog``, with the cost first).  Column i n2 + j, the
+    mass sent from a's i to b's j, has a 1 in row i and, for j < n2 - 1,
+    in row n1 + j: the last column-marginal row is redundant and left out,
+    because HiGHS presolve calls the full system infeasible when the two
+    totals differ in the last ulp.  Presolve is off: once that row is gone
+    it removes no row, column or nonzero of a transportation LP (HiGHS
+    reports it "Not reduced"), yet cost about a quarter of the solve; the
+    optimum agrees with the presolved one to HiGHS's 1e-7."""
     n1, n2 = cost.shape
-    # row i < n1 holds columns i*n2 .. i*n2+n2-1; row n1+j holds j, n2+j, ...
-    cols = np.concatenate([np.arange(n1 * n2), (np.arange(n2 - 1)[:, None] + n2 * np.arange(n1)).ravel()])
-    ptr = np.concatenate([n2 * np.arange(n1 + 1), n1 * n2 + n1 * np.arange(1, n2)])
-    A = sparse.csr_matrix((np.ones(cols.size), cols, ptr), shape=(n1 + n2 - 1, n1 * n2))
-    b_eq = np.concatenate([a, b])[:-1]
-    res = linprog(cost.ravel(), A_eq=A, b_eq=b_eq, bounds=(0, None), method="highs", options={"presolve": False})
-    if not res.success:
-        raise SolverStall(f"transportation LP failed: {res.message}")
-    return float(res.fun)
+    rows = np.column_stack([np.arange(n1).repeat(n2), n1 + np.tile(np.arange(n2), n1)]).ravel()
+    index = rows[rows < n1 + n2 - 1]
+    col = np.arange(n1 * n2 + 1)
+    start = 2 * col - col // n2  # one entry dropped per column j = n2 - 1 before col
+    return linprog(cost.ravel(), start, index, np.ones(index.size), np.concatenate([a, b])[:-1])

@@ -1,11 +1,14 @@
-"""Minimum-norm points of polytopes given by their vertices.
+"""Minimum-norm points of polytopes given by their vertices, and
+equality-form LPs by HiGHS.
 
 Wolfe's minimum-norm-point algorithm over finite vertex sets: the
 projection of ``geomkernel.dist_point``, and the vertex distances of
 Hausdorff excesses outside the plane and outside full-dimensional bodies in
 3-space (lower-dimensional bodies in 3-space, and every body in 4 or more
 dimensions).  Instances have tens of vertices, not thousands; determinism
-beats speed.
+beats speed.  ``equality_lp`` hands a column-wise LP straight to the HiGHS
+bindings that ``scipy.optimize.linprog`` itself calls, without its
+per-column Python layer.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize._highspy import _core as highs  # scipy >= 1.15: an older scipy fails here, at import
 
 from .errors import SolverStall
 
@@ -80,3 +84,33 @@ def min_norm_point(vertices: Sequence, feas_tol: float = _FEAS_TOL) -> np.ndarra
         return x
     raise SolverStall("minimum-norm point did not converge within the iteration cap")
 
+
+def equality_lp(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.ndarray, b: np.ndarray) -> float:
+    """Optimal value of min c.x subject to A x = b, x >= 0, A given
+    column-wise: column j holds ``value[start[j]:start[j + 1]]`` in rows
+    ``index[start[j]:start[j + 1]]``.  HiGHS runs with presolve off and
+    every other option at its default, the run ``linprog(method="highs",
+    options={"presolve": False})`` makes, so the optimum is the same float;
+    any model status but optimal raises ``SolverStall`` naming it.  The
+    cost comes first, as in ``linprog``, because ``beliefs`` calls this as
+    ``linprog``: per-layer tracers time the transport LP under that name
+    and count its columns from the first argument."""
+    n, rows = len(c), len(b)
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = rows
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = np.zeros(n), np.full(n, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b
+    options = highs.HighsOptions()
+    options.presolve, options.output_flag = "off", False
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise SolverStall(f"LP not solved: HiGHS model status {solver.modelStatusToString(status)}")
+    return solver.getInfo().objective_function_value

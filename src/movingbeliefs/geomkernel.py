@@ -30,7 +30,7 @@ from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, QhullError
+from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from . import convexsolve
 from .errors import (
@@ -264,32 +264,26 @@ def _window_direction(m: int) -> np.ndarray:
 
 def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
     """The points in lexicographic order, each kept iff no kept point lies
-    within ``tol``.  Only pairs within 2 tol along ``_window_direction``
-    are compared, each once (a pair within tol lies within tol along every
-    unit direction), and the close ones are taken in lexicographic order of
-    their later point.  Exact repeats, never kept, are dropped first so
-    that they cannot crowd a window.  With no two neighbours along that
-    direction within 2 tol no pair is compared: all are kept at once."""
+    within ``tol``; the close pairs are taken in lexicographic order of
+    their later point.  Exact repeats, never kept, are dropped first.  With
+    no two neighbours along ``_window_direction`` within 2 tol no pair is
+    close (a pair within tol lies within tol along every unit direction),
+    and all are kept at once; otherwise a k-d tree lists the pairs within
+    2 tol, a superset of the close pairs whose size does not grow with the
+    points that merely share a window."""
     pts = pts[np.lexsort(pts.T[::-1])]
     new = (pts[1:] != pts[:-1]).any(axis=1)
     if not new.all():
         pts = pts[np.concatenate([[True], new])]
-    n = len(pts)
-    x = pts @ _window_direction(pts.shape[1])
-    order = np.argsort(x, kind="stable")
-    x = x[order]
+    x = np.sort(pts @ _window_direction(pts.shape[1]))
     if not (x[:-1] >= x[1:] - 2.0 * tol).any():
         return pts
-    lo = np.searchsorted(x, x - 2.0 * tol)  # first candidate partner of each point
-    span = np.arange(n) - lo
-    i, j = np.repeat(np.arange(n), span), _spans(lo, span)
-    diff = pts[order[i]] - pts[order[j]]
+    i, j = cKDTree(pts).query_pairs(2.0 * tol, output_type="ndarray").T  # i < j
+    diff = pts[i] - pts[j]
     close = np.sqrt(np.vecdot(diff, diff)) <= tol
-    keep = np.ones(n, dtype=bool)
-    if close.any():
-        a, b = order[i[close]], order[j[close]]
-        for p, q in sorted(zip(np.maximum(a, b).tolist(), np.minimum(a, b).tolist())):
-            keep[p] &= not keep[q]
+    keep = np.ones(len(pts), dtype=bool)
+    for p, q in sorted(zip(j[close].tolist(), i[close].tolist())):
+        keep[p] &= not keep[q]
     return pts[keep]
 
 
@@ -344,7 +338,7 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
         k = 0
         basis = np.zeros((m, 0))
     else:
-        _, svals, vt = np.linalg.svd(diffs, full_matrices=True)
+        _, svals, vt = np.linalg.svd(diffs, full_matrices=False)
         k = _numerical_rank(svals, tol.rank_tol, strict=strict_rank, floor=merge)
         basis = _canonical_signs(vt[:k].T)
 

@@ -9,10 +9,10 @@ discretization is along y1 where the integrand is piecewise linear.
 import dataclasses
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import linprog
 import pytest
 from hypothesis import given, strategies as st
 
@@ -443,28 +443,29 @@ class TestW1Distance:
         coupling = np.trapezoid(np.hypot(0.1 - 0.2 * t, t - 0.5), t)
         assert 0.25 - err <= w <= coupling + err
 
-    def test_lp_failure_is_a_solver_stall(self, monkeypatch):
-        failed = lambda *a, **k: SimpleNamespace(success=False, message="stalled")
-        monkeypatch.setattr(bl, "linprog", failed)
-        with pytest.raises(SolverStall):
-            bl.w1_distance(bl.MeasurePair.make(unit_square(), unit_square()), resolution=0.25)
+    def test_lp_failure_is_a_solver_stall(self):
+        """A negative mass makes the LP infeasible; HiGHS's status is named."""
+        a, b = np.array([1.5, -0.5]), np.array([0.5, 0.5])
+        with pytest.raises(SolverStall, match="HiGHS model status Infeasible"):
+            bl._transport_lp(a, b, np.ones((2, 2)))
 
     def test_transport_matrix_is_the_full_system_less_its_last_row(self, monkeypatch):
-        """The (n1 + n2 - 1)-row matrix is built directly; it equals the full
-        marginal system with its last row sliced off, entry for entry."""
+        """The (n1 + n2 - 1)-row column-wise matrix is built directly; it
+        equals the full marginal system with its last row sliced off, entry
+        for entry."""
         seen = []
         real = bl.linprog
-        monkeypatch.setattr(bl, "linprog", lambda *a, **k: seen.append(k["A_eq"]) or real(*a, **k))
+        monkeypatch.setattr(bl, "linprog", lambda *a: seen.append(a) or real(*a))
         for n1, n2 in ((1, 1), (1, 4), (3, 1), (5, 7), (9, 4)):
+            a, b = np.full(n1, 1 / n1), np.full(n2, 1 / n2)
             cost = np.random.default_rng([n1, n2]).random((n1, n2))
-            bl._transport_lp(np.full(n1, 1 / n1), np.full(n2, 1 / n2), cost)
-            rows = np.concatenate([np.repeat(np.arange(n1), n2), n1 + np.tile(np.arange(n2), n1)])
-            cols = np.tile(np.arange(n1 * n2), 2)
-            full = sparse.csr_matrix((np.ones(cols.size), (rows, cols)), shape=(n1 + n2, n1 * n2))
-            want, got = full[:-1], seen[-1]
-            assert got.shape == want.shape
-            for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
+            bl._transport_lp(a, b, cost)
+            c, start, index, value, b_eq = seen[-1]
+            want = sparse.csc_array(full_transport_system(n1, n2)[:-1])
+            assert np.array_equal(c, cost.ravel())
+            assert np.array_equal(b_eq, np.concatenate([a, b])[:-1])
+            for got, name in ((start, "indptr"), (index, "indices"), (value, "data")):
+                assert np.array_equal(got, getattr(want, name))
 
     def test_near_flat_cell_piece(self):
         """A cell cuts three nearly coincident points off this tetrahedron;
@@ -650,15 +651,21 @@ class TestPieceMoments:
         np.testing.assert_allclose(cents, ref_c, rtol=0, atol=1e-12)
 
 
+def full_transport_system(n1, n2):
+    """The n1 + n2 marginal rows of the n1 x n2 transportation LP, as CSR."""
+    rows = np.concatenate([np.repeat(np.arange(n1), n2), n1 + np.tile(np.arange(n2), n1)])
+    cols = np.tile(np.arange(n1 * n2), 2)
+    return sparse.csr_matrix((np.ones(cols.size), (rows, cols)), shape=(n1 + n2, n1 * n2))
+
+
 class TestTransportLp:
     @pytest.mark.parametrize("seed", range(10))
-    def test_no_presolve_matches_presolve(self, seed, monkeypatch):
-        """HiGHS without presolve returns the presolved optimum to within its
-        1e-7 tolerance, on random planar transportation instances and on
-        totals one ulp apart (six masses of 1/6 sum to 1 - 2**-53)."""
-        calls = []
-        real = bl.linprog
-        monkeypatch.setattr(bl, "linprog", lambda *a, **k: calls.append((a, k)) or real(*a, **k))
+    def test_no_presolve_matches_presolve(self, seed):
+        """The direct HiGHS call returns the very float that
+        ``linprog(method="highs")`` without presolve returns, and the
+        presolved optimum to within HiGHS's 1e-7, on random planar
+        transportation instances and on totals one ulp apart (six masses of
+        1/6 sum to 1 - 2**-53)."""
         rng = np.random.default_rng(seed)
         if seed == 0:
             a, b = np.full(6, 1 / 6), np.full(4, 0.25)
@@ -668,10 +675,12 @@ class TestTransportLp:
             a, b = a / a.sum(), b / b.sum()
         cost = np.linalg.norm(rng.random((len(a), 2))[:, None] - rng.random((len(b), 2))[None], axis=-1)
         value = bl._transport_lp(a, b, cost)
-        args, kwargs = calls[-1]
-        assert kwargs["options"] == {"presolve": False}
-        presolved = real(*args, **{**kwargs, "options": {"presolve": True}})
-        assert presolved.success
+        lp = dict(A_eq=full_transport_system(len(a), len(b))[:-1], b_eq=np.concatenate([a, b])[:-1],
+                  bounds=(0, None), method="highs")
+        plain = linprog(cost.ravel(), **lp, options={"presolve": False})
+        presolved = linprog(cost.ravel(), **lp, options={"presolve": True})
+        assert plain.success and presolved.success
+        assert value == plain.fun
         assert value == pytest.approx(presolved.fun, rel=1e-7, abs=0)
 
 

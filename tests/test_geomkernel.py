@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -118,6 +119,19 @@ class TestFromVrep:
                 gap = np.linalg.norm(cs.min_norm_point(others - P.vrep[i]))
                 assert gap > 1e-9
 
+    def test_large_cloud_builds_without_a_square_matrix(self):
+        """The affine-hull SVD is thin: 50 000 points never ask for the
+        n x n left factor (18.6 GiB), and the traced peak stays far below it."""
+        pts = np.random.default_rng(0).random((50_000, 3))
+        tracemalloc.start()
+        try:
+            P = gk.from_vrep(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert P.intrinsic_dim == 3
+        assert peak < 1e-3 * 8 * len(pts) ** 2
+
 
 class TestDedupPoints:
     @given(
@@ -159,6 +173,21 @@ class TestDedupPoints:
             tracemalloc.stop()
         assert len(out) == 4000
         assert peak < 10e6
+
+    def test_points_sharing_one_window_stay_fast(self):
+        """Points on the line orthogonal to the window direction all share
+        one window; the pair pass still compares only the pairs within
+        2 tol, so 3000 of them, with ten near-duplicates, take milliseconds."""
+        u = gk._window_direction(2)
+        pts = np.outer(np.linspace(0.0, 1.0, 3000), [-u[1], u[0]])
+        pts = np.vstack([pts, pts[::300] + 0.5e-9 * np.array([-u[1], u[0]])])
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            out = gk._dedup_points(pts, 1e-9)
+            best = min(best, time.perf_counter() - start)
+        assert len(out) == 3000
+        assert best < 0.05
 
 
 class TestMonotoneChain:
