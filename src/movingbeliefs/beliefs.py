@@ -406,7 +406,7 @@ def _piece_moments(pieces: list, k: int):
     the fan from the first point of its ccw ring, every ring from one
     ``lexsort`` of the angles about the pieces' means; above it by Delaunay,
     piece by piece -- and the simplices' volumes (one stacked determinant,
-    each the one ``gk._simplex_volumes`` takes) and
+    each the one ``gk._simplex_volumes`` takes, ValueError on overflow) and
     volume-weighted vertex means are summed per piece by ``np.bincount``."""
     n = np.array([len(V) for V in pieces])
     start = np.cumsum(n) - n
@@ -423,7 +423,7 @@ def _piece_moments(pieces: list, k: int):
         S = np.vstack(S)
     owner = np.arange(len(n)).repeat(count)
     X = T[S]
-    vols = np.abs(np.linalg.det(X[:, 1:] - X[:, :1])) / math.factorial(k)
+    vols = gk._volumes(X, k)
     mass = np.bincount(owner, vols, len(n))
     moment = np.column_stack([np.bincount(owner, vols * c, len(n)) for c in X.mean(axis=1).T])
     keep = mass > 0.0

@@ -6,7 +6,9 @@ is CSV with the fixed column order of ``probe.COLUMNS`` (reference columns
 appended after, when a closed form exists).
 
 Exit-code contract: 0 pass, 1 verified-property violation, 2 usage/schema/
-precondition error.
+precondition error.  One boundary, the group's ``invoke``, maps every
+schema, precondition and file error of every command to exit 2 with one
+stderr line and no traceback.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import geomkernel as gk
 from . import probe as pr
 from . import svmaps as sv
 from .beliefs import Belief, NEUTRAL, Opaque, Polynomial
-from .errors import MovingBeliefsError
+from .errors import MovingBeliefsError, ParameterInfeasible
 from .geomkernel import Tolerances
 
 
@@ -108,34 +110,6 @@ def belief_from_json(obj: Optional[dict], allow_imports: bool = False) -> Belief
     return Belief(density=integrand_from_json(obj["density"], allow_imports))
 
 
-@dataclass(frozen=True)
-class ThetaPoly:
-    """Cost family polynomial in the parameter and the response:
-    theta(x, y) = sum coeff * x^a * prod y_j^b_j."""
-
-    terms: tuple  # ((x_exponent, y_exponents tuple, coeff), ...)
-    y_dim: int
-
-    def __call__(self, x) -> Polynomial:
-        xv = float(x) if np.isscalar(x) else float(np.asarray(x).ravel()[0])
-        agg: dict = {}
-        for x_exp, y_exps, coeff in self.terms:
-            agg[y_exps] = agg.get(y_exps, 0.0) + coeff * xv**x_exp
-        return Polynomial.from_dict(agg, self.y_dim)
-
-    @staticmethod
-    def from_json(obj: dict) -> "ThetaPoly":
-        terms = []
-        y_dim = None
-        for t in obj["terms"]:
-            y_exps = tuple(int(e) for e in t["y_exponents"])
-            y_dim = len(y_exps) if y_dim is None else y_dim
-            if len(y_exps) != y_dim:
-                raise ValueError("inconsistent response dimension in theta terms")
-            terms.append((int(t.get("x_exponent", 0)), y_exps, float(t["coeff"])))
-        return ThetaPoly(terms=tuple(terms), y_dim=y_dim)
-
-
 def tolerances_from_json(obj: Optional[dict]) -> Tolerances:
     if not obj:
         return gk.DEFAULT_TOL
@@ -151,14 +125,13 @@ def tolerances_from_json(obj: Optional[dict]) -> Tolerances:
 @dataclass(eq=False)
 class ProblemFile:
     map_spec: sv.MapSpec
-    belief: Belief
-    theta: Optional[ThetaPoly]
     grid: np.ndarray
-    tolerances: Tolerances
-    anchor: Optional[float]
-    y_box: Optional[tuple]
-    w1_resolution: Optional[float]
-    leader: Optional[dict]
+    belief: Belief = NEUTRAL
+    tolerances: Tolerances = gk.DEFAULT_TOL
+    anchor: Optional[float] = None
+    y_box: Optional[tuple] = None
+    w1_resolution: Optional[float] = None
+    leader: Optional[dict] = None
 
     @staticmethod
     def parse(obj: dict, allow_imports: bool = False) -> "ProblemFile":
@@ -175,7 +148,6 @@ class ProblemFile:
         return ProblemFile(
             map_spec=spec,
             belief=belief_from_json(obj.get("belief"), allow_imports),
-            theta=ThetaPoly.from_json(obj["theta"]) if "theta" in obj else None,
             grid=grid,
             tolerances=tol,
             anchor=obj.get("anchor"),
@@ -226,7 +198,26 @@ def _parse_grid_flag(spec: str) -> np.ndarray:
 # commands
 
 
-@click.group()
+class _Main(click.Group):
+    """The one place an error becomes an exit code: a schema or JSON error,
+    a precondition error (``MovingBeliefsError``, ``ValueError``,
+    ``KeyError``) or an ``OSError`` on a problem or ``--out`` path is one
+    stderr line and exit 2, for every command; usage errors stay click's."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (jsonschema.ValidationError, json.JSONDecodeError) as exc:
+            message = f"schema error: {getattr(exc, 'message', exc)}"
+        except (MovingBeliefsError, ValueError, KeyError) as exc:
+            message = f"precondition error: {type(exc).__name__}: {exc}"
+        except OSError as exc:
+            message = f"error: {exc}"
+        click.echo(message, err=True)
+        sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Uniform beliefs over moving polytopal supports: sweeps and checks."""
 
@@ -255,12 +246,7 @@ def cmd_example(name, q, grid_spec, out, fmt):
         spec = sv.RotSegMap()
         grid = _parse_grid_flag(grid_spec) if grid_spec else np.linspace(0.0, 1.0, 101)[:-1]
 
-    try:
-        report = pr.sweep_phi(spec, NEUTRAL, None, grid, gk.DEFAULT_TOL)
-    except MovingBeliefsError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-
+    report = pr.sweep_phi(spec, NEUTRAL, None, grid, gk.DEFAULT_TOL)
     rows = report.rows()
     extra = ()
     exit_code = 0
@@ -298,28 +284,23 @@ def cmd_example(name, q, grid_spec, out, fmt):
     sys.exit(exit_code)
 
 
-def _builtin_problem(name: str):
+def _builtin_problem(name: str) -> ProblemFile:
     if name == "eps-toy":
-        return sv.EpsArgminMap(spec=sv.toy_bilevel_spec(), eps=0.1), pr.make_grid(0.0, 0.9, 50), 0.0
-    if name == "bilevel-toy":
-        return sv.BilevelSolutionMap(spec=sv.toy_bilevel_spec()), pr.make_grid(0.0, 0.9, 25), 0.0
-    if name == "trapezoid":
-        return sv.TrapezoidMap(), pr.make_grid(0.0, 1.0, 50), 0.0
-    if name == "qmap":
-        return sv.QMap(q=2.0), pr.make_grid(0.0, 1.0, 50), 0.0
-    raise click.UsageError(f"unknown builtin '{name}'")
+        spec, grid = sv.EpsArgminMap(spec=sv.toy_bilevel_spec(), eps=0.1), pr.make_grid(0.0, 0.9, 50)
+    elif name == "bilevel-toy":
+        spec, grid = sv.BilevelSolutionMap(spec=sv.toy_bilevel_spec()), pr.make_grid(0.0, 0.9, 25)
+    elif name == "trapezoid":
+        spec, grid = sv.TrapezoidMap(), pr.make_grid(0.0, 1.0, 50)
+    elif name == "qmap":
+        spec, grid = sv.QMap(q=2.0), pr.make_grid(0.0, 1.0, 50)
+    else:
+        raise click.UsageError(f"unknown builtin '{name}'")
+    return ProblemFile(map_spec=spec, grid=grid, anchor=0.0)
 
 
 def _load_problem(path: str, allow_imports: bool) -> ProblemFile:
-    """Parse a problem file; a schema or precondition error exits 2."""
-    try:
-        with open(path) as fh:
-            return ProblemFile.parse(json.load(fh), allow_imports)
-    except (jsonschema.ValidationError, json.JSONDecodeError) as exc:
-        click.echo(f"schema error: {getattr(exc, 'message', exc)}", err=True)
-    except (MovingBeliefsError, ValueError, KeyError) as exc:
-        click.echo(f"precondition error: {type(exc).__name__}: {exc}", err=True)
-    sys.exit(2)
+    with open(path) as fh:
+        return ProblemFile.parse(json.load(fh), allow_imports)
 
 
 _ALLOW_IMPORTS_HELP = "let opaque integrands of the problem file import their module:attribute callable"
@@ -336,30 +317,22 @@ _ALLOW_IMPORTS_HELP = "let opaque integrands of the problem file import their mo
 @click.option("--allow-imports", is_flag=True, help=_ALLOW_IMPORTS_HELP)
 def cmd_verify(suite, problem, builtin, samples, seed, out, fmt, allow_imports):
     """Run a verification suite; exit 0 iff no violations."""
-    try:
-        if suite == "body":
-            report = pr.verify_body_lemmas(samples=samples, seed=seed)
+    if suite == "body":
+        report = pr.verify_body_lemmas(samples=samples, seed=seed)
+    else:
+        if problem:
+            pf = _load_problem(problem, allow_imports)
+        elif builtin:
+            pf = _builtin_problem(builtin)
         else:
-            if problem:
-                pf = _load_problem(problem, allow_imports)
-                spec, grid, anchor, tol = pf.map_spec, pf.grid, pf.anchor, pf.tolerances
-                y_box, resolution = pf.y_box, pf.w1_resolution
-            elif builtin:
-                spec, grid, anchor = _builtin_problem(builtin)
-                tol, y_box, resolution = gk.DEFAULT_TOL, None, None
-            else:
-                raise click.UsageError("this suite needs a problem file or --builtin")
-            if suite == "tv-bound":
-                report = pr.verify_tv_bound(spec, grid, tol, y_box)
-            elif suite == "sandwich":
-                report = pr.verify_sandwich_and_h(spec, anchor if anchor is not None else grid[0], grid, tol)
-            else:
-                report = pr.verify_w1_regime(spec, grid, tol, resolution)
-    except click.UsageError:
-        raise
-    except MovingBeliefsError as exc:
-        click.echo(f"precondition error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(2)
+            raise click.UsageError("this suite needs a problem file or --builtin")
+        if suite == "tv-bound":
+            report = pr.verify_tv_bound(pf.map_spec, pf.grid, pf.tolerances, pf.y_box)
+        elif suite == "sandwich":
+            anchor = pf.anchor if pf.anchor is not None else pf.grid[0]
+            report = pr.verify_sandwich_and_h(pf.map_spec, anchor, pf.grid, pf.tolerances)
+        else:
+            report = pr.verify_w1_regime(pf.map_spec, pf.grid, pf.tolerances, pf.w1_resolution)
 
     if fmt == "json":
         _emit(report.to_json() + "\n", out)
@@ -385,12 +358,13 @@ def cmd_bilevel(problem, out, fmt, allow_imports):
         raise click.UsageError("bilevel command needs a 'leader' section {g, h}")
     if not isinstance(pf.map_spec, (sv.BilevelSolutionMap, sv.EpsArgminMap)):
         raise click.UsageError("bilevel command needs a bilevel_linear or eps_argmin map")
-    if len(pf.grid) == 0:
-        raise click.UsageError("empty grid")
-
+    spec = pf.map_spec.spec
+    for key, need in (("g", spec.a_matrix.shape[1]), ("h", spec.n_vars)):
+        if len(pf.leader[key]) != need:
+            raise ValueError(f"leader {key} has length {len(pf.leader[key])}; the map needs {need}")
     g_vec = np.asarray(pf.leader["g"], dtype=float)
     h_vec = np.asarray(pf.leader["h"], dtype=float)
-    m = pf.map_spec.spec.n_vars
+    m = spec.n_vars
     h_poly = Polynomial.from_dict({tuple(int(i == j) for i in range(m)): float(h_vec[j]) for j in range(m)}, m)
 
     xs, vals, evaluated = [], [], []
@@ -407,8 +381,7 @@ def cmd_bilevel(problem, out, fmt, allow_imports):
         vals.append(float(g_vec @ np.atleast_1d(x) + follower))
         evaluated.append(k)
     if not xs:
-        click.echo("error: every grid point was infeasible", err=True)
-        sys.exit(2)
+        raise ParameterInfeasible("every grid point was infeasible")
     xs = np.array(xs)
     vals = np.array(vals)
     best = int(np.argmin(vals))

@@ -84,9 +84,8 @@ class DimensionViolation(MovingBeliefsError):
 
 
 class QhullFailure(MovingBeliefsError):
-    """Qhull rejected a point set both as given and with the ``QJ`` joggle.
-    Its precision limits can do so on coordinates far below
-    ``geomkernel.MAX_COORD``: the 3-cube of side 1e60 is one example."""
+    """Qhull rejected a point set, given at unit size, both as given and
+    with the ``QJ`` joggle."""
 
 
 class QhullJoggleWarning(RuntimeWarning):

@@ -177,7 +177,8 @@ class Polytope:
     @cached_property
     def triangulation(self):
         """(S, vols): the frame triangulation and the k-volume of each of its
-        simplices, built once; a point is one 0-simplex of measure 1."""
+        simplices, built once; a point is one 0-simplex of measure 1.  A
+        k-volume beyond the largest double raises ValueError."""
         S, vols = _simplex_volumes(self.vertices_frame, self.intrinsic_dim, self.boundary)
         S.setflags(write=False)
         vols.setflags(write=False)
@@ -356,11 +357,13 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
         N = e[:, ::-1] * (1.0, -1.0) / np.sqrt(np.vecdot(e, e))[:, None]
         c = np.vecdot(N, ring)
     else:
-        hull = _qhull(ConvexHull, t, "ConvexHull")
-        r = np.round(hull.equations, 9)
+        hull, e = _qhull(ConvexHull, t, "ConvexHull")
+        eqs = hull.equations
+        eqs[:, -1] *= 2.0**e  # offsets back to the scale of t; normals are unit
+        r = np.round(eqs, 9)
         order = np.lexsort(r.T[::-1])  # stable: each group of equal rows starts at its first row
         r = r[order]
-        eqs = hull.equations[np.sort(order[np.concatenate([[True], (r[1:] != r[:-1]).any(axis=1)])])]
+        eqs = eqs[np.sort(order[np.concatenate([[True], (r[1:] != r[:-1]).any(axis=1)])])]
         N, c = eqs[:, :-1], -eqs[:, -1]  # A t + b <= 0
         sel, bnd = hull.vertices, hull.simplices
     idx = np.sort(sel)
@@ -394,21 +397,12 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
     edge, all pairs of the row in one array computation.  Rows are normalized and slacks compared with ``tol``; at
     each row that cuts, ``_float_edges`` (shared with ``_slab_pieces``)
     recomputes the active matrix and tests the pairs.  The exact rule is
-    ``_clip_exact``'s.
-
-    One ``_dedup_points`` at the end suffices.  Each point's slack and cut
-    points depend on that point alone (matrix products round the same in
-    every row position), so the order of V changes only the order of the
-    output.  While no two points lie within twice the merge
-    distance, a dedup after each row would only sort, and the final dedup
-    sorts the same set; when a cut adds a point that close to another, V is
-    deduplicated before the next row, as a per-row dedup would have done.  A
-    clip in which no row cuts returns ``V`` unchanged, in its input order.
+    ``_clip_exact``'s.  After each row that cuts, V is deduplicated; a clip
+    in which no row cuts returns ``V`` unchanged, in its input order.
     """
     d = V.shape[1]
     N = np.array([r[0] for r in base_rows], dtype=float).reshape(-1, d)
     C = np.array([r[1] for r in base_rows], dtype=float)
-    new, cut = 0, False  # points not yet checked for a merge; whether a row cut
     for nrm, off in new_rows:
         nrm = np.asarray(nrm, dtype=float)
         ln = float(np.linalg.norm(nrm))
@@ -416,12 +410,6 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
             if off < -tol:
                 return None
             continue
-        if new:  # would a dedup after the last cut merge anything?
-            reach = 2.0 * _merge_distance(V, tol)
-            diff = V[-new:, None] - V[None]
-            if np.count_nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach) > new:
-                V = _dedup_points(V, reach / 2.0)
-            new = 0
         nrm = nrm / ln
         off = off / ln
         s = off - V @ nrm
@@ -435,9 +423,9 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
             i, j = i[ok], j[ok]
             P = V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])
             V = np.vstack([V[~out], P])
-            new, cut = (len(P) if cut else len(V)), True
+            V = _dedup_points(V, _merge_distance(V, tol))
         N, C = np.vstack([N, nrm]), np.append(C, off)
-    return _dedup_points(V, _merge_distance(V, tol)) if cut else V
+    return V
 
 
 def _float_edges(V: np.ndarray, N: np.ndarray, C: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float):
@@ -725,19 +713,26 @@ def _triangulate_frame(t: np.ndarray, k: int, ring) -> np.ndarray:
         return np.array([[np.argmin(t[:, 0]), np.argmax(t[:, 0])]])
     if k == 2:
         return np.column_stack([np.full(len(ring) - 2, ring[0]), ring[1:-1], ring[2:]])
-    return _qhull(Delaunay, t, "Delaunay").simplices
+    return _qhull(Delaunay, t, "Delaunay")[0].simplices
 
 
 def _qhull(build, t: np.ndarray, name: str):
-    """``build(t)`` for Qhull's ``ConvexHull`` or ``Delaunay`` (``name``).
-    Where Qhull rejects t it is retried once with the ``QJ`` joggle, with a
+    """(``build(t / 2^e)``, e) for Qhull's ``ConvexHull`` or ``Delaunay``
+    (``name``), e the binary exponent of max |t|: the division is exact, and
+    Qhull sees unit-size coordinates on every input.  On t itself its
+    precision limits fail far below ``MAX_COORD`` (the 4-cube of side 1e60
+    raised; at 1e110 it crashed the process).  Vertices and simplices are
+    indices; the caller scales offsets back by 2^e.  Where Qhull rejects the
+    points they are retried once with the ``QJ`` joggle, with a
     ``QhullJoggleWarning``; where the joggle fails too, ``QhullFailure``."""
+    e = int(np.frexp(np.abs(t).max())[1])
+    t = np.ldexp(t, -e)
     try:
-        return build(t)
+        return build(t), e
     except QhullError:
         warnings.warn(f"{name} fell back to the QJ joggle", QhullJoggleWarning, stacklevel=3)
     try:
-        return build(t, qhull_options="QJ")
+        return build(t, qhull_options="QJ"), e
     except QhullError as exc:
         first = str(exc).strip().partition("\n")[0]
         raise QhullFailure(f"{name} failed on {len(t)} points in {t.shape[1]} dimensions, joggled too: {first}") from exc
@@ -745,10 +740,20 @@ def _qhull(build, t: np.ndarray, name: str):
 
 def _simplex_volumes(t: np.ndarray, k: int, ring):
     """(S, vols): the triangulation of the frame points t (``ring`` as in
-    ``_triangulate_frame``) and the k-volume of each of its simplices, from
-    one stacked determinant."""
+    ``_triangulate_frame``) and the k-volume of each of its simplices."""
     S = _triangulate_frame(t, k, ring)
-    return S, np.abs(np.linalg.det(t[S[:, 1:]] - t[S[:, :1]])) / math.factorial(k)
+    return S, _volumes(t[S], k)
+
+
+def _volumes(X: np.ndarray, k: int) -> np.ndarray:
+    """The k-volumes of the simplices X (s, k+1, k) from one stacked
+    determinant.  Coordinates up to ``MAX_COORD`` can still give a k-volume
+    beyond the largest double (side^k above 1.8e308): ValueError, naming k."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vols = np.abs(np.linalg.det(X[:, 1:] - X[:, :1])) / math.factorial(k)
+    if not np.isfinite(vols).all():
+        raise ValueError(f"a simplex's {k}-volume overflows a double")
+    return vols
 
 
 def triangulate(P: Polytope):
@@ -1150,4 +1155,10 @@ def volume_lipschitz_constant(diam: float, m: int) -> float:
     """Lipschitz constant of the m-volume on convex subsets of a body of the
     given diameter: 2 m vol(B_m) (diam * sqrt(m / (2(m+1))))^(m-1)."""
     jung = diam * math.sqrt(m / (2.0 * (m + 1.0)))
-    return 2.0 * m * unit_ball_volume(m) * jung ** (m - 1)
+    try:
+        L = 2.0 * m * unit_ball_volume(m) * jung ** (m - 1)
+    except OverflowError:
+        L = math.inf
+    if not math.isfinite(L):
+        raise ValueError(f"the {m}-volume Lipschitz constant for diameter {diam:.3g} overflows a double")
+    return L

@@ -2,14 +2,19 @@
 
 import itertools
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from scipy.spatial import QhullError
+
 from movingbeliefs import cli
+from movingbeliefs import geomkernel as gk
 from movingbeliefs.errors import ParameterInfeasible, QhullJoggleWarning
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "problems"
@@ -31,6 +36,27 @@ def toy_problem(h, count=21):
         "grid": {"start": 0.0, "stop": 1.0, "count": count, "log": False},
         "leader": {"g": [0.0], "h": h},
     }
+
+
+def cubes_problem(path, m, side):
+    """An interp problem between the m-cube of the given side and its copy
+    shifted by half a side along the first axis."""
+    cube = [[side * c for c in p] for p in itertools.product((0.0, 1.0), repeat=m)]
+    shifted = [[p[0] + side / 2] + p[1:] for p in cube]
+    path.write_text(json.dumps({
+        "version": "1",
+        "map": {"kind": "interp", "body_a": {"vertices": cube}, "body_b": {"vertices": shifted}},
+        "grid": {"start": 0.0, "stop": 1.0, "count": 5},
+    }))
+    return path
+
+
+def run_child(args):
+    """The command line in a child process, where a crash inside Qhull would
+    end the child and not the test run."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "movingbeliefs.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def strict_json(text):
@@ -81,13 +107,6 @@ class TestProblemFile:
         }
         with pytest.raises(jsonschema.ValidationError):
             cli.ProblemFile.parse(bad)
-
-    def test_theta_family_evaluates(self):
-        th = cli.ThetaPoly.from_json(
-            {"terms": [{"coeff": 2.0, "x_exponent": 1, "y_exponents": [1, 0]}]}
-        )
-        f = th(0.5)
-        assert f(np.array([[3.0, 0.0]]))[0] == pytest.approx(2.0 * 0.5 * 3.0)
 
     def test_integrand_parse(self):
         from movingbeliefs import beliefs as bl
@@ -299,22 +318,38 @@ class TestVerifyCommand:
         assert "precondition error: ValueError" in res.stderr
         assert "at most 1e+150 in magnitude" in res.stderr
 
-    @pytest.mark.parametrize("suite", ["w1", "tv-bound"])
-    def test_qhull_failure_exits_2(self, runner, tmp_path, suite):
-        """Two 3-cubes of side 1e60, far below the coordinate bound, on which
-        Qhull fails with and without its joggle: a named error, exit 2."""
-        cube = [[1e60 * c for c in p] for p in itertools.product((0.0, 1.0), repeat=3)]
-        shifted = [[x + 5e59, y, z] for x, y, z in cube]
-        problem = tmp_path / "cubes.json"
-        problem.write_text(json.dumps({
-            "version": "1",
-            "map": {"kind": "interp", "body_a": {"vertices": cube}, "body_b": {"vertices": shifted}},
-            "grid": {"start": 0.0, "stop": 1.0, "count": 5},
-        }))
+    @pytest.mark.parametrize(("suite", "code"), [("w1", 2), ("tv-bound", 0)], ids=["w1", "tv-bound"])
+    def test_qhull_failure_exits_2(self, runner, tmp_path, monkeypatch, suite, code):
+        """Two 3-cubes of side 1e60, far below the coordinate bound: Qhull,
+        given them at unit size, builds them, and tv-bound passes with a
+        report while w1 exits 2 (no grid cell receives mass).  Where Qhull
+        rejects the points with and without its joggle: a named error, exit 2."""
+        problem = cubes_problem(tmp_path / "cubes.json", 3, 1e60)
+        res = runner.invoke(cli.main, ["verify", suite, str(problem)])
+        assert res.exit_code == code
+        if code == 0:
+            assert json.loads(res.stdout)["passed"] is True
+        else:
+            assert res.stderr.startswith("precondition error: ")
+
+        def reject(*args, **kwargs):
+            raise QhullError("rejected")
+
+        monkeypatch.setattr(gk, "ConvexHull", reject)
         with pytest.warns(QhullJoggleWarning):
             res = runner.invoke(cli.main, ["verify", suite, str(problem)])
         assert res.exit_code == 2
         assert "precondition error: QhullFailure" in res.stderr
+
+    @pytest.mark.parametrize("suite", ["w1", "tv-bound"])
+    def test_overflowing_4_volume_exits_2(self, tmp_path, suite):
+        """Two 4-cubes of side 1e110, within the coordinate bound, whose
+        4-volume (1e440) no double holds: a precondition error, exit 2.  It
+        runs in a child process: Qhull on the raw coordinates crashed it."""
+        res = run_child(["verify", suite, str(cubes_problem(tmp_path / "cubes.json", 4, 1e110))])
+        assert res.returncode == 2
+        assert res.stderr.startswith("precondition error: ValueError: ") and res.stderr.count("\n") == 1
+        assert "4-volume" in res.stderr
 
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_body_suite_needs_two_samples(self, runner, samples):
@@ -354,6 +389,53 @@ def test_json_output_is_strict(runner, args):
     res = runner.invoke(cli.main, args)
     assert res.exit_code == 0
     strict_json(res.stdout)
+
+
+def _density(dim, terms):
+    return {"kind": "density", "density": {"kind": "polynomial", "dim": dim, "terms": [
+        {"exponents": list(e), "coeff": c} for e, c in terms]}}
+
+
+class TestErrorBoundary:
+    """Every command's schema, precondition and file errors leave through one
+    boundary: exit 2, one stderr line, no traceback."""
+
+    @pytest.mark.parametrize(
+        ("key", "value", "needle"),
+        [
+            ("belief", _density(2, [((1, 0), 1.0), ((0, 0), -0.5)]), "precondition error: PositivityViolation"),
+            ("belief", _density(3, [((0, 0, 0), 1.0), ((1, 0, 0), 1.0)]), "precondition error: ValueError"),
+            ("g", [0.0, 1.0], "leader g has length 2; the map needs 1"),
+            ("h", [1.0], "leader h has length 1; the map needs 2"),
+            ("h", [1.0, 0.0, 5.0], "leader h has length 3; the map needs 2"),
+        ],
+        ids=["negative-density", "three-variate-density", "g-of-length-2", "h-of-length-1", "h-of-length-3"],
+    )
+    def test_bilevel_bad_input_exits_2(self, runner, tmp_path, key, value, needle):
+        obj = json.loads((PROBLEMS / "toy_bilevel.json").read_text())
+        (obj if key == "belief" else obj["leader"])[key] = value
+        problem = tmp_path / "bad.json"
+        problem.write_text(json.dumps(obj))
+        res = runner.invoke(cli.main, ["bilevel", str(problem)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.count("\n") == 1 and needle in res.stderr
+
+    def test_out_in_a_missing_directory_exits_2(self, runner, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        res = runner.invoke(cli.main, ["verify", "tv-bound", str(PROBLEMS / "eps_toy.json"), "--out", str(out)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+    def test_every_point_infeasible_exits_2(self, runner, monkeypatch):
+        def eval_map(spec, x, *args):
+            raise ParameterInfeasible("skipped on purpose")
+
+        monkeypatch.setattr(cli.sv, "eval_map", eval_map)
+        res = runner.invoke(cli.main, ["bilevel", str(PROBLEMS / "toy_bilevel.json")])
+        assert res.exit_code == 2
+        assert res.stderr.endswith("precondition error: ParameterInfeasible: every grid point was infeasible\n")
 
 
 class TestBilevelCommand:
@@ -454,13 +536,16 @@ class TestBilevelCommand:
         assert res.exit_code == 2
         assert "precondition error: Unbounded: recession direction" in res.output
 
-    def test_inconsistent_theta_exits_2(self, runner, tmp_path):
+    def test_theta_section_exits_2(self, runner, tmp_path):
+        """No command reads a cost family from the file: a ``theta`` section
+        is a schema error, not parsed and ignored."""
         obj = toy_problem([1.0, 0.0])
-        obj["theta"] = {"terms": [{"coeff": 1.0, "y_exponents": [1, 0]}, {"coeff": 1.0, "y_exponents": [1]}]}
+        obj["theta"] = {"terms": [{"coeff": 1.0, "y_exponents": [1, 0]}]}
         problem = tmp_path / "theta.json"
         problem.write_text(json.dumps(obj))
         res = runner.invoke(cli.main, ["bilevel", str(problem)])
         assert res.exit_code == 2
+        assert res.stderr.startswith("schema error: ")
 
     def test_ratios_skip_unevaluated_neighbours(self, runner, tmp_path, monkeypatch):
         """With x = 0.5 skipped, no ratio compares x = 0.25 with x = 0.75."""

@@ -2,8 +2,13 @@
 
 import dataclasses
 import itertools
+import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -93,6 +98,34 @@ class TestFromVrep:
         P.validate()
         assert (P.n_vertices, P.intrinsic_dim) == (4, 2)
         assert gk.volume(P) == pytest.approx(4.0 * gk.MAX_COORD**2)
+
+    def test_large_4_cubes_keep_every_vertex(self):
+        """Qhull sees the coordinates divided by a power of two: the 4-cube
+        of side 1e60 used to raise QhullFailure, and those of side 1e110 and
+        1e150 lost 4 vertices or crashed the process, so they are built in a
+        child process.  The facet offsets come back at the cubes' scale; a
+        4-volume beyond the largest double is a ValueError naming k."""
+        code = (
+            "import itertools, json, numpy as np\n"
+            "from movingbeliefs import geomkernel as gk\n"
+            "cube = np.array(list(itertools.product((0.0, 1.0), repeat=4)))\n"
+            "for s in (1e60, 1e110, 1e150):\n"
+            "    P = gk.from_vrep(cube * s)\n"
+            "    err = float(np.max(np.abs(np.sort(P.hrep_offsets) / s - (0, 0, 0, 0, 1, 1, 1, 1))))\n"
+            "    try:\n"
+            "        vol = gk.volume(P) / s**2 / s**2\n"
+            "    except ValueError as exc:\n"
+            "        vol = str(exc)\n"
+            "    print(json.dumps([P.n_vertices, len(P.hrep_offsets), err, vol]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gk.__file__).resolve().parents[1]))
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        got = [json.loads(line) for line in res.stdout.splitlines()]
+        assert [(n, rows) for n, rows, _, _ in got] == [(16, 8)] * 3
+        assert all(err < 1e-12 for _, _, err, _ in got)
+        assert got[0][3] == pytest.approx(1.0, rel=1e-12)
+        assert got[1][3] == got[2][3] == "a simplex's 4-volume overflows a double"
 
     @given(point_clouds)
     def test_invariants_on_random_clouds(self, pts):
@@ -1034,6 +1067,13 @@ class TestVolumeLipschitzConstant:
         # 4*pi*sqrt(2)/sqrt(3) = 4*pi*sqrt(6)/3
         want = 4.0 * math.pi * math.sqrt(6.0) / 3.0
         assert gk.volume_lipschitz_constant(math.sqrt(2.0), 2) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(("diam", "m"), [(1e110, 4), (1.7e308, 2)])
+    def test_overflowing_constant_is_a_value_error(self, diam, m):
+        """Past the largest double: Python's power raises OverflowError on
+        (1e110)^3, and the product of a finite power overflows to inf."""
+        with pytest.raises(ValueError, match=f"{m}-volume Lipschitz constant"):
+            gk.volume_lipschitz_constant(diam, m)
 
     def test_volume_difference_bound_random(self, rng):
         L = gk.volume_lipschitz_constant(math.sqrt(2.0), 2)

@@ -64,9 +64,9 @@ class TestSweepPhi:
 
     def test_parameter_dependent_cost_family(self):
         # theta(x, y) = x * y1: the sweep sees phi(x) = x * E[y1 over S(x)]
-        from movingbeliefs.cli import ThetaPoly
+        def theta(x):
+            return bl.Polynomial.from_dict({(1, 0): float(x)}, 2)
 
-        theta = ThetaPoly(terms=((1, (1, 0), 1.0),), y_dim=2)
         grid = pr.make_grid(0.1, 1.0, 7)
         rep = pr.sweep_phi(sv.TrapezoidMap(), theta=theta, grid=grid)
         ref = grid * np.array([trap_phi(x) for x in grid])
