@@ -28,6 +28,7 @@ from .errors import (
 from .geomkernel import DEFAULT_TOL, Polytope, Tolerances
 
 DEGREE_CAP = 8
+MAX_TRANSPORT_COLUMNS = 2**23  # admits resolution 0.02 on unit-size planar pairs: 51^4 columns
 
 
 @dataclass(frozen=True)
@@ -334,13 +335,23 @@ def w1_distance(
     Exact (error 0) for Dirac pairs and for uniform laws on intervals of a
     common line (which covers ambient dimension 1).  Otherwise both laws are
     discretized on a shared axis-aligned grid — cell mass proportional to the
-    exact volume of the piece in the cell, cut from the support's frame vertex
-    array in one double-description step per piece and axis (``_grid_pieces``,
-    no per-cell polytope or clip), mass placed at the piece centroid, the
-    moments of all pieces from one stacked pass (``_piece_moments``) — and the
-    transportation LP goes to the HiGHS bindings without presolve and
-    without scipy's ``linprog`` layer (``_transport_lp``); the reported
-    error bound is 2 * cell diameter.
+    exact volume of the piece in the cell, all pieces of a support cut from
+    its frame vertex array in one stacked double-description step per axis
+    (``_grid_pieces``, no per-cell polytope or clip), mass placed at the
+    piece centroid, the moments of all pieces from one stacked pass
+    (``_piece_moments``) — and the transportation LP goes to the HiGHS
+    bindings as arrays, without presolve and without scipy's ``linprog``
+    layer (``_transport_lp``); the reported error bound is 2 * cell diameter.
+
+    The resolution must be positive and finite, and at least 2**-52 of the
+    grid's span (finer grid lines are not distinct doubles): ValueError
+    otherwise.  The dense LP has one column per pair of pieces, and at most
+    ``MAX_TRANSPORT_COLUMNS`` = 2**23 are admitted, which takes resolution
+    0.02 on unit-size planar pairs (at most 51^4 columns).  Peak memory runs
+    to about 500 bytes per column (cost matrix, LP arrays and HiGHS's work),
+    about 4 GiB at the cap.  The cap is checked twice, each time raising
+    ValueError: on each support's bounding-box cell count before it is cut,
+    and on the product of the piece counts before the cost matrix is built.
     """
     P, Q = pair.P, pair.Q
     if P.intrinsic_dim == 0 and Q.intrinsic_dim == 0:
@@ -355,9 +366,17 @@ def w1_distance(
     span = float(np.max(hi - lo))
     if resolution is None:
         resolution = span / 12.0
+    if not (resolution > 0.0 and math.isfinite(resolution)):
+        raise ValueError(f"the W1 resolution must be positive and finite, got {resolution}")
+    if not span / resolution < 2.0**52:
+        raise ValueError(f"resolution {resolution:g} is below 2**-52 of the span {span:g}: "
+                         "its grid lines are not distinct doubles")
     cells_per_axis = np.maximum(1, np.ceil((hi - lo) / resolution - 1e-12).astype(int))
     a_mass, a_pts = _grid_pieces(P, lo, resolution, cells_per_axis, tol)
     b_mass, b_pts = _grid_pieces(Q, lo, resolution, cells_per_axis, tol)
+    if len(a_mass) * len(b_mass) > MAX_TRANSPORT_COLUMNS:
+        raise ValueError(f"resolution {resolution:g}: {len(a_mass)} x {len(b_mass)} transport columns, "
+                         f"above the cap of {MAX_TRANSPORT_COLUMNS}")
     cost = np.linalg.norm(a_pts[:, None, :] - b_pts[None, :, :], axis=-1)
     value = _transport_lp(a_mass / a_mass.sum(), b_mass / b_mass.sum(), cost)
     return value, 2.0 * resolution * math.sqrt(P.ambient_dim)
@@ -367,50 +386,57 @@ def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, tol: Tolera
     """(masses, centroids) of R's pieces in the grid cells its bounding box
     meets, in ``itertools.product`` order (axis 0 outermost).  R is cut axis
     by axis on its frame vertex array: x_j = g is the unit row
-    (B[j] / |B[j]|) . t = (g - o_j) / |B[j]|, and ``gk._slab_pieces`` cuts a
-    piece by all interior lines of an axis in one step, exact because each
-    vertex of a slab's piece is a vertex of the piece or an edge's crossing
-    with a wall.  A line within feas_tol of R's extent is not interior: the
-    slab beyond it would hold only R's points within feas_tol of the line,
-    such as the coplanar corners of an axis-aligned face, which span no
-    k-volume and which Delaunay cannot triangulate.  An axis is skipped where
-    R meets one cell or x_j is constant on R (|B[j]| <= feas_tol).  The
-    pieces' masses and centroids come from one stacked pass over them all
-    (``_piece_moments``); pieces of at most k points or of zero k-volume
-    carry no mass and are left out."""
+    (B[j] / |B[j]|) . t = (g - o_j) / |B[j]|, and ``gk._slab_pieces`` cuts
+    every piece of the stack by all interior lines of an axis in one step,
+    exact because each vertex of a slab's piece is a vertex of the piece or
+    an edge's crossing with a wall.  The pieces travel as one stack: their
+    points stacked with per-piece counts, their rows padded to one count.
+    A line within feas_tol of R's extent is not interior: the slab beyond it
+    would hold only R's points within feas_tol of the line, such as the
+    coplanar corners of an axis-aligned face, which span no k-volume and
+    which Delaunay cannot triangulate.  An axis is skipped where R meets one
+    cell or x_j is constant on R (|B[j]| <= feas_tol).  A bounding box of
+    more than ``MAX_TRANSPORT_COLUMNS`` cells raises ValueError before R is
+    cut.  The pieces' masses and centroids come from one stacked pass over
+    them all (``_piece_moments``); pieces of at most k points or of zero
+    k-volume carry no mass and are left out."""
     k = R.intrinsic_dim
     B, o = R.frame.basis, R.frame.origin
     r_lo, r_hi = R.bounding_box()
     r_lo, r_hi = r_lo + tol.feas_tol, r_hi - tol.feas_tol
     i_lo = np.clip(np.floor((r_lo - lo) / resolution).astype(int), 0, cells_per_axis - 1)
     i_hi = np.clip(np.floor((r_hi - lo) / resolution - 1e-12).astype(int), i_lo, cells_per_axis - 1)
-    pieces = [(R.vertices_frame, list(zip(*R.intrinsic_facets)))]
+    cells = math.prod((i_hi - i_lo + 1).tolist())
+    if cells > MAX_TRANSPORT_COLUMNS:
+        raise ValueError(f"resolution {resolution:g}: {cells} grid cells meet one support, above the cap "
+                         f"of {MAX_TRANSPORT_COLUMNS} transport columns")
+    N, C = R.intrinsic_facets
+    T, n, N, C = R.vertices_frame, np.array([len(R.vertices_frame)]), N[None], C[None]
     for j in range(R.ambient_dim):
         ln = float(np.linalg.norm(B[j]))
         if i_lo[j] == i_hi[j] or ln <= tol.feas_tol:
             continue
         u = B[j] / ln
         g = (lo[j] + np.arange(i_lo[j] + 1, i_hi[j] + 1) * resolution - o[j]) / ln
-        pieces = [cell for V, rows in pieces for cell in gk._slab_pieces(V, rows, u, g, tol.feas_tol)]
-    kept = [V for V, _ in pieces if 0 < k < len(V)]  # fewer points span no k-volume; a point is too coarse
-    masses, centroids = _piece_moments(kept, k) if kept else ([], [])
+        T, n, N, C = gk._slab_pieces(T, n, N, C, u, g, tol.feas_tol)
+    kept = (n > k) & (k > 0)  # fewer points span no k-volume; a point is too coarse
+    masses, centroids = _piece_moments(T[kept.repeat(n)], n[kept], k) if kept.any() else ([], [])
     if len(masses) < 8:
         raise ResolutionTooCoarse(f"only {len(masses)} cells receive mass; refine the grid")
     return masses, R.frame.to_ambient(centroids)
 
 
-def _piece_moments(pieces: list, k: int):
-    """(masses, centroids) of the frame point sets ``pieces``, each of more
-    than k >= 1 points, in order, leaving out those of zero k-volume.  One
-    stacked pass over all pieces: each is triangulated -- in the plane by
-    the fan from the first point of its ccw ring, every ring from one
-    ``lexsort`` of the angles about the pieces' means; above it by Delaunay,
-    piece by piece -- and the simplices' volumes (one stacked determinant,
-    each the one ``gk._simplex_volumes`` takes, ValueError on overflow) and
+def _piece_moments(T: np.ndarray, n: np.ndarray, k: int):
+    """(masses, centroids) of the stacked frame point sets of ``T``, the
+    n[q] points from sum(n[:q]) on being piece q, each of more than k >= 1
+    points, in order, leaving out those of zero k-volume.  One stacked pass
+    over all pieces: each is triangulated -- in the plane by the fan from
+    the first point of its ccw ring, every ring from one ``lexsort`` of the
+    angles about the pieces' means; above it by Delaunay, piece by piece --
+    and the simplices' volumes (one stacked determinant, each the one
+    ``gk._simplex_volumes`` takes, ValueError on overflow) and
     volume-weighted vertex means are summed per piece by ``np.bincount``."""
-    n = np.array([len(V) for V in pieces])
     start = np.cumsum(n) - n
-    T = np.vstack(pieces)
     if k == 2:
         d = T - (np.add.reduceat(T, start) / n[:, None]).repeat(n, axis=0)
         ring = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), np.arange(len(n)).repeat(n)))
@@ -418,7 +444,7 @@ def _piece_moments(pieces: list, k: int):
         at = np.arange(count.sum()) + (start - np.cumsum(count) + count + 1).repeat(count)
         S = np.column_stack([ring[start.repeat(count)], ring[at], ring[at + 1]])
     else:
-        S = [gk._triangulate_frame(V, k, None) + s for V, s in zip(pieces, start)]  # k != 2: no ring
+        S = [gk._triangulate_frame(T[s : s + c], k, None) + s for s, c in zip(start.tolist(), n.tolist())]  # no ring
         count = np.array([len(s) for s in S])
         S = np.vstack(S)
     owner = np.arange(len(n)).repeat(count)

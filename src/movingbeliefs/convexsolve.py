@@ -6,9 +6,9 @@ projection of ``geomkernel.dist_point``, and the vertex distances of
 Hausdorff excesses outside the plane and outside full-dimensional bodies in
 3-space (lower-dimensional bodies in 3-space, and every body in 4 or more
 dimensions).  Instances have tens of vertices, not thousands; determinism
-beats speed.  ``equality_lp`` hands a column-wise LP straight to the HiGHS
-bindings that ``scipy.optimize.linprog`` itself calls, without its
-per-column Python layer.
+beats speed.  ``equality_lp`` hands a column-wise LP as arrays straight to
+the HiGHS bindings that ``scipy.optimize.linprog`` itself calls, without
+its per-column Python layer.
 """
 
 from __future__ import annotations
@@ -88,27 +88,29 @@ def min_norm_point(vertices: Sequence, feas_tol: float = _FEAS_TOL) -> np.ndarra
 def equality_lp(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.ndarray, b: np.ndarray) -> float:
     """Optimal value of min c.x subject to A x = b, x >= 0, A given
     column-wise: column j holds ``value[start[j]:start[j + 1]]`` in rows
-    ``index[start[j]:start[j + 1]]``.  HiGHS runs with presolve off and
-    every other option at its default, the run ``linprog(method="highs",
-    options={"presolve": False})`` makes, so the optimum is the same float;
-    any model status but optimal raises ``SolverStall`` naming it.  The
-    cost comes first, as in ``linprog``, because ``beliefs`` calls this as
-    ``linprog``: per-layer tracers time the transport LP under that name
-    and count its columns from the first argument."""
-    n, rows = len(c), len(b)
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = rows
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
-    lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = np.zeros(n), np.full(n, highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = b
+    ``index[start[j]:start[j + 1]]``.  The arrays go to HiGHS in one call,
+    the array form of ``passModel`` (32-bit starts and indices, no integer
+    columns), with no ``HighsLp`` built attribute by attribute; a model
+    HiGHS refuses (such as a row index out of range) raises ``SolverStall``
+    naming the status.  HiGHS runs with presolve off and every other option
+    at its default, the run ``linprog(method="highs", options={"presolve":
+    False})`` makes, so the optimum is the same float; any model status but
+    optimal raises ``SolverStall`` naming it.  The cost comes first, as in
+    ``linprog``, because ``beliefs`` calls this as ``linprog``: per-layer
+    tracers time the transport LP under that name and count its columns
+    from the first argument."""
+    n = len(c)
     options = highs.HighsOptions()
     options.presolve, options.output_flag = "off", False
     solver = highs._Highs()
     solver.passOptions(options)
-    solver.passModel(lp)
+    status = solver.passModel(
+        n, len(b), len(index), highs.MatrixFormat.kColwise.value, highs.ObjSense.kMinimize.value, 0.0,
+        c, np.zeros(n), np.full(n, highs.kHighsInf), b, b,
+        start[:-1].astype(np.int32), index.astype(np.int32), value, np.zeros(n, np.int32),
+    )
+    if status != highs.HighsStatus.kOk:
+        raise SolverStall(f"LP not passed: HiGHS status {status.name}")
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:

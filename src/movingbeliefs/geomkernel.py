@@ -429,59 +429,84 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
 
 
 def _float_edges(V: np.ndarray, N: np.ndarray, C: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float):
-    """Mask of the vertex pairs (i[p], j[p]) of {y : N y <= C} that span an
-    edge: their common active rows (a loose tolerance: spurious candidates
-    are pruned later, missed edges would lose vertices) number >= d-1 and,
-    for d > 2, have rank d-1 by one stacked SVD."""
+    """Mask of the vertex pairs (i[p], j[p]) that span an edge of
+    {y : N y <= C}, the rows shared by all points (N (r, d) and C (r,), as
+    ``_clip`` passes them) or each point's own (N (n, r, d) and C (n, r),
+    as ``_slab_pieces`` passes its pieces' rows).  The pair's common active
+    rows (a loose tolerance: spurious candidates are pruned later, missed
+    edges would lose vertices) number >= d-1 and, for d > 2, have rank d-1
+    by one stacked SVD.  A pad row 0 . y <= 1 is never active."""
     d = V.shape[1]
-    act = np.abs(V @ N.T - C) <= max(100.0 * tol, 1e-7)
+    act = np.abs((N @ V[:, :, None])[..., 0] - C) <= max(100.0 * tol, 1e-7)
     common = act[i] & act[j]
     ok = common.sum(axis=1) >= d - 1
     if d > 2 and ok.any():
-        sv = np.linalg.svd(common[ok][..., None] * N, compute_uv=False)
+        rows = N if N.ndim == 2 else N[i[ok]]
+        sv = np.linalg.svd(common[ok][..., None] * rows, compute_uv=False)
         ok[ok] = np.sum(sv > 1e-7 * np.maximum(1.0, sv[:, :1]), axis=1) >= d - 1
     return ok
 
 
-def _slab_pieces(V: np.ndarray, rows, u: np.ndarray, g: np.ndarray, tol: float) -> list:
-    """The float polytope (V, rows) cut by every line u . y = g[l] (u a unit
-    row, g increasing) in one double-description step: [(vertices, rows +
-    walls)] for the nonempty slabs from below g[0] to above g[-1], each what
-    ``_clip`` with its walls returns, up to the rounding of cut points.
+def _slab_pieces(T: np.ndarray, n: np.ndarray, N: np.ndarray, C: np.ndarray, u: np.ndarray, g: np.ndarray, tol: float):
+    """Every piece of a stack of float polytopes cut by every line
+    u . y = g[l] (u a unit row, g increasing) in one double-description
+    step.  Piece q of the stack (T, n, N, C) has the n[q] points of T from
+    sum(n[:q]) on as its vertices and the rows N[q] y <= C[q], padded to one
+    row count with 0 . y <= 1.  Returns the stack of the nonempty slabs of
+    every piece, sorted stably by (piece, slab), slab 0 below g[0]: a slab's
+    points are what ``_clip`` with its walls returns, up to the rounding of
+    cut points, and its rows are its piece's followed by its lower and its
+    upper wall (a pad row for the missing wall of the first and last slab).
 
-    Exact as one cut is: a vertex of the polytope between two lines is one
-    of its vertices in the slab or an edge's crossing with a wall.  A vertex
-    within ``tol`` of a line is in both slabs beside it.  Pairs with a line
-    more than ``tol`` from both between them are edge-tested once; an edge
-    gives a point, interpolated along it, on each line it crosses, for the
-    two slabs beside the line.  A slab is deduplicated only where two of its
-    points lie within twice the merge distance, as in ``_clip``."""
-    p = V @ u
+    Exact as one cut is: a vertex of a piece between two lines is one of its
+    vertices in the slab or an edge's crossing with a wall.  A vertex within
+    ``tol`` of a line is in both slabs beside it.  The pairs of each piece,
+    in row-major order, with a line more than ``tol`` from both between
+    them are edge-tested once (``_float_edges``); an edge gives a point,
+    interpolated along it, on each line it crosses, for the two slabs
+    beside the line.  A slab is deduplicated only where two of its points
+    lie within twice the merge distance of its piece's points, as in
+    ``_clip``."""
+    L = len(g)
+    owner = np.arange(len(n)).repeat(n)
+    p = T @ u
     first = np.searchsorted(g, p - tol)  # slabs first..last of each vertex
     last = np.searchsorted(g, p + tol, side="right")
-    i, j = np.nonzero(last[:, None] < first[None])  # lines last[i] .. first[j]-1 lie between
-    N = np.array([r[0] for r in rows], dtype=float).reshape(-1, V.shape[1])
-    C = np.array([r[1] for r in rows], dtype=float)
-    ok = _float_edges(V, N, C, i, j, tol)
+    i = np.arange(len(T)).repeat(n[owner])
+    j = _spans((np.cumsum(n) - n)[owner], n[owner])
+    between = last[i] < first[j]  # lines last[i] .. first[j]-1 lie between
+    i, j = i[between], j[between]
+    ok = _float_edges(T, N[owner], C[owner], i, j, tol)
     i, j = i[ok], j[ok]
-    n = first[j] - last[i]
-    line = _spans(last[i], n)
-    i, j = np.repeat(i, n), np.repeat(j, n)
-    P = V[i] + ((g[line] - p[i]) / (p[j] - p[i]))[:, None] * (V[j] - V[i])
-    slab = np.concatenate([_spans(first, last - first + 1), line, line + 1])
-    order = np.argsort(slab, kind="stable")
-    pts, slab = np.vstack([np.repeat(V, last - first + 1, axis=0), P, P])[order], slab[order]
-    reach = 2.0 * _merge_distance(pts, tol)
-    diff = pts[:, None] - pts[None]
-    near = (np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach) & (slab[:, None] == slab[None])
-    merge = set(slab[near.sum(axis=1) > 1].tolist())
-    ends = np.searchsorted(slab, np.arange(len(g) + 2))
-    walls = [[(u, g[0])], *([(-u, -a), (u, b)] for a, b in zip(g[:-1], g[1:])), [(-u, -g[-1])]]
-    pieces = []
-    for l in np.nonzero(ends[1:] > ends[:-1])[0].tolist():
-        W = pts[ends[l] : ends[l + 1]]
-        pieces.append((_dedup_points(W, _merge_distance(W, tol)) if l in merge else W, rows + walls[l]))
-    return pieces
+    cuts = first[j] - last[i]
+    line = _spans(last[i], cuts)
+    i, j = i.repeat(cuts), j.repeat(cuts)
+    P = T[i] + ((g[line] - p[i]) / (p[j] - p[i]))[:, None] * (T[j] - T[i])
+    reps = last - first + 1
+    slab = np.concatenate([_spans(first, reps), line, line + 1])
+    key = np.concatenate([owner.repeat(reps), owner[i], owner[i]]) * (L + 1) + slab
+    order = np.argsort(key, kind="stable")
+    pts, key = np.vstack([T.repeat(reps, axis=0), P, P])[order], key[order]
+    ends = np.flatnonzero(np.diff(key, append=-1)) + 1  # of the (piece, slab) groups
+    count = np.diff(ends, prepend=0)
+    peak = np.maximum.reduceat(np.abs(pts).max(axis=1), np.searchsorted(key, np.arange(len(n)) * (L + 1)))
+    reach = 2.0 * (max(tol, 1e-12) * (1.0 + peak))  # twice each piece's _merge_distance
+    group = np.arange(len(ends)).repeat(count)
+    after = ends[group] - np.arange(len(pts)) - 1
+    a = np.arange(len(pts)).repeat(after)
+    diff = pts[a] - pts[_spans(np.arange(1, len(pts) + 1), after)]
+    merge = np.unique(group[a[np.vecdot(diff, diff) <= (reach * reach)[key[a] // (L + 1)]]])
+    if merge.size:
+        parts = np.split(pts, ends[:-1])
+        for q in merge.tolist():
+            parts[q] = _dedup_points(parts[q], _merge_distance(parts[q], tol))
+            count[q] = len(parts[q])
+        pts = np.vstack(parts)
+    WN, WC = np.zeros((L + 1, 2, T.shape[1])), np.ones((L + 1, 2))
+    WN[1:, 0], WC[1:, 0] = -u, -g
+    WN[:-1, 1], WC[:-1, 1] = u, g
+    q, l = np.divmod(key[ends - 1], L + 1)
+    return pts, count, np.concatenate([N[q], WN[l]], axis=1), np.concatenate([C[q], WC[l]], axis=1)
 
 
 def _integers(rows):

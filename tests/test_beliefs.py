@@ -477,6 +477,38 @@ class TestW1Distance:
                   - bl.expect_neutral(B, bl.Polynomial.coordinate(0, 3)))
         assert math.isfinite(w) and gap <= w + err
 
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, math.nan, math.inf, 1e-300])
+    def test_unusable_resolution_is_a_value_error(self, resolution):
+        """Not positive and finite, or finer than 2**-52 of the span: no
+        grid is drawn and no overflow warning is raised."""
+        pair = bl.MeasurePair.make(unit_square(), gk.translate(unit_square(), np.array([0.5, 0.0])))
+        with pytest.raises(ValueError, match="resolution"):
+            bl.w1_distance(pair, resolution)
+
+    def test_column_cap_is_checked_before_the_cut_and_before_the_cost(self, monkeypatch):
+        """A support whose bounding box meets more cells than the cap is
+        refused before it is cut; pieces whose product exceeds it, before
+        the cost matrix is built."""
+        pair = bl.MeasurePair.make(unit_square(), gk.translate(unit_square(), np.array([0.5, 0.0])))
+        with pytest.raises(ValueError, match="100000000 grid cells meet one support"):
+            bl.w1_distance(pair, 1e-4)
+        monkeypatch.setattr(bl, "MAX_TRANSPORT_COLUMNS", 100)
+        cut, real = [], gk._slab_pieces
+        monkeypatch.setattr(gk, "_slab_pieces", lambda *a: cut.append(1) or real(*a))
+        with pytest.raises(ValueError, match="400 grid cells meet one support"):
+            bl.w1_distance(pair, 0.05)
+        assert not cut
+        with pytest.raises(ValueError, match="64 x 64 transport columns, above the cap of 100"):
+            bl.w1_distance(pair, 0.125)
+
+    def test_column_cap_admits_resolution_0_02_on_unit_size_pairs(self):
+        """ROADMAP item 3's resolution: unit squares off the grid meet
+        51 x 51 cells each, and their dense LP is within the cap."""
+        lo, cells = np.zeros(2), np.array([76, 76])
+        sizes = [len(bl._grid_pieces(gk.translate(unit_square(), np.array([s, s])), lo, 0.02, cells, TOL)[0])
+                 for s in (0.01, 0.51)]
+        assert sizes == [2601, 2601] and sizes[0] * sizes[1] <= bl.MAX_TRANSPORT_COLUMNS
+
 
 def cell_reference(R, lo, resolution, cells):
     """Masses and centroids of R in each grid cell, one box polytope and one
@@ -579,10 +611,11 @@ def convex_points(rng, n, m=2):
 
 
 def random_grid_pieces(rng, R):
-    """The frame pieces of R cut by the lines of two random directions: a few
-    evenly spaced lines across R, and two more between 3e-9 and 1e-6 from
-    vertices, which cut off slivers."""
-    pieces = [(R.vertices_frame, list(zip(*R.intrinsic_facets)))]
+    """The stack (T, n, N, C) of R's frame pieces cut by the lines of two
+    random directions: a few evenly spaced lines across R, and two more
+    between 3e-9 and 1e-6 from vertices, which cut off slivers."""
+    N, C = R.intrinsic_facets
+    stack = R.vertices_frame, np.array([len(R.vertices_frame)]), N[None], C[None]
     for _ in range(2):
         u = rng.standard_normal(R.intrinsic_dim)
         u /= np.linalg.norm(u)
@@ -590,8 +623,18 @@ def random_grid_pieces(rng, R):
         near = rng.choice(p, 2) + rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-8.5, -6.0, 2)
         g = np.sort(np.concatenate([np.linspace(p.min(), p.max(), rng.integers(3, 9))[1:-1], near]))
         g = g[(g > p.min() + TOL.feas_tol) & (g < p.max() - TOL.feas_tol)]
-        pieces = [q for V, rows in pieces for q in gk._slab_pieces(V, rows, u, g, TOL.feas_tol)]
-    return [V for V, _ in pieces]
+        stack = gk._slab_pieces(*stack, u, g, TOL.feas_tol)
+    return stack
+
+
+def split_stack(T, n):
+    """The point arrays of the pieces of a stack."""
+    return np.split(T, np.cumsum(n)[:-1])
+
+
+def stack_points(pieces):
+    """The point arrays ``pieces`` as one array and their counts."""
+    return np.vstack(pieces), np.array([len(V) for V in pieces])
 
 
 def angle_ring(t):
@@ -631,10 +674,10 @@ class TestPieceMoments:
             dup = np.vstack([P, P[rng.integers(0, n, 3)]])  # exact repeats
             sliver = P * [1.0, 1e-9]
             pieces += [P, dup[rng.permutation(len(dup))], sliver]
-        pieces += random_grid_pieces(rng, gk.from_vrep(convex_points(rng, int(rng.integers(5, 12)))))
+        pieces += split_stack(*random_grid_pieces(rng, gk.from_vrep(convex_points(rng, int(rng.integers(5, 12)))))[:2])
         pieces.append(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))  # zero area: left out
         pieces = [V for V in pieces if len(V) > 2]
-        masses, cents = bl._piece_moments(pieces, 2)
+        masses, cents = bl._piece_moments(*stack_points(pieces), 2)
         ref_m, ref_c = moments_reference(pieces, 2)
         assert masses.shape == ref_m.shape == (len(pieces) - 1,)
         np.testing.assert_allclose(masses, ref_m, rtol=1e-15, atol=0)
@@ -643,8 +686,9 @@ class TestPieceMoments:
     @pytest.mark.parametrize("seed", range(4))
     def test_spatial_pieces_match_per_piece_reference(self, seed):
         rng = np.random.default_rng(seed)
-        pieces = [V for V in random_grid_pieces(rng, gk.from_vrep(convex_points(rng, 10, 3))) if len(V) > 3]
-        masses, cents = bl._piece_moments(pieces, 3)
+        R = gk.from_vrep(convex_points(rng, 10, 3))
+        pieces = [V for V in split_stack(*random_grid_pieces(rng, R)[:2]) if len(V) > 3]
+        masses, cents = bl._piece_moments(*stack_points(pieces), 3)
         ref_m, ref_c = moments_reference(pieces, 3)
         assert masses.shape == ref_m.shape
         np.testing.assert_allclose(masses, ref_m, rtol=1e-14, atol=0)

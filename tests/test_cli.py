@@ -351,6 +351,23 @@ class TestVerifyCommand:
         assert res.stderr.startswith("precondition error: ValueError: ") and res.stderr.count("\n") == 1
         assert "4-volume" in res.stderr
 
+    @pytest.mark.parametrize(("resolution", "message"), [
+        (1e-4, "100000000 grid cells meet one support"),
+        (1e-300, "below 2**-52 of the span"),
+        (float("nan"), "must be positive and finite"),
+        (0, "schema error: 0 is less than or equal to the minimum of 0"),
+    ], ids=["1e-4", "1e-300", "nan", "0"])
+    def test_unusable_w1_resolution_exits_2(self, runner, tmp_path, resolution, message):
+        """Two unit squares at a resolution no grid serves: 1e-4 meets 1e8
+        cells of each square, far above the transport column cap, and is
+        refused before a square is cut; 1e-300 and NaN are refused before a
+        grid is drawn (no overflow warning); 0 is a schema error."""
+        problem = cubes_problem(tmp_path / "squares.json", 2, 1.0)
+        problem.write_text(json.dumps({**json.loads(problem.read_text()), "w1_resolution": resolution}))
+        res = runner.invoke(cli.main, ["verify", "w1", str(problem)])
+        assert res.exit_code == 2
+        assert res.stderr.count("\n") == 1 and message in res.stderr
+
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_body_suite_needs_two_samples(self, runner, samples):
         res = runner.invoke(cli.main, ["verify", "body", "--samples", samples])

@@ -1,11 +1,12 @@
 """Wolfe minimum-norm point tests: closed cases, a grid-search oracle and
-the variational-inequality certificate."""
+the variational-inequality certificate; the HiGHS equality LP's refusals."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from movingbeliefs import convexsolve as cs
+from movingbeliefs.errors import SolverStall
 
 
 class TestMinNormPoint:
@@ -41,3 +42,11 @@ class TestMinNormPoint:
         assert np.linalg.norm(x) <= best + 0.15  # grid resolution slack
         # certificate: variational inequality against every vertex
         assert np.min(pts @ x) >= x @ x - 1e-7 * (1 + np.abs(pts).max() ** 2)
+
+
+class TestEqualityLp:
+    def test_refused_model_is_a_solver_stall(self):
+        """A row index beyond the one row: HiGHS refuses the model (status
+        kError), and the refusal is named."""
+        with pytest.raises(SolverStall, match="HiGHS status kError"):
+            cs.equality_lp(np.ones(2), np.array([0, 1, 2]), np.array([0, 5]), np.ones(2), np.array([1.0]))

@@ -1,11 +1,13 @@
-"""Slab splitting (geomkernel._slab_pieces) against the per-cell clipper it
-replaced in the grid splitter: ``_clip`` with each slab's walls.
+"""The stacked slab step (geomkernel._slab_pieces) against the per-cell
+clipper it replaced in the grid splitter, ``_clip`` with each slab's walls,
+and against itself cutting each piece of a stack alone.
 
-The outputs agree within rounding, not bit for bit: a slab's cut points are
-interpolated along the polytope's own edges, where the per-cell clipper
-interpolated the second wall's cut points along the edges of the piece the
-first wall left.  So the checks are equal piece counts, order and rows,
-vertex sets equal within 1e-12, and masses and centroids within 1e-12."""
+Against the clipper the outputs agree within rounding, not bit for bit: a
+slab's cut points are interpolated along the polytope's own edges, where the
+per-cell clipper interpolated the second wall's cut points along the edges of
+the piece the first wall left.  So the checks are equal piece counts, order
+and rows, vertex sets equal within 1e-12, and masses and centroids within
+1e-12.  Against each piece cut alone they agree bit for bit."""
 
 import itertools
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from movingbeliefs import geomkernel as gk
-from test_beliefs import angle_ring
+from test_beliefs import angle_ring, convex_points, random_grid_pieces
 from test_clip import _box, _random_rows
 
 TOL = gk.DEFAULT_TOL.feas_tol
@@ -25,12 +27,35 @@ def _per_cell_pieces(V, rows, u, g, tol):
     return [(W, rows + cut) for cut in walls if (W := gk._clip(V, rows, cut, tol)) is not None]
 
 
-def _split(V, rows, axes, split):
+def _stack(pieces):
+    """The stack (T, n, N, C) of the pieces [(W, N, C)], the rows padded
+    with 0 . y <= 1 to one count."""
+    r = max(len(Cq) for _, _, Cq in pieces)
+    N, C = np.zeros((len(pieces), r, pieces[0][0].shape[1])), np.ones((len(pieces), r))
+    for q, (_, Nq, Cq) in enumerate(pieces):
+        N[q, : len(Cq)], C[q, : len(Cq)] = Nq, Cq
+    return np.vstack([W for W, _, _ in pieces]), np.array([len(W) for W, _, _ in pieces]), N, C
+
+
+def _unstack(T, n, N, C):
+    """The pieces [(W, N, C)] of a stack, pad rows left out."""
+    real = N.any(axis=2)
+    return [(W, Nq[m], Cq[m]) for W, Nq, Cq, m in zip(np.split(T, np.cumsum(n)[:-1]), N, C, real)]
+
+
+def _slab_split(V, rows, axes):
     """Pieces of (V, rows) between the lines u . t = g of every (u, g) in
     ``axes``, axis by axis as ``beliefs._grid_pieces`` cuts them."""
+    stack = _stack([(V, np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))])
+    for u, g in axes:
+        stack = gk._slab_pieces(*stack, u, g, TOL)
+    return _unstack(*stack)
+
+
+def _per_cell_split(V, rows, axes):
     pieces = [(V, rows)]
     for u, g in axes:
-        pieces = [q for W, r in pieces for q in split(W, r, u, g, TOL)]
+        pieces = [q for W, r in pieces for q in _per_cell_pieces(W, r, u, g, TOL)]
     return pieces
 
 
@@ -41,12 +66,12 @@ def _moments(W):
 
 
 def _check(V, rows, axes):
-    got = _split(V, rows, axes, gk._slab_pieces)
-    want = _split(V, rows, axes, _per_cell_pieces)
+    got = _slab_split(V, rows, axes)
+    want = _per_cell_split(V, rows, axes)
     assert len(got) == len(want)
-    for (W, r), (W0, r0) in zip(got, want):
-        assert len(r) == len(r0)
-        assert all(np.array_equal(a[0], b[0]) and a[1] == b[1] for a, b in zip(r, r0))
+    for (W, N, C), (W0, r0) in zip(got, want):
+        assert len(C) == len(r0)
+        assert all(np.array_equal(a, b[0]) and c == b[1] for a, c, b in zip(N, C, r0))
         assert W.shape == W0.shape
         dist = np.linalg.norm(W[:, None] - W0[None], axis=-1)
         assert dist.min(axis=0).max() <= 1e-12 and dist.min(axis=1).max() <= 1e-12
@@ -121,7 +146,7 @@ def test_line_touching_one_vertex():
     is a slab of its own, as with the per-cell clipper."""
     R, V, rows = _polygon([(0.25, 0.5), (1.0, 0.0), (1.0, 1.0)])
     pieces = _check(V, rows, [_axis_lines(R, 0, [0.25, 0.5, 0.75])])
-    assert [len(W) for W, _ in pieces] == [1, 3, 4, 4]
+    assert [len(W) for W, _, _ in pieces] == [1, 3, 4, 4]
 
 
 @pytest.mark.parametrize("shift", (0.0, -0.25))
@@ -132,7 +157,7 @@ def test_unit_cube_faces_on_grid_planes(shift):
     V, rows = R.vertices_frame, list(zip(*R.intrinsic_facets))
     axes = [_axis_lines(R, j, np.arange(-4, 9) / 4) for j in range(3)]
     pieces = _check(V, rows, axes)
-    full = [W for W, _ in pieces if np.linalg.matrix_rank(W - W[0], tol=1e-9) == 3]
+    full = [W for W, _, _ in pieces if np.linalg.matrix_rank(W - W[0], tol=1e-9) == 3]
     assert len(full) == 64 and all(len(W) == 8 for W in full)
 
 
@@ -142,4 +167,27 @@ def test_line_grazing_an_edge_merges_its_cut_points():
     corners, leaving the two corners, as the per-cell clipper's dedup does."""
     V, rows = _box(2, False)
     pieces = _check(V, rows, [(np.array([1.0, 0.0]), np.array([-1.0 + 2e-9, 0.5]))])
-    assert [len(W) for W, _ in pieces] == [2, 4, 4]
+    assert [len(W) for W, _, _ in pieces] == [2, 4, 4]
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_cut_matches_each_piece_cut_alone(d, seed):
+    """The pieces of three random polytopes, of mixed row counts, cut
+    together by lines across them and by three lines within 1e-8 of
+    vertices: the same vertices and (pad rows aside) the same rows, bit for
+    bit and in (piece, slab) order, as cutting each piece alone."""
+    rng = np.random.default_rng([d, seed, 31])
+    pieces = []
+    for _ in range(3):
+        pieces += _unstack(*random_grid_pieces(rng, gk.from_vrep(convex_points(rng, int(rng.integers(5, 12)), d))))
+    assert len({len(C) for _, _, C in pieces}) > 1
+    u = _unit(rng, d)
+    p = np.vstack([W for W, _, _ in pieces]) @ u
+    near = rng.choice(p, 3) + rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-9.5, -8.0, 3)
+    g = np.sort(np.concatenate([np.linspace(p.min(), p.max(), 7)[1:-1], near]))
+    got = _unstack(*gk._slab_pieces(*_stack(pieces), u, g, TOL))
+    want = [q for piece in pieces for q in _unstack(*gk._slab_pieces(*_stack([piece]), u, g, TOL))]
+    assert len(got) == len(want) > len(pieces)
+    for (W, N, C), (W0, N0, C0) in zip(got, want):
+        assert np.array_equal(W, W0) and np.array_equal(N, N0) and np.array_equal(C, C0)
