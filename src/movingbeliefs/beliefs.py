@@ -395,21 +395,27 @@ def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, tol: Tolera
     would hold only R's points within feas_tol of the line, such as the
     coplanar corners of an axis-aligned face, which span no k-volume and
     which Delaunay cannot triangulate.  An axis is skipped where R meets one
-    cell or x_j is constant on R (|B[j]| <= feas_tol).  A bounding box of
-    more than ``MAX_TRANSPORT_COLUMNS`` cells raises ValueError before R is
-    cut.  The pieces' masses and centroids come from one stacked pass over
-    them all (``_piece_moments``); pieces of at most k points or of zero
-    k-volume carry no mass and are left out."""
+    cell or x_j is constant on R (|B[j]| <= feas_tol).  Before R is cut,
+    its pieces are counted by the arrangement bound of a k-flat cut by l_j
+    interior lines on each axis j, sum_{i<=k} e_i(l) with e_i the
+    elementary symmetric sums (the bounding box's cell count when k = m);
+    a bound above ``MAX_TRANSPORT_COLUMNS`` raises ValueError.  The pieces'
+    masses and centroids come from one stacked pass over them all
+    (``_piece_moments``); pieces of at most k points or of zero k-volume
+    carry no mass and are left out."""
     k = R.intrinsic_dim
     B, o = R.frame.basis, R.frame.origin
     r_lo, r_hi = R.bounding_box()
     r_lo, r_hi = r_lo + tol.feas_tol, r_hi - tol.feas_tol
     i_lo = np.clip(np.floor((r_lo - lo) / resolution).astype(int), 0, cells_per_axis - 1)
     i_hi = np.clip(np.floor((r_hi - lo) / resolution - 1e-12).astype(int), i_lo, cells_per_axis - 1)
-    cells = math.prod((i_hi - i_lo + 1).tolist())
-    if cells > MAX_TRANSPORT_COLUMNS:
-        raise ValueError(f"resolution {resolution:g}: {cells} grid cells meet one support, above the cap "
-                         f"of {MAX_TRANSPORT_COLUMNS} transport columns")
+    e = [1] + [0] * k  # e[i]: i-th elementary symmetric sum of the interior line counts
+    for lines in (i_hi - i_lo).tolist():
+        for i in range(k, 0, -1):
+            e[i] += e[i - 1] * lines
+    if sum(e) > MAX_TRANSPORT_COLUMNS:
+        raise ValueError(f"resolution {resolution:g}: up to {sum(e)} grid cells meet one support, above the "
+                         f"cap of {MAX_TRANSPORT_COLUMNS} transport columns")
     N, C = R.intrinsic_facets
     T, n, N, C = R.vertices_frame, np.array([len(R.vertices_frame)]), N[None], C[None]
     for j in range(R.ambient_dim):

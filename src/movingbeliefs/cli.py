@@ -367,7 +367,8 @@ def cmd_bilevel(problem, out, fmt, allow_imports):
     m = spec.n_vars
     h_poly = Polynomial.from_dict({tuple(int(i == j) for i in range(m)): float(h_vec[j]) for j in range(m)}, m)
 
-    xs, vals, evaluated = [], [], []
+    vals = np.full(len(pf.grid), math.nan)
+    kept = np.zeros(len(pf.grid), dtype=bool)
     skipped = []
     for k, x in enumerate(pf.grid):
         try:
@@ -377,22 +378,18 @@ def cmd_bilevel(problem, out, fmt, allow_imports):
             click.echo(f"warning: skipping x={x}: {type(exc).__name__}", err=True)
             continue
         follower = bl.expect(img, pf.belief, h_poly, pf.tolerances)
-        xs.append(float(x))
-        vals.append(float(g_vec @ np.atleast_1d(x) + follower))
-        evaluated.append(k)
-    if not xs:
+        vals[k] = float(g_vec @ np.atleast_1d(x) + follower)
+        kept[k] = True
+    if not kept.any():
         raise ParameterInfeasible("every grid point was infeasible")
-    xs = np.array(xs)
-    vals = np.array(vals)
+    # a skipped point leaves a NaN value, so no quotient spans its gap
+    ratios = pr.quotients(pf.map_spec, pf.grid, np.abs(np.diff(vals)))[kept]
+    xs, vals = pf.grid[kept], vals[kept]
     best = int(np.argmin(vals))
-    # ratios[i] compares row i with row i-1, only when they are grid neighbours
-    ratios = np.full(len(xs), math.nan)
-    adjacent = np.diff(evaluated) == 1
-    ratios[1:][adjacent] = (np.abs(np.diff(vals)) / np.maximum(np.abs(np.diff(xs)), 1e-300))[adjacent]
     summary = {
         "argmin_x": float(xs[best]),
         "argmin_value": float(vals[best]),
-        "lipschitz_estimate": float(np.max(ratios[1:][adjacent])) if adjacent.any() else 0.0,
+        "lipschitz_estimate": pr._max_quotient(ratios),
         "skipped": skipped,
     }
     rows = pr.table_rows(xs, phi=vals, ratio=ratios)

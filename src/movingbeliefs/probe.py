@@ -3,10 +3,14 @@
 Everything here evaluates the expected-value function phi(x) = E[theta(x, .)]
 under a belief on the moving support, estimates difference-quotient behavior
 on grids, and checks the package's geometric and measure-theoretic bounds
-numerically.  Lipschitz estimates are reported as adjacent-pair maxima (the
-headline) plus optional all-pairs maxima; calmness extrapolation deliberately
-takes the smallest-radius supremum without extrapolation, since the target
-quantity is a limsup and anything fancier would overclaim.
+numerically.  Every Lipschitz estimate is the largest adjacent difference
+quotient (``quotients``) of a sorted scalar grid, which is exactly the
+all-pairs maximum: d(S_i, S_j) <= sum_k d(S_k, S_k+1) <= r |x_j - x_i| by
+the triangle inequality, r the largest adjacent quotient (on a circle,
+adjacency is cyclic and the sum runs along the shorter arc).  Calmness
+extrapolation deliberately takes the smallest-radius supremum without
+extrapolation, since the target quantity is a limsup and anything fancier
+would overclaim.
 """
 
 from __future__ import annotations
@@ -89,9 +93,8 @@ class SweepReport:
     grid: np.ndarray
     phi: np.ndarray
     fd: np.ndarray  # central differences; NaN at the ends
-    ratio: np.ndarray  # adjacent difference quotients; NaN at the first point
+    ratio: np.ndarray  # adjacent difference quotients, see ``quotients``
     max_ratio: float
-    pairwise_ratios: Optional[np.ndarray] = None
     notes: list = field(default_factory=list)
 
     def rows(self):
@@ -164,16 +167,33 @@ def _jsonable(obj):
 # sweeps and calmness
 
 
+def quotients(spec: sv.MapSpec, grid: Sequence, gaps: Sequence) -> np.ndarray:
+    """Difference quotients of adjacent grid points, one per grid point:
+    entry i is gaps[i-1] / spec.distance(grid[i-1], grid[i]), where gaps[i-1]
+    is the distance between the values at grid points i-1 and i.  It is NaN
+    at the first point, where two adjacent parameters coincide, and where
+    the gap is NaN."""
+    d = np.array([spec.distance(a, b) for a, b in zip(grid[:-1], grid[1:])], dtype=float)
+    out = np.full(len(grid), np.nan)
+    np.divide(gaps, d, out=out[1:], where=d > 0)
+    return out
+
+
+def _max_quotient(q: np.ndarray) -> float:
+    """The largest quotient that is not NaN; 0 when there is none."""
+    return float(np.fmax.reduce(q, initial=0.0))
+
+
 def sweep_phi(
     spec: sv.MapSpec,
     belief: Belief = NEUTRAL,
     theta: Optional[ThetaLike] = None,
     grid: Sequence = None,
     tol: Tolerances = DEFAULT_TOL,
-    pairwise: bool = False,
 ) -> SweepReport:
     """Evaluate phi on the grid with central finite differences and adjacent
-    difference quotients; the max adjacent quotient is the Lipschitz estimate."""
+    difference quotients; the max adjacent quotient is the Lipschitz
+    estimate, equal to the all-pairs maximum on a sorted grid."""
     grid = np.asarray(list(grid), dtype=float)
     phi = phi_function(spec, belief, theta, tol)
     vals = np.array([phi(x) for x in grid])
@@ -182,22 +202,8 @@ def sweep_phi(
     for i in range(1, n - 1):
         h = grid[i + 1] - grid[i - 1]
         fd[i] = (vals[i + 1] - vals[i - 1]) / h if h != 0 else np.nan
-    ratio = np.full(n, np.nan)
-    for i in range(1, n):
-        d = spec.distance(grid[i - 1], grid[i])
-        ratio[i] = abs(vals[i] - vals[i - 1]) / d if d > 0 else np.nan
-    seen = ratio[~np.isnan(ratio)]  # none on a single point or on coincident points
-    max_ratio = float(seen.max()) if seen.size else 0.0
-    pw = None
-    if pairwise:
-        pw = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = spec.distance(grid[i], grid[j])
-                if d > 0:
-                    pw[i, j] = pw[j, i] = abs(vals[i] - vals[j]) / d
-        max_ratio = max(max_ratio, float(pw.max()))
-    return SweepReport(grid=grid, phi=vals, fd=fd, ratio=ratio, max_ratio=max_ratio, pairwise_ratios=pw)
+    ratio = quotients(spec, grid, np.abs(np.diff(vals)))
+    return SweepReport(grid=grid, phi=vals, fd=fd, ratio=ratio, max_ratio=_max_quotient(ratio))
 
 
 _CALMNESS_FRACTIONS = (1.0, 0.5, 0.25, 0.125, 0.0625)
@@ -247,20 +253,23 @@ def calmness_estimate(
 
 
 def hausdorff_lip(spec: sv.MapSpec, grid: Sequence, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Max pairwise Hausdorff difference quotient of the map on the grid
-    (circle metric honored for circle-parameterized maps)."""
-    grid = list(grid)
+    """Largest Hausdorff difference quotient of the map over all pairs of
+    points of a scalar grid, in any order: the largest adjacent quotient of
+    the sorted grid, cyclically adjacent for circle-parameterized maps (see
+    the module docstring), so n - 1 or n Hausdorff distances.  A grid of
+    vector parameters has no such order and is a ``ValueError``."""
+    grid = np.asarray(list(grid), dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("Hausdorff Lipschitz estimate needs a scalar parameter grid")
     if len(grid) < 2:
         raise ValueError("need at least two grid points")
+    grid = np.sort(grid)
     imgs = [sv.eval_map(spec, x, tol) for x in grid]
-    best = 0.0
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            d = spec.distance(grid[i], grid[j])
-            if d <= 0:
-                continue
-            best = max(best, gk.hausdorff(imgs[i], imgs[j]) / d)
-    return best
+    if spec.circle:
+        grid = np.append(grid, grid[0])
+        imgs.append(imgs[0])
+    gaps = [gk.hausdorff(P, Q) for P, Q in zip(imgs[:-1], imgs[1:])]
+    return _max_quotient(quotients(spec, grid, gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +478,7 @@ def verify_sandwich_and_h(
                 ref = 1.0 / (1.0 + v ** (spec.q - 1.0))
                 closed_form_err = max(closed_form_err, abs(h - ref))
     h_vals = np.array(h_vals)
-    dq = np.full(len(grid), np.nan)
-    for i in range(1, len(grid)):
-        d = spec.distance(grid[i - 1], grid[i])
-        if d > 0 and not (math.isnan(h_vals[i]) or math.isnan(h_vals[i - 1])):
-            dq[i] = abs(h_vals[i] - h_vals[i - 1]) / d
+    dq = quotients(spec, grid, np.abs(np.diff(h_vals)))
 
     checks = [
         CheckResult(name="sandwich_inclusions", passed=sandwich_ok, margin=float(1e-7 - worst_gap)),
@@ -508,30 +513,24 @@ def verify_w1_regime(
     resolution: Optional[float] = None,
 ) -> VerificationReport:
     """Empirical Wasserstein-1 Lipschitz probe for constant-dimension maps:
-    pairwise W1 difference quotients of the uniform laws, with a two-scale
-    divergence check (the fine-grid maximum must not blow past the coarse
-    one)."""
+    adjacent W1 difference quotients of the uniform laws, see ``quotients``,
+    with a two-scale divergence check (the fine-grid maximum must not blow
+    past the coarse one, taken on every other grid point)."""
     grid = list(grid)
     imgs = [sv.eval_map(spec, x, tol) for x in grid]
     dims = [p.intrinsic_dim for p in imgs]
     if len(set(dims)) != 1:
         raise DimensionViolation(f"W1 probe needs constant image dimension; dims={dims}")
 
-    def ratios(indices):
-        out = []
-        for a, b in zip(indices[:-1], indices[1:]):
-            d = spec.distance(grid[a], grid[b])
-            if d <= 0:
-                continue
-            w1, err = bl.w1_distance(MeasurePair.make(imgs[a], imgs[b], tol), resolution, tol)
-            out.append(((w1, err), d))
-        return out
+    def ratios(step):
+        """Largest quotients of W1 and of its error bound on every step-th point."""
+        pts, laws = grid[::step], imgs[::step]
+        w1 = np.array([bl.w1_distance(MeasurePair.make(P, Q, tol), resolution, tol)
+                       for P, Q in zip(laws[:-1], laws[1:])]).reshape(-1, 2)
+        return _max_quotient(quotients(spec, pts, w1[:, 0])), _max_quotient(quotients(spec, pts, w1[:, 1]))
 
-    fine = ratios(list(range(len(grid))))
-    coarse = ratios(list(range(0, len(grid), 2)))
-    fine_max = max((w / d for (w, _), d in fine), default=0.0)
-    coarse_max = max((w / d for (w, _), d in coarse), default=0.0)
-    err_max = max((e / d for (_, e), d in fine), default=0.0)
+    fine_max, err_max = ratios(1)
+    coarse_max, _ = ratios(2)
     ok = fine_max <= coarse_max * 1.5 + 0.1 + err_max
     checks = [
         CheckResult(

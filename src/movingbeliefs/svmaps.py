@@ -429,15 +429,6 @@ def qmap_reference_decomposition(spec: QMap, x, tol: Tolerances = DEFAULT_TOL) -
     {0} x [-x, x^q]."""
     (v,) = _as_param(x)
     seg = gk.from_vrep([(0.0, 0.0), (1.0, 0.0)], tol)
-    if v == 0.0:
-        zero_pt = gk.from_vrep([(0.0, 0.0)], tol)
-        target = eval_map(spec, 0.0, tol)
-        ok, gap = _sandwich_check(seg, zero_pt, seg, zero_pt, target, tol)
-        return RectDecomposition(
-            t0=seg, t1=seg, r0=zero_pt, r1=zero_pt, anchor=(0.0,),
-            shift=np.zeros(2), anchor_dim=1, image_dim=target.intrinsic_dim,
-            at_anchor=True, sandwich_ok=ok, sandwich_gap=gap,
-        )
     r0 = gk.from_vrep([(0.0, -v), (0.0, 0.0)], tol)
     r1 = gk.from_vrep([(0.0, -v), (0.0, v**spec.q)], tol)
     target = eval_map(spec, v, tol)
@@ -445,7 +436,7 @@ def qmap_reference_decomposition(spec: QMap, x, tol: Tolerances = DEFAULT_TOL) -
     return RectDecomposition(
         t0=seg, t1=seg, r0=r0, r1=r1, anchor=(0.0,),
         shift=np.zeros(2), anchor_dim=1, image_dim=target.intrinsic_dim,
-        at_anchor=False, sandwich_ok=ok, sandwich_gap=gap,
+        at_anchor=v == 0.0, sandwich_ok=ok, sandwich_gap=gap,
     )
 
 

@@ -501,6 +501,14 @@ class TestW1Distance:
         with pytest.raises(ValueError, match="64 x 64 transport columns, above the cap of 100"):
             bl.w1_distance(pair, 0.125)
 
+    def test_column_cap_counts_the_pieces_of_a_thin_body(self):
+        """Two parallel diagonal unit segments in 3-space: their bounding
+        boxes meet about 1.1e7 cells each, above the cap, but a segment is
+        cut into at most 1 + 3 * 222 pieces, so the pair is solved."""
+        seg = gk.from_vrep([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
+        w, err = bl.w1_distance(bl.MeasurePair.make(seg, gk.translate(seg, np.array([0.1, 0.0, 0.0]))), 0.0045)
+        assert abs(w - 0.1) <= err
+
     def test_column_cap_admits_resolution_0_02_on_unit_size_pairs(self):
         """ROADMAP item 3's resolution: unit squares off the grid meet
         51 x 51 cells each, and their dense LP is within the cap."""

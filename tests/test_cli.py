@@ -565,17 +565,20 @@ class TestBilevelCommand:
         assert res.stderr.startswith("schema error: ")
 
     def test_ratios_skip_unevaluated_neighbours(self, runner, tmp_path, monkeypatch):
-        """With x = 0.5 skipped, no ratio compares x = 0.25 with x = 0.75."""
+        """With x = 0.5 skipped, no ratio compares x = 0.25 with x = 0.75.
+        The follower term is 1/2 up to x = 0.25 and 1 from x = 0.75 on, so
+        the evaluated pairs have slope 1 and the jump across the gap, slope
+        2, is no quotient and not the estimate."""
         real_eval = cli.sv.eval_map
 
         def eval_map(spec, x, *args):
             if x == 0.5:
                 raise ParameterInfeasible("skipped on purpose")
-            return real_eval(spec, x, *args)
+            return real_eval(spec, float(x > 0.5), *args)
 
         monkeypatch.setattr(cli.sv, "eval_map", eval_map)
         obj = toy_problem([1.0, 0.0], count=5)
-        obj["leader"]["g"] = [1.0]  # phi = x + (1 + x)/2 on every evaluated point
+        obj["leader"]["g"] = [1.0]  # phi = x + 1/2 left of the gap, x + 1 right of it
         problem = tmp_path / "skip.json"
         problem.write_text(json.dumps(obj))
         res = runner.invoke(cli.main, ["bilevel", str(problem)])
@@ -583,5 +586,6 @@ class TestBilevelCommand:
         payload = json.loads(res.stdout)
         assert payload["summary"]["skipped"] == [0.5]
         assert [row["x"] for row in payload["rows"]] == [0.0, 0.25, 0.75, 1.0]
+        assert [row["phi"] for row in payload["rows"]] == pytest.approx([0.5, 0.75, 1.75, 2.0], abs=1e-12)
         assert [row["ratio"] is None for row in payload["rows"]] == [True, False, True, False]
-        assert payload["summary"]["lipschitz_estimate"] == pytest.approx(1.5, abs=1e-9)
+        assert payload["summary"]["lipschitz_estimate"] == pytest.approx(1.0, abs=1e-9)

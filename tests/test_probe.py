@@ -1,5 +1,6 @@
 """Sweeps, calmness estimates, and the verification suites."""
 
+import itertools
 import math
 
 import numpy as np
@@ -48,10 +49,9 @@ class TestSweepPhi:
 
     def test_report_shapes_and_rows(self):
         grid = pr.make_grid(0.1, 1.0, 5)
-        rep = pr.sweep_phi(sv.TrapezoidMap(), grid=grid, pairwise=True)
+        rep = pr.sweep_phi(sv.TrapezoidMap(), grid=grid)
         assert math.isnan(rep.fd[0]) and math.isnan(rep.fd[-1])
         assert math.isnan(rep.ratio[0])
-        assert rep.pairwise_ratios.shape == (5, 5)
         rows = rep.rows()
         assert list(rows[0].keys()) == ["x", "phi", "fd", "ratio", "bound_lhs", "bound_rhs", "margin"]
 
@@ -71,6 +71,26 @@ class TestSweepPhi:
         rep = pr.sweep_phi(sv.TrapezoidMap(), theta=theta, grid=grid)
         ref = grid * np.array([trap_phi(x) for x in grid])
         assert np.abs(rep.phi - ref).max() < 1e-12
+
+
+class TestQuotients:
+    def test_adjacent_quotients_with_nan_at_the_first_point(self):
+        q = pr.quotients(sv.QMap(), [0.0, 0.5, 1.5], [1.0, 3.0])
+        assert np.isnan(q[0]) and q[1:].tolist() == [2.0, 3.0]
+
+    def test_coincident_points_and_nan_gaps_have_no_quotient(self):
+        q = pr.quotients(sv.QMap(), [0.1, 0.1, 0.3, 0.5, 0.5, 0.7], [0.0, 0.4, np.nan, 1.0, 0.2])
+        assert np.isnan(q[[0, 1, 3, 4]]).all()
+        assert q[[2, 5]] == pytest.approx([2.0, 1.0], rel=1e-12)
+
+    def test_single_point(self):
+        q = pr.quotients(sv.QMap(), [0.3], [])
+        assert q.shape == (1,) and np.isnan(q[0])
+
+    def test_circle_metric(self):
+        # 0.9 -> 0.1 is 0.2 apart across the seam, not 0.8
+        q = pr.quotients(sv.RotSegMap(), [0.1, 0.9, 0.1], [0.4, 0.4])
+        assert q[1:] == pytest.approx([2.0, 2.0], rel=1e-12)
 
 
 class TestCentroidCurve:
@@ -110,7 +130,46 @@ class TestCalmness:
             pr.calmness_estimate(lambda x: x, 0.0, [1e-3, 1e-2])
 
 
+def all_pairs_hausdorff_lip(spec, grid):
+    """The largest Hausdorff difference quotient over every pair of grid
+    points, one distance per pair."""
+    imgs = [sv.eval_map(spec, x) for x in grid]
+    best = 0.0
+    for i, j in itertools.combinations(range(len(grid)), 2):
+        d = spec.distance(grid[i], grid[j])
+        if d > 0:
+            best = max(best, gk.hausdorff(imgs[i], imgs[j]) / d)
+    return best
+
+
 class TestHausdorffLip:
+    @pytest.mark.parametrize(
+        "spec, grid",
+        [
+            (sv.TrapezoidMap(), pr.make_grid(0, 1, 200)),
+            (sv.QMap(q=2.0), pr.make_grid(0, 1, 200)),
+            (sv.RotSegMap(), np.linspace(0, 1, 50, endpoint=False)),
+            (sv.BilevelSolutionMap(spec=sv.toy_bilevel_spec()), pr.make_grid(0, 1, 15)),
+            (sv.QMap(q=1.5), np.random.default_rng(0).random(40)),
+            (sv.QMap(q=2.0), [1.0, 0.0, 0.9, 0.5]),  # the steepest pair, 0.9 and 1, is not listed adjacent
+        ],
+        ids=["trapezoid", "qmap", "rotseg", "toy-bilevel", "qmap-unsorted", "qmap-shuffled"],
+    )
+    def test_adjacent_pairs_give_the_all_pairs_maximum(self, spec, grid):
+        assert pr.hausdorff_lip(spec, grid) == pytest.approx(all_pairs_hausdorff_lip(spec, grid), rel=1e-12)
+
+    def test_circle_pairs_across_the_seam(self):
+        # 0.95 and 0.05 are 0.1 apart on the circle, and their quotient,
+        # 2 sin(0.1 pi) / 0.1, beats the 2 sin(0.45 pi) / 0.45 of the others
+        spec, grid = sv.RotSegMap(), [0.05, 0.5, 0.95]
+        est = pr.hausdorff_lip(spec, grid)
+        assert est == pytest.approx(all_pairs_hausdorff_lip(spec, grid), rel=1e-12)
+        assert est == pytest.approx(20.0 * math.sin(0.1 * math.pi), rel=1e-9)
+
+    def test_vector_parameters_are_refused(self):
+        with pytest.raises(ValueError, match="scalar parameter grid"):
+            pr.hausdorff_lip(sv.QMap(), [(0.1, 0.2), (0.3, 0.4)])
+
     def test_trapezoid(self):
         assert pr.hausdorff_lip(sv.TrapezoidMap(), pr.make_grid(0, 1, 60)) <= 1 + 1e-6
 
