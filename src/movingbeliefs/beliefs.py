@@ -317,8 +317,6 @@ def _w1_uniform_intervals(a, b, c, d) -> float:
     integral of |(a-c) + t((b-a)-(d-c))|."""
     alpha = a - c
     gamma = (b - a) - (d - c)
-    if abs(gamma) < 1e-15:
-        return abs(alpha)
     u0, u1 = alpha, alpha + gamma
     if u0 * u1 >= 0:
         return abs(u0 + u1) / 2.0
@@ -341,7 +339,8 @@ def w1_distance(
     piece centroid, the moments of all pieces from one stacked pass
     (``_piece_moments``) — and the transportation LP goes to the HiGHS
     bindings as arrays, without presolve and without scipy's ``linprog``
-    layer (``_transport_lp``); the reported error bound is 2 * cell diameter.
+    layer (``_transport_lp``), the costs over u = ``gk._unit`` of both
+    supports' vertices; the reported error bound is 2 * cell diameter.
 
     The resolution must be positive and finite, and at least 2**-52 of the
     grid's span (finer grid lines are not distinct doubles): ValueError
@@ -372,17 +371,18 @@ def w1_distance(
         raise ValueError(f"resolution {resolution:g} is below 2**-52 of the span {span:g}: "
                          "its grid lines are not distinct doubles")
     cells_per_axis = np.maximum(1, np.ceil((hi - lo) / resolution - 1e-12).astype(int))
-    a_mass, a_pts = _grid_pieces(P, lo, resolution, cells_per_axis, tol)
-    b_mass, b_pts = _grid_pieces(Q, lo, resolution, cells_per_axis, tol)
+    u = max(gk._unit(P.vrep), gk._unit(Q.vrep))
+    a_mass, a_pts = _grid_pieces(P, lo, resolution, cells_per_axis, tol.feas_tol * u)
+    b_mass, b_pts = _grid_pieces(Q, lo, resolution, cells_per_axis, tol.feas_tol * u)
     if len(a_mass) * len(b_mass) > MAX_TRANSPORT_COLUMNS:
         raise ValueError(f"resolution {resolution:g}: {len(a_mass)} x {len(b_mass)} transport columns, "
                          f"above the cap of {MAX_TRANSPORT_COLUMNS}")
-    cost = np.linalg.norm(a_pts[:, None, :] - b_pts[None, :, :], axis=-1)
-    value = _transport_lp(a_mass / a_mass.sum(), b_mass / b_mass.sum(), cost)
+    cost = np.linalg.norm(a_pts[:, None, :] - b_pts[None, :, :], axis=-1) / u
+    value = u * _transport_lp(a_mass / a_mass.sum(), b_mass / b_mass.sum(), cost)
     return value, 2.0 * resolution * math.sqrt(P.ambient_dim)
 
 
-def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, tol: Tolerances):
+def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, eps: float):
     """(masses, centroids) of R's pieces in the grid cells its bounding box
     meets, in ``itertools.product`` order (axis 0 outermost).  R is cut axis
     by axis on its frame vertex array: x_j = g is the unit row
@@ -391,22 +391,23 @@ def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, tol: Tolera
     exact because each vertex of a slab's piece is a vertex of the piece or
     an edge's crossing with a wall.  The pieces travel as one stack: their
     points stacked with per-piece counts, their rows padded to one count.
-    A line within feas_tol of R's extent is not interior: the slab beyond it
-    would hold only R's points within feas_tol of the line, such as the
-    coplanar corners of an axis-aligned face, which span no k-volume and
-    which Delaunay cannot triangulate.  An axis is skipped where R meets one
-    cell or x_j is constant on R (|B[j]| <= feas_tol).  Before R is cut,
-    its pieces are counted by the arrangement bound of a k-flat cut by l_j
-    interior lines on each axis j, sum_{i<=k} e_i(l) with e_i the
-    elementary symmetric sums (the bounding box's cell count when k = m);
-    a bound above ``MAX_TRANSPORT_COLUMNS`` raises ValueError.  The pieces'
-    masses and centroids come from one stacked pass over them all
-    (``_piece_moments``); pieces of at most k points or of zero k-volume
-    carry no mass and are left out."""
+    The slab step's tolerance is the length eps (feas_tol u).  A line within
+    eps of R's extent is not interior: the slab beyond it would hold only
+    R's points within eps of the line, such as the coplanar corners of an
+    axis-aligned face, which span no k-volume and which Delaunay cannot
+    triangulate.  An axis is skipped where R meets one cell or x_j is
+    constant on R (``gk._clip``'s rule).  Before R is cut, its pieces are
+    counted by the arrangement bound of a k-flat cut by l_j interior lines
+    on each axis j, sum_{i<=k} e_i(l) with e_i the elementary symmetric sums
+    (the bounding box's cell count when k = m); a bound above
+    ``MAX_TRANSPORT_COLUMNS`` raises ValueError.  The pieces' masses and
+    centroids come from one stacked pass over them all (``_piece_moments``);
+    pieces of at most k points or of zero k-volume carry no mass and are
+    left out."""
     k = R.intrinsic_dim
     B, o = R.frame.basis, R.frame.origin
     r_lo, r_hi = R.bounding_box()
-    r_lo, r_hi = r_lo + tol.feas_tol, r_hi - tol.feas_tol
+    r_lo, r_hi = r_lo + eps, r_hi - eps
     i_lo = np.clip(np.floor((r_lo - lo) / resolution).astype(int), 0, cells_per_axis - 1)
     i_hi = np.clip(np.floor((r_hi - lo) / resolution - 1e-12).astype(int), i_lo, cells_per_axis - 1)
     e = [1] + [0] * k  # e[i]: i-th elementary symmetric sum of the interior line counts
@@ -420,11 +421,11 @@ def _grid_pieces(R: Polytope, lo, resolution: float, cells_per_axis, tol: Tolera
     T, n, N, C = R.vertices_frame, np.array([len(R.vertices_frame)]), N[None], C[None]
     for j in range(R.ambient_dim):
         ln = float(np.linalg.norm(B[j]))
-        if i_lo[j] == i_hi[j] or ln <= tol.feas_tol:
+        if i_lo[j] == i_hi[j] or ln * gk._unit(R.vertices_frame) <= eps:
             continue
         u = B[j] / ln
         g = (lo[j] + np.arange(i_lo[j] + 1, i_hi[j] + 1) * resolution - o[j]) / ln
-        T, n, N, C = gk._slab_pieces(T, n, N, C, u, g, tol.feas_tol)
+        T, n, N, C = gk._slab_pieces(T, n, N, C, u, g, eps)
     kept = (n > k) & (k > 0)  # fewer points span no k-volume; a point is too coarse
     masses, centroids = _piece_moments(T[kept.repeat(n)], n[kept], k) if kept.any() else ([], [])
     if len(masses) < 8:

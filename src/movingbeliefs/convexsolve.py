@@ -5,14 +5,16 @@ Wolfe's minimum-norm-point algorithm over finite vertex sets: the
 projection of ``geomkernel.dist_point``, and the vertex distances of
 Hausdorff excesses outside the plane and outside full-dimensional bodies in
 3-space (lower-dimensional bodies in 3-space, and every body in 4 or more
-dimensions).  Instances have tens of vertices, not thousands; determinism
-beats speed.  ``equality_lp`` hands a column-wise LP as arrays straight to
-the HiGHS bindings that ``scipy.optimize.linprog`` itself calls, without
-its per-column Python layer.
+dimensions), run on the vertices over ``_unit``.  Instances have tens of
+vertices, not thousands; determinism beats speed.  ``equality_lp`` hands a
+column-wise LP as arrays straight to the HiGHS bindings that
+``scipy.optimize.linprog`` itself calls, without its per-column Python
+layer.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +25,18 @@ from .errors import SolverStall
 _FEAS_TOL = 1e-9
 
 
+def _unit(X) -> float:
+    """2^e, e the binary exponent of max |X| (1 when X is all zero): the one
+    scale of the package.  Length tolerances are multiples of it and external
+    solvers get X over it, exactly, so a body scaled by a power of two gives
+    the same answer, scaled."""
+    return math.ldexp(1.0, math.frexp(float(np.abs(X).max(initial=0.0)))[1])
+
+
 def min_norm_point(vertices: Sequence, feas_tol: float = _FEAS_TOL) -> np.ndarray:
     """Minimum-norm point of conv(vertices) by Wolfe's algorithm.
 
+    It runs on the vertices over u = ``_unit``, its point scaled back by u.
     Finite termination is certified by the optimality condition
     <x, v - x> >= -tol for every vertex v; hitting the iteration cap of
     50 max(n, 2) major steps (n vertices) without the certificate raises
@@ -35,6 +46,8 @@ def min_norm_point(vertices: Sequence, feas_tol: float = _FEAS_TOL) -> np.ndarra
     n = V.shape[0]
     if n == 0:
         raise ValueError("empty vertex set")
+    u = _unit(V)
+    V = V / u
     norms = np.einsum("ij,ij->i", V, V)
     idx = [int(np.argmin(norms))]
     lam = np.array([1.0])
@@ -44,9 +57,9 @@ def min_norm_point(vertices: Sequence, feas_tol: float = _FEAS_TOL) -> np.ndarra
         scores = V @ x
         j = int(np.argmin(scores))
         if scores[j] >= x @ x - feas_tol * scale:
-            return x
+            return x * u
         if j in idx:
-            return x  # numerically optimal within the current corral
+            return x * u  # numerically optimal within the current corral
         idx.append(j)
         lam = np.append(lam, 0.0)
         while True:
@@ -81,7 +94,7 @@ def min_norm_point(vertices: Sequence, feas_tol: float = _FEAS_TOL) -> np.ndarra
             x = lam @ V[idx]
     scores = V @ x
     if float(np.min(scores)) >= x @ x - 1e-6 * scale:
-        return x
+        return x * u
     raise SolverStall("minimum-norm point did not converge within the iteration cap")
 
 

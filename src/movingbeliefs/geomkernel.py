@@ -33,6 +33,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from . import convexsolve
+from .convexsolve import _unit
 from .errors import (
     AffineHullMismatch,
     EmptyInput,
@@ -51,8 +52,10 @@ from .errors import (
 class Tolerances:
     """Numerical policy threaded through every operation.
 
-    rank_tol is relative to the largest singular value; rng_seed feeds every
-    randomized estimator so runs are reproducible bit for bit.
+    feas_tol is relative to the scale u = ``_unit`` of the operands'
+    coordinates: a length tolerance is feas_tol u; rank_tol is relative to
+    the largest singular value; rng_seed feeds every randomized estimator so
+    runs are reproducible bit for bit.
     """
 
     feas_tol: float = 1e-9
@@ -201,20 +204,20 @@ class Polytope:
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
         """Assert the type invariants; used by the test-suite."""
         M, q = self.hrep
+        u = _unit(self.vrep)
         if M.shape[0]:
             worst = float(np.max(M @ self.vrep.T - q[:, None]))
-            if worst > 10 * tol.feas_tol:
+            if worst > 10 * tol.feas_tol * u:
                 raise AssertionError(f"vertex violates H-rep by {worst}")
         if self.frame.orthonormality_defect() > 1e-12:
             raise AssertionError("frame basis is not orthonormal to 1e-12")
         d = self.vrep - self.vrep.mean(axis=0)
         if self.n_vertices > 1:
             resid = d - (d @ self.frame.basis) @ self.frame.basis.T
-            if float(np.max(np.abs(resid))) > 1e-7:
+            if float(np.max(np.abs(resid))) > 1e-7 * u:
                 raise AssertionError("frame does not span the vertex differences")
         svals = np.linalg.svd(d, compute_uv=False) if self.n_vertices > 1 else np.zeros(1)
-        floor = _merge_distance(self.vrep, tol.feas_tol)
-        if _numerical_rank(svals, tol.rank_tol, strict=False, floor=floor) != self.intrinsic_dim:
+        if _numerical_rank(svals, tol.rank_tol, strict=False, floor=tol.feas_tol * u) != self.intrinsic_dim:
             raise AssertionError("intrinsic_dim disagrees with numerical rank")
 
 
@@ -242,12 +245,6 @@ def _numerical_rank(svals: np.ndarray, rank_tol: float, strict: bool = True, flo
             f"singular value {svals[band.argmax()]:.3e} lies inside the rank band ({lo:.1e}, {hi:.1e})"
         )
     return int(np.count_nonzero(svals > max(thresh, floor)))
-
-
-def _merge_distance(pts: np.ndarray, feas_tol: float) -> float:
-    """Distance below which points are one point, and a direction of no
-    greater width is rounding noise."""
-    return max(feas_tol, 1e-12) * (1.0 + float(np.max(np.abs(pts))))
 
 
 def _spans(start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -318,9 +315,11 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
     each group of coplanar facets) and facet ``simplices`` these are.  A
     facet row N t <= c is the ambient row (N B^T) y <= c + (N B^T) . centroid;
     the frame origin is the vertices' mean.  Coordinates above ``MAX_COORD``
-    raise ValueError.  The dedup returns at once when no two neighbours along
-    its direction lie within twice the merge distance: no pair is then close, so
-    every point would be kept anyway."""
+    raise ValueError.  Points within the merge distance feas_tol u (u =
+    ``_unit`` of the points) are one point, and a direction of no greater
+    width is rounding noise.  The dedup returns at once when no two
+    neighbours along its direction lie within twice the merge distance: no
+    pair is then close, so every point would be kept anyway."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise EmptyInput("no points supplied")
@@ -329,8 +328,8 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
         bound = f"coordinates must be at most {MAX_COORD:g} in magnitude, got {peak:.3g}"
         raise ValueError(bound if math.isfinite(peak) else "points must be finite")
     m = pts.shape[1]
-    scale = 1.0 + peak
-    merge = max(tol.feas_tol, 1e-12) * scale  # _merge_distance(pts, tol.feas_tol)
+    u = _unit(peak)
+    merge = tol.feas_tol * u
     pts = _dedup_points(pts, merge)  # lexicographically sorted, as vrep is
 
     centroid = pts.mean(axis=0)
@@ -351,19 +350,19 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
         sel = bnd = np.array([np.argmin(t[:, 0]), np.argmax(t[:, 0])])
         N, c = np.array([[1.0], [-1.0]]), np.array([t[sel[1], 0], -t[sel[0], 0]])
     elif k == 2:
-        sel = bnd = _monotone_chain(t, 1e-12 * scale * scale)
+        sel = bnd = _monotone_chain(t, 1e-12 * u * u)
         ring = t[bnd]
         e = ring[np.arange(1, len(ring) + 1) % len(ring)] - ring
         N = e[:, ::-1] * (1.0, -1.0) / np.sqrt(np.vecdot(e, e))[:, None]
         c = np.vecdot(N, ring)
     else:
-        hull, e = _qhull(ConvexHull, t, "ConvexHull")
+        hull, scale = _qhull(ConvexHull, t, "ConvexHull")
         eqs = hull.equations
-        eqs[:, -1] *= 2.0**e  # offsets back to the scale of t; normals are unit
         r = np.round(eqs, 9)
         order = np.lexsort(r.T[::-1])  # stable: each group of equal rows starts at its first row
         r = r[order]
         eqs = eqs[np.sort(order[np.concatenate([[True], (r[1:] != r[:-1]).any(axis=1)])])]
+        eqs[:, -1] *= scale  # offsets back to the scale of t; normals are unit
         N, c = eqs[:, :-1], -eqs[:, -1]  # A t + b <= 0
         sel, bnd = hull.vertices, hull.simplices
     idx = np.sort(sel)
@@ -394,20 +393,25 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
     alone is enumerated exactly (``from_hrep``).  Double description
     (Fukuda & Prodon 1996): a new row keeps the vertices it does not cut
     off and adds the cut point of every inside/outside pair spanning an
-    edge, all pairs of the row in one array computation.  Rows are normalized and slacks compared with ``tol``; at
-    each row that cuts, ``_float_edges`` (shared with ``_slab_pieces``)
-    recomputes the active matrix and tests the pairs.  The exact rule is
-    ``_clip_exact``'s.  After each row that cuts, V is deduplicated; a clip
-    in which no row cuts returns ``V`` unchanged, in its input order.
+    edge, all pairs of the row in one array computation.  ``tol`` is a
+    length: rows are normalized and slacks compared with it; at each row
+    that cuts, ``_float_edges`` (shared with ``_slab_pieces``) recomputes
+    the active matrix and tests the pairs; after it, V is deduplicated at
+    ``tol``.  A row with |nrm| ``_unit(V)`` at most ``tol`` (V the input)
+    is constant on V up to rounding: it holds everywhere, or nowhere where
+    its offset is below -100 ``tol`` (normalizing it would amplify rounding
+    noise into an arbitrary cut).  The exact rule is ``_clip_exact``'s.  A
+    clip in which no row cuts returns ``V`` unchanged, in its input order.
     """
     d = V.shape[1]
     N = np.array([r[0] for r in base_rows], dtype=float).reshape(-1, d)
     C = np.array([r[1] for r in base_rows], dtype=float)
+    reach = _unit(V)
     for nrm, off in new_rows:
         nrm = np.asarray(nrm, dtype=float)
         ln = float(np.linalg.norm(nrm))
-        if ln <= 1e-14:  # a zero row holds everywhere or nowhere
-            if off < -tol:
+        if ln * reach <= tol:
+            if off < -100.0 * tol:
                 return None
             continue
         nrm = nrm / ln
@@ -422,8 +426,7 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
             ok = _float_edges(V, N, C, i, j, tol)
             i, j = i[ok], j[ok]
             P = V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])
-            V = np.vstack([V[~out], P])
-            V = _dedup_points(V, _merge_distance(V, tol))
+            V = _dedup_points(np.vstack([V[~out], P]), tol)
         N, C = np.vstack([N, nrm]), np.append(C, off)
     return V
 
@@ -433,11 +436,12 @@ def _float_edges(V: np.ndarray, N: np.ndarray, C: np.ndarray, i: np.ndarray, j: 
     {y : N y <= C}, the rows shared by all points (N (r, d) and C (r,), as
     ``_clip`` passes them) or each point's own (N (n, r, d) and C (n, r),
     as ``_slab_pieces`` passes its pieces' rows).  The pair's common active
-    rows (a loose tolerance: spurious candidates are pruned later, missed
-    edges would lose vertices) number >= d-1 and, for d > 2, have rank d-1
-    by one stacked SVD.  A pad row 0 . y <= 1 is never active."""
+    rows (within 100 ``tol``, a loose length: spurious candidates are pruned
+    later, missed edges would lose vertices) number >= d-1 and, for d > 2,
+    have rank d-1 by one stacked SVD.  A pad row 0 . y <= 1 is never
+    active."""
     d = V.shape[1]
-    act = np.abs((N @ V[:, :, None])[..., 0] - C) <= max(100.0 * tol, 1e-7)
+    act = np.abs((N @ V[:, :, None])[..., 0] - C) <= 100.0 * tol
     common = act[i] & act[j]
     ok = common.sum(axis=1) >= d - 1
     if d > 2 and ok.any():
@@ -459,14 +463,13 @@ def _slab_pieces(T: np.ndarray, n: np.ndarray, N: np.ndarray, C: np.ndarray, u: 
     upper wall (a pad row for the missing wall of the first and last slab).
 
     Exact as one cut is: a vertex of a piece between two lines is one of its
-    vertices in the slab or an edge's crossing with a wall.  A vertex within
-    ``tol`` of a line is in both slabs beside it.  The pairs of each piece,
-    in row-major order, with a line more than ``tol`` from both between
-    them are edge-tested once (``_float_edges``); an edge gives a point,
-    interpolated along it, on each line it crosses, for the two slabs
-    beside the line.  A slab is deduplicated only where two of its points
-    lie within twice the merge distance of its piece's points, as in
-    ``_clip``."""
+    vertices in the slab or an edge's crossing with a wall.  ``tol`` is a
+    length; a vertex within it of a line is in both slabs beside it.  The
+    pairs of each piece, in row-major order, with a line more than ``tol``
+    from both between them are edge-tested once (``_float_edges``); an edge
+    gives a point, interpolated along it, on each line it crosses, for the
+    two slabs beside the line.  A slab is deduplicated at ``tol``, as in ``_clip``,
+    only where two of its points lie within 2 ``tol``."""
     L = len(g)
     owner = np.arange(len(n)).repeat(n)
     p = T @ u
@@ -489,17 +492,15 @@ def _slab_pieces(T: np.ndarray, n: np.ndarray, N: np.ndarray, C: np.ndarray, u: 
     pts, key = np.vstack([T.repeat(reps, axis=0), P, P])[order], key[order]
     ends = np.flatnonzero(np.diff(key, append=-1)) + 1  # of the (piece, slab) groups
     count = np.diff(ends, prepend=0)
-    peak = np.maximum.reduceat(np.abs(pts).max(axis=1), np.searchsorted(key, np.arange(len(n)) * (L + 1)))
-    reach = 2.0 * (max(tol, 1e-12) * (1.0 + peak))  # twice each piece's _merge_distance
     group = np.arange(len(ends)).repeat(count)
     after = ends[group] - np.arange(len(pts)) - 1
     a = np.arange(len(pts)).repeat(after)
     diff = pts[a] - pts[_spans(np.arange(1, len(pts) + 1), after)]
-    merge = np.unique(group[a[np.vecdot(diff, diff) <= (reach * reach)[key[a] // (L + 1)]]])
+    merge = np.unique(group[a[np.vecdot(diff, diff) <= 4.0 * tol * tol]])
     if merge.size:
         parts = np.split(pts, ends[:-1])
         for q in merge.tolist():
-            parts[q] = _dedup_points(parts[q], _merge_distance(parts[q], tol))
+            parts[q] = _dedup_points(parts[q], tol)
             count[q] = len(parts[q])
         pts = np.vstack(parts)
     WN, WC = np.zeros((L + 1, 2, T.shape[1])), np.ones((L + 1, 2))
@@ -742,22 +743,22 @@ def _triangulate_frame(t: np.ndarray, k: int, ring) -> np.ndarray:
 
 
 def _qhull(build, t: np.ndarray, name: str):
-    """(``build(t / 2^e)``, e) for Qhull's ``ConvexHull`` or ``Delaunay``
-    (``name``), e the binary exponent of max |t|: the division is exact, and
-    Qhull sees unit-size coordinates on every input.  On t itself its
-    precision limits fail far below ``MAX_COORD`` (the 4-cube of side 1e60
-    raised; at 1e110 it crashed the process).  Vertices and simplices are
-    indices; the caller scales offsets back by 2^e.  Where Qhull rejects the
+    """(``build(t / u)``, u) for Qhull's ``ConvexHull`` or ``Delaunay``
+    (``name``), u = ``_unit(t)``: the division is exact, and Qhull sees
+    unit-size coordinates on every input.  On t itself its precision limits
+    fail far below ``MAX_COORD`` (the 4-cube of side 1e60 raised; at 1e110
+    it crashed the process).  Vertices and simplices are
+    indices; the caller scales offsets back by u.  Where Qhull rejects the
     points they are retried once with the ``QJ`` joggle, with a
     ``QhullJoggleWarning``; where the joggle fails too, ``QhullFailure``."""
-    e = int(np.frexp(np.abs(t).max())[1])
-    t = np.ldexp(t, -e)
+    u = _unit(t)
+    t = t / u
     try:
-        return build(t), e
+        return build(t), u
     except QhullError:
         warnings.warn(f"{name} fell back to the QJ joggle", QhullJoggleWarning, stacklevel=3)
     try:
-        return build(t, qhull_options="QJ"), e
+        return build(t, qhull_options="QJ"), u
     except QhullError as exc:
         first = str(exc).strip().partition("\n")[0]
         raise QhullFailure(f"{name} failed on {len(t)} points in {t.shape[1]} dimensions, joggled too: {first}") from exc
@@ -803,11 +804,10 @@ def diameter(P: Polytope) -> float:
 def radial(P: Polytope, u, tol: Tolerances = DEFAULT_TOL) -> float:
     """sup{t >= 0 : t*u in P} by ray clipping; requires 0 in P."""
     u = np.asarray(u, dtype=float)
-    if not P.contains(np.zeros(P.ambient_dim), tol.feas_tol):
+    if not P.contains(np.zeros(P.ambient_dim), tol.feas_tol * _unit(P.vrep)):
         raise OriginNotContained("radial function needs 0 in the polytope")
     B = P.frame.basis
     drift = u - B @ (B.T @ u) if B.shape[1] else u
-    orig_off = P.frame.origin - B @ (B.T @ P.frame.origin) if B.shape[1] else P.frame.origin
     # ray leaves the affine hull immediately unless u is parallel to it
     if float(np.linalg.norm(drift)) > 1e-9 * max(1.0, float(np.linalg.norm(u))):
         return 0.0
@@ -827,13 +827,14 @@ def inner_radius(P: Polytope, tol: Tolerances = DEFAULT_TOL) -> float:
     0 in the relative interior."""
     t0 = P.frame.to_frame(np.zeros(P.ambient_dim))[0]
     resid = np.linalg.norm(P.frame.to_ambient(t0)[0])
-    if resid > tol.feas_tol * 10:
+    eps = tol.feas_tol * _unit(P.vrep)
+    if resid > 10 * eps:
         raise OriginNotRelativeInterior("origin is outside the affine hull")
     if P.intrinsic_dim == 0:
         raise OriginNotRelativeInterior("a point has empty relative interior")
     N, c = P.intrinsic_facets
     slack = c - N @ t0
-    if np.any(slack <= tol.feas_tol):
+    if np.any(slack <= eps):
         raise OriginNotRelativeInterior("origin is not strictly inside the intrinsic facets")
     return float(np.min(slack))
 
@@ -850,7 +851,7 @@ def steiner_point(P: Polytope, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     s_frame = _external_angles(P, tol) @ P.vertices_frame
     point = P.frame.to_ambient(s_frame)[0]
     N, c = P.intrinsic_facets
-    if N.shape[0] and np.any(N @ s_frame - c > 100 * tol.feas_tol):
+    if N.shape[0] and np.any(N @ s_frame - c > 100 * tol.feas_tol * _unit(P.vrep)):
         raise QuadratureBudgetExceeded(
             "computed point failed the relative-interior containment check"
         )
@@ -981,13 +982,13 @@ def hausdorff(P: Polytope, Q: Polytope) -> float:
 def dist_point(P: Polytope, y, tol: Tolerances = DEFAULT_TOL):
     """(d(y, P), projection) via the minimum-norm-point solver on translated
     vertices; the projection satisfies the variational inequality against
-    every vertex within feas_tol."""
+    every vertex within 1e-6 u^2, u = ``_unit`` of the vertices and y."""
     y = np.asarray(y, dtype=float)
     z = convexsolve.min_norm_point(P.vrep - y, feas_tol=tol.feas_tol)
     proj = y + z
     gaps = (P.vrep - proj) @ (y - proj)
-    scale = 1.0 + float(np.max(np.abs(P.vrep - y))) ** 2
-    if float(np.max(gaps, initial=0.0)) > 1e-6 * scale:
+    u = max(_unit(P.vrep), _unit(y))
+    if float(np.max(gaps, initial=0.0)) > 1e-6 * u * u:
         raise convexsolve.SolverStall("projection failed its variational-inequality certificate")
     return float(np.linalg.norm(z)), proj
 
@@ -1010,36 +1011,18 @@ def intersect(P: Polytope, Q: Polytope, tol: Tolerances = DEFAULT_TOL) -> Option
 
     The clipping runs in the frame coordinates of the lower-dimensional
     operand, where that operand is full-dimensional; the other operand's
-    ambient rows (pinning rows included) are mapped into the frame.
+    ambient rows (pinning rows included) are mapped into the frame.  Its
+    tolerance is feas_tol u, u = ``_unit`` of both operands' vertices.
     """
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("ambient dimensions differ")
+    eps = tol.feas_tol * max(_unit(P.vrep), _unit(Q.vrep))
     base, other = (P, Q) if P.intrinsic_dim <= Q.intrinsic_dim else (Q, P)
     if base.intrinsic_dim == 0:
-        pt = base.vrep[0]
-        return base if other.contains(pt, tol.feas_tol) else None
-    B = base.frame.basis
-    o = base.frame.origin
+        return base if other.contains(base.vrep[0], eps) else None
+    B, o = base.frame.basis, base.frame.origin
     M, q = other.hrep
-    extent = 1.0 + float(np.max(np.abs(base.vertices_frame)))
-    rows = []
-    for i in range(M.shape[0]):
-        n_f = B.T @ M[i]
-        off = float(q[i] - M[i] @ o)
-        ln = float(np.linalg.norm(n_f)) / max(float(np.linalg.norm(M[i])), 1e-300)
-        if ln <= tol.feas_tol:
-            # The row is constant on the base's affine hull to within
-            # tolerance (its variation over the base is <= ln * extent);
-            # normalizing it would amplify hull-rounding noise into an
-            # arbitrary cut.  Either the whole hull region passes or the
-            # intersection is empty.
-            if off < -100.0 * tol.feas_tol * extent:
-                return None
-            continue
-        rows.append((n_f, off))
-    N, c = base.intrinsic_facets
-    base_rows = [(N[i], float(c[i])) for i in range(N.shape[0])]
-    V = _clip(base.vertices_frame, base_rows, rows, tol.feas_tol)
+    V = _clip(base.vertices_frame, list(zip(*base.intrinsic_facets)), zip(M @ B, q - M @ o), eps)
     if V is None:
         return None
     return _build_polytope(base.frame.to_ambient(V), tol, strict_rank=False)
@@ -1145,7 +1128,7 @@ def _welzl(pts: np.ndarray, rng: np.random.Generator):
             return _circumball(boundary)
         c, r = mb(n - 1, boundary)
         p = P[n - 1]
-        if c is not None and np.linalg.norm(p - c) <= r * (1 + 1e-12) + 1e-12:
+        if c is not None and np.linalg.norm(p - c) <= r * (1 + 1e-12):
             return c, r
         return mb(n - 1, boundary + [p])
 

@@ -500,7 +500,7 @@ def verify_sandwich_and_h(
             "grid": np.asarray(grid, dtype=float),
             "h": h_vals,
             "h_quotients": dq,
-            "max_h_quotient": float(np.nanmax(dq)) if len(grid) > 1 else 0.0,
+            "max_h_quotient": _max_quotient(dq),
             "notes": notes,
         },
     )

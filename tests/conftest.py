@@ -9,6 +9,7 @@ settings.register_profile(
     "suite",
     max_examples=30,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

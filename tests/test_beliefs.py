@@ -513,9 +513,15 @@ class TestW1Distance:
         """ROADMAP item 3's resolution: unit squares off the grid meet
         51 x 51 cells each, and their dense LP is within the cap."""
         lo, cells = np.zeros(2), np.array([76, 76])
-        sizes = [len(bl._grid_pieces(gk.translate(unit_square(), np.array([s, s])), lo, 0.02, cells, TOL)[0])
-                 for s in (0.01, 0.51)]
+        squares = [gk.translate(unit_square(), np.array([s, s])) for s in (0.01, 0.51)]
+        sizes = [len(bl._grid_pieces(R, lo, 0.02, cells, eps(R))[0]) for R in squares]
         assert sizes == [2601, 2601] and sizes[0] * sizes[1] <= bl.MAX_TRANSPORT_COLUMNS
+
+
+def eps(R):
+    """The length tolerance ``w1_distance`` cuts R's grid pieces at when R is
+    the larger support."""
+    return TOL.feas_tol * gk._unit(R.vrep)
 
 
 def cell_reference(R, lo, resolution, cells):
@@ -570,7 +576,7 @@ class TestGridPieces:
         R = make(np.random.default_rng(seed))
         lo = np.zeros(R.ambient_dim)
         cells = np.full(R.ambient_dim, int(round(1 / resolution)))
-        masses, cents = bl._grid_pieces(R, lo, resolution, cells, TOL)
+        masses, cents = bl._grid_pieces(R, lo, resolution, cells, eps(R))
         ref_m, ref_c = cell_reference(R, lo, resolution, cells)
         assert masses.shape == ref_m.shape
         np.testing.assert_allclose(masses, ref_m, rtol=0, atol=1e-12)
@@ -581,7 +587,7 @@ class TestGridPieces:
         moved = gk.translate(cube, np.array([-0.25, 0.0, 0.0]))
         lo, cells = np.array([-0.25, 0.0, 0.0]), np.array([5, 4, 4])
         for R in (cube, moved):
-            masses, cents = bl._grid_pieces(R, lo, 0.25, cells, TOL)
+            masses, cents = bl._grid_pieces(R, lo, 0.25, cells, eps(R))
             ref_m, ref_c = cell_reference(R, lo, 0.25, cells)
             assert masses.shape == ref_m.shape == (64,)
             np.testing.assert_allclose(masses, ref_m, rtol=0, atol=1e-12)

@@ -40,13 +40,14 @@ def toy_problem(h, count=21):
 
 def cubes_problem(path, m, side):
     """An interp problem between the m-cube of the given side and its copy
-    shifted by half a side along the first axis."""
+    shifted by half a side along the first axis, with W1 resolution side/4."""
     cube = [[side * c for c in p] for p in itertools.product((0.0, 1.0), repeat=m)]
     shifted = [[p[0] + side / 2] + p[1:] for p in cube]
     path.write_text(json.dumps({
         "version": "1",
         "map": {"kind": "interp", "body_a": {"vertices": cube}, "body_b": {"vertices": shifted}},
         "grid": {"start": 0.0, "stop": 1.0, "count": 5},
+        "w1_resolution": side / 4,
     }))
     return path
 
@@ -239,6 +240,20 @@ class TestVerifyCommand:
         assert res.exit_code == 2
         assert "precondition error" in res.stderr
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sandwich_on_coincident_grid_points(self, runner, tmp_path):
+        """A grid of two coincident points has no difference quotient: the
+        largest is reported as 0, with no all-NaN warning."""
+        problem = tmp_path / "sandwich.json"
+        problem.write_text(json.dumps({
+            "version": "1",
+            "map": {"kind": "qmap", "q": 3.0},
+            "grid": {"start": 0.5, "stop": 0.5, "count": 2},
+        }))
+        res = runner.invoke(cli.main, ["verify", "sandwich", str(problem)])
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["metadata"]["max_h_quotient"] == 0.0
+
     def test_sandwich_problem_file_with_anchor(self, runner, tmp_path):
         problem = tmp_path / "sandwich.json"
         problem.write_text(json.dumps({
@@ -318,19 +333,16 @@ class TestVerifyCommand:
         assert "precondition error: ValueError" in res.stderr
         assert "at most 1e+150 in magnitude" in res.stderr
 
-    @pytest.mark.parametrize(("suite", "code"), [("w1", 2), ("tv-bound", 0)], ids=["w1", "tv-bound"])
-    def test_qhull_failure_exits_2(self, runner, tmp_path, monkeypatch, suite, code):
+    @pytest.mark.parametrize("suite", ["w1", "tv-bound"])
+    def test_qhull_failure_exits_2(self, runner, tmp_path, monkeypatch, suite):
         """Two 3-cubes of side 1e60, far below the coordinate bound: Qhull,
-        given them at unit size, builds them, and tv-bound passes with a
-        report while w1 exits 2 (no grid cell receives mass).  Where Qhull
-        rejects the points with and without its joggle: a named error, exit 2."""
+        given them at unit size, builds them, and both suites pass with a
+        report.  Where Qhull rejects the points with and without its joggle:
+        a named error, exit 2."""
         problem = cubes_problem(tmp_path / "cubes.json", 3, 1e60)
         res = runner.invoke(cli.main, ["verify", suite, str(problem)])
-        assert res.exit_code == code
-        if code == 0:
-            assert json.loads(res.stdout)["passed"] is True
-        else:
-            assert res.stderr.startswith("precondition error: ")
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["passed"] is True
 
         def reject(*args, **kwargs):
             raise QhullError("rejected")
@@ -340,6 +352,21 @@ class TestVerifyCommand:
             res = runner.invoke(cli.main, ["verify", suite, str(problem)])
         assert res.exit_code == 2
         assert "precondition error: QhullFailure" in res.stderr
+
+    @pytest.mark.parametrize("side", [2.0**-20, 2.0**-30, 1e60], ids=["2^-20", "2^-30", "1e60"])
+    def test_scaled_cubes_give_the_unit_report_scaled(self, runner, tmp_path, side):
+        """The two 3-cubes far from unit size: both suites pass on 3-D
+        images, and W1's largest quotient over the side is the unit cubes'."""
+
+        def metadata(suite, s):
+            res = runner.invoke(cli.main, ["verify", suite, str(cubes_problem(tmp_path / "cubes.json", 3, s))])
+            assert res.exit_code == 0
+            report = json.loads(res.stdout)
+            assert report["passed"] is True and report["metadata"]["dims"] == [3] * 5
+            return report["metadata"]
+
+        metadata("tv-bound", side)
+        assert abs(metadata("w1", side)["max_ratio"] / side - metadata("w1", 1.0)["max_ratio"]) <= 1e-12
 
     @pytest.mark.parametrize("suite", ["w1", "tv-bound"])
     def test_overflowing_4_volume_exits_2(self, tmp_path, suite):

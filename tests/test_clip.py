@@ -50,15 +50,14 @@ def _reference_clip(V, base_rows, new_rows, tol):
     exact = V.dtype == object
     d = V.shape[1]
     rows = list(base_rows)
+    reach = 1 if exact else gk._unit(V)
     if exact:
-        tol = act_tol = 0
-    else:
-        act_tol = max(100.0 * tol, 1e-7)
+        tol = 0
     for nrm, off in new_rows:
         nrm = np.asarray(nrm, dtype=V.dtype)
         ln = float(any(nrm)) if exact else float(np.linalg.norm(nrm))
-        if ln <= 1e-14:
-            if off < -tol:
+        if ln * reach <= tol:
+            if off < -100 * tol:
                 return None
             continue
         if not exact:
@@ -77,7 +76,7 @@ def _reference_clip(V, base_rows, new_rows, tol):
             N = np.array([r[0] for r in rows])
             C = np.array([r[1] for r in rows])
             G = V @ N.T
-            act = G == C if exact else np.abs(G - C) <= act_tol
+            act = G == C if exact else np.abs(G - C) <= 100.0 * tol
             for i in np.nonzero(inside)[0]:
                 for j in np.nonzero(outside)[0]:
                     common = act[i] & act[j]
@@ -90,7 +89,7 @@ def _reference_clip(V, base_rows, new_rows, tol):
         if exact:
             V = np.array(list(dict.fromkeys(map(tuple, keep))))
         else:
-            V = gk._dedup_points(keep, gk._merge_distance(keep, tol))
+            V = gk._dedup_points(keep, tol)
         rows.append((nrm, off))
     return V
 
@@ -124,16 +123,15 @@ def _row_dedup_clip(V, base_rows, new_rows, tol):
     d = V.shape[1]
     N = np.array([r[0] for r in base_rows], dtype=V.dtype).reshape(-1, d)
     C = np.array([r[1] for r in base_rows], dtype=V.dtype)
+    reach = 1 if exact else gk._unit(V)
     if exact:
         tol = 0
         act = V @ N.T == C
-    else:
-        act_tol = max(100.0 * tol, 1e-7)
     for nrm, off in new_rows:
         nrm = np.asarray(nrm, dtype=V.dtype)
         ln = float(any(nrm)) if exact else float(np.linalg.norm(nrm))
-        if ln <= 1e-14:
-            if off < -tol:
+        if ln * reach <= tol:
+            if off < -100 * tol:
                 return None
             continue
         if not exact:
@@ -145,7 +143,7 @@ def _row_dedup_clip(V, base_rows, new_rows, tol):
             return None
         if exact or out.any():
             if not exact:
-                act = np.abs(V @ N.T - C) <= act_tol
+                act = np.abs(V @ N.T - C) <= 100.0 * tol
             I, J = np.nonzero(s > tol)[0], np.nonzero(out)[0]
             common = act[I][:, None] & act[J][None]
             ok = common.sum(axis=2) >= d - 1
@@ -165,7 +163,7 @@ def _row_dedup_clip(V, base_rows, new_rows, tol):
                                  np.column_stack([common[ii, jj], np.ones(len(i), bool)])])
                 V = keep
             else:
-                V = gk._dedup_points(keep, gk._merge_distance(keep, tol))
+                V = gk._dedup_points(keep, tol)
         N, C = np.vstack([N, nrm]), np.append(C, off)
     return V, act if exact else None
 
@@ -205,6 +203,15 @@ def _box(d, exact):
     eye = np.array([[one * (i == j) for j in range(d)] for i in range(d)])
     rows = [r for e in eye for r in ((e, 2 * one), (-e, one))]
     return np.array(list(itertools.product((-one, 2 * one), repeat=d))), rows
+
+
+def _wedge():
+    """The corners and unit facet rows of the triangle with apex 0 and base
+    x = 1, y in [-1e-5, 1e-5]: its apex angle is 2e-5."""
+    h = 1e-5
+    n = np.array([[1.0, 0.0], [-h, -1.0], [-h, 1.0]])
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    return np.array([[0.0, 0.0], [1.0, -h], [1.0, h]]), list(zip(n, [1.0, 0.0, 0.0]))
 
 
 def _same(a, b):
@@ -350,16 +357,18 @@ def test_float_clip_that_cuts_nothing_keeps_the_input_order():
 
 
 def test_float_clip_merges_where_a_row_grazes_a_vertex(monkeypatch):
-    """A row 2e-9 inside two vertices of the square cuts its edges within the
-    merge distance 3e-9 of them.  The next row is clipped after those pairs
-    are merged, as a dedup after every row would, and the output is
+    """The row x >= 3e-9 cuts off the apex of ``_wedge`` and its two edges
+    6e-14 apart, within the tolerance its callers pass, feas_tol
+    ``_unit(V)`` = 2e-9: the two cut points merge.  The next row is clipped
+    after that merge, as a dedup after every row would, and the output is
     bit-identical to that."""
-    V, base = _box(2, False)
-    rows = [(np.array([1.0, 0.0]), -1.0 + 2e-9), (np.array([0.0, 1.0]), 1.5)]
-    want = _row_dedup_clip(V, base, rows, 1e-9)[0]
+    V, base = _wedge()
+    tol = gk.DEFAULT_TOL.feas_tol * gk._unit(V)
+    rows = [(np.array([-1.0, 0.0]), -3e-9), (np.array([1.0, 0.0]), 0.5)]
+    want = _row_dedup_clip(V, base, rows, tol)[0]
     calls = []
     dedup = gk._dedup_points
     monkeypatch.setattr(gk, "_dedup_points", lambda pts, tol: calls.append(len(pts)) or dedup(pts, tol))
-    got = gk._clip(V, base, rows, 1e-9)
+    got = gk._clip(V, base, rows, tol)
     assert _same(got, want)
-    assert len(got) == 2 and calls == [4, 2]  # 4 -> 2 after the first row, then the final sort
+    assert len(got) == 3 and calls == [4, 3]  # 4 -> 3 after the first row, then the final sort

@@ -16,7 +16,7 @@ import pytest
 
 from movingbeliefs import geomkernel as gk
 from test_beliefs import angle_ring, convex_points, random_grid_pieces
-from test_clip import _box, _random_rows
+from test_clip import _box, _random_rows, _wedge
 
 TOL = gk.DEFAULT_TOL.feas_tol
 
@@ -43,19 +43,19 @@ def _unstack(T, n, N, C):
     return [(W, Nq[m], Cq[m]) for W, Nq, Cq, m in zip(np.split(T, np.cumsum(n)[:-1]), N, C, real)]
 
 
-def _slab_split(V, rows, axes):
+def _slab_split(V, rows, axes, tol):
     """Pieces of (V, rows) between the lines u . t = g of every (u, g) in
     ``axes``, axis by axis as ``beliefs._grid_pieces`` cuts them."""
     stack = _stack([(V, np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))])
     for u, g in axes:
-        stack = gk._slab_pieces(*stack, u, g, TOL)
+        stack = gk._slab_pieces(*stack, u, g, tol)
     return _unstack(*stack)
 
 
-def _per_cell_split(V, rows, axes):
+def _per_cell_split(V, rows, axes, tol):
     pieces = [(V, rows)]
     for u, g in axes:
-        pieces = [q for W, r in pieces for q in _per_cell_pieces(W, r, u, g, TOL)]
+        pieces = [q for W, r in pieces for q in _per_cell_pieces(W, r, u, g, tol)]
     return pieces
 
 
@@ -65,9 +65,9 @@ def _moments(W):
     return vols.sum(), vols @ W[S].mean(axis=1) / vols.sum()
 
 
-def _check(V, rows, axes):
-    got = _slab_split(V, rows, axes)
-    want = _per_cell_split(V, rows, axes)
+def _check(V, rows, axes, tol=TOL):
+    got = _slab_split(V, rows, axes, tol)
+    want = _per_cell_split(V, rows, axes, tol)
     assert len(got) == len(want)
     for (W, N, C), (W0, r0) in zip(got, want):
         assert len(C) == len(r0)
@@ -162,12 +162,14 @@ def test_unit_cube_faces_on_grid_planes(shift):
 
 
 def test_line_grazing_an_edge_merges_its_cut_points():
-    """The line x = -1 + 2e-9 cuts the square [-1, 2]^2 within the merge
-    distance 3e-9 of its left edge: the sliver's cut points merge with the
-    corners, leaving the two corners, as the per-cell clipper's dedup does."""
-    V, rows = _box(2, False)
-    pieces = _check(V, rows, [(np.array([1.0, 0.0]), np.array([-1.0 + 2e-9, 0.5]))])
-    assert [len(W) for W, _, _ in pieces] == [2, 4, 4]
+    """The line x = 3e-9 cuts the two edges at the apex of ``_wedge`` 6e-14
+    apart, within the tolerance its callers pass, feas_tol ``_unit(V)`` =
+    2e-9: in both slabs beside the line the two cut points merge into one,
+    as the per-cell clipper's dedup does."""
+    V, rows = _wedge()
+    axes = [(np.array([1.0, 0.0]), np.array([3e-9, 0.5]))]
+    pieces = _check(V, rows, axes, TOL * gk._unit(V))
+    assert [len(W) for W, _, _ in pieces] == [2, 3, 4]
 
 
 @pytest.mark.parametrize("d", (2, 3))
