@@ -292,23 +292,16 @@ def tv_distance(pair: MeasurePair, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 def _segment_coords_on_common_line(P: Polytope, Q: Polytope, tol: Tolerances):
-    """If P and Q are points/segments on one common line, return their
-    1-D interval coordinates (a, b), (c, d) on that line, else None."""
+    """Their interval coordinates (a, b), (c, d) in the frame of the segment
+    L among them (P if it is one) when every vertex lies within feas_tol u
+    of L's line, u as in ``gk.same_affine_hull``; else None."""
     if P.intrinsic_dim > 1 or Q.intrinsic_dim > 1:
         return None
-    pts = np.vstack([P.vrep, Q.vrep])
-    center = pts.mean(axis=0)
-    diffs = pts - center
-    svals = np.linalg.svd(diffs, compute_uv=False)
-    if gk._numerical_rank(svals, tol.rank_tol, strict=False) > 1:
+    L = P if P.intrinsic_dim else Q
+    off = (np.vstack([P.vrep, Q.vrep]) - L.frame.origin) @ L.frame.complement
+    if float(np.linalg.norm(off, axis=1).max()) > tol.feas_tol * max(gk._unit(P.vrep), gk._unit(Q.vrep)):
         return None
-    if svals.size == 0 or svals[0] == 0.0:
-        axis = np.zeros(P.ambient_dim)
-        axis[0] = 1.0
-    else:
-        axis = np.linalg.svd(diffs, full_matrices=False)[2][0]
-    tp = (P.vrep - center) @ axis
-    tq = (Q.vrep - center) @ axis
+    tp, tq = L.frame.to_frame(P.vrep)[:, 0], L.frame.to_frame(Q.vrep)[:, 0]
     return (float(tp.min()), float(tp.max())), (float(tq.min()), float(tq.max()))
 
 

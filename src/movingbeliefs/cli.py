@@ -260,14 +260,9 @@ def cmd_example(name, q, grid_spec, out, fmt):
         if float(err.max()) > 1e-9:
             click.echo(f"closed-form mismatch: max |phi - ref| = {err.max():.3e}", err=True)
             exit_code = 1
-        def masked_max(mask):
-            vals = report.ratio[mask]
-            vals = vals[np.isfinite(vals)]
-            return float(vals.max()) if vals.size else math.nan
-
-        lo_ratio = masked_max(report.grid <= report.grid.min() * 100.0)
-        hi_ratio = masked_max(report.grid >= report.grid.max() / 10.0)
-        if np.isfinite(lo_ratio) and np.isfinite(hi_ratio) and lo_ratio > 10.0 * max(hi_ratio, 1e-12):
+        lo_ratio = pr._max_quotient(report.ratio[report.grid <= report.grid.min() * 100.0])
+        hi_ratio = pr._max_quotient(report.ratio[report.grid >= report.grid.max() / 10.0])
+        if lo_ratio > 10.0 * max(hi_ratio, 1e-12):
             report.notes.append("phi non-Lipschitz near 0: ratios diverging")
     else:
         report.notes.append("no closed-form reference for this family")

@@ -22,9 +22,6 @@ from scipy.optimize._highspy import _core as highs  # scipy >= 1.15: an older sc
 
 from .errors import SolverStall
 
-_FEAS_TOL = 1e-9
-
-
 def _unit(X) -> float:
     """2^e, e the binary exponent of max |X| (1 when X is all zero): the one
     scale of the package.  Length tolerances are multiples of it and external
@@ -33,14 +30,13 @@ def _unit(X) -> float:
     return math.ldexp(1.0, math.frexp(float(np.abs(X).max(initial=0.0)))[1])
 
 
-def min_norm_point(vertices: Sequence, feas_tol: float = _FEAS_TOL) -> np.ndarray:
+def min_norm_point(vertices: Sequence) -> np.ndarray:
     """Minimum-norm point of conv(vertices) by Wolfe's algorithm.
 
-    It runs on the vertices over u = ``_unit``, its point scaled back by u.
-    Finite termination is certified by the optimality condition
-    <x, v - x> >= -tol for every vertex v; hitting the iteration cap of
-    50 max(n, 2) major steps (n vertices) without the certificate raises
-    ``SolverStall``.
+    It runs on the vertices over u = ``_unit``, its point scaled back by u,
+    so its tolerances are fixed.  Termination is certified by the condition
+    <x, v - x> >= -1e-9 (1 + max|v|^2) for every vertex v; hitting the cap of
+    50 max(n, 2) major steps (n vertices) without it raises ``SolverStall``.
     """
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     n = V.shape[0]
@@ -56,7 +52,7 @@ def min_norm_point(vertices: Sequence, feas_tol: float = _FEAS_TOL) -> np.ndarra
     for _ in range(50 * max(n, 2)):
         scores = V @ x
         j = int(np.argmin(scores))
-        if scores[j] >= x @ x - feas_tol * scale:
+        if scores[j] >= x @ x - 1e-9 * scale:
             return x * u
         if j in idx:
             return x * u  # numerically optimal within the current corral

@@ -195,7 +195,7 @@ class Polytope:
             return np.linalg.norm(Y - self.vrep[0], axis=1)
         return np.max(Y @ self.hrep_normals.T - self.hrep_offsets, axis=1)
 
-    def contains(self, y, tol: float = DEFAULT_TOL.feas_tol) -> bool:
+    def contains(self, y, tol: float) -> bool:
         return bool(self.violation(y)[0] <= tol)
 
     def bounding_box(self):
@@ -397,7 +397,7 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
     length: rows are normalized and slacks compared with it; at each row
     that cuts, ``_float_edges`` (shared with ``_slab_pieces``) recomputes
     the active matrix and tests the pairs; after it, V is deduplicated at
-    ``tol``.  A row with |nrm| ``_unit(V)`` at most ``tol`` (V the input)
+    ``tol`` and pruned (``_prune``).  A row with |nrm| ``_unit(V)`` at most ``tol`` (V the input)
     is constant on V up to rounding: it holds everywhere, or nowhere where
     its offset is below -100 ``tol`` (normalizing it would amplify rounding
     noise into an arbitrary cut).  The exact rule is ``_clip_exact``'s.  A
@@ -426,9 +426,20 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
             ok = _float_edges(V, N, C, i, j, tol)
             i, j = i[ok], j[ok]
             P = V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])
-            V = _dedup_points(np.vstack([V[~out], P]), tol)
+            V = _prune(_dedup_points(np.vstack([V[~out], P]), tol), len(C) + 1, tol)
         N, C = np.vstack([N, nrm]), np.append(C, off)
     return V
+
+
+def _prune(V: np.ndarray, f: int, tol: float) -> np.ndarray:
+    """V, or its extreme points where V has more points than a polytope with
+    f facets in V's d coordinates has vertices (McMullen's upper bound,
+    1970): ``_float_edges`` takes for edges the chords between vertices on
+    rows at angles near its rank floor (a sliver's facets), whose cut points
+    lie inside and, kept, multiply at every cut."""
+    d, h = V.shape[1], V.shape[1] // 2
+    most = 2 * math.comb(f - h - 1, h) if d % 2 else f * math.comb(f - h, h) // (f - h)
+    return V if len(V) <= most else _build_polytope(V, Tolerances(feas_tol=tol / _unit(V)), strict_rank=False).vrep
 
 
 def _float_edges(V: np.ndarray, N: np.ndarray, C: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float):
@@ -469,7 +480,8 @@ def _slab_pieces(T: np.ndarray, n: np.ndarray, N: np.ndarray, C: np.ndarray, u: 
     from both between them are edge-tested once (``_float_edges``); an edge
     gives a point, interpolated along it, on each line it crosses, for the
     two slabs beside the line.  A slab is deduplicated at ``tol``, as in ``_clip``,
-    only where two of its points lie within 2 ``tol``."""
+    only where two of its points lie within 2 ``tol``, and ``_prune`` runs
+    only on one with more points than rows (pads aside)."""
     L = len(g)
     owner = np.arange(len(n)).repeat(n)
     p = T @ u
@@ -496,17 +508,18 @@ def _slab_pieces(T: np.ndarray, n: np.ndarray, N: np.ndarray, C: np.ndarray, u: 
     after = ends[group] - np.arange(len(pts)) - 1
     a = np.arange(len(pts)).repeat(after)
     diff = pts[a] - pts[_spans(np.arange(1, len(pts) + 1), after)]
-    merge = np.unique(group[a[np.vecdot(diff, diff) <= 4.0 * tol * tol]])
+    q, l = np.divmod(key[ends - 1], L + 1)
+    f = (N != 0.0).any(axis=2).sum(axis=1)[q] + 2  # each slab's rows, pads aside; fewer points need no _prune
+    merge = np.union1d(group[a[np.vecdot(diff, diff) <= 4.0 * tol * tol]], np.flatnonzero(count > f))
     if merge.size:
         parts = np.split(pts, ends[:-1])
-        for q in merge.tolist():
-            parts[q] = _dedup_points(parts[q], tol)
-            count[q] = len(parts[q])
+        for s in merge.tolist():
+            parts[s] = _prune(_dedup_points(parts[s], tol), int(f[s]), tol)
+            count[s] = len(parts[s])
         pts = np.vstack(parts)
     WN, WC = np.zeros((L + 1, 2, T.shape[1])), np.ones((L + 1, 2))
     WN[1:, 0], WC[1:, 0] = -u, -g
     WN[:-1, 1], WC[:-1, 1] = u, g
-    q, l = np.divmod(key[ends - 1], L + 1)
     return pts, count, np.concatenate([N[q], WN[l]], axis=1), np.concatenate([C[q], WC[l]], axis=1)
 
 
@@ -802,24 +815,22 @@ def diameter(P: Polytope) -> float:
 
 
 def radial(P: Polytope, u, tol: Tolerances = DEFAULT_TOL) -> float:
-    """sup{t >= 0 : t*u in P} by ray clipping; requires 0 in P."""
+    """sup{t >= 0 : t*u in P} by ray clipping; requires 0 in P.  u's part off
+    the frame (the result is then 0) and each row's product with u (the row
+    then bounds the ray) are tested against feas_tol |u|: exactly covariant."""
     u = np.asarray(u, dtype=float)
     if not P.contains(np.zeros(P.ambient_dim), tol.feas_tol * _unit(P.vrep)):
         raise OriginNotContained("radial function needs 0 in the polytope")
     B = P.frame.basis
-    drift = u - B @ (B.T @ u) if B.shape[1] else u
-    # ray leaves the affine hull immediately unless u is parallel to it
-    if float(np.linalg.norm(drift)) > 1e-9 * max(1.0, float(np.linalg.norm(u))):
+    eps = tol.feas_tol * float(np.linalg.norm(u))
+    if float(np.linalg.norm(u - B @ (B.T @ u))) > eps:
         return 0.0
     M, q = P.hrep
-    t_max = math.inf
-    for i in range(M.shape[0]):
-        a = float(M[i] @ u)
-        if a > tol.feas_tol:
-            t_max = min(t_max, float(q[i]) / a)
-    if t_max is math.inf:  # bounded polytope: can only happen for a point at 0
+    a = M @ u
+    hit = a > eps
+    if not hit.any():  # bounded polytope: only a point at 0, or u = 0
         return 0.0
-    return max(t_max, 0.0)
+    return max(float(np.min(q[hit] / a[hit])), 0.0)
 
 
 def inner_radius(P: Polytope, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -979,12 +990,12 @@ def hausdorff(P: Polytope, Q: Polytope) -> float:
     return max(_excess(P, Q), _excess(Q, P))
 
 
-def dist_point(P: Polytope, y, tol: Tolerances = DEFAULT_TOL):
+def dist_point(P: Polytope, y):
     """(d(y, P), projection) via the minimum-norm-point solver on translated
     vertices; the projection satisfies the variational inequality against
     every vertex within 1e-6 u^2, u = ``_unit`` of the vertices and y."""
     y = np.asarray(y, dtype=float)
-    z = convexsolve.min_norm_point(P.vrep - y, feas_tol=tol.feas_tol)
+    z = convexsolve.min_norm_point(P.vrep - y)
     proj = y + z
     gaps = (P.vrep - proj) @ (y - proj)
     u = max(_unit(P.vrep), _unit(y))
@@ -998,12 +1009,15 @@ def dist_point(P: Polytope, y, tol: Tolerances = DEFAULT_TOL):
 
 
 def same_affine_hull(P: Polytope, Q: Polytope, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Equal k, and each one's vertices within feas_tol u of the other's frame
+    (their parts along its ``complement``), u = ``_unit`` of both's vertices."""
     if P.intrinsic_dim != Q.intrinsic_dim:
         return False
-    pts = np.vstack([P.vrep, Q.vrep])
-    diffs = pts - pts.mean(axis=0)
-    svals = np.linalg.svd(diffs, compute_uv=False)
-    return _numerical_rank(svals, tol.rank_tol, strict=False) == P.intrinsic_dim
+    if P.intrinsic_dim == P.ambient_dim == Q.ambient_dim:  # no complement to lie off
+        return True
+    eps = tol.feas_tol * max(_unit(P.vrep), _unit(Q.vrep))
+    return all(float(np.linalg.norm((V - A.frame.origin) @ A.frame.complement, axis=1).max()) <= eps
+               for A, V in ((P, Q.vrep), (Q, P.vrep)))
 
 
 def intersect(P: Polytope, Q: Polytope, tol: Tolerances = DEFAULT_TOL) -> Optional[Polytope]:

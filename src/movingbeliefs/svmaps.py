@@ -356,21 +356,26 @@ class RectDecomposition:
     anchor_dim: int
     image_dim: int
     at_anchor: bool
-    sandwich_ok: bool
-    sandwich_gap: float
+    sandwich_margin: float
 
     @property
     def r(self) -> Polytope:
         return self.r1
 
+    @property
+    def sandwich_ok(self) -> bool:
+        return self.sandwich_margin >= 0.0
 
-def _sandwich_check(t0, r0, t1, r1, target: Polytope, tol: Tolerances):
+
+def _sandwich_check(t0, r0, t1, r1, target: Polytope, tol: Tolerances) -> float:
+    """25 feas_tol u, u = ``gk._unit`` of the target's vertices, less the
+    largest vertex violation of t0 + r0 <= target (if t0) and target <= t1 + r1."""
     gap = 0.0
     if t0 is not None and r0 is not None:
         inner = gk.minkowski_sum(t0, r0, tol)
         gap = max(gap, float(target.violation(inner.vrep).max()))
     gap = max(gap, float(gk.minkowski_sum(t1, r1, tol).violation(target.vrep).max()))
-    return gap <= 1e-7, gap
+    return 25.0 * tol.feas_tol * gk._unit(target.vrep) - gap
 
 
 def rect_decompose(
@@ -407,7 +412,6 @@ def rect_decompose(
         if t0 is None:
             break
 
-    ok, gap = _sandwich_check(t0, r_part, t1, r_part, shifted, tol)
     return RectDecomposition(
         t0=t0,
         t1=t1,
@@ -418,8 +422,7 @@ def rect_decompose(
         anchor_dim=s_bar.intrinsic_dim,
         image_dim=s_x.intrinsic_dim,
         at_anchor=spec.distance(x_anchor, x) == 0.0,
-        sandwich_ok=ok,
-        sandwich_gap=gap,
+        sandwich_margin=_sandwich_check(t0, r_part, t1, r_part, shifted, tol),
     )
 
 
@@ -432,11 +435,10 @@ def qmap_reference_decomposition(spec: QMap, x, tol: Tolerances = DEFAULT_TOL) -
     r0 = gk.from_vrep([(0.0, -v), (0.0, 0.0)], tol)
     r1 = gk.from_vrep([(0.0, -v), (0.0, v**spec.q)], tol)
     target = eval_map(spec, v, tol)
-    ok, gap = _sandwich_check(seg, r0, seg, r1, target, tol)
     return RectDecomposition(
         t0=seg, t1=seg, r0=r0, r1=r1, anchor=(0.0,),
         shift=np.zeros(2), anchor_dim=1, image_dim=target.intrinsic_dim,
-        at_anchor=v == 0.0, sandwich_ok=ok, sandwich_gap=gap,
+        at_anchor=v == 0.0, sandwich_margin=_sandwich_check(seg, r0, seg, r1, target, tol),
     )
 
 
@@ -518,9 +520,9 @@ class SelectionResult:
 
 def _anchored_steiner(img: Polytope, y, ball_facets: int, tol: Tolerances) -> np.ndarray:
     """Mean-width centroid of img cut by the ball about y of twice y's
-    distance to img; y itself when y lies in img."""
-    d, _ = gk.dist_point(img, y, tol)
-    if d <= tol.feas_tol:
+    distance to img; y itself within feas_tol u of img (u of both)."""
+    d, _ = gk.dist_point(img, y)
+    if d <= tol.feas_tol * max(gk._unit(img.vrep), gk._unit(y)):
         cap = gk._build_polytope(np.asarray(y, dtype=float)[None, :], tol)
     else:
         cap = ball_polytope(y, 2.0 * d, ball_facets, img.ambient_dim)
@@ -540,12 +542,13 @@ def lipschitz_selection(
     """Selection through a prescribed anchor point: the mean-width centroid of
     S(x) intersected with a circumscribed ball of radius twice the distance
     from the anchor value to S(x).  At the anchor the intersection collapses
-    to the anchor value itself."""
+    to the anchor value itself.  The value must lie within 10 feas_tol u of
+    the anchor image, u of the image's vertices and the value."""
     if ball_facets < 8:
         raise ValueError("need at least 8 ball facets")
     anchor_img = eval_map(spec, x_anchor, tol)
     y_anchor = np.asarray(y_anchor, dtype=float)
-    if not anchor_img.contains(y_anchor, 10 * tol.feas_tol):
+    if not anchor_img.contains(y_anchor, 10 * tol.feas_tol * max(gk._unit(anchor_img.vrep), gk._unit(y_anchor))):
         raise ValueError("anchor value must belong to the anchor image")
     pts = np.array([
         _anchored_steiner(eval_map(spec, x, tol), y_anchor, ball_facets, tol) for x in grid
@@ -561,22 +564,16 @@ class FrameSelectionResult:
     dim: int
 
 
-def _centered(img: Polytope, tol: Tolerances) -> Polytope:
-    return gk.translate(img, -gk.steiner_point(img, tol))
+def _frame_step(src, dst, seeds, comp, ball_facets, tol):
+    """One continuation step of the moving-frame construction between two
+    images centered at their mean-width centroids.
 
-
-def _frame_step(spec, x_from, x_to, seeds, comp, ball_facets, tol):
-    """One continuation step of the moving-frame construction.
-
-    The images are centered at their mean-width centroids and rescaled by
-    kappa = 1 + 1/r(S~(x_from)) so the seed directions of unit norm lie inside
-    the rescaled source image; each seed is continued by the anchored
+    dst is rescaled by kappa = 1 + 1/r(src) so the seed directions of unit
+    norm lie inside it; each seed is continued by the anchored
     ball-intersection selection and the columns are re-orthonormalized.
+    Returns the frame and the rescaled dst.
     """
-    src = _centered(eval_map(spec, x_from, tol), tol)
-    r_src = gk.inner_radius(src, tol)
-    kappa = 1.0 + 1.0 / r_src
-    dst = gk.scale(_centered(eval_map(spec, x_to, tol), tol), kappa)
+    dst = gk.scale(dst, 1.0 + 1.0 / gk.inner_radius(src, tol))
     m = dst.ambient_dim
     k = len(seeds)
     cols = [_anchored_steiner(dst, y_bar, ball_facets, tol) for y_bar in seeds]
@@ -609,9 +606,10 @@ def frame_selection(
     1 + 1/inner-radius, continue unit seed directions by anchored
     ball-intersection selections, Gram-Schmidt) is marched along the grid,
     re-anchoring at the previous grid point; the anchor parameter seeds the
-    first step.  Requires constant image dimension; near genuine
-    discontinuities (e.g. the antipodal seam of a rotating segment on the
-    circle) the per-step increments blow up and are reported, not repaired.
+    first step; each image is centered once.  Requires constant image
+    dimension; near genuine discontinuities (e.g. the antipodal seam of a
+    rotating segment on the circle) the per-step increments blow up and are
+    reported, not repaired.
     """
     grid = list(grid)
     imgs = [eval_map(spec, x, tol) for x in grid]
@@ -630,14 +628,13 @@ def frame_selection(
 
     frames = np.empty((len(grid), m, m))
     defects = np.empty(len(grid))
-    x_prev = x_anchor
-    for gi, x in enumerate(grid):
-        B, dst = _frame_step(spec, x_prev, x, seeds, comp, ball_facets, tol)
+    centered = [gk.translate(p, -gk.steiner_point(p, tol)) for p in [anchor_img, *imgs]]
+    for gi in range(len(grid)):
+        B, dst = _frame_step(centered[gi], centered[gi + 1], seeds, comp, ball_facets, tol)
         frames[gi] = B
         defects[gi] = float(dst.violation(B[:, :k].T).max())
         seeds = [B[:, i] for i in range(k)]
         comp = B[:, k:]
-        x_prev = x
     steps = np.empty(max(len(grid) - 1, 0))
     for gi in range(len(grid) - 1):
         d = spec.distance(grid[gi], grid[gi + 1])

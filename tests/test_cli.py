@@ -6,10 +6,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from scipy.spatial import QhullError
 
@@ -401,18 +404,76 @@ class TestVerifyCommand:
         assert res.exit_code == 2
 
 
-@pytest.mark.parametrize("problem", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
-def test_exit_contract_on_every_problem_file(runner, tmp_path, problem):
-    """Every verify suite and bilevel on every shipped problem file: no
-    uncaught exception, and exit 1 only where the written report failed."""
-    commands = [["verify", suite, "--samples", "40"] for suite in ("body", "tv-bound", "sandwich", "w1")]
-    for args in [*commands, ["bilevel"]]:
-        out = tmp_path / f"{'-'.join(args[:2])}.json"
-        res = runner.invoke(cli.main, [*args, str(problem), "--out", str(out)])
+def assert_exit_contract(runner, problem, commands):
+    """Each command on the problem file: no uncaught exception, every exit
+    code 0, 1 or 2, and exit 1 only where the written report failed."""
+    for args in commands:
+        res = runner.invoke(cli.main, [*args, str(problem)])
         assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.exception)
         assert res.exit_code in (0, 1, 2), args
         if res.exit_code == 1:
-            assert json.loads(out.read_text())["passed"] is False, args
+            assert json.loads(res.stdout)["passed"] is False, args
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
+def test_exit_contract_on_every_problem_file(runner, problem):
+    """Every verify suite and bilevel on every shipped problem file."""
+    commands = [["verify", suite, "--samples", "40"] for suite in ("body", "tv-bound", "sandwich", "w1")]
+    assert_exit_contract(runner, problem, [*commands, ["bilevel"]])
+
+
+def _cloud(rng, m, shape, thin):
+    """A random point cloud in the unit box: plain; a sliver, one axis
+    squashed by ``thin`` about its mean; every point repeated, exact
+    duplicates; or near-coplanar, ``thin`` off a random hyperplane through
+    the box's centre."""
+    pts = rng.random((m + 4, m))
+    if shape == "sliver":
+        pts[:, 0] = 0.5 + thin * (pts[:, 0] - 0.5)
+    elif shape == "duplicates":
+        pts = pts.repeat(2, axis=0)
+    elif shape == "coplanar":
+        n = rng.standard_normal(m)
+        n /= np.linalg.norm(n)
+        pts += np.outer(thin * rng.random(len(pts)) - (pts - 0.5) @ n, n)
+    return pts
+
+
+def _scaled_problem(kind, rng, m, shapes, thin, j):
+    """A problem file of the given map kind whose images, and W1 resolution
+    (a quarter of their side), are scaled by 2^j; the built-in families
+    have fixed images of side 1, so j = 0 for them."""
+    if kind == "interp":
+        a, b = (np.ldexp(_cloud(rng, m, s, thin), j).tolist() for s in shapes)
+        spec = {"kind": kind, "body_a": {"vertices": a}, "body_b": {"vertices": b}}
+    elif kind in ("trapezoid", "qmap", "rotseg"):
+        spec = {"kind": kind}
+    else:  # B y <= b - A x with b and A scaled: every fiber, face and eps-set scales
+        spec = {**TOY_MAP, "kind": kind, "a_matrix": np.ldexp(TOY_MAP["a_matrix"], j).tolist(),
+                "rhs": np.ldexp(TOY_MAP["rhs"], j).tolist()}
+        if kind == "generic_affine":
+            del spec["cost"]
+        if kind == "eps_argmin":
+            spec["eps"] = np.ldexp(0.1, j)
+    return {"version": "1", "map": spec, "grid": {"start": 0.0, "stop": 0.9, "count": 3},
+            "w1_resolution": np.ldexp(0.25, j), "leader": {"g": [0.0], "h": [1.0, 0.0]}}
+
+
+@given(kind=st.sampled_from(["interp", "bilevel_linear", "eps_argmin", "generic_affine"]),
+       seed=st.integers(0, 2**32 - 1), m=st.integers(2, 3), j=st.integers(-200, 200),
+       shapes=st.tuples(*[st.sampled_from(["plain", "sliver", "duplicates", "coplanar"])] * 2),
+       thin=st.sampled_from([1e-3, 1e-6, 1e-12]))
+@example(kind="trapezoid", seed=0, m=2, j=0, shapes=("plain", "plain"), thin=1e-3)
+@example(kind="qmap", seed=0, m=2, j=0, shapes=("plain", "plain"), thin=1e-3)
+@example(kind="rotseg", seed=0, m=2, j=0, shapes=("plain", "plain"), thin=1e-3)
+def test_exit_contract_on_generated_problems(kind, seed, m, j, shapes, thin):
+    """tv-bound, sandwich, w1 and bilevel, in process, on generated problems
+    of every map kind, scaled by 2^j, hold the exit contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "problem.json"
+        path.write_text(json.dumps(_scaled_problem(kind, np.random.default_rng(seed), m, shapes, thin, j)))
+        assert_exit_contract(CliRunner(), path, [["verify", "tv-bound"], ["verify", "sandwich"], ["verify", "w1"],
+                                                 ["bilevel"]])
 
 
 @pytest.mark.parametrize(

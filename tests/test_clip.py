@@ -372,3 +372,21 @@ def test_float_clip_merges_where_a_row_grazes_a_vertex(monkeypatch):
     got = gk._clip(V, base, rows, tol)
     assert _same(got, want)
     assert len(got) == 3 and calls == [4, 3]  # 4 -> 3 after the first row, then the final sort
+
+
+def test_float_clip_of_two_slivers_keeps_the_vertex_bound():
+    """Two 3-D slivers 1e-6 thick: the edge test takes chords between the
+    nearly parallel facets for edges, whose cut points, kept, would
+    multiply (75 after four of the second sliver's rows, 16824 after
+    seven).  Pruned, the clip holds at most the 2f - 4 vertices of f rows,
+    and the intersection is the exact one's to within the tolerance."""
+    rng = np.random.default_rng(0)
+    A, B = (gk.from_vrep(rng.random((7, 3)) * (1e-6, 1.0, 1.0) + (0.5 - 5e-7, 0.0, 0.0)) for _ in range(2))
+    M, q = B.hrep
+    rows = list(zip(M @ A.frame.basis, q - M @ A.frame.origin))
+    tol = 1e-9 * max(gk._unit(A.vrep), gk._unit(B.vrep))
+    base = list(zip(*A.intrinsic_facets))
+    for k in range(1, len(rows) + 1):
+        assert len(gk._clip(A.vertices_frame, base, rows[:k], tol)) <= 2 * (len(base) + k) - 4
+    exact = gk.from_hrep(np.vstack([A.hrep_normals, M]), np.concatenate([A.hrep_offsets, q]))
+    assert gk.hausdorff(gk.intersect(A, B), exact) <= tol

@@ -473,7 +473,7 @@ class TestHRatio:
         seg = gk.from_vrep([(0.0, 0.0), (1.0, 0.0)])
         d = sv.RectDecomposition(
             t0=None, t1=seg, r0=None, r1=seg, anchor=(0.0,), shift=np.zeros(2),
-            anchor_dim=1, image_dim=1, at_anchor=False, sandwich_ok=True, sandwich_gap=0.0,
+            anchor_dim=1, image_dim=1, at_anchor=False, sandwich_margin=0.0,
         )
         with pytest.raises(ZeroDenominator):
             sv.h_ratio(d)
