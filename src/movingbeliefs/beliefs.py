@@ -263,8 +263,6 @@ def sample_uniform(P: Polytope, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one sample")
     k = P.intrinsic_dim
-    if k == 0:
-        return np.repeat(P.vrep[:1], n, axis=0)
     S, vols, mass = _triangulation(P)
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(S), n, p=vols / mass)

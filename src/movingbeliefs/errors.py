@@ -67,8 +67,9 @@ class DomainViolation(MovingBeliefsError):
     outside a box declared to hold it."""
 
 
-class ParameterInfeasible(MovingBeliefsError):
-    """The lower-level problem is infeasible at the requested parameter."""
+class ParameterInfeasible(DomainViolation):
+    """The lower-level problem is infeasible at the requested parameter, which
+    is therefore outside the domain: the x with a nonempty fiber."""
 
 
 class ZeroDenominator(MovingBeliefsError):

@@ -103,20 +103,13 @@ class AffineFrame:
         return (pts - self.origin) @ self.basis
 
     def to_ambient(self, coords: np.ndarray) -> np.ndarray:
-        t = np.atleast_2d(np.asarray(coords, dtype=float))
-        if self.dim == 0:
-            return np.repeat(self.origin[None, :], t.shape[0], axis=0)
-        return self.origin + t @ self.basis.T
+        """origin + t B^T for each row t of ``coords``; the origin when k = 0."""
+        return self.origin + np.atleast_2d(np.asarray(coords, dtype=float)) @ self.basis.T
 
     @cached_property
     def complement(self) -> np.ndarray:
         """Orthonormal basis (m, m-k) of the orthogonal complement of span(basis)."""
-        m, k = self.basis.shape
-        if k == m:
-            return np.zeros((m, 0))
-        full = np.linalg.svd(self.basis, full_matrices=True)[0]
-        comp = full[:, k:]
-        return _canonical_signs(comp)
+        return _canonical_signs(np.linalg.svd(self.basis, full_matrices=True)[0][:, self.dim:])
 
     def orthonormality_defect(self) -> float:
         k = self.dim
@@ -189,10 +182,9 @@ class Polytope:
 
     def violation(self, Y) -> np.ndarray:
         """max_i (M_i y - q_i) for each point y of Y: at most 0 inside, and a
-        lower bound on d(y, P) outside, because the rows are unit normals."""
+        lower bound on d(y, P) outside, because the rows are unit normals.
+        Every polytope has rows: facet rows, or pinning rows when k < m."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if self.hrep_normals.shape[0] == 0:
-            return np.linalg.norm(Y - self.vrep[0], axis=1)
         return np.max(Y @ self.hrep_normals.T - self.hrep_offsets, axis=1)
 
     def contains(self, y, tol: float) -> bool:
@@ -212,11 +204,10 @@ class Polytope:
         if self.frame.orthonormality_defect() > 1e-12:
             raise AssertionError("frame basis is not orthonormal to 1e-12")
         d = self.vrep - self.vrep.mean(axis=0)
-        if self.n_vertices > 1:
-            resid = d - (d @ self.frame.basis) @ self.frame.basis.T
-            if float(np.max(np.abs(resid))) > 1e-7 * u:
-                raise AssertionError("frame does not span the vertex differences")
-        svals = np.linalg.svd(d, compute_uv=False) if self.n_vertices > 1 else np.zeros(1)
+        resid = d - (d @ self.frame.basis) @ self.frame.basis.T
+        if float(np.max(np.abs(resid))) > 1e-7 * u:
+            raise AssertionError("frame does not span the vertex differences")
+        svals = np.linalg.svd(d, compute_uv=False)
         if _numerical_rank(svals, tol.rank_tol, strict=False, floor=tol.feas_tol * u) != self.intrinsic_dim:
             raise AssertionError("intrinsic_dim disagrees with numerical rank")
 
@@ -232,13 +223,12 @@ def _canonical_signs(basis: np.ndarray) -> np.ndarray:
 
 
 def _numerical_rank(svals: np.ndarray, rank_tol: float, strict: bool = True, floor: float = 0.0) -> int:
-    """Singular values above rank_tol relative to the largest and above the
-    absolute ``floor``."""
+    """Singular values above thresh = rank_tol svals[0] and above the absolute
+    ``floor``; with ``strict``, one in the band (max(thresh / 10, floor),
+    10 thresh) raises: at or below the floor it is noise, never ambiguous."""
     svals = np.asarray(svals, dtype=float)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
     thresh = rank_tol * svals[0]
-    lo, hi = thresh / 10.0, thresh * 10.0
+    lo, hi = max(thresh / 10.0, floor), thresh * 10.0
     band = (lo < svals) & (svals < hi)
     if strict and band.any():
         raise NumericalRankAmbiguity(
@@ -334,13 +324,9 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
 
     centroid = pts.mean(axis=0)
     diffs = pts - centroid
-    if pts.shape[0] == 1:
-        k = 0
-        basis = np.zeros((m, 0))
-    else:
-        _, svals, vt = np.linalg.svd(diffs, full_matrices=False)
-        k = _numerical_rank(svals, tol.rank_tol, strict=strict_rank, floor=merge)
-        basis = _canonical_signs(vt[:k].T)
+    _, svals, vt = np.linalg.svd(diffs, full_matrices=False)  # one point: a zero singular value, k = 0
+    k = _numerical_rank(svals, tol.rank_tol, strict=strict_rank, floor=merge)
+    basis = _canonical_signs(vt[:k].T)
 
     t = diffs @ basis  # (n, k)
     if k == 0:
@@ -807,9 +793,8 @@ def support(P: Polytope, u) -> float:
 
 
 def diameter(P: Polytope) -> float:
+    """The largest distance between two vertices (0 for a point)."""
     V = P.vrep
-    if V.shape[0] == 1:
-        return 0.0
     d2 = np.sum((V[:, None, :] - V[None, :, :]) ** 2, axis=-1)
     return float(math.sqrt(np.max(d2)))
 
@@ -1069,44 +1054,40 @@ def sym_diff_volume(P: Polytope, Q: Polytope, tol: Tolerances = DEFAULT_TOL) -> 
     return volume(P) + volume(Q) - 2.0 * _common_volume(P, Q, tol)
 
 
-def translate(P: Polytope, v) -> Polytope:
+def _affine(P: Polytope, factor: float, v) -> Polytope:
+    """factor P + v, factor > 0: rows, frame basis and boundary carry over,
+    the k-volume is multiplied by factor^k."""
     v = np.asarray(v, dtype=float)
-    return Polytope(
-        hrep_normals=P.hrep_normals,
-        hrep_offsets=P.hrep_offsets + P.hrep_normals @ v,
-        vrep=P.vrep + v,
-        frame=AffineFrame(origin=P.frame.origin + v, basis=P.frame.basis),
-        intrinsic_dim=P.intrinsic_dim,
-        boundary=P.boundary,
-        volume_cache=P.volume_cache,
-    )
-
-
-def scale(P: Polytope, factor: float) -> Polytope:
-    """Scale about the ambient origin by a positive factor."""
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
     vol = None if P.volume_cache is None else P.volume_cache * factor**P.intrinsic_dim
     return Polytope(
         hrep_normals=P.hrep_normals,
-        hrep_offsets=P.hrep_offsets * factor,
-        vrep=P.vrep * factor,
-        frame=AffineFrame(origin=P.frame.origin * factor, basis=P.frame.basis),
+        hrep_offsets=P.hrep_offsets * factor + P.hrep_normals @ v,
+        vrep=P.vrep * factor + v,
+        frame=AffineFrame(origin=P.frame.origin * factor + v, basis=P.frame.basis),
         intrinsic_dim=P.intrinsic_dim,
         boundary=P.boundary,
         volume_cache=vol,
     )
 
 
+def translate(P: Polytope, v) -> Polytope:
+    """P + v (``_affine`` with factor 1)."""
+    return _affine(P, 1.0, v)
+
+
+def scale(P: Polytope, factor: float) -> Polytope:
+    """Scale about the ambient origin by a positive factor (``_affine``)."""
+    if factor <= 0:
+        raise ValueError("scale factor must be positive")
+    return _affine(P, factor, np.zeros(P.ambient_dim))
+
+
 def project(P: Polytope, sub: AffineFrame, tol: Tolerances = DEFAULT_TOL) -> Polytope:
-    """Orthogonal projection of P onto the affine subspace of ``sub``."""
+    """Orthogonal projection of P onto the affine subspace of ``sub`` (its
+    origin when ``sub`` is a point)."""
     if sub.orthonormality_defect() > 1e-10:
         raise ValueError("projection frame must be orthonormal")
-    B = sub.basis
-    o = sub.origin
-    diff = P.vrep - o
-    proj = o + (diff @ B) @ B.T if B.shape[1] else np.repeat(o[None, :], P.n_vertices, axis=0)
-    return _build_polytope(proj, tol, strict_rank=False)
+    return _build_polytope(sub.to_ambient(sub.to_frame(P.vrep)), tol, strict_rank=False)
 
 
 # ---------------------------------------------------------------------------

@@ -98,18 +98,18 @@ def toy_bilevel_spec() -> BilevelLinearSpec:
     return BilevelLinearSpec(a_matrix=A, b_matrix=B, rhs=b, cost=c)
 
 
-def _linear_fiber(spec: BilevelLinearSpec, x, tol: Tolerances, cut: Optional[float] = None) -> Polytope:
-    """The fiber {y : B y <= b - A x}, cut by the lower-level objective: a
-    slice at x of the spec's exact joint enumeration.
+def _linear_fiber(spec: BilevelLinearSpec, x, tol: Tolerances, cut: float) -> Polytope:
+    """{y : B y <= b - A x, c.y <= v(x) + cut} for a cut >= 0, v(x) the
+    least c.y over the fiber: a slice at x of the spec's exact joint
+    enumeration.  A zero cost (``GenericAffineMap``) keeps the whole fiber.
 
     The joint vertices are clipped exactly (``gk._clip_exact``) by the pins
     x'_j <= x_j and -x'_j <= -x_j, the float x read exactly; the rays left
     are the vertices (x, y) of the fiber, and none left means it is empty
-    (``ParameterInfeasible``).  ``cut`` None keeps the whole fiber; 0 keeps
-    its optimal face, the hull of the vertices where c.y equals the exact
-    least value v(x); a positive cut clips once more, with the exact row
-    c.y <= v(x) + cut.  The x columns are dropped and the vertices rounded
-    once, and they keep the rank-band check.
+    (``ParameterInfeasible``).  Cut 0 keeps the optimal face, the hull of
+    the vertices where c.y equals the exact v(x); a positive cut clips once
+    more, with the exact row c.y <= v(x) + cut.  The x columns are dropped
+    and the vertices rounded once, and they keep the rank-band check.
     """
     x = _as_param(x)
     n = spec.a_matrix.shape[1]
@@ -120,14 +120,13 @@ def _linear_fiber(spec: BilevelLinearSpec, x, tol: Tolerances, cut: Optional[flo
     if out is None:  # the joint set is bounded: no ray has w = 0
         raise ParameterInfeasible(f"no feasible response at parameter {x}")
     H = out[0]
-    if cut is not None:
-        c = np.concatenate([np.zeros(n), spec.cost])
-        vals = gk._values(H, c)
-        v = min(vals)
-        if cut == 0:
-            H = H[[u == v for u in vals]]
-        else:
-            H = gk._clip_exact(H, rows + pins, [gk._int_row(c, v + Fraction(cut))])[0]
+    c = np.concatenate([np.zeros(n), spec.cost])
+    vals = gk._values(H, c)
+    v = min(vals)
+    if cut == 0:
+        H = H[[u == v for u in vals]]
+    else:
+        H = gk._clip_exact(H, rows + pins, [gk._int_row(c, v + Fraction(cut))])[0]
     return gk._build_polytope(gk._to_float(H[:, n:]), tol)
 
 
@@ -138,7 +137,7 @@ def bilevel_solution(spec: BilevelLinearSpec, x, tol: Tolerances = DEFAULT_TOL) 
     a rational two-sided cut, so degenerate faces are captured without
     tolerance slack.
     """
-    return _linear_fiber(spec, x, tol, cut=0.0)
+    return _linear_fiber(spec, x, tol, 0.0)
 
 
 def eps_argmin(spec: BilevelLinearSpec, eps: float, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
@@ -146,7 +145,7 @@ def eps_argmin(spec: BilevelLinearSpec, eps: float, x, tol: Tolerances = DEFAULT
     whenever the fiber has interior."""
     if eps <= 0:
         raise ValueError("relaxation must be positive")
-    return _linear_fiber(spec, x, tol, cut=eps)
+    return _linear_fiber(spec, x, tol, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +169,8 @@ class MapSpecBase:
         return float(np.linalg.norm(a - b))
 
     def in_domain(self, x) -> bool:
+        """x within 1e-12 of the box ``domain``: a pre-check; an empty linear
+        fiber raises ``ParameterInfeasible``, a ``DomainViolation``."""
         p = _as_param(x)
         if len(p) != len(self.domain):
             return False
@@ -251,13 +252,20 @@ class InterpMap(MapSpecBase):
 
 @dataclass(frozen=True, eq=False)
 class _LinearFiberMap(MapSpecBase):
-    """Maps whose images are fibers of ``spec``; the domain is the parameter
-    box ``spec.x_box``."""
+    """Maps whose images are the slices ``_linear_fiber`` of ``spec`` at
+    ``cut`` (0: the optimal face).  The domain is the set of x with a
+    nonempty fiber; ``domain`` is the parameter box ``spec.x_box``, which
+    equals it for a scalar x and bounds it otherwise."""
+
+    cut = 0.0
 
     @property
     def domain(self) -> tuple:
         lo, hi = self.spec.x_box
         return tuple((float(l), float(h)) for l, h in zip(lo, hi))
+
+    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
+        return _linear_fiber(self.spec, x, tol, self.cut)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,9 +275,6 @@ class BilevelSolutionMap(_LinearFiberMap):
     spec: BilevelLinearSpec = None
 
     kind = "bilevel_linear"
-
-    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
-        return bilevel_solution(self.spec, x, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,14 +290,14 @@ class EpsArgminMap(_LinearFiberMap):
         if self.eps <= 0:
             raise ValueError("relaxation must be positive")
 
-    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
-        return eps_argmin(self.spec, self.eps, x, tol)
+    cut = property(lambda self: self.eps)
 
 
 @dataclass(frozen=True, eq=False)
 class GenericAffineMap(_LinearFiberMap):
     """x -> {y : B y <= b - A x}: an affine-in-parameter right-hand side with
-    fixed row normals (the polytopal case of affinely moving constraints)."""
+    fixed row normals (the polytopal case of affinely moving constraints),
+    the optimal face of the zero cost."""
 
     a_matrix: np.ndarray = None
     b_matrix: np.ndarray = None
@@ -308,9 +313,6 @@ class GenericAffineMap(_LinearFiberMap):
         object.__setattr__(self, "b_matrix", spec.b_matrix)
         object.__setattr__(self, "rhs", spec.rhs)
         object.__setattr__(self, "spec", spec)
-
-    def evaluate(self, x, tol: Tolerances = DEFAULT_TOL) -> Polytope:
-        return _linear_fiber(self.spec, x, tol)
 
 
 MapSpec = Union[

@@ -80,11 +80,50 @@ class TestFromVrep:
             gk.from_vrep([(0.0, np.inf)])
 
     def test_rank_ambiguity_reported(self):
-        # second axis spread sits inside the (rank_tol/10, 10*rank_tol) band
+        # second axis spread sits inside the band (max(thresh/10, floor), 10 thresh),
+        # thresh = rank_tol * 0.707 and floor = feas_tol * u = 2e-9
         eps = 3e-9
-        msg = "singular value 2.449e-09 lies inside the rank band (7.1e-11, 7.1e-09)"
+        msg = "singular value 2.449e-09 lies inside the rank band (2.0e-09, 7.1e-09)"
         with pytest.raises(NumericalRankAmbiguity, match=f"^{re.escape(msg)}$"):
             gk.from_vrep([(0, 0), (1, 0), (0.5, eps)])
+
+    def test_noise_below_the_merge_distance_is_not_ambiguous(self):
+        """Four collinear points of spread 2^-18 near (0.5, 0.5): their second
+        singular value, 1.15e-16, sat inside the band (1.1e-16, 1.1e-14)
+        relative to the spread, but far below the merge distance feas_tol u,
+        where the band now starts; a direction that narrow is noise."""
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        o = 0.25 + 0.5 * rng.random(2)
+        P = gk.from_vrep(o + np.ldexp(rng.random((4, 1)), -18) @ Q[:, :1].T)
+        P.validate()
+        assert (P.intrinsic_dim, P.n_vertices) == (1, 2)
+
+    @pytest.mark.parametrize("pts", [
+        [(0.3, 0.7)],
+        [(0.3, 0.7)] * 3,  # zero spread: exact repeats of one point
+        [(0.3, 0.7), (0.3, 0.7 + 1e-12), (0.3 + 1e-12, 0.7)],  # within the merge distance
+        [(0.0, 0.0), (1.0, 0.5)],
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],  # full-dimensional: an empty complement
+        list(itertools.product((0.0, 1.0), repeat=3)),
+    ], ids=["point", "repeats", "merged", "segment", "triangle", "cube"])
+    def test_frames_of_every_dimension(self, pts):
+        """A point (one zero singular value, rank 0) and a full-dimensional
+        body take the general path: the frame and its complement are an
+        orthonormal basis of the ambient space, ``to_ambient`` inverts
+        ``to_frame`` on the vertices (k = 0 gives the origin), and the rows
+        (facet or pinning rows) hold every vertex."""
+        P = gk.from_vrep(pts)
+        P.validate()
+        m, k = P.ambient_dim, P.intrinsic_dim
+        full = np.hstack([P.frame.basis, P.frame.complement])
+        assert full.shape == (m, m)
+        assert np.abs(full.T @ full - np.eye(m)).max() <= 1e-15
+        assert np.abs(P.frame.to_ambient(P.vertices_frame) - P.vrep).max() <= 1e-15
+        assert P.hrep_normals.shape[0] == len(P.intrinsic_facets[1]) + 2 * (m - k) > 0
+        assert P.violation(P.vrep).max() <= 1e-15
+        if k == 0:
+            assert P.vrep.tolist() == [[0.3, 0.7]] and gk.diameter(P) == 0.0
 
     @pytest.mark.parametrize("s", [1e155, 1e200, -1e200])
     def test_coordinates_above_the_bound_raise(self, s):

@@ -1,5 +1,6 @@
 """Parametric maps: images, solution faces, decompositions, selections."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -185,6 +186,12 @@ def _non_dyadic_spec(rng):
     return sv.BilevelLinearSpec(a_matrix=M[:, :1], b_matrix=M[:, 1:], rhs=rhs, cost=rng.choice(vals, 3))
 
 
+def _whole_fiber(spec):
+    """The same constraints with zero cost: the optimal face is the fiber."""
+    return sv.BilevelLinearSpec(a_matrix=spec.a_matrix, b_matrix=spec.b_matrix, rhs=spec.rhs,
+                                cost=np.zeros(spec.n_vars))
+
+
 def _two_parameter_spec(rng):
     """``_non_dyadic_spec`` with two parameters: x in [-1, 2]^2 and y in
     [0, 1]^3, cut by three random rows in (x, y).  Each row keeps a slack
@@ -253,7 +260,8 @@ class TestLinearFiber:
             spec = _non_dyadic_spec(rng)
             self._check_inward(spec, brute_fractions)
             (lo,), (hi,) = spec.x_box
-            slices = (lambda x: sv._linear_fiber(spec, x, gk.DEFAULT_TOL),
+            whole = _whole_fiber(spec)
+            slices = (lambda x: sv._linear_fiber(whole, x, gk.DEFAULT_TOL, 0.0),
                       lambda x: sv.bilevel_solution(spec, x),
                       lambda x: sv.eps_argmin(spec, self.EPS, x))
             for x, beyond in ((lo, -math.inf), (hi, math.inf)):
@@ -289,11 +297,33 @@ class TestLinearFiber:
                      for a, b in zip(spec.a_matrix, spec.rhs)]
                 fiber = brute_fractions(B, r)
                 v = min(sum(Fraction(ci) * yi for ci, yi in zip(c, y)) for y in fiber)
-                assert np.array_equal(sv._linear_fiber(spec, x, gk.DEFAULT_TOL).vrep, brute_vertices(B, r))
+                assert np.array_equal(sv._linear_fiber(_whole_fiber(spec), x, gk.DEFAULT_TOL, 0.0).vrep,
+                                      brute_vertices(B, r))
                 assert np.array_equal(sv.bilevel_solution(spec, x).vrep,
                                       brute_vertices(np.vstack([B, c, -c]), [*r, v, -v]))
                 assert np.array_equal(sv.eps_argmin(spec, self.EPS, x).vrep,
                                       brute_vertices(np.vstack([B, c]), [*r, v + Fraction(self.EPS)]))
+
+    def test_an_empty_fiber_is_outside_the_domain(self):
+        """With two parameters the box ``x_box`` only bounds the domain, the
+        x with a nonempty fiber: 4 of the 16 box corners of these specs pass
+        ``in_domain`` and have an empty fiber, and every map on them raises a
+        ``DomainViolation`` there."""
+        rng = np.random.default_rng(13)
+        empty = 0
+        for spec in [_two_parameter_spec(rng) for _ in range(4)]:
+            maps = (sv.BilevelSolutionMap(spec=spec), sv.EpsArgminMap(spec=spec, eps=self.EPS),
+                    sv.GenericAffineMap(a_matrix=spec.a_matrix, b_matrix=spec.b_matrix, rhs=spec.rhs))
+            for x in itertools.product(*zip(*spec.x_box)):
+                assert all(m.in_domain(x) for m in maps)
+                try:
+                    sv._linear_fiber(spec, x, gk.DEFAULT_TOL, 0.0)
+                except ParameterInfeasible:
+                    empty += 1
+                    for m in maps:
+                        with pytest.raises(DomainViolation, match="no feasible response"):
+                            sv.eval_map(m, x)
+        assert empty == 4
 
     @staticmethod
     def _rows(spec, reverse):
@@ -318,7 +348,7 @@ class TestLinearFiber:
         # ones.y >= 3 leaves the corner (1, 1, 1) of the cube alone
         spec = self._rows(_cube_spec(3.0, [0.5, -0.25, 1.0]), reverse)
         for P in (
-            sv._linear_fiber(spec, 1.0, gk.DEFAULT_TOL),
+            sv._linear_fiber(_whole_fiber(spec), 1.0, gk.DEFAULT_TOL, 0.0),
             sv.bilevel_solution(spec, 1.0),
             sv.eps_argmin(spec, self.EPS, 1.0),
         ):
