@@ -259,7 +259,7 @@ def sample_uniform(P: Polytope, n: int, seed: int) -> np.ndarray:
     dimension: a simplex of the triangulation drawn with probability
     proportional to its volume, then flat-Dirichlet barycentric weights from
     normalized exponentials (Devroye, Non-Uniform Random Variate Generation,
-    1986, ch. 5)."""
+    1986, ch. 5); a point is one 0-simplex of measure 1."""
     if n < 1:
         raise ValueError("need at least one sample")
     k = P.intrinsic_dim
