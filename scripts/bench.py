@@ -5,17 +5,20 @@
 
 Runs the unchanged ``perfbench/run.py`` for every workload that
 BENCHMARK.json lists, at seeds 1-3 with ``--trace 0``, then once more per
-workload at seed 1 with ``--trace 1``.  The record holds, per workload, the
+workload at seed 1 with ``--trace 1``; then ``scripts/kernels.py`` in a
+child process pinned as ``perfbench/run.py`` pins its workers, each kernel
+row for a tenth of ``--seconds``.  The record holds, per workload, the
 median and quartiles of each end-to-end metric over the seeds, the
-per-layer values of the traced run, the commit, the Python, numpy and scipy
-versions, and the settings.  ``--seconds`` defaults to BENCHMARK.json's
-``run_seconds``.  Exit code 0 when every run is correct with no failed
-operation, 1 when one is not (the record is written either way), 3 when a
-run itself failed.
+per-layer values of the traced run, the kernel rows under ``"kernels"``,
+the commit, the Python, numpy and scipy versions, and the settings.
+``--seconds`` defaults to BENCHMARK.json's ``run_seconds``.  Exit code 0
+when every run is correct with no failed operation, 1 when one is not (the
+record is written either way), 3 when a run itself failed.
 """
 
 import argparse
 import json
+import os
 import pathlib
 import platform
 import statistics
@@ -29,6 +32,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 TRACE_SEED = 1
 
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import PINNED  # noqa: E402
+
 
 def run(workload, seed, seconds, trace):
     """The verdict and metrics ``perfbench/run.py`` prints on its last line."""
@@ -41,6 +47,17 @@ def run(workload, seed, seconds, trace):
     out = json.loads(res.stdout.strip().splitlines()[-1])
     print(f"  -> correct {out['correct']}, {out['attempted']} attempted, {out['failed']} failed", flush=True)
     return out
+
+
+def kernels(seconds):
+    """The rows ``scripts/kernels.py`` prints, each timed for seconds / 10."""
+    cmd = [sys.executable, "scripts/kernels.py", "--seconds", str(seconds / 10)]
+    print("+", " ".join(cmd[1:]), flush=True)
+    env = dict(os.environ, PYTHONHASHSEED="0", **PINNED)
+    res = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True)
+    if res.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd[1:])} exited {res.returncode}")
+    return json.loads(res.stdout.strip().splitlines()[-1])
 
 
 def spread(values):
@@ -74,6 +91,7 @@ def main() -> int:
                                for m in bench["end_to_end"]},
                 "per_layer": {name: v["value"] for name, v in traced["metrics"].items()},
             }
+        kernel_rows = kernels(args.seconds)
     except (RuntimeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -85,6 +103,7 @@ def main() -> int:
         "scipy": scipy.__version__,
         "settings": {"seeds": list(SEEDS), "trace_seed": TRACE_SEED, "seconds": args.seconds},
         "workloads": workloads,
+        "kernels": kernel_rows,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}: {'every run correct' if ok else 'A RUN FAILED ITS CHECKS'}")

@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Time the geometry kernels at fixed sizes and print one JSON object.
+
+    python3 scripts/kernels.py [--seconds 2]
+
+``scripts/bench.py`` runs this in a child process whose BLAS/OpenMP pools
+are pinned to one thread (``perfbench/run.py``'s ``PINNED``).  Each row
+times one kernel on fixed inputs drawn from one seed: a sample is a batch
+of calls timed together, with a reference sample (``perfbench/refloop.py``)
+right before and right after it, and is rescaled by ``refloop.correct`` as
+the benchmark rescales its operations.  Every call gets fresh copies of its
+polytopes, so no cached frame, facet or edge data carries over between
+calls.  A row reports the median and quartiles of the corrected
+microseconds per call over its samples; each row runs for ``--seconds``.
+"""
+
+import argparse
+import dataclasses
+import json
+import pathlib
+import statistics
+import sys
+import time
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import refloop  # noqa: E402
+from movingbeliefs import geomkernel as gk  # noqa: E402
+
+BATCH = 10
+SEED = 31
+
+
+def polygon(rng, n):
+    """n points on a circle at jittered angles: a convex n-gon."""
+    a = np.sort(2.0 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n)
+    return np.column_stack([np.cos(a), np.sin(a)]) * 0.5 + rng.uniform(0.4, 0.6, 2)
+
+
+def sphere(rng, n):
+    """n random points on a sphere in 3-space: every one a vertex."""
+    g = rng.standard_normal((n, 3))
+    return g / np.linalg.norm(g, axis=1, keepdims=True) * 0.5 + rng.uniform(0.4, 0.6, 3)
+
+
+def rows(rng):
+    """(name, call, make_args): ``make_args()`` gives the arguments of one
+    call, built outside the timed region."""
+    fresh = dataclasses.replace  # a new Polytope: no cached property carries over
+    out = []
+    for m, n in ((2, 4), (2, 10), (3, 4), (3, 10)):
+        X = polygon(rng, n) if m == 2 else sphere(rng, n)
+        out.append((f"from_vrep/{m}d-{n}", gk.from_vrep, lambda X=X: (X,)))
+    for label, (A, B) in (("2d-8gons", (polygon(rng, 8), polygon(rng, 8))),
+                          ("3d-10pts", (sphere(rng, 10), sphere(rng, 10)))):
+        P, Q = gk.from_vrep(A), gk.from_vrep(B)
+        pair = lambda P=P, Q=Q: (fresh(P), fresh(Q))  # noqa: E731
+        out.append((f"intersect/{label}", gk.intersect, pair))
+        out.append((f"hausdorff/{label}", gk.hausdorff, pair))
+        out.append((f"minkowski_interpolate/{label}", gk.minkowski_interpolate,
+                    lambda P=P, Q=Q: (fresh(P), fresh(Q), 0.375)))
+        out.append((f"enclosing_ball/{label}", gk.enclosing_ball, lambda P=P: (fresh(P),)))
+    return out
+
+
+def time_row(call, make_args, seconds):
+    """Corrected microseconds per call, one value per batch, for ``seconds``."""
+    call(*make_args())  # warm-up
+    samples = []
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end or len(samples) < 5:
+        args = [make_args() for _ in range(BATCH)]
+        before = refloop.reference_sample()
+        t0 = time.perf_counter()
+        for a in args:
+            call(*a)
+        raw = time.perf_counter() - t0
+        after = refloop.reference_sample()
+        samples.append(1e6 * refloop.correct(raw, before, after) / BATCH)
+    return samples
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seconds", type=float, default=2.0, help="timing budget of each row")
+    args = ap.parse_args()
+    record = {}
+    for name, call, make_args in rows(np.random.default_rng(SEED)):
+        samples = time_row(call, make_args, args.seconds)
+        q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+        record[name] = {"unit": "us", "median": median, "q1": q1, "q3": q3, "samples": len(samples)}
+        print(f"  {name}: {median:.1f} us per call", file=sys.stderr, flush=True)
+    print(json.dumps(record))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -24,6 +24,7 @@ from .errors import (
     DegreeCapExceeded,
     PositivityViolation,
     ResolutionTooCoarse,
+    ZeroDenominator,
 )
 from .geomkernel import DEFAULT_TOL, Polytope, Tolerances
 
@@ -281,12 +282,16 @@ def tv_distance(pair: MeasurePair, tol: Tolerances = DEFAULT_TOL) -> float:
     Closed form when the affine hulls coincide: the densities 1/vol P and
     1/vol Q differ by |1/vol P - 1/vol Q| on P ∩ Q, so the distance is
     2 - 2 vol(P ∩ Q) / max(vol P, vol Q); mutually singular (distance 2)
-    otherwise.
+    otherwise.  Two bodies of k-volume 0 carry no uniform law:
+    ``ZeroDenominator``, naming k.
     """
     if not pair.common_hull:
         return 2.0
     P, Q = pair.P, pair.Q
-    return 2.0 - 2.0 * gk._common_volume(P, Q, tol) / max(gk.volume(P), gk.volume(Q))
+    vol = max(gk.volume(P), gk.volume(Q))
+    if vol == 0.0:
+        raise ZeroDenominator(f"both bodies have {P.intrinsic_dim}-volume 0, so neither carries a uniform law")
+    return 2.0 - 2.0 * gk._common_volume(P, Q, tol) / vol
 
 
 def _segment_coords_on_common_line(P: Polytope, Q: Polytope, tol: Tolerances):

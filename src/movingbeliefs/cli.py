@@ -321,6 +321,11 @@ def cmd_verify(suite, problem, builtin, samples, seed, out, fmt, allow_imports):
             pf = _builtin_problem(builtin)
         else:
             raise click.UsageError("this suite needs a problem file or --builtin")
+        if not pf.belief.is_neutral:
+            density = pf.belief.density
+            name = density.label if isinstance(density, Opaque) else f"a polynomial of degree {density.degree}"
+            raise ValueError(f"verify {suite} checks the uniform laws, and the problem's belief is a density "
+                             f"({name}), not neutral; the bilevel command takes a density")
         if suite == "tv-bound":
             report = pr.verify_tv_bound(pf.map_spec, pf.grid, pf.tolerances, pf.y_box)
         elif suite == "sandwich":

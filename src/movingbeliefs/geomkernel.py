@@ -5,8 +5,8 @@ intrinsic dimension, with exact-where-possible measures (triangulated
 intrinsic volume, Steiner points from external angles, exact for intrinsic
 dimension up to 3) and the convex-body maps the rest of the package builds
 on: Hausdorff distance, Minkowski interpolation, symmetric-difference
-volume, minimum enclosing balls (Welzl's recursion in every dimension),
-radial/inner-radius functionals and orthogonal projections.
+volume, minimum enclosing balls (Welzl's move-to-front rule in every
+dimension), radial/inner-radius functionals and orthogonal projections.
 
 Conventions
 -----------
@@ -26,7 +26,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -180,12 +180,25 @@ class Polytope:
         vols.setflags(write=False)
         return S, vols
 
+    @cached_property
+    def boundary_edges(self):
+        """(A, E, w): the segments [A_j, A_j + E_j] of ``boundary`` for
+        ``hausdorff``, with w = |E_j|^2, 1 where E_j = 0: the ring's edges
+        (two for a segment, one of zero length for a point) when
+        ``boundary`` is a ring, the edges of each facet triangle when it
+        holds triangles."""
+        S = self.vrep[np.atleast_2d(self.boundary)]  # (rings, ring length, m)
+        A = S.reshape(-1, S.shape[2])
+        E = S[:, np.arange(1, S.shape[1] + 1) % S.shape[1]].reshape(A.shape) - A
+        w = np.vecdot(E, E)
+        return A, E, np.where(w > 0.0, w, 1.0)
+
     def violation(self, Y) -> np.ndarray:
         """max_i (M_i y - q_i) for each point y of Y: at most 0 inside, and a
         lower bound on d(y, P) outside, because the rows are unit normals.
         Every polytope has rows: facet rows, or pinning rows when k < m."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        return np.max(Y @ self.hrep_normals.T - self.hrep_offsets, axis=1)
+        return (Y @ self.hrep_normals.T - self.hrep_offsets).max(axis=1)
 
     def contains(self, y, tol: float) -> bool:
         return bool(self.violation(y)[0] <= tol)
@@ -218,23 +231,21 @@ class Polytope:
 
 def _canonical_signs(basis: np.ndarray) -> np.ndarray:
     """Each column negated where its entry of largest magnitude is negative."""
-    lead = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
-    return np.where(lead < 0, -basis, basis)
+    flip = [max(col, key=abs) < 0 for col in basis.T.tolist()]  # the first entry of largest magnitude, as argmax
+    return np.where(flip, -basis, basis)
 
 
 def _numerical_rank(svals: np.ndarray, rank_tol: float, strict: bool = True, floor: float = 0.0) -> int:
     """Singular values above thresh = rank_tol svals[0] and above the absolute
     ``floor``; with ``strict``, one in the band (max(thresh / 10, floor),
     10 thresh) raises: at or below the floor it is noise, never ambiguous."""
-    svals = np.asarray(svals, dtype=float)
+    svals = np.asarray(svals, dtype=float).tolist()  # a few values: Python floats compare faster
     thresh = rank_tol * svals[0]
     lo, hi = max(thresh / 10.0, floor), thresh * 10.0
-    band = (lo < svals) & (svals < hi)
-    if strict and band.any():
-        raise NumericalRankAmbiguity(
-            f"singular value {svals[band.argmax()]:.3e} lies inside the rank band ({lo:.1e}, {hi:.1e})"
-        )
-    return int(np.count_nonzero(svals > max(thresh, floor)))
+    band = [s for s in svals if lo < s < hi]
+    if strict and band:
+        raise NumericalRankAmbiguity(f"singular value {band[0]:.3e} lies inside the rank band ({lo:.1e}, {hi:.1e})")
+    return sum(s > max(thresh, floor) for s in svals)
 
 
 def _spans(start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -253,19 +264,20 @@ def _window_direction(m: int) -> np.ndarray:
 def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
     """The points in lexicographic order, each kept iff no kept point lies
     within ``tol``; the close pairs are taken in lexicographic order of
-    their later point.  Exact repeats, never kept, are dropped first.  With
-    no two neighbours along ``_window_direction`` within 2 tol no pair is
-    close (a pair within tol lies within tol along every unit direction),
-    and all are kept at once; otherwise a k-d tree lists the pairs within
-    2 tol, a superset of the close pairs whose size does not grow with the
-    points that merely share a window."""
+    their later point.  With no two neighbours along ``_window_direction``
+    within 2 tol no pair is close (a pair within tol lies within tol along
+    every unit direction), and all are kept at once; exact repeats never
+    pass this test.  Otherwise the repeats, never kept, are dropped, and a
+    k-d tree lists the pairs within 2 tol, a superset of the close pairs
+    whose size does not grow with the points that merely share a window."""
     pts = pts[np.lexsort(pts.T[::-1])]
+    x = pts @ _window_direction(pts.shape[1])
+    x.sort()
+    if not (x[:-1] >= x[1:] - 2.0 * tol).any():
+        return pts
     new = (pts[1:] != pts[:-1]).any(axis=1)
     if not new.all():
         pts = pts[np.concatenate([[True], new])]
-    x = np.sort(pts @ _window_direction(pts.shape[1]))
-    if not (x[:-1] >= x[1:] - 2.0 * tol).any():
-        return pts
     i, j = cKDTree(pts).query_pairs(2.0 * tol, output_type="ndarray").T  # i < j
     diff = pts[i] - pts[j]
     close = np.sqrt(np.vecdot(diff, diff)) <= tol
@@ -282,13 +294,14 @@ def _monotone_chain(t: np.ndarray, eps: float):
     order = np.lexsort((t[:, 1], t[:, 0]))
     pts = t[order].tolist()
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     def scan(idx):
         chain = []
         for i in idx:
-            while len(chain) >= 2 and cross(pts[chain[-2]], pts[chain[-1]], pts[i]) <= eps:
+            x, y = pts[i]
+            while len(chain) >= 2:  # pop while the turn o -> a -> (x, y) has area at most eps
+                (ox, oy), (ax, ay) = pts[chain[-2]], pts[chain[-1]]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > eps:
+                    break
                 chain.pop()
             chain.append(i)
         return chain[:-1]
@@ -318,11 +331,11 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
         bound = f"coordinates must be at most {MAX_COORD:g} in magnitude, got {peak:.3g}"
         raise ValueError(bound if math.isfinite(peak) else "points must be finite")
     m = pts.shape[1]
-    u = _unit(peak)
+    u = math.ldexp(1.0, math.frexp(peak)[1])  # _unit(pts)
     merge = tol.feas_tol * u
     pts = _dedup_points(pts, merge)  # lexicographically sorted, as vrep is
 
-    centroid = pts.mean(axis=0)
+    centroid = np.add.reduce(pts, axis=0) / len(pts)  # bit for bit pts.mean(axis=0), as the origin below
     diffs = pts - centroid
     _, svals, vt = np.linalg.svd(diffs, full_matrices=False)  # one point: a zero singular value, k = 0
     k = _numerical_rank(svals, tol.rank_tol, strict=strict_rank, floor=merge)
@@ -353,7 +366,7 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
         sel, bnd = hull.vertices, hull.simplices
     idx = np.sort(sel)
     vrep = pts[idx]
-    frame = AffineFrame(origin=vrep.mean(axis=0), basis=basis)
+    frame = AffineFrame(origin=np.add.reduce(vrep, axis=0) / len(vrep), basis=basis)
     M = N @ basis.T
     if k < m:
         comp = frame.complement.T
@@ -383,37 +396,37 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
     length: rows are normalized and slacks compared with it; at each row
     that cuts, ``_float_edges`` (shared with ``_slab_pieces``) recomputes
     the active matrix and tests the pairs; after it, V is deduplicated at
-    ``tol`` and pruned (``_prune``).  A row with |nrm| ``_unit(V)`` at most ``tol`` (V the input)
-    is constant on V up to rounding: it holds everywhere, or nowhere where
-    its offset is below -100 ``tol`` (normalizing it would amplify rounding
-    noise into an arbitrary cut).  The exact rule is ``_clip_exact``'s.  A
-    clip in which no row cuts returns ``V`` unchanged, in its input order.
+    ``tol`` and pruned (``_prune``).  A row with |nrm| ``_unit(V)`` at most
+    ``tol`` (V the input) is constant on V up to rounding: it holds
+    everywhere, or nowhere where its offset is below -100 ``tol``
+    (normalizing it would amplify rounding noise into an arbitrary cut).
+    The exact rule is ``_clip_exact``'s.  A clip in which no row cuts
+    returns ``V`` unchanged, in its input order.
     """
-    d = V.shape[1]
-    N = np.array([r[0] for r in base_rows], dtype=float).reshape(-1, d)
-    C = np.array([r[1] for r in base_rows], dtype=float)
-    reach = _unit(V)
-    for nrm, off in new_rows:
-        nrm = np.asarray(nrm, dtype=float)
-        ln = float(np.linalg.norm(nrm))
-        if ln * reach <= tol:
-            if off < -100.0 * tol:
-                return None
-            continue
-        nrm = nrm / ln
-        off = off / ln
+    d, b = V.shape[1], len(base_rows)
+    R = np.array([r[0] for r in new_rows], dtype=float).reshape(-1, d)
+    F = np.array([r[1] for r in new_rows], dtype=float)
+    ln = np.sqrt(np.vecdot(R, R))
+    flat = ln * _unit(V) <= tol
+    if (flat & (F < -100.0 * tol)).any():
+        return None
+    keep = np.flatnonzero(~flat)
+    R, F = R[keep] / ln[keep, None], F[keep] / ln[keep]
+    N, C = np.empty((b + len(R), d)), np.empty(b + len(R))  # the rows so far are N[:r], C[:r]
+    N[:b] = np.array([r[0] for r in base_rows], dtype=float).reshape(-1, d)
+    C[:b] = [r[1] for r in base_rows]
+    for r, (nrm, off) in enumerate(zip(R, F), start=b):
         s = off - V @ nrm
         out = s < -tol
         if out.all():
             return None
         if out.any():
-            I, J = np.nonzero(s > tol)[0], np.nonzero(out)[0]
-            i, j = np.repeat(I, len(J)), np.tile(J, len(I))
-            ok = _float_edges(V, N, C, i, j, tol)
+            i, j = np.nonzero((s > tol)[:, None] & out)
+            ok = _float_edges(V, N[:r], C[:r], i, j, tol)
             i, j = i[ok], j[ok]
             P = V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])
-            V = _prune(_dedup_points(np.vstack([V[~out], P]), tol), len(C) + 1, tol)
-        N, C = np.vstack([N, nrm]), np.append(C, off)
+            V = _prune(_dedup_points(np.vstack([V[~out], P]), tol), r + 1, tol)
+        N[r], C[r] = nrm, off
     return V
 
 
@@ -795,8 +808,8 @@ def support(P: Polytope, u) -> float:
 def diameter(P: Polytope) -> float:
     """The largest distance between two vertices (0 for a point)."""
     V = P.vrep
-    d2 = np.sum((V[:, None, :] - V[None, :, :]) ** 2, axis=-1)
-    return float(math.sqrt(np.max(d2)))
+    d2 = ((V[:, None, :] - V[None, :, :]) ** 2).sum(axis=-1)
+    return math.sqrt(d2.max())
 
 
 def radial(P: Polytope, u, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -847,7 +860,7 @@ def steiner_point(P: Polytope, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     s_frame = _external_angles(P, tol) @ P.vertices_frame
     point = P.frame.to_ambient(s_frame)[0]
     N, c = P.intrinsic_facets
-    if N.shape[0] and np.any(N @ s_frame - c > 100 * tol.feas_tol * _unit(P.vrep)):
+    if N.shape[0] and (N @ s_frame - c > 100 * tol.feas_tol * _unit(P.vrep)).any():
         raise QuadratureBudgetExceeded(
             "computed point failed the relative-interior containment check"
         )
@@ -900,14 +913,14 @@ def _sphere_nodes(k: int, n: int, seed: int) -> np.ndarray:
 # distances
 
 
-def _segment_distances(V: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(n, s) distances from each point of V to each segment [A_j, B_j] (a
-    point where A_j = B_j): the nearest point's parameter along B_j - A_j,
-    clamped to [0, 1]."""
-    E = B - A
-    den = np.vecdot(E, E)  # on a zero-length edge t = 0 / 1
-    t = np.clip(np.vecdot(V[:, None, :] - A, E) / np.where(den > 0.0, den, 1.0), 0.0, 1.0)
-    diff = V[:, None, :] - (A + t[..., None] * E)
+def _segment_distances(V: np.ndarray, A: np.ndarray, E: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(n, s) distances from each point of V to each segment [A_j, A_j + E_j]
+    (a point where E_j = 0), w = |E_j|^2 or 1 where E_j = 0, as
+    ``Polytope.boundary_edges`` gives them: the nearest point's parameter
+    along E_j, clamped to [0, 1]."""
+    V = V[:, None, :]
+    t = np.minimum(np.maximum(np.vecdot(V - A, E) / w, 0.0), 1.0)
+    diff = V - (A + t[..., None] * E)
     return np.sqrt(np.vecdot(diff, diff))
 
 
@@ -915,16 +928,14 @@ def _excess(P: Polytope, Q: Polytope) -> float:
     """max over the vertices v of P of d(v, Q)."""
     V = P.vrep
     viol = Q.violation(V)
-    if P.ambient_dim == 2:  # every vertex against every edge of Q's boundary ring at once
-        A = Q.vrep[Q.boundary]  # a segment is two edges, a point one of zero length
-        d = _segment_distances(V, A, A[np.arange(1, len(A) + 1) % len(A)]).min(axis=1)
-        return float(np.max(np.where(viol <= 0.0, 0.0, d)))
-    if P.ambient_dim == 3 and Q.intrinsic_dim == 3:  # every vertex outside against every facet triangle at once
+    if P.ambient_dim == 2 or (P.ambient_dim == 3 and Q.intrinsic_dim == 3):  # every vertex outside at once
         V = V[viol > 0.0]
         if not len(V):
             return 0.0
+        d = _segment_distances(V, *Q.boundary_edges).min(axis=1)
+        if P.ambient_dim == 2:
+            return float(d.max())
         T = Q.vrep[Q.boundary]  # (f, 3, 3)
-        d = _segment_distances(V, T.reshape(-1, 3), T[:, [1, 2, 0]].reshape(-1, 3)).min(axis=1)
         a, e1, e2 = T[:, 0], T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]
         g11, g12, g22 = np.vecdot(e1, e1), np.vecdot(e1, e2), np.vecdot(e2, e2)
         det = g11 * g22 - g12 * g12  # not > 0 on a zero-area triangle: its edges alone count
@@ -952,12 +963,12 @@ def hausdorff(P: Polytope, Q: Polytope) -> float:
     over the vertices v of P (d(., Q) is convex, so its maximum over P sits
     at a vertex).
 
-    In the plane the excess is one array computation of every vertex of P
-    against every edge of Q's ``boundary`` ring (its segment when k = 1,
-    its point when k = 0): t clamped to [0, 1], minimum over edges, maximum
-    over vertices.  Above the plane lb <= d(v, Q), with lb the largest H-rep
-    violation (every row is a unit normal); a vertex counts 0 only where
-    lb <= 0, with no tolerance, in every dimension.  For a full-dimensional
+    A vertex v counts 0 only where lb <= 0, with no tolerance, in every
+    dimension: lb <= d(v, Q) is the largest H-rep violation (every row is a
+    unit normal).  In the plane the excess is one array computation of every
+    other vertex of P against every edge of Q's ``Polytope.boundary_edges``
+    (its ring; its segment when k = 1, its point when k = 0): t clamped to
+    [0, 1], minimum over edges, maximum over vertices.  For a full-dimensional
     Q in 3-space d(v, Q) outside Q is the least distance to a triangle of
     Q's ``boundary`` (Qhull's triangulated facets), all in one array
     computation: the foot of the perpendicular when the 2x2 Gram solve puts
@@ -1021,7 +1032,7 @@ def intersect(P: Polytope, Q: Polytope, tol: Tolerances = DEFAULT_TOL) -> Option
         return base if other.contains(base.vrep[0], eps) else None
     B, o = base.frame.basis, base.frame.origin
     M, q = other.hrep
-    V = _clip(base.vertices_frame, list(zip(*base.intrinsic_facets)), zip(M @ B, q - M @ o), eps)
+    V = _clip(base.vertices_frame, list(zip(*base.intrinsic_facets)), list(zip(M @ B, q - M @ o)), eps)
     if V is None:
         return None
     return _build_polytope(base.frame.to_ambient(V), tol, strict_rank=False)
@@ -1094,55 +1105,72 @@ def project(P: Polytope, sub: AffineFrame, tol: Tolerances = DEFAULT_TOL) -> Pol
 # enclosing balls
 
 
-def _circumball(points) -> tuple:
-    """Smallest ball with all ``points`` on its boundary (affinely independent).
-
-    The center lies in the affine hull of the points, so it is solved there.
-    """
-    pts = np.asarray(points, dtype=float)
-    if len(pts) == 0:
+def _circumball(B: list) -> tuple:
+    """(center, radius) of the smallest ball with the points B (sequences of
+    floats) on its boundary, None and -1 for no point.  The center p0 + sum_i a_i (p_i - p0)
+    lies in their affine hull: a solves the Gram system G a = |p_i - p0|^2 / 2
+    of the differences by Gaussian elimination with partial pivoting, each
+    entry a ``math.fsum``; a pivot at most 1e-14 of G's largest diagonal
+    entry drops its direction (a_i = 0), as a least-squares solve would."""
+    if not B:
         return None, -1.0
-    if len(pts) == 1:
-        return pts[0], 0.0
-    p0 = pts[0]
-    D = pts[1:] - p0  # (j, m)
-    rhs = 0.5 * np.einsum("ij,ij->i", D, D)
-    G = D @ D.T
-    alpha, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-    center = p0 + alpha @ D
-    r = float(np.max(np.linalg.norm(pts - center, axis=1)))
-    return center, r
+    p0 = B[0]
+    D = [[x - y for x, y in zip(p, p0)] for p in B[1:]]
+    j = len(D)
+    G = [[math.fsum(map(operator.mul, a, b)) for b in D] + [0.5 * math.fsum(map(operator.mul, a, a))] for a in D]
+    floor = 1e-14 * max((G[i][i] for i in range(j)), default=0.0)
+    pivots = []  # the column of each kept pivot, row by row
+    for col in range(j):
+        r = len(pivots)
+        best = max(range(r, j), key=lambda i: abs(G[i][col]))
+        if abs(G[best][col]) <= floor:
+            continue
+        G[r], G[best] = G[best], G[r]
+        for i in range(r + 1, j):
+            f = G[i][col] / G[r][col]
+            G[i] = [x - f * y for x, y in zip(G[i], G[r])]
+        pivots.append(col)
+    a = [0.0] * j
+    for r in reversed(range(len(pivots))):
+        col = pivots[r]
+        a[col] = (G[r][j] - math.fsum(G[r][i] * a[i] for i in range(col + 1, j))) / G[r][col]
+    c = tuple(x + math.fsum(map(operator.mul, a, d)) for x, d in zip(p0, zip(*D))) if D else p0
+    return c, max(math.dist(p, c) for p in B)
 
 
-def _welzl(pts: np.ndarray, rng: np.random.Generator):
-    order = rng.permutation(len(pts))
-    P = pts[order]
+def _move_to_front(L: list, end: int, B: list, m: int) -> tuple:
+    """The smallest ball of the points L[:end] with the points B on its
+    boundary, by Welzl's move-to-front rule (Welzl 1991; Gärtner 1999): each
+    point outside the ball so far (beyond r (1 + 1e-12)) joins the boundary of
+    a recursive call on the points before it, then moves to the front of L.
+    Every call adds one point to B and none runs with m + 1 of them, so the
+    recursion is at most m + 2 calls deep."""
+    c, r = _circumball(B)
+    if len(B) == m + 1:
+        return c, r
+    for i in range(end):
+        if c is None or math.dist(L[i], c) > r * (1 + 1e-12):
+            c, r = _move_to_front(L, i, B + [L[i]], m)
+            L.insert(0, L.pop(i))
+    return c, r
 
-    def mb(n, boundary):
-        if n == 0 or len(boundary) == pts.shape[1] + 1:
-            return _circumball(boundary)
-        c, r = mb(n - 1, boundary)
-        p = P[n - 1]
-        if c is not None and np.linalg.norm(p - c) <= r * (1 + 1e-12):
-            return c, r
-        return mb(n - 1, boundary + [p])
 
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * len(P) + 100))
-    try:
-        return mb(len(P), [])
-    finally:
-        sys.setrecursionlimit(old)
+@lru_cache(maxsize=64)
+def _shuffle(n: int, seed: int) -> np.ndarray:
+    """The random order of n points that ``seed`` draws, drawn once."""
+    order = np.random.default_rng(seed).permutation(n)
+    order.setflags(write=False)
+    return order
 
 
 def enclosing_ball(P: Polytope, tol: Tolerances = DEFAULT_TOL):
-    """Minimum enclosing ball (center, radius) of the vertices by Welzl's
-    randomized recursion, exact in every dimension (Welzl 1991); the radius
-    is the largest vertex distance from the center, so the ball encloses."""
+    """Minimum enclosing ball (center, radius) of the vertices, exact in every
+    dimension: Welzl's move-to-front rule on the vertices as Python floats,
+    in an order drawn from ``tol.rng_seed``; the radius is the largest vertex
+    distance from the center, so the ball encloses."""
     V = P.vrep
-    c, _ = _welzl(V, np.random.default_rng(tol.rng_seed))
+    L = V[_shuffle(len(V), tol.rng_seed)].tolist()
+    c = np.array(_move_to_front(L, len(L), [], V.shape[1])[0])
     return c, float(np.max(np.linalg.norm(V - c, axis=1)))
 
 

@@ -23,6 +23,7 @@ from movingbeliefs.errors import (
     PositivityViolation,
     ResolutionTooCoarse,
     SolverStall,
+    ZeroDenominator,
 )
 
 TOL = gk.DEFAULT_TOL
@@ -340,6 +341,21 @@ class TestTvDistance:
         pair = bl.MeasurePair.make(seg, unit_square())
         assert not pair.common_hull
         assert bl.tv_distance(pair) == 2.0
+
+    @pytest.mark.parametrize("case", ["collapsed-squares", "zero-area-squares"])
+    def test_two_bodies_of_volume_zero_raise(self, case):
+        """Squares of side 4e-7 at (0.5, 0.5), 1e-7 apart, come back from
+        ``from_vrep`` as k = 2 bodies of area 0 (ROADMAP item 12); unit
+        squares are given area 0 directly.  Either pair has no uniform law."""
+        if case == "collapsed-squares":
+            side = np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * 4e-7 + 0.5
+            P, Q = gk.from_vrep(side), gk.from_vrep(side + (1e-7, 0.0))
+        else:
+            P = Q = dataclasses.replace(unit_square(), volume_cache=0.0)
+        pair = bl.MeasurePair.make(P, Q)
+        assert pair.common_hull and gk.volume(P) == gk.volume(Q) == 0.0
+        with pytest.raises(ZeroDenominator, match="2-volume 0"):
+            bl.tv_distance(pair)
 
     def test_closed_form_vs_strip_oracle(self, rng):
         for _ in range(50):

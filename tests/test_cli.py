@@ -526,6 +526,21 @@ class TestErrorBoundary:
         assert isinstance(res.exception, SystemExit)
         assert res.stderr.count("\n") == 1 and needle in res.stderr
 
+    @pytest.mark.parametrize("suite", ["tv-bound", "sandwich", "w1"])
+    @pytest.mark.parametrize(
+        "terms", [[((0, 0), 1.0), ((0, 2), 100.0)], [((0, 0), -1.0)]], ids=["1+100y1^2", "-1"]
+    )
+    def test_verify_refuses_a_density_belief(self, runner, tmp_path, suite, terms):
+        """The verify suites check the uniform laws: a density belief, valid
+        or not, exits 2 naming it, never with the neutral file's result."""
+        obj = json.loads((PROBLEMS / "eps_toy.json").read_text())
+        obj["belief"] = _density(2, terms)
+        problem = tmp_path / "density.json"
+        problem.write_text(json.dumps(obj))
+        res = runner.invoke(cli.main, ["verify", suite, str(problem)])
+        assert res.exit_code == 2
+        assert res.stderr.count("\n") == 1 and "belief is a density (a polynomial of degree" in res.stderr
+
     def test_out_in_a_missing_directory_exits_2(self, runner, tmp_path):
         out = tmp_path / "missing" / "report.json"
         res = runner.invoke(cli.main, ["verify", "tv-bound", str(PROBLEMS / "eps_toy.json"), "--out", str(out)])

@@ -1042,6 +1042,23 @@ class TestSymDiffVolume:
             gk.sym_diff_volume(unit_square(), gk.from_vrep([(0, 0), (1, 0)]))
 
 
+def _brute_force_radius(V):
+    """The least radius of a ball enclosing the points V whose center is the
+    circumcenter, in their affine hull, of at most m + 1 of them: the
+    minimum enclosing ball's radius, by trying every such subset."""
+    best = math.inf
+    for size in range(1, V.shape[1] + 2):
+        for S in map(np.array, itertools.combinations(V, size)):
+            D = S[1:] - S[0]
+            if size > 1 and np.linalg.matrix_rank(D) < size - 1:
+                continue
+            c = S[0] + (np.linalg.solve(D @ D.T, 0.5 * np.einsum("ij,ij->i", D, D)) @ D if size > 1 else 0.0)
+            r = np.linalg.norm(S - c, axis=1).max()
+            if np.linalg.norm(V - c, axis=1).max() <= r * (1 + 1e-13):
+                best = min(best, r)
+    return best
+
+
 class TestEnclosingBall:
     def test_square(self):
         c, r = gk.enclosing_ball(unit_square())
@@ -1063,12 +1080,29 @@ class TestEnclosingBall:
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_radius_bound_random(self, seed):
+        """Jung's bound, and for m <= 4 the radius of the brute-force ball."""
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 6))
-        P = gk.from_vrep(rng.random((int(rng.integers(m + 1, 9)), m)))
+        P = gk.from_vrep(rng.random((int(rng.integers(m + 1, 10)), m)))
         c, r = gk.enclosing_ball(P)
         assert np.max(np.linalg.norm(P.vrep - c, axis=1)) <= r + 1e-9
         assert r <= gk.diameter(P) * math.sqrt(m / (2.0 * (m + 1.0))) + 1e-9
+        if m <= 4:
+            ref = _brute_force_radius(P.vrep)
+            assert abs(r - ref) <= 1e-12 * ref
+
+    def test_recursion_limit_is_left_alone(self, monkeypatch):
+        """The recursion is at most m + 2 calls deep, whatever the number of
+        points: no call may change the interpreter-wide recursion limit."""
+        def refuse(limit):
+            raise AssertionError(f"setrecursionlimit({limit}) called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        a = 2.0 * math.pi * np.arange(2000) / 2000
+        P = gk.from_vrep(np.column_stack([np.cos(a), np.sin(a)]))
+        assert P.n_vertices == 2000
+        c, r = gk.enclosing_ball(P)
+        assert np.abs(c).max() <= 1e-12 and r == pytest.approx(1.0, abs=1e-12)
 
     def test_four_cube_is_exact(self):
         cube = gk.from_vrep(list(itertools.product((0.0, 1.0), repeat=4)))
