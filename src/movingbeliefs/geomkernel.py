@@ -411,22 +411,20 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
     if (flat & (F < -100.0 * tol)).any():
         return None
     keep = np.flatnonzero(~flat)
-    R, F = R[keep] / ln[keep, None], F[keep] / ln[keep]
-    N, C = np.empty((b + len(R), d)), np.empty(b + len(R))  # the rows so far are N[:r], C[:r]
-    N[:b] = np.array([r[0] for r in base_rows], dtype=float).reshape(-1, d)
-    C[:b] = [r[1] for r in base_rows]
-    for r, (nrm, off) in enumerate(zip(R, F), start=b):
-        s = off - V @ nrm
+    N = np.concatenate([np.array([r[0] for r in base_rows], dtype=float).reshape(-1, d), R[keep] / ln[keep, None]])
+    C = np.concatenate([np.array([r[1] for r in base_rows], dtype=float), F[keep] / ln[keep]])
+    for r in range(b, len(C)):  # V is described by the rows before r
+        s = C[r] - V @ N[r]
         out = s < -tol
-        if out.all():
+        cut = np.count_nonzero(out)
+        if cut == len(s):
             return None
-        if out.any():
+        if cut:
             i, j = np.nonzero((s > tol)[:, None] & out)
             ok = _float_edges(V, N[:r], C[:r], i, j, tol)
             i, j = i[ok], j[ok]
             P = V[i] + (s[i] / (s[i] - s[j]))[:, None] * (V[j] - V[i])
             V = _prune(_dedup_points(np.vstack([V[~out], P]), tol), r + 1, tol)
-        N[r], C[r] = nrm, off
     return V
 
 
@@ -707,11 +705,9 @@ def _values(H: np.ndarray, c) -> list:
 
 
 def from_vrep(points: Sequence, tol: Tolerances = DEFAULT_TOL) -> Polytope:
-    """Polytope from a point cloud: conv(points) with interior points pruned."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise EmptyInput("from_vrep needs at least one point")
-    return _build_polytope(pts, tol)
+    """Polytope from a point cloud: conv(points) with interior points pruned;
+    no point raises ``EmptyInput``."""
+    return _build_polytope(points, tol)
 
 
 def from_hrep(M: Sequence, q: Sequence, tol: Tolerances = DEFAULT_TOL) -> Polytope:
