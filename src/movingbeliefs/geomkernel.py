@@ -187,7 +187,7 @@ class Polytope:
         (two for a segment, one of zero length for a point) when
         ``boundary`` is a ring, the edges of each facet triangle when it
         holds triangles."""
-        S = self.vrep[np.atleast_2d(self.boundary)]  # (rings, ring length, m)
+        S = self.vrep[self.boundary.reshape(-1, self.boundary.shape[-1])]  # (rings, ring length, m)
         A = S.reshape(-1, S.shape[2])
         E = S[:, np.arange(1, S.shape[1] + 1) % S.shape[1]].reshape(A.shape) - A
         w = np.vecdot(E, E)
@@ -928,10 +928,11 @@ def _excess(P: Polytope, Q: Polytope) -> float:
         V = V[viol > 0.0]
         if not len(V):
             return 0.0
-        d = _segment_distances(V, *Q.boundary_edges).min(axis=1)
+        A, E, w = Q.boundary_edges
+        d = _segment_distances(V, A, E, w).min(axis=1)
         if P.ambient_dim == 2:
             return float(d.max())
-        T = Q.vrep[Q.boundary]  # (f, 3, 3)
+        T = A.reshape(-1, 3, 3)  # Q's facet triangles
         a, e1, e2 = T[:, 0], T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]
         g11, g12, g22 = np.vecdot(e1, e1), np.vecdot(e1, e2), np.vecdot(e2, e2)
         det = g11 * g22 - g12 * g12  # not > 0 on a zero-area triangle: its edges alone count
