@@ -63,6 +63,9 @@ def rows(rng):
         out.append((f"minkowski_interpolate/{label}", gk.minkowski_interpolate,
                     lambda P=P, Q=Q: (fresh(P), fresh(Q), 0.375)))
         out.append((f"enclosing_ball/{label}", gk.enclosing_ball, lambda P=P: (fresh(P),)))
+    for m, n in ((2, 2000), (3, 2000), (4, 150)):  # large clouds, uniform in the unit box
+        X = rng.random((n, m))
+        out.append((f"from_vrep/{m}d-{n}", gk.from_vrep, lambda X=X: (X,)))
     return out
 
 

@@ -308,9 +308,8 @@ _ALLOW_IMPORTS_HELP = "let opaque integrands of the problem file import their mo
 @click.option("--samples", type=click.IntRange(min=2), default=500, help="sample count for the body suite")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--allow-imports", is_flag=True, help=_ALLOW_IMPORTS_HELP)
-def cmd_verify(suite, problem, builtin, samples, seed, out, fmt, allow_imports):
+def cmd_verify(suite, problem, builtin, samples, seed, out, allow_imports):
     """Run a verification suite; exit 0 iff no violations."""
     if suite == "body":
         report = pr.verify_body_lemmas(samples=samples, seed=seed)
@@ -334,14 +333,7 @@ def cmd_verify(suite, problem, builtin, samples, seed, out, fmt, allow_imports):
         else:
             report = pr.verify_w1_regime(pf.map_spec, pf.grid, pf.tolerances, pf.w1_resolution)
 
-    if fmt == "json":
-        _emit(report.to_json() + "\n", out)
-    else:
-        meta = report.metadata
-        rows = []
-        if meta.get("grid") is not None:
-            rows = pr.table_rows(meta["grid"], bound_lhs=meta.get("lhs"), bound_rhs=meta.get("rhs"))
-        _emit(rows_to_csv(rows), out)
+    _emit(report.to_json() + "\n", out)
     sys.exit(0 if report.passed else 1)
 
 

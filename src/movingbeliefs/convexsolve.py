@@ -88,9 +88,6 @@ def min_norm_point(vertices: Sequence) -> np.ndarray:
             lam = lam[keep]
             lam /= lam.sum()
             x = lam @ V[idx]
-    scores = V @ x
-    if float(np.min(scores)) >= x @ x - 1e-6 * scale:
-        return x * u
     raise SolverStall("minimum-norm point did not converge within the iteration cap")
 
 

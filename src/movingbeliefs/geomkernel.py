@@ -287,20 +287,24 @@ def _dedup_points(pts: np.ndarray, tol: float) -> np.ndarray:
     return pts[keep]
 
 
-def _monotone_chain(t: np.ndarray, eps: float):
-    """Indices of hull vertices of 2-D points ``t`` in ccw order; collinear
-    interior points are dropped.  Both scans run on Python floats, whose
-    arithmetic is numpy's IEEE double arithmetic."""
+def _monotone_chain(t: np.ndarray, merge: float, reach: float):
+    """Indices of hull vertices of 2-D points ``t`` (norms at most
+    ``reach``) in ccw order: the middle point a of o -> a -> b goes when
+    cross <= merge |b - o|: a right turn, or a within ``merge`` of line o b.
+    As |b - o| <= 2 reach, a cross above 3 merge reach keeps a and one at
+    most 0 drops it with no square root.  The scans run on Python floats."""
     order = np.lexsort((t[:, 1], t[:, 0]))
     pts = t[order].tolist()
+    clear = 3.0 * merge * reach
 
     def scan(idx):
         chain = []
         for i in idx:
             x, y = pts[i]
-            while len(chain) >= 2:  # pop while the turn o -> a -> (x, y) has area at most eps
+            while len(chain) >= 2:
                 (ox, oy), (ax, ay) = pts[chain[-2]], pts[chain[-1]]
-                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > eps:
+                cross = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
+                if cross > clear or (cross > 0.0 and cross > merge * math.hypot(x - ox, y - oy)):
                     break
                 chain.pop()
             chain.append(i)
@@ -320,9 +324,10 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
     the frame origin is the vertices' mean.  Coordinates above ``MAX_COORD``
     raise ValueError.  Points within the merge distance feas_tol u (u =
     ``_unit`` of the points) are one point, and a direction of no greater
-    width is rounding noise.  The dedup returns at once when no two
-    neighbours along its direction lie within twice the merge distance: no
-    pair is then close, so every point would be kept anyway."""
+    width is rounding noise: for the rank floor, and for the chain, whose
+    ring of two points is then a segment.  The dedup returns at once when
+    no two neighbours along its direction lie within twice the merge
+    distance: no pair is then close, so every point would be kept anyway."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise EmptyInput("no points supplied")
@@ -342,6 +347,10 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
     basis = _canonical_signs(vt[:k].T)
 
     t = diffs @ basis  # (n, k)
+    if k == 2:
+        bnd = _monotone_chain(t, merge, float(svals[0]))  # no row of t is longer than the top singular value
+        if len(bnd) < 3:  # all within merge of one line: the singular value summed many points' noise
+            k, basis, t = 1, basis[:, :1], t[:, :1]
     if k == 0:
         sel = bnd = np.array([0])
         N, c = np.zeros((0, 0)), np.zeros(0)
@@ -349,7 +358,7 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
         sel = bnd = np.array([np.argmin(t[:, 0]), np.argmax(t[:, 0])])
         N, c = np.array([[1.0], [-1.0]]), np.array([t[sel[1], 0], -t[sel[0], 0]])
     elif k == 2:
-        sel = bnd = _monotone_chain(t, 1e-12 * u * u)
+        sel = bnd
         ring = t[bnd]
         e = ring[np.arange(1, len(ring) + 1) % len(ring)] - ring
         N = e[:, ::-1] * (1.0, -1.0) / np.sqrt(np.vecdot(e, e))[:, None]

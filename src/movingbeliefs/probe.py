@@ -76,13 +76,13 @@ def phi_function(
 COLUMNS = ("x", "phi", "fd", "ratio", "bound_lhs", "bound_rhs", "margin")
 
 
-def table_rows(x, phi=None, fd=None, ratio=None, bound_lhs=None, bound_rhs=None) -> list:
+def table_rows(x, phi=None, fd=None, ratio=None) -> list:
     """CSV/JSON rows, dicts of floats in the fixed order ``COLUMNS``, one
     per entry of ``x``, from column arrays of its length: an absent column
-    is NaN, and margin is bound_rhs - bound_lhs."""
+    is NaN.  No command fills the bound columns and margin (``verify``
+    writes JSON only); they keep the header fixed."""
     cols = [np.full(len(x), np.nan) if c is None else np.asarray(c, dtype=float)
-            for c in (x, phi, fd, ratio, bound_lhs, bound_rhs)]
-    cols.append(cols[5] - cols[4])
+            for c in (x, phi, fd, ratio, None, None, None)]
     return [dict(zip(COLUMNS, row)) for row in zip(*(c.tolist() for c in cols))]
 
 
@@ -404,8 +404,9 @@ def verify_body_lemmas(
             worst["geodesic_interpolation"], (s - t) * d_ab + 1e-9 - gk.hausdorff(gt, gs)
         )
 
+        diam_a = gk.diameter(A)
         worst["diameter_2_lipschitz"] = min(
-            worst["diameter_2_lipschitz"], 2.0 * d_ab + 1e-9 - abs(gk.diameter(A) - gk.diameter(B))
+            worst["diameter_2_lipschitz"], 2.0 * d_ab + 1e-9 - abs(diam_a - gk.diameter(B))
         )
 
         if A.intrinsic_dim == m and B.intrinsic_dim == m:
@@ -418,7 +419,7 @@ def verify_body_lemmas(
         _, radius = gk.enclosing_ball(A, tol)
         worst["jung_radius"] = min(
             worst["jung_radius"],
-            gk.diameter(A) * math.sqrt(m / (2.0 * (m + 1.0))) + 1e-9 - radius,
+            diam_a * math.sqrt(m / (2.0 * (m + 1.0))) + 1e-9 - radius,
         )
 
         sA = gk.steiner_point(A, tol)  # raises if outside the relative interior

@@ -342,20 +342,22 @@ class TestTvDistance:
         assert not pair.common_hull
         assert bl.tv_distance(pair) == 2.0
 
-    @pytest.mark.parametrize("case", ["collapsed-squares", "zero-area-squares"])
+    @pytest.mark.parametrize("case", ["zero-area-squares"])
     def test_two_bodies_of_volume_zero_raise(self, case):
-        """Squares of side 4e-7 at (0.5, 0.5), 1e-7 apart, come back from
-        ``from_vrep`` as k = 2 bodies of area 0 (ROADMAP item 12); unit
-        squares are given area 0 directly.  Either pair has no uniform law."""
-        if case == "collapsed-squares":
-            side = np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * 4e-7 + 0.5
-            P, Q = gk.from_vrep(side), gk.from_vrep(side + (1e-7, 0.0))
-        else:
-            P = Q = dataclasses.replace(unit_square(), volume_cache=0.0)
+        """Unit squares given area 0 directly have no uniform law."""
+        P = Q = dataclasses.replace(unit_square(), volume_cache=0.0)
         pair = bl.MeasurePair.make(P, Q)
         assert pair.common_hull and gk.volume(P) == gk.volume(Q) == 0.0
         with pytest.raises(ZeroDenominator, match="2-volume 0"):
             bl.tv_distance(pair)
+
+    def test_small_squares_off_the_origin(self):
+        """Squares of side 4e-7 at (0.5, 0.5), 1e-7 apart, keep their four
+        vertices: they overlap in 3/4 of their area, so TV = 2 - 2 (3/4)."""
+        side = np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * 4e-7 + 0.5
+        P, Q = gk.from_vrep(side), gk.from_vrep(side + (1e-7, 0.0))
+        assert P.intrinsic_dim == Q.intrinsic_dim == 2 and P.n_vertices == Q.n_vertices == 4
+        assert bl.tv_distance(bl.MeasurePair.make(P, Q)) == pytest.approx(0.5, rel=1e-6)
 
     def test_closed_form_vs_strip_oracle(self, rng):
         for _ in range(50):

@@ -215,6 +215,30 @@ class TestVerifyCommand:
         res = runner.invoke(cli.main, ["verify", "tv-bound"])
         assert res.exit_code == 2
 
+    def test_format_is_a_usage_error(self, runner):
+        """verify writes JSON only: its CSV held none of the body suite's
+        checks and only the grid of the sandwich and W1 suites."""
+        res = runner.invoke(cli.main, ["verify", "tv-bound", "--builtin", "eps-toy", "--format", "csv"])
+        assert res.exit_code == 2
+        assert "--format" in res.stderr
+
+    @pytest.mark.parametrize("suite", ["tv-bound", "w1"])
+    def test_small_squares_off_the_origin_are_planar(self, runner, tmp_path, suite):
+        """An interp problem between squares of side 3e-7 at (0.75, 0.75),
+        the second shifted by 1e-7: every image is 2-D."""
+        square = [[0.75 + 3e-7 * x, 0.75 + 3e-7 * y] for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
+        problem = tmp_path / "small_squares.json"
+        problem.write_text(json.dumps({
+            "version": "1",
+            "map": {"kind": "interp", "body_a": {"vertices": square},
+                    "body_b": {"vertices": [[x + 1e-7, y] for x, y in square]}},
+            "grid": {"start": 0.0, "stop": 1.0, "count": 5},
+            "w1_resolution": 7.5e-8,
+        }))
+        res = runner.invoke(cli.main, ["verify", suite, str(problem)])
+        assert res.exit_code == 0, res.stderr
+        assert json.loads(res.stdout)["metadata"]["dims"] == [2] * 5
+
     def test_sandwich_builtin_qmap(self, runner):
         res = runner.invoke(cli.main, ["verify", "sandwich", "--builtin", "qmap"])
         assert res.exit_code == 0

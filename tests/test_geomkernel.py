@@ -12,10 +12,11 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 import movingbeliefs.geomkernel as gk
@@ -70,6 +71,38 @@ class TestFromVrep:
         P = gk.from_vrep([(0, 0), (1, 0), (1, 1), (1, 1)])
         assert P.n_vertices == 3
         assert P.intrinsic_dim == 2
+
+    @pytest.mark.parametrize("shape, side, at, n", [
+        ("square", 4e-7, 0.5, 4), ("triangle", 3e-7, 0.75, 3), ("triangle", 1e-3, 1000.0, 3),
+        ("triangle", 4e-6, 1000.0, 3),
+    ])
+    def test_small_bodies_off_the_origin_keep_their_vertices(self, shape, side, at, n):
+        """Bodies far wider than their merge distance feas_tol u, however
+        small against their coordinates, are 2-D with every corner."""
+        corners = [(0, 0), (1, 0), (1, 1), (0, 1)] if shape == "square" else [(0, 0), (1, 0), (0, 1)]
+        P = gk.from_vrep(np.array(corners) * side + at)
+        assert P.intrinsic_dim == 2 and P.n_vertices == n
+        assert gk.volume(P) == pytest.approx(side**2 / (1 if shape == "square" else 2), rel=1e-6)
+        P.validate()
+
+    def test_a_body_within_the_merge_distance_is_a_point(self):
+        """A triangle of side 1e-6 at (1000, 1000) is narrower than its
+        merge distance 1e-9 * 1024: one point, of measure 1."""
+        P = gk.from_vrep(np.array([(0, 0), (1, 0), (0, 1)]) * 1e-6 + 1000.0)
+        assert P.intrinsic_dim == 0 and P.n_vertices == 1 and gk.volume(P) == 1.0
+        P.validate()
+
+    def test_points_within_the_merge_distance_of_a_line_are_a_segment(self):
+        """Twenty points of a strip 0.8e-9 wide, under the merge distance
+        1e-9, whose summed noise puts the second singular value above it:
+        the chain keeps two of them, and the body is the segment between."""
+        xs = np.linspace(0.0, 1e-3, 10)
+        pts = np.vstack([np.column_stack([xs, np.zeros(10)]),
+                         np.column_stack([2e-4 + 0.6 * xs, np.full(10, 0.8e-9)])]) + 0.5
+        assert np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)[1] > 1e-9
+        P = gk.from_vrep(pts)
+        assert P.intrinsic_dim == 1 and P.n_vertices == 2
+        P.validate()
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
@@ -269,7 +302,7 @@ class TestMonotoneChain:
         vertices, and every turn along it is counterclockwise."""
         for _ in range(20):
             t = rng.standard_normal((n, 2))
-            ring = gk._monotone_chain(t, 1e-12)
+            ring = gk._monotone_chain(t, 1e-12, np.linalg.norm(t, axis=1).max())
             assert sorted(ring.tolist()) == sorted(ConvexHull(t).vertices.tolist())
             a, b, c = t[ring], t[np.roll(ring, -1)], t[np.roll(ring, -2)]
             turn = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
@@ -278,7 +311,118 @@ class TestMonotoneChain:
     def test_edge_midpoints_are_dropped(self):
         corners = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
         t = np.vstack([corners, (corners + np.roll(corners, -1, axis=0)) / 2.0])
-        assert gk._monotone_chain(t, 1e-12).tolist() == [0, 1, 2, 3]
+        assert gk._monotone_chain(t, 1e-12, np.linalg.norm(t, axis=1).max()).tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("off, kept", [(0.5, False), (2.0, True)])
+    def test_a_vertex_within_the_merge_distance_of_its_neighbours_line_is_dropped(self, off, kept):
+        """The top edge's midpoint pushed out by off * merge: dropped within
+        the merge distance of the line through its neighbours, kept beyond."""
+        merge = 1e-9
+        t = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0 + off * merge), (-1.0, 1.0)])
+        assert sorted(gk._monotone_chain(t, merge, 2.0).tolist()) == ([0, 1, 2, 3, 4] if kept else [0, 1, 2, 4])
+
+
+def _rank(vectors) -> int:
+    """The rank of a list of Fraction vectors, by elimination."""
+    rows, rank = [list(v) for v in vectors], 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _exact_ring(pts) -> list:
+    """The hull vertices of points of affine rank 2, exactly, in ring
+    order: a monotone chain, in the first coordinate pair the points span,
+    that drops every turn that is not strictly to the left."""
+    for i, j in itertools.combinations(range(len(pts[0])), 2):
+        flat = sorted(((p[i], p[j]), p) for p in pts)
+        if _rank([[x - flat[0][0][0], y - flat[0][0][1]] for (x, y), _ in flat[1:]]) == 2:
+            break
+
+    def scan(seq):
+        chain = []
+        for (x, y), p in seq:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2][0], chain[-1][0]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                    break
+                chain.pop()
+            chain.append(((x, y), p))
+        return chain[:-1]
+
+    return [p for _, p in scan(flat) + scan(flat[::-1])]
+
+
+def _exact_hull(points):
+    """(k, sorted vertices, squared k-volume) of the hull of dyadic points
+    in 2 or 3 coordinates, in Fractions: the test oracle of the hull
+    builder.  A planar polygon's squared area is the sum of the squares of
+    its shadows' areas on the coordinate planes (Cauchy-Binet); a point has
+    measure 1.  For k = 3 a facet is the set of points on a plane through
+    three of them that has every point on one side, and the volume sums the
+    cones from the centroid over the fans of the facet rings."""
+    pts = sorted({tuple(Fraction(v) for v in p) for p in points})
+    k = _rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
+    if k == 0:
+        return 0, pts, Fraction(1)
+    if k == 1:  # collinear points: the lexicographic extremes are the ends
+        return 1, [pts[0], pts[-1]], sum((a - b) ** 2 for a, b in zip(pts[0], pts[-1]))
+    if k == 2:
+        ring = _exact_ring(pts)
+        area2 = sum(sum(p[i] * q[j] - q[i] * p[j] for p, q in zip(ring, ring[1:] + ring[:1])) ** 2
+                    for i, j in itertools.combinations(range(len(pts[0])), 2)) / 4
+        return 2, sorted(ring), area2
+
+    def sub(p, q):
+        return [a - b for a, b in zip(p, q)]
+
+    def det(a, b, c):
+        return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+    facets = set()
+    for a, b, c in itertools.combinations(pts, 3):
+        side = [det(sub(b, a), sub(c, a), sub(p, a)) for p in pts]
+        if any(side) and (min(side) >= 0 or max(side) <= 0):
+            facets.add(frozenset(p for p, h in zip(pts, side) if h == 0))
+    centre = [sum(col) / len(pts) for col in zip(*pts)]
+    verts, vol = set(), Fraction(0)
+    for face in facets:
+        ring = _exact_ring(sorted(face))
+        verts.update(ring)
+        for q, r in zip(ring[1:-1], ring[2:]):
+            vol += abs(det(sub(ring[0], centre), sub(q, centre), sub(r, centre))) / 6
+    return 3, sorted(verts), vol * vol
+
+
+@settings(max_examples=60)
+@given(m=st.sampled_from([2, 3]), s=st.integers(0, 30), j=st.integers(-10, 10),
+       grid=st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=8),
+       signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3))
+@example(m=2, s=7, j=10, grid=[(0, 0, 0), (0, 1, 0), (1, 0, 0)], signs=(-1.0, -1.0, -1.0))
+def test_hull_matches_the_exact_hull(m, s, j, grid, signs):
+    """Dyadic bodies of side 2^-s, on the grid of step 2^-s / 4, at
+    (+-2^j, ..., +-2^j), in the first m coordinates: wherever the side is
+    at least 2^10 merge distances feas_tol u, the dimension, the vertices
+    and the k-volume (within 1e-9 relative) are the exact hull's, and
+    ``validate`` holds.  On that grid a point off the line or plane of
+    others lies at least side / 192 off it, so no decision is within a few
+    merge distances of its threshold."""
+    X = np.ldexp(np.array(grid, dtype=float)[:, :m], -s - 2) + np.ldexp(np.array(signs[:m]), j)
+    assume(2.0**-s >= 2**10 * TOL.feas_tol * gk._unit(X))
+    k, verts, vol2 = _exact_hull(X.tolist())
+    P = gk.from_vrep(X)
+    P.validate()
+    assert P.intrinsic_dim == k and P.n_vertices == len(verts)
+    assert P.vrep.tolist() == [[float(v) for v in p] for p in verts]
+    assert gk.volume(P) == pytest.approx(math.sqrt(vol2), rel=1e-9)
 
 
 class TestFacetRows:
