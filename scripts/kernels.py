@@ -28,7 +28,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import refloop  # noqa: E402
-from movingbeliefs import geomkernel as gk  # noqa: E402
+from movingbeliefs import convexsolve, geomkernel as gk  # noqa: E402
 
 BATCH = 10
 SEED = 31
@@ -40,10 +40,10 @@ def polygon(rng, n):
     return np.column_stack([np.cos(a), np.sin(a)]) * 0.5 + rng.uniform(0.4, 0.6, 2)
 
 
-def sphere(rng, n):
-    """n random points on a sphere in 3-space: every one a vertex."""
-    g = rng.standard_normal((n, 3))
-    return g / np.linalg.norm(g, axis=1, keepdims=True) * 0.5 + rng.uniform(0.4, 0.6, 3)
+def sphere(rng, n, m=3):
+    """n random points on a sphere in m-space: every one a vertex."""
+    g = rng.standard_normal((n, m))
+    return g / np.linalg.norm(g, axis=1, keepdims=True) * 0.5 + rng.uniform(0.4, 0.6, m)
 
 
 def rows(rng):
@@ -66,6 +66,16 @@ def rows(rng):
     for m, n in ((2, 2000), (3, 2000), (4, 150)):  # large clouds, uniform in the unit box
         X = rng.random((n, m))
         out.append((f"from_vrep/{m}d-{n}", gk.from_vrep, lambda X=X: (X,)))
+    # the minimum-norm-point solves: the nearest point of a 4-D body off the
+    # origin, and the Hausdorff cases that take them (m >= 4, k < 3 in 3-space)
+    X = sphere(rng, 10, 4) + 0.5
+    out.append(("min_norm_point/4d-10", convexsolve.min_norm_point, lambda X=X: (X,)))
+    polygon3 = polygon(rng, 8)
+    polygon3 = np.column_stack([polygon3, polygon3 @ rng.uniform(-0.5, 0.5, 2) + 0.5])  # on a tilted plane
+    for label, (A, B) in (("4d-12pts", (sphere(rng, 12, 4), sphere(rng, 12, 4))),
+                          ("3d-segment-vs-polygon", (polygon3, sphere(rng, 2)))):
+        P, Q = gk.from_vrep(A), gk.from_vrep(B)
+        out.append((f"hausdorff/{label}", gk.hausdorff, lambda P=P, Q=Q: (fresh(P), fresh(Q))))
     return out
 
 

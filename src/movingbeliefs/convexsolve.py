@@ -1,15 +1,15 @@
 """Minimum-norm points of polytopes given by their vertices, and
 equality-form LPs by HiGHS.
 
-Wolfe's minimum-norm-point algorithm over finite vertex sets: the
+``min_norm_point`` solves the least-distance problem over a finite vertex
+set as one nonnegative least-squares problem (scipy's ``nnls``): the
 projection of ``geomkernel.dist_point``, and the vertex distances of
 Hausdorff excesses outside the plane and outside full-dimensional bodies in
 3-space (lower-dimensional bodies in 3-space, and every body in 4 or more
 dimensions), run on the vertices over ``_unit``.  Instances have tens of
-vertices, not thousands; determinism beats speed.  ``equality_lp`` hands a
-column-wise LP as arrays straight to the HiGHS bindings that
-``scipy.optimize.linprog`` itself calls, without its per-column Python
-layer.
+vertices, not thousands.  ``equality_lp`` hands a column-wise LP as arrays
+straight to the HiGHS bindings that ``scipy.optimize.linprog`` itself
+calls, without its per-column Python layer.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import nnls
 from scipy.optimize._highspy import _core as highs  # scipy >= 1.15: an older scipy fails here, at import
 
 from .errors import SolverStall
@@ -31,64 +32,30 @@ def _unit(X) -> float:
 
 
 def min_norm_point(vertices: Sequence) -> np.ndarray:
-    """Minimum-norm point of conv(vertices) by Wolfe's algorithm.
+    """Minimum-norm point of conv(vertices) by one nonnegative least-squares
+    solve (Lawson and Hanson, Solving Least Squares Problems, 1974, ch. 23).
 
-    It runs on the vertices over u = ``_unit``, its point scaled back by u,
-    so its tolerances are fixed.  Termination is certified by the condition
-    <x, v - x> >= -1e-9 (1 + max|v|^2) for every vertex v; hitting the cap of
-    50 max(n, 2) major steps (n vertices) without it raises ``SolverStall``.
+    On V, the n vertices over u = ``_unit``, lambda >= 0 minimizes
+    |V^T lambda|^2 + (sum lambda - 1)^2; the point is x = V^T lambda / sum
+    lambda, scaled back by u, and sum lambda = 1 / (1 + |x|^2) >= 1 / (1 + m).
+    The point is certified by <x, v - x> >= -1e-9 (1 + max|v|^2) for every
+    vertex v; failing it, or nnls reaching its cap of 3n iterations, raises
+    ``SolverStall``.
     """
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    n = V.shape[0]
+    n, m = V.shape
     if n == 0:
         raise ValueError("empty vertex set")
     u = _unit(V)
     V = V / u
-    norms = np.einsum("ij,ij->i", V, V)
-    idx = [int(np.argmin(norms))]
-    lam = np.array([1.0])
-    x = V[idx[0]].copy()
-    scale = 1.0 + float(np.max(np.abs(V))) ** 2
-    for _ in range(50 * max(n, 2)):
-        scores = V @ x
-        j = int(np.argmin(scores))
-        if scores[j] >= x @ x - 1e-9 * scale:
-            return x * u
-        if j in idx:
-            return x * u  # numerically optimal within the current corral
-        idx.append(j)
-        lam = np.append(lam, 0.0)
-        while True:
-            S = V[idx]
-            k = len(idx)
-            G = np.empty((k + 1, k + 1))
-            G[:k, :k] = 2.0 * (S @ S.T)
-            G[:k, k] = 1.0
-            G[k, :k] = 1.0
-            G[k, k] = 0.0
-            rhs = np.zeros(k + 1)
-            rhs[k] = 1.0
-            sol = np.linalg.lstsq(G, rhs, rcond=None)[0]
-            alpha = sol[:k]
-            if np.all(alpha >= -1e-12):
-                lam = np.clip(alpha, 0.0, None)
-                lam /= lam.sum()
-                x = lam @ S
-                break
-            mask = alpha < lam - 1e-15
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = np.where(mask & (lam - alpha > 0), lam / (lam - alpha), np.inf)
-            theta = float(np.min(steps))
-            lam = (1.0 - theta) * lam + theta * alpha
-            keep = lam > 1e-12
-            if keep.all():
-                lam[np.argmin(lam)] = 0.0
-                keep = lam > 0
-            idx = [i for i, k_ in zip(idx, keep) if k_]
-            lam = lam[keep]
-            lam /= lam.sum()
-            x = lam @ V[idx]
-    raise SolverStall("minimum-norm point did not converge within the iteration cap")
+    try:
+        lam = nnls(np.vstack([V.T, np.ones(n)]), np.append(np.zeros(m), 1.0))[0]
+    except RuntimeError as exc:
+        raise SolverStall(f"minimum-norm point not found: nnls {exc}") from exc
+    x = lam @ V / lam.sum()
+    if float(np.min(V @ x)) < x @ x - 1e-9 * (1.0 + float(np.max(np.abs(V))) ** 2):
+        raise SolverStall("minimum-norm point failed its variational-inequality certificate")
+    return x * u
 
 
 def equality_lp(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.ndarray, b: np.ndarray) -> float:

@@ -982,8 +982,8 @@ def hausdorff(P: Polytope, Q: Polytope) -> float:
     segment rule; a zero-area triangle, which Qhull emits on merged facets,
     counts through its edges alone (Ericson, Real-Time Collision Detection,
     2005, 5.1.5).  Otherwise (k < 3 in 3-space, or m >= 4) d(v, Q) <= ub,
-    the distance to Q's nearest vertex, and Wolfe's ``min_norm_point`` runs
-    in decreasing ub, only where lb > 0, until ub <= the best excess so
+    the distance to Q's nearest vertex, and the NNLS ``min_norm_point``
+    runs in decreasing ub, only where lb > 0, until ub <= the best excess so
     far.  This is exact: a skipped vertex lies in Q or has d(v, Q) <= ub <=
     the best excess.
     """

@@ -73,16 +73,15 @@ def phi_function(
 # ---------------------------------------------------------------------------
 # reports
 
-COLUMNS = ("x", "phi", "fd", "ratio", "bound_lhs", "bound_rhs", "margin")
+COLUMNS = ("x", "phi", "fd", "ratio")
 
 
 def table_rows(x, phi=None, fd=None, ratio=None) -> list:
     """CSV/JSON rows, dicts of floats in the fixed order ``COLUMNS``, one
     per entry of ``x``, from column arrays of its length: an absent column
-    is NaN.  No command fills the bound columns and margin (``verify``
-    writes JSON only); they keep the header fixed."""
+    is NaN."""
     cols = [np.full(len(x), np.nan) if c is None else np.asarray(c, dtype=float)
-            for c in (x, phi, fd, ratio, None, None, None)]
+            for c in (x, phi, fd, ratio)]
     return [dict(zip(COLUMNS, row)) for row in zip(*(c.tolist() for c in cols))]
 
 

@@ -57,6 +57,11 @@ def _brute_vertices(M, q):
     return np.array(sorted({tuple(float(v) for v in y) for y in _brute_fractions(M, q)}))
 
 
+@pytest.fixture(scope="session")
+def solve_fractions():
+    return _solve
+
+
 @pytest.fixture
 def brute_vertices():
     return _brute_vertices

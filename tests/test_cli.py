@@ -129,7 +129,7 @@ class TestExampleCommand:
         res = runner.invoke(cli.main, ["example", "trapezoid", "--grid", "log:1e-6:1:50"])
         assert res.exit_code == 0
         header = res.output.splitlines()[0]
-        assert header.startswith("x,phi,fd,ratio,bound_lhs,bound_rhs,margin")
+        assert header.startswith("x,phi,fd,ratio,phi_ref")
         assert "phi_ref" in header
 
     def test_qmap_low_exponent_flags_divergence(self, runner):
@@ -617,7 +617,7 @@ class TestBilevelCommand:
         problem = tmp_path / "toy.json"
         problem.write_text(json.dumps(toy_problem([1.0, 0.0], count=5)))
         res = runner.invoke(cli.main, ["bilevel", str(problem), "--format", "csv"])
-        assert res.output.splitlines()[0] == "x,phi,fd,ratio,bound_lhs,bound_rhs,margin"
+        assert res.output.splitlines()[0] == "x,phi,fd,ratio"
 
     def test_density_belief_reweights_objective(self, runner, tmp_path):
         """Density h(y) = 1 + y1 on the fiber [x,1] x {0}: hand integration

@@ -1,9 +1,13 @@
-"""Wolfe minimum-norm point tests: closed cases, a grid-search oracle and
-the variational-inequality certificate; the HiGHS equality LP's refusals."""
+"""Minimum-norm point tests: closed cases, a grid-search oracle, an exact
+oracle in Fractions, the variational-inequality certificate and the
+solver's iteration cap; the HiGHS equality LP's refusals."""
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from movingbeliefs import convexsolve as cs
 from movingbeliefs.errors import SolverStall
@@ -42,6 +46,57 @@ class TestMinNormPoint:
         assert np.linalg.norm(x) <= best + 0.15  # grid resolution slack
         # certificate: variational inequality against every vertex
         assert np.min(pts @ x) >= x @ x - 1e-7 * (1 + np.abs(pts).max() ** 2)
+
+    @settings(max_examples=200)
+    @given(
+        grid=st.integers(2, 4).flatmap(
+            lambda m: st.lists(st.lists(st.integers(-8, 24), min_size=m, max_size=m), min_size=1, max_size=m + 3)
+        ),
+        j=st.integers(-20, 20),
+    )
+    def test_matches_the_exact_minimum_norm_point(self, grid, j, solve_fractions):
+        """Dyadic vertex sets, shifted off the origin or around it and scaled
+        by 2^j: within 1e-12 u of the exact minimum-norm point."""
+        V = np.ldexp(np.array(grid, dtype=float), j - 3)
+        want = _exact_min_norm_point(V, solve_fractions)
+        x = cs.min_norm_point(V)
+        assert np.linalg.norm(x - want) <= 1e-12 * cs._unit(V)
+
+    def test_hull_holding_the_origin_near_a_vertex(self):
+        """The origin lies in the hull, 2.5e-11 (in weight) from the vertex
+        (1e-10, 0, 0): the point is the origin, not that vertex."""
+        V = np.array([[1e-10, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 1.0], [-1.0, -1.0, -1.0]])
+        assert np.linalg.norm(cs.min_norm_point(V)) <= 1e-15
+
+    def test_iteration_cap_is_a_solver_stall(self, monkeypatch):
+        def capped(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(cs, "nnls", capped)
+        with pytest.raises(SolverStall, match="Maximum number of iterations"):
+            cs.min_norm_point(np.array([[2.0, 0.0], [3.0, 1.0]]))
+
+
+def _exact_min_norm_point(V, solve):
+    """The minimum-norm point of conv(V), exactly: it is the least-norm point
+    of the affine hull of some affinely independent subset S of at most
+    m + 1 vertices, with weights >= 0 (Caratheodory on its face).  For each
+    S the KKT system [2G 1; 1^T 0] (lambda, mu) = (0, 1), G the Gram matrix
+    of S, is solved in Fractions (it is singular exactly when S is affinely
+    dependent); among the solutions with lambda >= 0 the least norm wins."""
+    W = [[Fraction(v) for v in row] for row in V.tolist()]
+    best, best_sq = None, None
+    for k in range(1, len(W[0]) + 2):
+        for S in itertools.combinations(W, k):
+            A = [[2 * sum(a * b for a, b in zip(p, q)) for q in S] + [Fraction(1)] for p in S] + [[Fraction(1)] * k + [Fraction(0)]]
+            sol = solve(A, [Fraction(0)] * k + [Fraction(1)])
+            if sol is None or min(sol[:k]) < 0:
+                continue
+            x = [sum(w * p[i] for w, p in zip(sol, S)) for i in range(len(W[0]))]
+            sq = sum(c * c for c in x)
+            if best_sq is None or sq < best_sq:
+                best, best_sq = x, sq
+    return np.array([float(c) for c in best])
 
 
 class TestEqualityLp:

@@ -902,7 +902,7 @@ def _planar_excess_ref(P, Q):
 
 
 def _wolfe_excess_ref(P, Q):
-    """max over P's vertices of the Wolfe minimum-norm-point distance to Q."""
+    """max over P's vertices of the distance to Q by a min-norm-point solve."""
     return max(float(np.linalg.norm(convexsolve.min_norm_point(Q.vrep - v))) for v in P.vrep)
 
 
@@ -1001,7 +1001,8 @@ class TestHausdorffReferences:
     def test_merged_coplanar_facets_match_wolfe(self, rng):
         """A cube with its face centres, which Qhull merges into square
         facets, and the same cube with zero-area triangles added to its
-        boundary: the same excesses as Wolfe's, with no warning."""
+        boundary: the same excesses as the min-norm-point solve's, with no
+        warning."""
         corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
         centres = np.array([[v if j == i else 0.5 for j in range(3)] for i in range(3) for v in (0.0, 1.0)])
         cube = gk.from_vrep(np.vstack([corners, centres]))
@@ -1016,13 +1017,14 @@ class TestHausdorffReferences:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bodies_trials_match_wolfe_without_it(self, seed, monkeypatch):
-        """The excesses of full-dimensional bodies in 3-space take no Wolfe
-        step, and agree with the per-vertex Wolfe reference."""
+        """The excesses of full-dimensional bodies in 3-space take no
+        min-norm-point solve, and agree with the per-vertex min-norm-point
+        reference."""
         pairs = _bodies_trials(np.random.default_rng(seed))
         refs = [(_wolfe_excess_ref(A, B), _wolfe_excess_ref(B, A)) for A, B in pairs]
 
         def no_wolfe(*args, **kwargs):
-            raise AssertionError("Wolfe ran on a full-dimensional body in 3-space")
+            raise AssertionError("min_norm_point ran on a full-dimensional body in 3-space")
 
         monkeypatch.setattr(convexsolve, "min_norm_point", no_wolfe)
         for (A, B), (ab, ba) in zip(pairs, refs):

@@ -53,7 +53,7 @@ class TestSweepPhi:
         assert math.isnan(rep.fd[0]) and math.isnan(rep.fd[-1])
         assert math.isnan(rep.ratio[0])
         rows = rep.rows()
-        assert list(rows[0].keys()) == ["x", "phi", "fd", "ratio", "bound_lhs", "bound_rhs", "margin"]
+        assert list(rows[0].keys()) == ["x", "phi", "fd", "ratio"]
 
     def test_coincident_points_have_no_ratio(self):
         # no two distinct parameters: as for a single point, the estimate is 0
