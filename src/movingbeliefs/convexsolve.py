@@ -51,9 +51,9 @@ def min_norm_point(vertices: Sequence) -> np.ndarray:
     try:
         lam = nnls(np.vstack([V.T, np.ones(n)]), np.append(np.zeros(m), 1.0))[0]
     except RuntimeError as exc:
-        raise SolverStall(f"minimum-norm point not found: nnls {exc}") from exc
+        raise SolverStall(f"minimum-norm point not found by nnls: {exc}") from exc
     x = lam @ V / lam.sum()
-    if float(np.min(V @ x)) < x @ x - 1e-9 * (1.0 + float(np.max(np.abs(V))) ** 2):
+    if (V @ x).min() < x @ x - 1e-9 * (1.0 + np.abs(V).max() ** 2):
         raise SolverStall("minimum-norm point failed its variational-inequality certificate")
     return x * u
 

@@ -63,8 +63,9 @@ class TestMinNormPoint:
         assert np.linalg.norm(x - want) <= 1e-12 * cs._unit(V)
 
     def test_hull_holding_the_origin_near_a_vertex(self):
-        """The origin lies in the hull, 2.5e-11 (in weight) from the vertex
-        (1e-10, 0, 0): the point is the origin, not that vertex."""
+        """The origin is in the hull, with weight 1 - 1e-10 on the vertex
+        (1e-10, 0, 0) and 1e-10 on the others: the point is the origin, not
+        that vertex."""
         V = np.array([[1e-10, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 1.0], [-1.0, -1.0, -1.0]])
         assert np.linalg.norm(cs.min_norm_point(V)) <= 1e-15
 
@@ -88,8 +89,8 @@ def _exact_min_norm_point(V, solve):
     best, best_sq = None, None
     for k in range(1, len(W[0]) + 2):
         for S in itertools.combinations(W, k):
-            A = [[2 * sum(a * b for a, b in zip(p, q)) for q in S] + [Fraction(1)] for p in S] + [[Fraction(1)] * k + [Fraction(0)]]
-            sol = solve(A, [Fraction(0)] * k + [Fraction(1)])
+            A = [[2 * sum(a * b for a, b in zip(p, q)) for q in S] + [Fraction(1)] for p in S]
+            sol = solve(A + [[Fraction(1)] * k + [Fraction(0)]], [Fraction(0)] * k + [Fraction(1)])
             if sol is None or min(sol[:k]) < 0:
                 continue
             x = [sum(w * p[i] for w, p in zip(sol, S)) for i in range(len(W[0]))]
