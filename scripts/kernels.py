@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the geometry kernels at fixed sizes and print one JSON object.
+"""Time the geometry and transport kernels at fixed sizes and print one JSON object.
 
     python3 scripts/kernels.py [--seconds 2]
 
@@ -28,7 +28,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import refloop  # noqa: E402
-from movingbeliefs import convexsolve, geomkernel as gk  # noqa: E402
+from movingbeliefs import beliefs, convexsolve, geomkernel as gk  # noqa: E402
 
 BATCH = 10
 SEED = 31
@@ -38,6 +38,13 @@ def polygon(rng, n):
     """n points on a circle at jittered angles: a convex n-gon."""
     a = np.sort(2.0 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n)
     return np.column_stack([np.cos(a), np.sin(a)]) * 0.5 + rng.uniform(0.4, 0.6, 2)
+
+
+def octagon(rng, area):
+    """A jittered 8-gon (``polygon``) scaled about its centre to ``area``."""
+    X = polygon(rng, 8)
+    c = X.mean(axis=0)
+    return c + (X - c) * np.sqrt(area / gk.volume(gk.from_vrep(X)))
 
 
 def sphere(rng, n, m=3):
@@ -76,6 +83,18 @@ def rows(rng):
                           ("3d-segment-vs-polygon", (polygon3, sphere(rng, 2)))):
         P, Q = gk.from_vrep(A), gk.from_vrep(B)
         out.append((f"hausdorff/{label}", gk.hausdorff, lambda P=P, Q=Q: (fresh(P), fresh(Q))))
+    # W1 at the finer resolution of the transport workload: two jittered
+    # octagons of its area 0.05, and the dense LP of that pair alone
+    P, Q = (gk.from_vrep(octagon(rng, 0.05)) for _ in range(2))
+    pair = lambda P=P, Q=Q: (beliefs.MeasurePair.make(fresh(P), fresh(Q)), 0.035)  # noqa: E731
+    out.append(("w1_distance/2d-octagons-0.035", beliefs.w1_distance, pair))
+    lp, real = [], beliefs._transport_lp
+    beliefs._transport_lp = lambda *a: lp.append(a) or real(*a)
+    try:
+        beliefs.w1_distance(*pair())
+    finally:
+        beliefs._transport_lp = real
+    out.append(("transport_lp/fine", real, lambda a=lp[0]: a))
     return out
 
 

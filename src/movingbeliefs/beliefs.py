@@ -335,7 +335,8 @@ def w1_distance(
     piece centroid, the moments of all pieces from one stacked pass
     (``_piece_moments``) — and the transportation LP goes to the HiGHS
     bindings as arrays, without presolve and without scipy's ``linprog``
-    layer (``_transport_lp``), the costs over u = ``gk._unit`` of both
+    layer, its primal simplex started from the least-cost spanning-tree
+    basis (``_transport_lp``), the costs over u = ``gk._unit`` of both
     supports' vertices; the reported error bound is 2 * cell diameter.
 
     The resolution must be positive and finite, and at least 2**-52 of the
@@ -343,10 +344,11 @@ def w1_distance(
     otherwise.  The dense LP has one column per pair of pieces, and at most
     ``MAX_TRANSPORT_COLUMNS`` = 2**23 are admitted, which takes resolution
     0.02 on unit-size planar pairs (at most 51^4 columns).  Peak memory runs
-    to about 500 bytes per column (cost matrix, LP arrays and HiGHS's work),
-    about 4 GiB at the cap.  The cap is checked twice, each time raising
-    ValueError: on each support's bounding-box cell count before it is cut,
-    and on the product of the piece counts before the cost matrix is built.
+    to about 560 bytes per column (cost matrix, LP arrays, starting basis
+    and HiGHS's work), about 4.4 GiB at the cap.  The cap is checked twice,
+    each time raising ValueError: on each support's bounding-box cell count
+    before it is cut, and on the product of the piece counts before the cost
+    matrix is built.
     """
     P, Q = pair.P, pair.Q
     if P.intrinsic_dim == 0 and Q.intrinsic_dim == 0:
@@ -461,18 +463,61 @@ def _piece_moments(T: np.ndarray, n: np.ndarray, k: int):
 
 def _transport_lp(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> float:
     """Transportation LP between discrete measures, its column-wise matrix
-    written directly and solved by HiGHS through ``convexsolve.equality_lp``
-    (bound here as ``linprog``, with the cost first).  Column i n2 + j, the
-    mass sent from a's i to b's j, has a 1 in row i and, for j < n2 - 1,
-    in row n1 + j: the last column-marginal row is redundant and left out,
-    because HiGHS presolve calls the full system infeasible when the two
-    totals differ in the last ulp.  Presolve is off: once that row is gone
-    it removes no row, column or nonzero of a transportation LP (HiGHS
-    reports it "Not reduced"), yet cost about a quarter of the solve; the
-    optimum agrees with the presolved one to HiGHS's 1e-7."""
+    written directly and solved by HiGHS's primal simplex from the
+    least-cost spanning-tree basis (``_least_cost_tree``) through
+    ``convexsolve.equality_lp`` (bound here as ``linprog``, with the cost
+    first and the basis sixth).  Column i n2 + j, the mass sent from a's i
+    to b's j, has a 1 in row i and, for j < n2 - 1, in row n1 + j: the last
+    column-marginal row is redundant and left out, because HiGHS presolve
+    calls the full system infeasible when the two totals differ in the last
+    ulp.  Dropping one node's row from the incidence matrix of a spanning
+    tree leaves it nonsingular, so the tree is a basis of this system.
+    Presolve is off: once that row is gone it removes no row, column or
+    nonzero of a transportation LP (HiGHS reports it "Not reduced"), yet
+    cost about a quarter of the solve.  The optimum agrees with HiGHS's
+    dual simplex from the slack basis, with and without presolve, to
+    HiGHS's 1e-7."""
     n1, n2 = cost.shape
     rows = np.column_stack([np.arange(n1).repeat(n2), n1 + np.tile(np.arange(n2), n1)]).ravel()
     index = rows[rows < n1 + n2 - 1]
     col = np.arange(n1 * n2 + 1)
     start = 2 * col - col // n2  # one entry dropped per column j = n2 - 1 before col
-    return linprog(cost.ravel(), start, index, np.ones(index.size), np.concatenate([a, b])[:-1])
+    return linprog(cost.ravel(), start, index, np.ones(index.size), np.concatenate([a, b])[:-1],
+                   _least_cost_tree(a, b, cost))
+
+
+def _least_cost_tree(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list:
+    """The n1 + n2 - 1 arcs (flat indices i n2 + j) of a spanning tree on
+    the n1 rows and n2 columns of ``cost``, by the matrix-minimum rule
+    (Peyre and Cuturi, Computational Optimal Transport, 2019, ch. 3): in
+    order of increasing cost (a stable sort), each arc whose row and column
+    are both open sends min(remaining a_i, remaining b_j) and closes one of
+    them, the row when a_i < b_j and the column otherwise.  A closed line
+    takes no later arc, so the arcs form one tree per line left open.  Once
+    n1 + n2 - 1 arcs are taken one line is left and the tree spans.  The
+    scan can also end with several rows or several columns open (never
+    both: the arc between an open row and an open column would have been
+    taken), after negative masses or totals an ulp apart; then the line the
+    last arc closed is joined to each of them but the last arc's other end,
+    which merges their trees into one."""
+    n1, n2 = cost.shape
+    need = n1 + n2 - 1
+    left_a, left_b = a.tolist(), b.tolist()
+    row_open, col_open = [True] * n1, [True] * n2
+    arcs = []
+    for k in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(k, n2)
+        if row_open[i] and col_open[j]:
+            arcs.append(k)
+            if left_a[i] < left_b[j]:
+                row_open[i] = False
+                left_b[j] -= left_a[i]
+            else:
+                col_open[j] = False
+                left_a[i] -= left_b[j]
+            if len(arcs) == need:
+                return arcs
+    i, j = divmod(arcs[-1], n2)
+    if row_open[i]:  # the last arc closed column j; the open lines are rows
+        return arcs + [r * n2 + j for r in range(n1) if row_open[r] and r != i]
+    return arcs + [i * n2 + c for c in range(n2) if col_open[c] and c != j]

@@ -9,7 +9,8 @@ Hausdorff excesses outside the plane and outside full-dimensional bodies in
 dimensions), run on the vertices over ``_unit``.  Instances have tens of
 vertices, not thousands.  ``equality_lp`` hands a column-wise LP as arrays
 straight to the HiGHS bindings that ``scipy.optimize.linprog`` itself
-calls, without its per-column Python layer.
+calls, without its per-column Python layer, and runs HiGHS's primal
+simplex from the starting basis its caller gives.
 """
 
 from __future__ import annotations
@@ -58,32 +59,48 @@ def min_norm_point(vertices: Sequence) -> np.ndarray:
     return x * u
 
 
-def equality_lp(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.ndarray, b: np.ndarray) -> float:
+def equality_lp(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.ndarray, b: np.ndarray,
+                basic: Sequence[int] = ()) -> float:
     """Optimal value of min c.x subject to A x = b, x >= 0, A given
     column-wise: column j holds ``value[start[j]:start[j + 1]]`` in rows
     ``index[start[j]:start[j + 1]]``.  The arrays go to HiGHS in one call,
     the array form of ``passModel`` (32-bit starts and indices, no integer
     columns), with no ``HighsLp`` built attribute by attribute; a model
     HiGHS refuses (such as a row index out of range) raises ``SolverStall``
-    naming the status.  HiGHS runs with presolve off and every other option
-    at its default, the run ``linprog(method="highs", options={"presolve":
-    False})`` makes, so the optimum is the same float; any model status but
-    optimal raises ``SolverStall`` naming it.  The cost comes first, as in
-    ``linprog``, because ``beliefs`` calls this as ``linprog``: per-layer
-    tracers time the transport LP under that name and count its columns
-    from the first argument."""
-    n = len(c)
+    naming the status.  The columns in ``basic`` start basic, every other
+    column and every row at its lower bound, and HiGHS's primal simplex
+    runs from that basis (``setBasis``, ``simplex_strategy`` primal) with
+    presolve off and its tolerances at their defaults.  The basis is passed
+    as alien, so HiGHS factorizes it and completes it with row slacks where
+    the columns fall short of a nonsingular basis: with ``basic`` empty the
+    run starts from the slack basis.  Any model status but optimal raises
+    ``SolverStall`` naming it.  The optimum agrees with scipy's
+    ``linprog(method="highs")`` to HiGHS's 1e-7, not to the last bit: that
+    runs the dual simplex from the slack basis.  The cost comes first, as
+    in ``linprog``, because ``beliefs`` calls this as ``linprog``:
+    per-layer tracers time the transport LP under that name and count its
+    columns from the first argument."""
+    n, m = len(c), len(b)
     options = highs.HighsOptions()
     options.presolve, options.output_flag = "off", False
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal.value
     solver = highs._Highs()
     solver.passOptions(options)
     status = solver.passModel(
-        n, len(b), len(index), highs.MatrixFormat.kColwise.value, highs.ObjSense.kMinimize.value, 0.0,
+        n, m, len(index), highs.MatrixFormat.kColwise.value, highs.ObjSense.kMinimize.value, 0.0,
         c, np.zeros(n), np.full(n, highs.kHighsInf), b, b,
         start[:-1].astype(np.int32), index.astype(np.int32), value, np.zeros(n, np.int32),
     )
     if status != highs.HighsStatus.kOk:
         raise SolverStall(f"LP not passed: HiGHS status {status.name}")
+    basis = highs.HighsBasis()  # alien by default
+    col_status = [highs.HighsBasisStatus.kLower] * n
+    for j in basic:
+        col_status[j] = highs.HighsBasisStatus.kBasic
+    basis.col_status, basis.row_status = col_status, [highs.HighsBasisStatus.kLower] * m
+    status = solver.setBasis(basis)
+    if status != highs.HighsStatus.kOk:
+        raise SolverStall(f"starting basis not set: HiGHS status {status.name}")
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:

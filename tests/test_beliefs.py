@@ -470,7 +470,8 @@ class TestW1Distance:
     def test_transport_matrix_is_the_full_system_less_its_last_row(self, monkeypatch):
         """The (n1 + n2 - 1)-row column-wise matrix is built directly; it
         equals the full marginal system with its last row sliced off, entry
-        for entry."""
+        for entry.  The starting basis, the sixth argument, is a spanning
+        tree of the marginals."""
         seen = []
         real = bl.linprog
         monkeypatch.setattr(bl, "linprog", lambda *a: seen.append(a) or real(*a))
@@ -478,7 +479,8 @@ class TestW1Distance:
             a, b = np.full(n1, 1 / n1), np.full(n2, 1 / n2)
             cost = np.random.default_rng([n1, n2]).random((n1, n2))
             bl._transport_lp(a, b, cost)
-            c, start, index, value, b_eq = seen[-1]
+            c, start, index, value, b_eq, basic = seen[-1]
+            assert is_spanning_tree(basic, n1, n2)
             want = sparse.csc_array(full_transport_system(n1, n2)[:-1])
             assert np.array_equal(c, cost.ravel())
             assert np.array_equal(b_eq, np.concatenate([a, b])[:-1])
@@ -734,14 +736,63 @@ def full_transport_system(n1, n2):
     return sparse.csr_matrix((np.ones(cols.size), (rows, cols)), shape=(n1 + n2, n1 * n2))
 
 
+def is_spanning_tree(arcs, n1, n2):
+    """Whether the flat arcs i n2 + j are n1 + n2 - 1 distinct arcs joining
+    all n1 rows and n2 columns: union-find, no arc closing a cycle."""
+    parent = list(range(n1 + n2))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j in (divmod(int(k), n2) for k in arcs):
+        ri, rj = root(i), root(n1 + j)
+        if ri == rj:
+            return False
+        parent[ri] = rj
+    return len(arcs) == n1 + n2 - 1
+
+
 class TestTransportLp:
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 4), (3, 1), (5, 7), (9, 4)])
+    def test_least_cost_tree_spans(self, n1, n2):
+        """The crash basis joins every marginal, on random costs and on
+        uniform ones, where every arc ties."""
+        a, b = np.full(n1, 1 / n1), np.full(n2, 1 / n2)
+        for cost in (np.random.default_rng([n1, n2]).random((n1, n2)), np.ones((n1, n2))):
+            assert is_spanning_tree(bl._least_cost_tree(a, b, cost), n1, n2)
+
+    @pytest.mark.parametrize("a, b", [
+        (np.full(6, 1 / 6), np.full(4, 0.25)),  # totals one ulp apart
+        (np.full(4, 0.25), np.full(6, 1 / 6)),
+        (np.array([1.5, -0.5]), np.array([0.5, 0.5])),  # a negative mass
+        (np.array([0.5, 0.5]), np.array([1.5, -0.5])),
+    ])
+    def test_least_cost_tree_spans_when_the_lines_run_out(self, a, b):
+        """On one of the five costs of each case the scan ends short of a
+        tree, with several columns open in the first and last case and
+        several rows in the other two; the padding arcs make it one
+        spanning tree."""
+        for seed in range(5):
+            cost = np.random.default_rng(seed).random((len(a), len(b)))
+            assert is_spanning_tree(bl._least_cost_tree(a, b, cost), len(a), len(b))
+
+    def test_same_input_same_float(self):
+        """Two solves of one instance return the same float."""
+        rng = np.random.default_rng(3)
+        a, b = rng.random(40), rng.random(50)
+        cost = np.linalg.norm(rng.random((40, 2))[:, None] - rng.random((50, 2))[None], axis=-1)
+        first = bl._transport_lp(a / a.sum(), b / b.sum(), cost)
+        assert bl._transport_lp(a / a.sum(), b / b.sum(), cost) == first
+
     @pytest.mark.parametrize("seed", range(10))
     def test_no_presolve_matches_presolve(self, seed):
-        """The direct HiGHS call returns the very float that
-        ``linprog(method="highs")`` without presolve returns, and the
-        presolved optimum to within HiGHS's 1e-7, on random planar
-        transportation instances and on totals one ulp apart (six masses of
-        1/6 sum to 1 - 2**-53)."""
+        """The warm-started primal simplex matches
+        ``linprog(method="highs")`` run to feasibility tolerances of 1e-10
+        within 1e-9 relative, and the presolved optimum at HiGHS's default
+        tolerances within 1e-7, on random planar transportation instances
+        and on totals one ulp apart (six masses of 1/6 sum to 1 - 2**-53)."""
         rng = np.random.default_rng(seed)
         if seed == 0:
             a, b = np.full(6, 1 / 6), np.full(4, 0.25)
@@ -753,10 +804,11 @@ class TestTransportLp:
         value = bl._transport_lp(a, b, cost)
         lp = dict(A_eq=full_transport_system(len(a), len(b))[:-1], b_eq=np.concatenate([a, b])[:-1],
                   bounds=(0, None), method="highs")
-        plain = linprog(cost.ravel(), **lp, options={"presolve": False})
+        tight = linprog(cost.ravel(), **lp, options={"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                                                     "dual_feasibility_tolerance": 1e-10})
         presolved = linprog(cost.ravel(), **lp, options={"presolve": True})
-        assert plain.success and presolved.success
-        assert value == plain.fun
+        assert tight.success and presolved.success
+        assert value == pytest.approx(tight.fun, rel=1e-9, abs=0)
         assert value == pytest.approx(presolved.fun, rel=1e-7, abs=0)
 
 

@@ -1,6 +1,7 @@
 """Minimum-norm point tests: closed cases, a grid-search oracle, an exact
 oracle in Fractions, the variational-inequality certificate and the
-solver's iteration cap; the HiGHS equality LP's refusals."""
+solver's iteration cap; the HiGHS equality LP's refusals and starting
+bases."""
 
 import itertools
 from fractions import Fraction
@@ -106,3 +107,16 @@ class TestEqualityLp:
         kError), and the refusal is named."""
         with pytest.raises(SolverStall, match="HiGHS status kError"):
             cs.equality_lp(np.ones(2), np.array([0, 1, 2]), np.array([0, 5]), np.ones(2), np.array([1.0]))
+
+    @pytest.mark.parametrize("basic", [(), (0, 5), (0, 1, 4, 5)], ids=["slack", "partial", "tree"])
+    def test_any_starting_basis_gives_the_optimum(self, basic):
+        """A 2 x 3 transportation LP (its last column row dropped) from the
+        slack basis, from two arcs of a spanning tree, which HiGHS completes
+        with row slacks, and from the whole tree: the optimum is 0.3 each
+        time, to HiGHS's 1e-7 (the plan sends 0.5 and 0.2 at cost 0 and 0.3
+        at cost 1)."""
+        cost = np.array([0.0, 1.0, 2.0, 1.0, 3.0, 0.0])  # flat 2 x 3, arc i 3 + j
+        start = np.array([0, 2, 4, 5, 7, 9, 10])
+        index = np.array([0, 2, 0, 3, 0, 1, 2, 1, 3, 1])
+        b = np.array([0.8, 0.2, 0.5, 0.3])  # row masses 0.8, 0.2; column masses 0.5, 0.3 (and 0.2)
+        assert cs.equality_lp(cost, start, index, np.ones(10), b, basic) == pytest.approx(0.3, abs=1e-7)
