@@ -493,31 +493,33 @@ def _least_cost_tree(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list:
     order of increasing cost (a stable sort), each arc whose row and column
     are both open sends min(remaining a_i, remaining b_j) and closes one of
     them, the row when a_i < b_j and the column otherwise.  A closed line
-    takes no later arc, so the arcs form one tree per line left open.  Once
-    n1 + n2 - 1 arcs are taken one line is left and the tree spans.  The
-    scan can also end with several rows or several columns open (never
-    both: the arc between an open row and an open column would have been
-    taken), after negative masses or totals an ulp apart; then the line the
-    last arc closed is joined to each of them but the last arc's other end,
-    which merges their trees into one."""
+    takes no later arc, and each arc closes one line, so the arcs form one
+    tree per open line.  Once a single row (or column) is left open, the
+    rest of the spanning tree is its arcs to every open column (or row):
+    the rule takes them in order of cost until the row closes, and a row
+    that closes early (after negative masses, or totals an ulp apart) must
+    still be joined to the columns left open.  Those arcs are added at
+    once."""
     n1, n2 = cost.shape
-    need = n1 + n2 - 1
     left_a, left_b = a.tolist(), b.tolist()
     row_open, col_open = [True] * n1, [True] * n2
+    rows, cols = n1, n2  # open lines
     arcs = []
-    for k in np.argsort(cost, axis=None, kind="stable").tolist():
-        i, j = divmod(k, n2)
-        if row_open[i] and col_open[j]:
-            arcs.append(k)
-            if left_a[i] < left_b[j]:
-                row_open[i] = False
-                left_b[j] -= left_a[i]
-            else:
-                col_open[j] = False
-                left_a[i] -= left_b[j]
-            if len(arcs) == need:
-                return arcs
-    i, j = divmod(arcs[-1], n2)
-    if row_open[i]:  # the last arc closed column j; the open lines are rows
-        return arcs + [r * n2 + j for r in range(n1) if row_open[r] and r != i]
-    return arcs + [i * n2 + c for c in range(n2) if col_open[c] and c != j]
+    if rows > 1 and cols > 1:
+        for k in np.argsort(cost, axis=None, kind="stable").tolist():
+            i, j = divmod(k, n2)
+            if row_open[i] and col_open[j]:
+                arcs.append(k)
+                if left_a[i] < left_b[j]:
+                    row_open[i], rows = False, rows - 1
+                    left_b[j] -= left_a[i]
+                else:
+                    col_open[j], cols = False, cols - 1
+                    left_a[i] -= left_b[j]
+                if rows == 1 or cols == 1:
+                    break
+    if rows == 1:
+        i = row_open.index(True)
+        return arcs + [i * n2 + c for c in range(n2) if col_open[c]]
+    j = col_open.index(True)
+    return arcs + [r * n2 + j for r in range(n1) if row_open[r]]

@@ -770,10 +770,11 @@ class TestTransportLp:
         (np.array([0.5, 0.5]), np.array([1.5, -0.5])),
     ])
     def test_least_cost_tree_spans_when_the_lines_run_out(self, a, b):
-        """On one of the five costs of each case the scan ends short of a
-        tree, with several columns open in the first and last case and
-        several rows in the other two; the padding arcs make it one
-        spanning tree."""
+        """On one of the five costs of each case the matrix-minimum rule
+        alone ends short of a tree, its last row or column closing early:
+        several columns are left open in the first and last case, several
+        rows in the other two.  The arcs from the last open line make it
+        one spanning tree."""
         for seed in range(5):
             cost = np.random.default_rng(seed).random((len(a), len(b)))
             assert is_spanning_tree(bl._least_cost_tree(a, b, cost), len(a), len(b))
