@@ -95,6 +95,18 @@ def rows(rng):
     finally:
         beliefs._transport_lp = real
     out.append(("transport_lp/fine", real, lambda a=lp[0]: a))
+    # drawn after the rows above, so that their inputs stay the same: that
+    # LP's starting tree alone, on the matrix it sorts (the LP's last
+    # argument, the order matrix w1_distance builds), and a 4-D body of 16
+    # rows, the unit box cut by 8 random half-spaces at distance 0.3 from
+    # its centre
+    a, b, order = lp[0][0], lp[0][1], lp[0][-1]
+    out.append(("least_cost_tree/fine", beliefs._least_cost_tree, lambda a=a, b=b, order=order: (a, b, order)))
+    N = rng.standard_normal((8, 4))
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    M = np.vstack([np.eye(4), -np.eye(4), N])
+    q = np.concatenate([np.ones(4), np.zeros(4), N @ np.full(4, 0.5) + 0.3])
+    out.append(("from_hrep/4d-16", gk.from_hrep, lambda M=M, q=q: (M, q)))
     return out
 
 

@@ -29,6 +29,7 @@ from .errors import (
 from .geomkernel import DEFAULT_TOL, Polytope, Tolerances
 
 DEGREE_CAP = 8
+_TREE_BLOCK = 256  # arcs of the sorted order masked at once by _least_cost_tree
 MAX_TRANSPORT_COLUMNS = 2**23  # admits resolution 0.02 on unit-size planar pairs: 51^4 columns
 
 
@@ -335,17 +336,26 @@ def w1_distance(
     piece centroid, the moments of all pieces from one stacked pass
     (``_piece_moments``) — and the transportation LP goes to the HiGHS
     bindings as arrays, without presolve and without scipy's ``linprog``
-    layer, its primal simplex started from the least-cost spanning-tree
-    basis (``_transport_lp``), the costs over u = ``gk._unit`` of both
-    supports' vertices; the reported error bound is 2 * cell diameter.
+    layer, the costs c over u = ``gk._unit`` of both supports' vertices;
+    the reported error bound is 2 * cell diameter.  HiGHS's primal simplex
+    starts from the spanning tree of the matrix-minimum rule
+    (``_least_cost_tree``, through ``_transport_lp``) taken in order of the
+    reduced costs r_ij = c_ij - e.(y_j - x_i) / u, where x_i and y_j are the
+    two laws' grid points and e is the unit vector from a's discrete mean to
+    b's (0 when the two means coincide): a dual-informed crash (Peyre and
+    Cuturi, Computational Optimal Transport, 2019, ch. 3).  The linear
+    potential y -> e.y is 1-Lipschitz, so r >= 0 up to rounding
+    (Cauchy-Schwarz), and it is the optimal potential when Q is an exact
+    translate of P.  The LP is still solved on c to optimality, so the
+    value is the LP optimum; the order changes only the path to it.
 
     The resolution must be positive and finite, and at least 2**-52 of the
     grid's span (finer grid lines are not distinct doubles): ValueError
     otherwise.  The dense LP has one column per pair of pieces, and at most
     ``MAX_TRANSPORT_COLUMNS`` = 2**23 are admitted, which takes resolution
     0.02 on unit-size planar pairs (at most 51^4 columns).  Peak memory runs
-    to about 560 bytes per column (cost matrix, LP arrays, starting basis
-    and HiGHS's work), about 4.4 GiB at the cap.  The cap is checked twice,
+    to about 560 bytes per column (cost and order matrices, LP arrays,
+    starting basis and HiGHS's work), about 4.4 GiB at the cap.  The cap is checked twice,
     each time raising ValueError: on each support's bounding-box cell count
     before it is cut, and on the product of the piece counts before the cost
     matrix is built.
@@ -375,8 +385,15 @@ def w1_distance(
     if len(a_mass) * len(b_mass) > MAX_TRANSPORT_COLUMNS:
         raise ValueError(f"resolution {resolution:g}: {len(a_mass)} x {len(b_mass)} transport columns, "
                          f"above the cap of {MAX_TRANSPORT_COLUMNS}")
+    a, b = a_mass / a_mass.sum(), b_mass / b_mass.sum()
     cost = np.linalg.norm(a_pts[:, None, :] - b_pts[None, :, :], axis=-1) / u
-    value = u * _transport_lp(a_mass / a_mass.sum(), b_mass / b_mass.sum(), cost)
+    mean_a = a @ a_pts
+    gap = b @ b_pts - mean_a  # exactly 0 for P = Q
+    gap = gap / gk._unit(gap)  # exact, and no underflow in the norm
+    e = gap / np.linalg.norm(gap) if gap.any() else gap
+    order = cost + ((a_pts - mean_a) @ e / u)[:, None]  # the potential taken about a's mean
+    order -= (b_pts - mean_a) @ e / u
+    value = u * _transport_lp(a, b, cost, order)
     return value, 2.0 * resolution * math.sqrt(P.ambient_dim)
 
 
@@ -461,53 +478,61 @@ def _piece_moments(T: np.ndarray, n: np.ndarray, k: int):
     return mass[keep], moment[keep] / mass[keep, None]
 
 
-def _transport_lp(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> float:
+def _transport_lp(a: np.ndarray, b: np.ndarray, cost: np.ndarray, order: np.ndarray) -> float:
     """Transportation LP between discrete measures, its column-wise matrix
     written directly and solved by HiGHS's primal simplex from the
-    least-cost spanning-tree basis (``_least_cost_tree``) through
+    spanning-tree basis ``_least_cost_tree`` builds in the order of
+    ``order`` (a matrix of cost's shape) through
     ``convexsolve.equality_lp`` (bound here as ``linprog``, with the cost
-    first and the basis sixth).  Column i n2 + j, the mass sent from a's i
-    to b's j, has a 1 in row i and, for j < n2 - 1, in row n1 + j: the last
-    column-marginal row is redundant and left out, because HiGHS presolve
-    calls the full system infeasible when the two totals differ in the last
-    ulp.  Dropping one node's row from the incidence matrix of a spanning
-    tree leaves it nonsingular, so the tree is a basis of this system.
-    Presolve is off: once that row is gone it removes no row, column or
-    nonzero of a transportation LP (HiGHS reports it "Not reduced"), yet
-    cost about a quarter of the solve.  The optimum agrees with HiGHS's
-    dual simplex from the slack basis, with and without presolve, to
-    HiGHS's 1e-7."""
+    first and the basis sixth).  The LP is solved on ``cost`` to optimality
+    whatever the order: the order only picks the starting basis.  Column
+    i n2 + j, the mass sent from a's i to b's j, has a 1 in row i and, for
+    j < n2 - 1, in row n1 + j: the last column-marginal row is redundant and
+    left out, because HiGHS presolve calls the full system infeasible when
+    the two totals differ in the last ulp.  Dropping one node's row from the
+    incidence matrix of a spanning tree leaves it nonsingular, so the tree
+    is a basis of this system.  Presolve is off: once that row is gone it
+    removes no row, column or nonzero of a transportation LP (HiGHS reports
+    it "Not reduced"), yet cost about a quarter of the solve.  The optimum
+    agrees with HiGHS's dual simplex from the slack basis, with and without
+    presolve, to HiGHS's 1e-7."""
     n1, n2 = cost.shape
     rows = np.column_stack([np.arange(n1).repeat(n2), n1 + np.tile(np.arange(n2), n1)]).ravel()
     index = rows[rows < n1 + n2 - 1]
     col = np.arange(n1 * n2 + 1)
     start = 2 * col - col // n2  # one entry dropped per column j = n2 - 1 before col
     return linprog(cost.ravel(), start, index, np.ones(index.size), np.concatenate([a, b])[:-1],
-                   _least_cost_tree(a, b, cost))
+                   _least_cost_tree(a, b, order))
 
 
-def _least_cost_tree(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list:
+def _least_cost_tree(a: np.ndarray, b: np.ndarray, order: np.ndarray) -> list:
     """The n1 + n2 - 1 arcs (flat indices i n2 + j) of a spanning tree on
-    the n1 rows and n2 columns of ``cost``, by the matrix-minimum rule
+    the n1 rows and n2 columns of ``order``, by the matrix-minimum rule
     (Peyre and Cuturi, Computational Optimal Transport, 2019, ch. 3): in
-    order of increasing cost (a stable sort), each arc whose row and column
+    increasing ``order`` (a stable sort), each arc whose row and column
     are both open sends min(remaining a_i, remaining b_j) and closes one of
     them, the row when a_i < b_j and the column otherwise.  A closed line
     takes no later arc, and each arc closes one line, so the arcs form one
-    tree per open line.  Once a single row (or column) is left open, the
-    rest of the spanning tree is its arcs to every open column (or row):
-    the rule takes them in order of cost until the row closes, and a row
-    that closes early (after negative masses, or totals an ulp apart) must
-    still be joined to the columns left open.  Those arcs are added at
-    once."""
-    n1, n2 = cost.shape
+    tree per open line.  The sort order is scanned in blocks of
+    ``_TREE_BLOCK`` arcs: one numpy mask per block drops the arcs of lines
+    closed before it, and only the rest are visited in Python, which takes
+    the same arcs as visiting all of them, since a line never reopens.
+    Once a single row (or column) is left open, the rest of the spanning
+    tree is its arcs to every open column (or row): the rule takes them in
+    order until the row closes, and a row that closes early (after
+    negative masses, or totals an ulp apart) must still be joined to the
+    columns left open.  Those arcs are added at once."""
+    n1, n2 = order.shape
     left_a, left_b = a.tolist(), b.tolist()
-    row_open, col_open = [True] * n1, [True] * n2
+    row_open, col_open = np.ones(n1, bool), np.ones(n2, bool)
     rows, cols = n1, n2  # open lines
-    arcs = []
-    if rows > 1 and cols > 1:
-        for k in np.argsort(cost, axis=None, kind="stable").tolist():
-            i, j = divmod(k, n2)
+    arcs, sort, s = [], np.argsort(order, axis=None, kind="stable"), 0
+    while rows > 1 and cols > 1:  # an arc between two open lines is taken, so the sort never runs out
+        block = sort[s : s + _TREE_BLOCK]
+        s += _TREE_BLOCK
+        bi, bj = np.divmod(block, n2)
+        keep = row_open[bi] & col_open[bj]
+        for k, i, j in zip(block[keep].tolist(), bi[keep].tolist(), bj[keep].tolist()):
             if row_open[i] and col_open[j]:
                 arcs.append(k)
                 if left_a[i] < left_b[j]:
@@ -519,7 +544,6 @@ def _least_cost_tree(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list:
                 if rows == 1 or cols == 1:
                     break
     if rows == 1:
-        i = row_open.index(True)
-        return arcs + [i * n2 + c for c in range(n2) if col_open[c]]
-    j = col_open.index(True)
-    return arcs + [r * n2 + j for r in range(n1) if row_open[r]]
+        return arcs + (row_open.argmax() * n2 + np.flatnonzero(col_open)).tolist()
+    j = col_open.argmax()
+    return arcs + (np.flatnonzero(row_open) * n2 + j).tolist()

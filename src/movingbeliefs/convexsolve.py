@@ -24,6 +24,11 @@ from scipy.optimize._highspy import _core as highs  # scipy >= 1.15: an older sc
 
 from .errors import SolverStall
 
+_LP_OPTIONS = highs.HighsOptions()  # equality_lp's options, set once here and never changed after
+_LP_OPTIONS.presolve, _LP_OPTIONS.output_flag = "off", False
+_LP_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal.value
+
+
 def _unit(X) -> float:
     """2^e, e the binary exponent of max |X| (1 when X is all zero): the one
     scale of the package.  Length tolerances are multiples of it and external
@@ -70,7 +75,9 @@ def equality_lp(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.n
     naming the status.  The columns in ``basic`` start basic, every other
     column and every row at its lower bound, and HiGHS's primal simplex
     runs from that basis (``setBasis``, ``simplex_strategy`` primal) with
-    presolve off and its tolerances at their defaults.  The basis is passed
+    presolve off and its tolerances at their defaults.  Those options are
+    the module constant ``_LP_OPTIONS``, built once at import; ``passOptions``
+    copies it into each solver, and nothing mutates it.  The basis is passed
     as alien, so HiGHS factorizes it and completes it with row slacks where
     the columns fall short of a nonsingular basis: with ``basic`` empty the
     run starts from the slack basis.  Any model status but optimal raises
@@ -81,11 +88,8 @@ def equality_lp(c: np.ndarray, start: np.ndarray, index: np.ndarray, value: np.n
     per-layer tracers time the transport LP under that name and count its
     columns from the first argument."""
     n, m = len(c), len(b)
-    options = highs.HighsOptions()
-    options.presolve, options.output_flag = "off", False
-    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal.value
     solver = highs._Highs()
-    solver.passOptions(options)
+    solver.passOptions(_LP_OPTIONS)
     status = solver.passModel(
         n, m, len(index), highs.MatrixFormat.kColwise.value, highs.ObjSense.kMinimize.value, 0.0,
         c, np.zeros(n), np.full(n, highs.kHighsInf), b, b,

@@ -465,7 +465,7 @@ class TestW1Distance:
         """A negative mass makes the LP infeasible; HiGHS's status is named."""
         a, b = np.array([1.5, -0.5]), np.array([0.5, 0.5])
         with pytest.raises(SolverStall, match="HiGHS model status Infeasible"):
-            bl._transport_lp(a, b, np.ones((2, 2)))
+            bl._transport_lp(a, b, np.ones((2, 2)), np.ones((2, 2)))
 
     def test_transport_matrix_is_the_full_system_less_its_last_row(self, monkeypatch):
         """The (n1 + n2 - 1)-row column-wise matrix is built directly; it
@@ -478,7 +478,7 @@ class TestW1Distance:
         for n1, n2 in ((1, 1), (1, 4), (3, 1), (5, 7), (9, 4)):
             a, b = np.full(n1, 1 / n1), np.full(n2, 1 / n2)
             cost = np.random.default_rng([n1, n2]).random((n1, n2))
-            bl._transport_lp(a, b, cost)
+            bl._transport_lp(a, b, cost, cost)
             c, start, index, value, b_eq, basic = seen[-1]
             assert is_spanning_tree(basic, n1, n2)
             want = sparse.csc_array(full_transport_system(n1, n2)[:-1])
@@ -754,6 +754,51 @@ def is_spanning_tree(arcs, n1, n2):
     return len(arcs) == n1 + n2 - 1
 
 
+def scalar_tree(a, b, order):
+    """The matrix-minimum tree by a scalar scan over every arc of the sort
+    order, the oracle of ``bl._least_cost_tree``: each arc whose row and
+    column are both open is taken and closes the row when its remaining
+    mass is below the column's, else the column; once one row or column is
+    left open, its arcs to every open line are added."""
+    n1, n2 = order.shape
+    left_a, left_b = a.tolist(), b.tolist()
+    row_open, col_open = [True] * n1, [True] * n2
+    rows, cols = n1, n2
+    arcs = []
+    if rows > 1 and cols > 1:
+        for k in np.argsort(order, axis=None, kind="stable").tolist():
+            i, j = divmod(k, n2)
+            if row_open[i] and col_open[j]:
+                arcs.append(k)
+                if left_a[i] < left_b[j]:
+                    row_open[i], rows = False, rows - 1
+                    left_b[j] -= left_a[i]
+                else:
+                    col_open[j], cols = False, cols - 1
+                    left_a[i] -= left_b[j]
+                if rows == 1 or cols == 1:
+                    break
+    if rows == 1:
+        i = row_open.index(True)
+        return arcs + [i * n2 + c for c in range(n2) if col_open[c]]
+    j = col_open.index(True)
+    return arcs + [r * n2 + j for r in range(n1) if row_open[r]]
+
+
+def tight_optimum(a, b, cost):
+    """The transportation optimum by ``linprog(method="highs")`` without
+    presolve, at primal and dual feasibility tolerances of 1e-10."""
+    res = linprog(cost.ravel(), A_eq=full_transport_system(len(a), len(b))[:-1],
+                  b_eq=np.concatenate([a, b])[:-1], bounds=(0, None), method="highs",
+                  options={"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return res.fun
+
+
+BLOCK = bl._TREE_BLOCK
+
+
 class TestTransportLp:
     @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 4), (3, 1), (5, 7), (9, 4)])
     def test_least_cost_tree_spans(self, n1, n2):
@@ -784,8 +829,55 @@ class TestTransportLp:
         rng = np.random.default_rng(3)
         a, b = rng.random(40), rng.random(50)
         cost = np.linalg.norm(rng.random((40, 2))[:, None] - rng.random((50, 2))[None], axis=-1)
-        first = bl._transport_lp(a / a.sum(), b / b.sum(), cost)
-        assert bl._transport_lp(a / a.sum(), b / b.sum(), cost) == first
+        first = bl._transport_lp(a / a.sum(), b / b.sum(), cost, cost)
+        assert bl._transport_lp(a / a.sum(), b / b.sum(), cost, cost) == first
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (3, 5), (BLOCK // 8 - 1, 8), (BLOCK // 8, 8),
+                                        (BLOCK // 8 + 1, 8), (40, 50), (60, 3)])
+    @pytest.mark.parametrize("kind", ["random", "ties", "negative-a", "negative-b", "ulp"])
+    def test_blockwise_scan_matches_the_scalar_scan(self, n1, n2, kind):
+        """The blockwise scan takes the oracle's arcs in the oracle's order,
+        on fewer arcs than one block, exactly one block (n1 n2 = BLOCK),
+        just above it and several blocks; on random costs, on costs in
+        {0, 1, 2} with uniform masses (ties in both), with a negative mass
+        on either side, and with totals one ulp apart."""
+        rng = np.random.default_rng([n1, n2, len(kind)])
+        a, b = rng.random(n1), rng.random(n2)
+        a, b = a / a.sum(), b / b.sum()
+        cost = rng.random((n1, n2))
+        if kind == "ties":
+            a, b = np.full(n1, 1 / n1), np.full(n2, 1 / n2)
+            cost = rng.integers(0, 3, (n1, n2)).astype(float)
+        elif kind == "negative-a":
+            a[0] = -0.5
+        elif kind == "negative-b":
+            b[-1] = -0.5
+        elif kind == "ulp":
+            b[b.argmax()] += 2.0**-53
+        assert bl._least_cost_tree(a, b, cost) == scalar_tree(a, b, cost)
+
+    @pytest.mark.parametrize("case", ["random-0", "random-1", "random-2", "translate", "same", "ulp"])
+    def test_reduced_cost_start_reaches_the_optimum(self, case, monkeypatch):
+        """The tree in order of the reduced costs under the linear potential
+        e.y starts a solve whose optimum agrees within 1e-9 relative with
+        ``linprog`` at feasibility tolerances of 1e-10: on random jittered
+        octagons, an exact translate, P = Q (zero mean gap, so the order is
+        the cost itself) and a translate by one ulp (means about an ulp
+        apart, so e is all rounding).  The order is at least -1e-14 max c,
+        and the same pair gives the same float twice."""
+        rng = np.random.default_rng(int(case[-1]) if case[-1].isdigit() else 7)
+        P = octagon(rng)
+        Q = {"translate": gk.translate(P, np.array([0.13, -0.07])), "same": P,
+             "ulp": gk.translate(P, np.array([2.0**-53, 0.0]))}.get(case) or octagon(rng)
+        seen, real = [], bl._transport_lp
+        monkeypatch.setattr(bl, "_transport_lp", lambda *a: seen.append((a, real(*a))) or seen[-1][1])
+        pair = bl.MeasurePair.make(P, Q)
+        w, _ = bl.w1_distance(pair, 0.075)
+        (a, b, cost, order), value = seen[0]
+        assert np.array_equal(order, cost) == (case == "same")
+        assert order.min() >= -1e-14 * cost.max()
+        assert value == pytest.approx(tight_optimum(a, b, cost), rel=1e-9, abs=1e-15)
+        assert bl.w1_distance(pair, 0.075)[0] == w
 
     @pytest.mark.parametrize("seed", range(10))
     def test_no_presolve_matches_presolve(self, seed):
@@ -802,7 +894,7 @@ class TestTransportLp:
             a, b = rng.random(rng.integers(2, 60)), rng.random(rng.integers(2, 60))
             a, b = a / a.sum(), b / b.sum()
         cost = np.linalg.norm(rng.random((len(a), 2))[:, None] - rng.random((len(b), 2))[None], axis=-1)
-        value = bl._transport_lp(a, b, cost)
+        value = bl._transport_lp(a, b, cost, cost)
         lp = dict(A_eq=full_transport_system(len(a), len(b))[:-1], b_eq=np.concatenate([a, b])[:-1],
                   bounds=(0, None), method="highs")
         tight = linprog(cost.ravel(), **lp, options={"presolve": False, "primal_feasibility_tolerance": 1e-10,
