@@ -354,11 +354,11 @@ def w1_distance(
     otherwise.  The dense LP has one column per pair of pieces, and at most
     ``MAX_TRANSPORT_COLUMNS`` = 2**23 are admitted, which takes resolution
     0.02 on unit-size planar pairs (at most 51^4 columns).  Peak memory runs
-    to about 560 bytes per column (cost and order matrices, LP arrays,
-    starting basis and HiGHS's work), about 4.4 GiB at the cap.  The cap is checked twice,
-    each time raising ValueError: on each support's bounding-box cell count
-    before it is cut, and on the product of the piece counts before the cost
-    matrix is built.
+    to about 600 bytes per column (cost and order matrices, LP arrays,
+    starting basis and HiGHS's work), about 4.7 GiB at the cap.  The cap is
+    checked twice, each time raising ValueError: on each support's
+    bounding-box cell count before it is cut, and on the product of the
+    piece counts before the cost matrix is built.
     """
     P, Q = pair.P, pair.Q
     if P.intrinsic_dim == 0 and Q.intrinsic_dim == 0:
@@ -526,10 +526,11 @@ def _least_cost_tree(a: np.ndarray, b: np.ndarray, order: np.ndarray) -> list:
     left_a, left_b = a.tolist(), b.tolist()
     row_open, col_open = np.ones(n1, bool), np.ones(n2, bool)
     rows, cols = n1, n2  # open lines
-    arcs, sort, s = [], np.argsort(order, axis=None, kind="stable"), 0
-    while rows > 1 and cols > 1:  # an arc between two open lines is taken, so the sort never runs out
+    arcs, sort = [], np.argsort(order, axis=None, kind="stable")
+    for s in range(0, sort.size, _TREE_BLOCK):  # ends early: an arc between two open lines is taken
+        if rows == 1 or cols == 1:
+            break
         block = sort[s : s + _TREE_BLOCK]
-        s += _TREE_BLOCK
         bi, bj = np.divmod(block, n2)
         keep = row_open[bi] & col_open[bj]
         for k, i, j in zip(block[keep].tolist(), bi[keep].tolist(), bj[keep].tolist()):

@@ -832,15 +832,18 @@ class TestTransportLp:
         first = bl._transport_lp(a / a.sum(), b / b.sum(), cost, cost)
         assert bl._transport_lp(a / a.sum(), b / b.sum(), cost, cost) == first
 
-    @pytest.mark.parametrize("n1, n2", [(1, 1), (3, 5), (BLOCK // 8 - 1, 8), (BLOCK // 8, 8),
-                                        (BLOCK // 8 + 1, 8), (40, 50), (60, 3)])
+    @pytest.mark.parametrize("block", [1, 7, BLOCK])
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (3, 5), (15, 17), (16, 16), (17, 16), (40, 50), (60, 3)])
     @pytest.mark.parametrize("kind", ["random", "ties", "negative-a", "negative-b", "ulp"])
-    def test_blockwise_scan_matches_the_scalar_scan(self, n1, n2, kind):
-        """The blockwise scan takes the oracle's arcs in the oracle's order,
-        on fewer arcs than one block, exactly one block (n1 n2 = BLOCK),
-        just above it and several blocks; on random costs, on costs in
-        {0, 1, 2} with uniform masses (ties in both), with a negative mass
-        on either side, and with totals one ulp apart."""
+    def test_blockwise_scan_matches_the_scalar_scan(self, n1, n2, kind, block, monkeypatch):
+        """The blockwise scan takes the oracle's arcs in the oracle's order:
+        at the block size in use (256 arcs: 15 x 17 is below one block,
+        16 x 16 exactly one, 17 x 16 above it, 40 x 50 several), and at
+        blocks of 1 and 7 arcs, which put block boundaries all through the
+        scan of every size; on random costs, on costs in {0, 1, 2} with
+        uniform masses (ties in both), with a negative mass on either side,
+        and with totals one ulp apart."""
+        monkeypatch.setattr(bl, "_TREE_BLOCK", block)
         rng = np.random.default_rng([n1, n2, len(kind)])
         a, b = rng.random(n1), rng.random(n2)
         a, b = a / a.sum(), b / b.sum()
