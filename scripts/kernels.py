@@ -28,7 +28,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import refloop  # noqa: E402
-from movingbeliefs import beliefs, convexsolve, geomkernel as gk  # noqa: E402
+from movingbeliefs import beliefs, convexsolve, geomkernel as gk, svmaps  # noqa: E402
 
 BATCH = 10
 SEED = 31
@@ -107,6 +107,12 @@ def rows(rng):
     M = np.vstack([np.eye(4), -np.eye(4), N])
     q = np.concatenate([np.ones(4), np.zeros(4), N @ np.full(4, 0.5) + 0.3])
     out.append(("from_hrep/4d-16", gk.from_hrep, lambda M=M, q=q: (M, q)))
+    # W1 between overlapping laws, which start from the tree in order of the
+    # cost: the q-map's images at x = 0.5 and 0.52, neighbouring points of
+    # the grid that `verify w1` compares, at its default resolution
+    P, Q = (svmaps.QMap(q=2.0).evaluate(x) for x in (0.5, 0.52))
+    out.append(("w1_distance/2d-neighbours", beliefs.w1_distance,
+                lambda P=P, Q=Q: (beliefs.MeasurePair.make(fresh(P), fresh(Q)),)))
     return out
 
 

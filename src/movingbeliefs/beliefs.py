@@ -29,7 +29,6 @@ from .errors import (
 from .geomkernel import DEFAULT_TOL, Polytope, Tolerances
 
 DEGREE_CAP = 8
-_TREE_BLOCK = 256  # arcs of the sorted order masked at once by _least_cost_tree
 MAX_TRANSPORT_COLUMNS = 2**23  # admits resolution 0.02 on unit-size planar pairs: 51^4 columns
 
 
@@ -339,26 +338,35 @@ def w1_distance(
     layer, the costs c over u = ``gk._unit`` of both supports' vertices;
     the reported error bound is 2 * cell diameter.  HiGHS's primal simplex
     starts from the spanning tree of the matrix-minimum rule
-    (``_least_cost_tree``, through ``_transport_lp``) taken in order of the
-    reduced costs r_ij = c_ij - e.(y_j - x_i) / u, where x_i and y_j are the
-    two laws' grid points and e is the unit vector from a's discrete mean to
-    b's (0 when the two means coincide): a dual-informed crash (Peyre and
-    Cuturi, Computational Optimal Transport, 2019, ch. 3).  The linear
-    potential y -> e.y is 1-Lipschitz, so r >= 0 up to rounding
-    (Cauchy-Schwarz), and it is the optimal potential when Q is an exact
-    translate of P.  The LP is still solved on c to optimality, so the
-    value is the LP optimum; the order changes only the path to it.
+    (``_least_cost_tree``, through ``_transport_lp``).  For overlapping
+    laws the tree is taken in order of c, and its zero-cost arcs keep the
+    shared mass in place.  For separated laws -- the gap between the two
+    discrete means at least half their RMS spread, the root of the mean of
+    the two laws' second moments about their means -- it is taken in order
+    of the reduced costs r_ij = c_ij - e.(y_j - x_i) / u, where x_i and y_j
+    are the two laws' grid points and e is the unit vector from a's mean to
+    b's: a dual-informed crash (Peyre and Cuturi, Computational Optimal
+    Transport, 2019, ch. 3).  The linear potential y -> e.y is 1-Lipschitz,
+    so r >= 0 up to rounding (Cauchy-Schwarz), and it is the optimal
+    potential when Q is an exact translate of P.  On overlapping laws it
+    gives r near 0 to every arc along e, and the rule ships mass across the
+    body first: on the neighbouring images of the eps-relaxed toy map that
+    ``probe.verify_w1_regime`` compares, it took 82 simplex iterations per
+    LP against 2 in order of c.  The LP is solved on c to optimality either
+    way, so the value is the LP optimum; the order changes only the path to
+    it.
 
     The resolution must be positive and finite, and at least 2**-52 of the
     grid's span (finer grid lines are not distinct doubles): ValueError
     otherwise.  The dense LP has one column per pair of pieces, and at most
     ``MAX_TRANSPORT_COLUMNS`` = 2**23 are admitted, which takes resolution
     0.02 on unit-size planar pairs (at most 51^4 columns).  Peak memory runs
-    to about 600 bytes per column (cost and order matrices, LP arrays,
-    starting basis and HiGHS's work), about 4.7 GiB at the cap.  The cap is
-    checked twice, each time raising ValueError: on each support's
-    bounding-box cell count before it is cut, and on the product of the
-    piece counts before the cost matrix is built.
+    to about 620 bytes per column (cost matrix, the order matrix of
+    separated laws, the tree's sort order, LP arrays, starting basis and
+    HiGHS's work), about 4.9 GiB at the cap.  The cap is checked twice,
+    each time raising ValueError: on each support's bounding-box cell count
+    before it is cut, and on the product of the piece counts before the
+    cost matrix is built.
     """
     P, Q = pair.P, pair.Q
     if P.intrinsic_dim == 0 and Q.intrinsic_dim == 0:
@@ -387,12 +395,14 @@ def w1_distance(
                          f"above the cap of {MAX_TRANSPORT_COLUMNS}")
     a, b = a_mass / a_mass.sum(), b_mass / b_mass.sum()
     cost = np.linalg.norm(a_pts[:, None, :] - b_pts[None, :, :], axis=-1) / u
-    mean_a = a @ a_pts
-    gap = b @ b_pts - mean_a  # exactly 0 for P = Q
-    gap = gap / gk._unit(gap)  # exact, and no underflow in the norm
-    e = gap / np.linalg.norm(gap) if gap.any() else gap
-    order = cost + ((a_pts - mean_a) @ e / u)[:, None]  # the potential taken about a's mean
-    order -= (b_pts - mean_a) @ e / u
+    mean_a, mean_b = a @ a_pts, b @ b_pts
+    gap = (mean_b - mean_a) / u  # exactly 0 for P = Q
+    spread2 = (a @ np.square(a_pts - mean_a).sum(1) + b @ np.square(b_pts - mean_b).sum(1)) / (2.0 * u * u)
+    order = cost
+    if gap @ gap >= 0.25 * spread2:  # separated laws: the mean gap is at least half the RMS spread
+        e = gap / np.linalg.norm(gap)
+        order = cost + ((a_pts - mean_a) @ e / u)[:, None]  # the potential taken about a's mean
+        order -= (b_pts - mean_a) @ e / u
     value = u * _transport_lp(a, b, cost, order)
     return value, 2.0 * resolution * math.sqrt(P.ambient_dim)
 
@@ -513,27 +523,19 @@ def _least_cost_tree(a: np.ndarray, b: np.ndarray, order: np.ndarray) -> list:
     are both open sends min(remaining a_i, remaining b_j) and closes one of
     them, the row when a_i < b_j and the column otherwise.  A closed line
     takes no later arc, and each arc closes one line, so the arcs form one
-    tree per open line.  The sort order is scanned in blocks of
-    ``_TREE_BLOCK`` arcs: one numpy mask per block drops the arcs of lines
-    closed before it, and only the rest are visited in Python, which takes
-    the same arcs as visiting all of them, since a line never reopens.
-    Once a single row (or column) is left open, the rest of the spanning
-    tree is its arcs to every open column (or row): the rule takes them in
-    order until the row closes, and a row that closes early (after
-    negative masses, or totals an ulp apart) must still be joined to the
-    columns left open.  Those arcs are added at once."""
+    tree per open line.  Once a single row (or column) is left open, the
+    rest of the spanning tree is its arcs to every open column (or row):
+    the rule takes them in order until the row closes, and a row that
+    closes early (after negative masses, or totals an ulp apart) must still
+    be joined to the columns left open.  Those arcs are added at once."""
     n1, n2 = order.shape
     left_a, left_b = a.tolist(), b.tolist()
-    row_open, col_open = np.ones(n1, bool), np.ones(n2, bool)
+    row_open, col_open = [True] * n1, [True] * n2
     rows, cols = n1, n2  # open lines
-    arcs, sort = [], np.argsort(order, axis=None, kind="stable")
-    for s in range(0, sort.size, _TREE_BLOCK):  # ends early: an arc between two open lines is taken
-        if rows == 1 or cols == 1:
-            break
-        block = sort[s : s + _TREE_BLOCK]
-        bi, bj = np.divmod(block, n2)
-        keep = row_open[bi] & col_open[bj]
-        for k, i, j in zip(block[keep].tolist(), bi[keep].tolist(), bj[keep].tolist()):
+    arcs = []
+    if rows > 1 and cols > 1:
+        for k in np.argsort(order, axis=None, kind="stable").tolist():
+            i, j = divmod(k, n2)
             if row_open[i] and col_open[j]:
                 arcs.append(k)
                 if left_a[i] < left_b[j]:
@@ -545,6 +547,7 @@ def _least_cost_tree(a: np.ndarray, b: np.ndarray, order: np.ndarray) -> list:
                 if rows == 1 or cols == 1:
                     break
     if rows == 1:
-        return arcs + (row_open.argmax() * n2 + np.flatnonzero(col_open)).tolist()
-    j = col_open.argmax()
-    return arcs + (np.flatnonzero(row_open) * n2 + j).tolist()
+        i = row_open.index(True)
+        return arcs + [i * n2 + c for c in range(n2) if col_open[c]]
+    j = col_open.index(True)
+    return arcs + [r * n2 + j for r in range(n1) if row_open[r]]
