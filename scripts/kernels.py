@@ -20,6 +20,7 @@ import json
 import pathlib
 import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -28,6 +29,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import refloop  # noqa: E402
+import workloads  # noqa: E402
 from movingbeliefs import beliefs, convexsolve, geomkernel as gk, svmaps  # noqa: E402
 
 BATCH = 10
@@ -113,6 +115,19 @@ def rows(rng):
     P, Q = (svmaps.QMap(q=2.0).evaluate(x) for x in (0.5, 0.52))
     out.append(("w1_distance/2d-neighbours", beliefs.w1_distance,
                 lambda P=P, Q=Q: (beliefs.MeasurePair.make(fresh(P), fresh(Q)),)))
+    # the exact slices of one `sweep` spec, the first of the workload's pool
+    # at seed 1 (its own draws, so the rows above keep their inputs), at its
+    # middle parameter value: the fiber (the zero-cost spec of the same
+    # rows), the optimal face and the eps-set, each a clip of the joint
+    # enumeration the spec holds
+    with tempfile.TemporaryDirectory() as tmp:
+        (A, B, b, c), xs = (workloads.Sweep(1, tmp).pool[0][k] for k in ("lower", "xs"))
+    spec = svmaps.BilevelLinearSpec(a_matrix=A, b_matrix=B, rhs=b, cost=c)
+    zero = svmaps.BilevelLinearSpec(a_matrix=A, b_matrix=B, rhs=b, cost=np.zeros_like(c))
+    x = float(xs[1])
+    out.append(("linear_fiber/fiber", svmaps.bilevel_solution, lambda: (zero, x)))
+    out.append(("linear_fiber/face", svmaps.bilevel_solution, lambda: (spec, x)))
+    out.append(("linear_fiber/eps-set", svmaps.eps_argmin, lambda: (spec, workloads.Sweep.EPS, x)))
     return out
 
 

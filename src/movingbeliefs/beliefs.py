@@ -30,6 +30,7 @@ from .geomkernel import DEFAULT_TOL, Polytope, Tolerances
 
 DEGREE_CAP = 8
 MAX_TRANSPORT_COLUMNS = 2**23  # admits resolution 0.02 on unit-size planar pairs: 51^4 columns
+POSITIVITY_SAMPLES = 256  # uniform points at which a non-affine density is checked
 
 
 @dataclass(frozen=True)
@@ -235,12 +236,12 @@ def expect_density(P: Polytope, h: Integrand, f: Integrand, tol: Tolerances = DE
     return num / den
 
 
-def _check_positive(P: Polytope, h: Integrand, tol: Tolerances, n: int = 256) -> None:
+def _check_positive(P: Polytope, h: Integrand, tol: Tolerances) -> None:
     """Exact at the vertices for affine densities, whose minimum over a
-    polytope sits at a vertex; other densities are also sampled at n points."""
+    polytope sits at a vertex; others are also sampled at POSITIVITY_SAMPLES points."""
     pts = P.vrep
     if not (isinstance(h, Polynomial) and h.degree <= 1):
-        pts = np.vstack([pts, sample_uniform(P, n, tol.rng_seed ^ 0x5EED)])
+        pts = np.vstack([pts, sample_uniform(P, POSITIVITY_SAMPLES, tol.rng_seed ^ 0x5EED)])
     if np.min(h(pts)) <= 0.0:
         raise PositivityViolation("density must be strictly positive on the support")
 

@@ -394,9 +394,9 @@ def _build_polytope(points: np.ndarray, tol: Tolerances, strict_rank: bool = Tru
 # incremental halfspace clipping (double-description style)
 
 
-def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
+def _clip(V: np.ndarray, rows, new_rows, tol: float):
     """Clip the float polytope with vertex array ``V`` (full-dimensional in
-    its d coordinates, described by ``base_rows``) with ``new_rows``; None
+    its d coordinates, described by ``rows``) with ``new_rows``; None
     when empty.  ``intersect`` is its one caller: a polytope given by rows
     alone is enumerated exactly (``from_hrep``).  Double description
     (Fukuda & Prodon 1996): a new row keeps the vertices it does not cut
@@ -412,7 +412,7 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
     The exact rule is ``_clip_exact``'s.  A clip in which no row cuts
     returns ``V`` unchanged, in its input order.
     """
-    d, b = V.shape[1], len(base_rows)
+    d, b = V.shape[1], len(rows)
     R = np.array([r[0] for r in new_rows], dtype=float).reshape(-1, d)
     F = np.array([r[1] for r in new_rows], dtype=float)
     ln = np.sqrt(np.vecdot(R, R))
@@ -420,8 +420,8 @@ def _clip(V: np.ndarray, base_rows, new_rows, tol: float):
     if (flat & (F < -100.0 * tol)).any():
         return None
     keep = np.flatnonzero(~flat)
-    N = np.concatenate([np.array([r[0] for r in base_rows], dtype=float).reshape(-1, d), R[keep] / ln[keep, None]])
-    C = np.concatenate([np.array([r[1] for r in base_rows], dtype=float), F[keep] / ln[keep]])
+    N = np.concatenate([np.array([r[0] for r in rows], dtype=float).reshape(-1, d), R[keep] / ln[keep, None]])
+    C = np.concatenate([np.array([r[1] for r in rows], dtype=float), F[keep] / ln[keep]])
     for r in range(b, len(C)):  # V is described by the rows before r
         s = C[r] - V @ N[r]
         out = s < -tol
@@ -562,30 +562,27 @@ def _int_dtype(H: np.ndarray, rows) -> type:
     return np.int64 if max((sum(map(abs, r)) for r in rows), default=0) * m * m < 2**62 else object
 
 
-def _clip_exact(H: np.ndarray, base_rows, new_rows):
+def _clip_exact(H: np.ndarray, act: np.ndarray, new_rows):
     """``_clip`` in exact arithmetic on homogeneous integer rays H = (X, w),
-    w >= 0, which must be the extreme rays of the pointed cone {(X, w) :
-    r . (X, w) >= 0 for r in base_rows} (``_cone_start``'s and
-    ``_hrep_vertices``' are), with rows (-a, b) as from ``_int_row``;
-    returns (H, act), or None when no ray is left.  The rays with w > 0 are
-    the vertices X / w of the polyhedron, those with w = 0 its recession
-    rays (Motzkin et al. 1953; Fukuda & Prodon 1996).
+    w >= 0, the extreme rays of a pointed cone (``_cone_start``'s and
+    ``_hrep_vertices``' are), by rows (-a, b) as from ``_int_row``; act[i, k]
+    is true iff ray i is active on row k.  Returns (H, act), a column per
+    nonzero new row appended in order, or None when no ray is left.  Rays
+    with w > 0 are the vertices X / w of the polyhedron, those with w = 0
+    its recession rays (Motzkin et al. 1953; Fukuda & Prodon 1996).
 
     The slacks of a row are s = H @ (-a, b) = b w - X a, of the sign of the
     rational slacks; the cut ray of an inside/outside pair (i, j) is
     s_i H_j - s_j H_i (its w is >= 0), divided by the gcd of its entries.
-    The active matrix H @ R.T == 0 is computed once from the base rows, then
-    inherited: a kept ray gains the column s == 0, a cut ray its pair's
-    common rows plus the new row.  A pair spans an edge (a 2-face of the
+    The incidence is inherited: a kept ray gains the column s == 0, a cut
+    ray its pair's common rows, where s_i r(H_j) + |s_j| r(H_i) is 0, plus
+    the new row.  A pair spans an edge (a 2-face of the
     cone) iff it shares >= d-1 active rows and, for d > 2, no third ray is
     active on all of them; this combinatorial test is exact because H holds
     the extreme rays of a pointed cone.  Each row runs in int64 where
     ``_int_dtype`` proves that nothing overflows, else in Python ints.
     """
     d = H.shape[1] - 1
-    R = np.array(base_rows, dtype=object).reshape(-1, d + 1)
-    dt = _int_dtype(H, base_rows)
-    act = H.astype(dt) @ R.astype(dt).T == 0
     for r in new_rows:
         if not any(r[:-1]):  # a zero row holds everywhere or forces w = 0
             if r[-1] < 0:
@@ -619,8 +616,8 @@ def _clip_exact(H: np.ndarray, base_rows, new_rows):
 
 def _cone_start(rows, d):
     """The start of a homogeneous double description for the integer rows
-    (-a, b) of a . y <= b, as from ``_int_row``: (H, base_rows, other_rows)
-    for ``_clip_exact``.
+    (-a, b) of a . y <= b, as from ``_int_row``: (H, act, other_rows) for
+    ``_clip_exact``, act the incidence on the base rows in the order taken.
 
     The base rows are w >= 0, the row [0, ..., 0, 1], and the first d rows
     that raise the rank, in input order (as cdd picks them); they form a
@@ -635,7 +632,7 @@ def _cone_start(rows, d):
     (None, pivots, line): r coordinates on which the a have rank r, and an
     integer vector with a . line = 0 on every row."""
     C = [[int(i == j) for i in range(d + 1)] for j in range(d + 1)]  # C[j] is column j
-    free, base, rest, D = list(range(d + 1)), [], [], 1
+    free, pivots, rest, D = list(range(d + 1)), [], [], 1
     for r in [[0] * d + [1], *rows]:
         c = next((j for j in free if sum(map(operator.mul, r, C[j]))), None)
         if c is None:
@@ -646,11 +643,11 @@ def _cone_start(rows, d):
              for j, col in enumerate(C)]
         D = s[c]
         free.remove(c)
-        base.append(r)
+        pivots.append(c)
     if free:
         return None, sorted(set(range(d)) - set(free)), C[free[0]][:d]
     H = np.array(C, dtype=object) * (1 if D > 0 else -1)
-    return H // np.gcd.reduce(H, axis=1)[:, None], base, rest
+    return H // np.gcd.reduce(H, axis=1)[:, None], np.arange(d + 1)[:, None] != pivots, rest
 
 
 def _direction(v) -> tuple:
@@ -663,10 +660,11 @@ def _direction(v) -> tuple:
 def _hrep_vertices(M, q) -> tuple:
     """The vertices of the polytope {y : M y <= q}, the float data read
     exactly, by the homogeneous double description: ``_cone_start``, then
-    ``_clip_exact`` with the other rows.  Returns (H, rows): H the vertices
+    ``_clip_exact`` with the other rows.  Returns (H, act): H the vertices
     as homogeneous integer rows (X, w), w > 0, with y = X / w exactly, and
-    rows the integer rows of w >= 0 and of M y <= q (``_int_row``).  H is
-    the set of extreme rays of those rows' cone, so ``_clip_exact(H, rows,
+    act their incidence on the integer rows (``_int_row``) of w >= 0 and of
+    M y <= q with a != 0: the base rows, then the rest in input order.  H
+    is the set of extreme rays of those rows' cone, so ``_clip_exact(H, act,
     more)`` clips the polytope further.  No ray with w > 0 left means the
     set is empty (``Infeasible``), a ray with w = 0 that it recedes along it
     (``Unbounded``, naming the ray).  When M has rank < d the set is empty
@@ -678,17 +676,15 @@ def _hrep_vertices(M, q) -> tuple:
     if not (np.isfinite(M).all() and np.isfinite(q).all()):
         raise ValueError("inequality data must be finite")
     d = M.shape[1]
-    rows = [_int_row(a, b) for a, b in zip(M, q)]
-    H, base, rest = _cone_start(rows, d)
-    if H is None:  # rank < d: empty, or it holds the line along ``rest``
+    H, act, rest = _cone_start([_int_row(a, b) for a, b in zip(M, q)], d)
+    if H is None:  # rank < d (act holds the pivots): empty, or it holds the line along ``rest``
         try:
-            _hrep_vertices(M[:, base], q)
+            _hrep_vertices(M[:, act], q)
         except Unbounded:
             pass
         raise Unbounded(f"recession direction {_direction(rest)} and its opposite: the set holds a line")
-    out = _clip_exact(H, base, rest)
-    H = _bounded(np.zeros((0, d + 1), dtype=np.int64) if out is None else out[0])
-    return H, [[0] * d + [1], *rows]
+    H, act = _clip_exact(H, act, rest) or (np.zeros((0, d + 1), dtype=np.int64), None)
+    return _bounded(H), act
 
 
 def _bounded(H: np.ndarray) -> np.ndarray:

@@ -45,12 +45,14 @@ class BilevelLinearSpec:
     The joint constraint set {(x, y) : A x + B y <= b} is enumerated
     exactly once, at construction, which certifies that it is nonempty and
     bounded.  ``joint`` keeps that enumeration, ``gk._hrep_vertices``' pair
-    (H, rows): every fiber, optimal face and eps-set is an exact slice of
-    it (``_linear_fiber``).  ``x_box`` holds the least and greatest
-    parameter coordinates of its vertices rounded inward: lo the least
-    float >= the exact minimum, hi the greatest float <= the exact maximum.
-    For a scalar parameter the fiber at every float of the box is nonempty;
-    with more parameters the box only bounds the joint set's projection.
+    (H, act), the vertices and their incidence on the joint rows (the base
+    rows, then the rest in order): every fiber, optimal face and eps-set is
+    an exact slice of it (``_linear_fiber``).  ``x_box`` holds the least and
+    greatest parameter coordinates of its vertices rounded inward: lo the
+    least float >= the exact minimum, hi the greatest float <= the exact
+    maximum.  For a scalar parameter the fiber at every float of the box is
+    nonempty; with more parameters the box only bounds the joint set's
+    projection.
     """
 
     a_matrix: np.ndarray  # (p, n)
@@ -71,11 +73,11 @@ class BilevelLinearSpec:
         object.__setattr__(self, "b_matrix", B)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "cost", c)
-        H, rows = gk._hrep_vertices(np.hstack([A, B]), b)
+        H, act = gk._hrep_vertices(np.hstack([A, B]), b)
         xs = [[Fraction(h[j], h[-1]) for h in H.tolist()] for j in range(A.shape[1])]
         lo, hi = zip(*(_inward(min(v), max(v)) for v in xs))
         object.__setattr__(self, "x_box", (np.array(lo), np.array(hi)))
-        object.__setattr__(self, "joint", (H, rows))
+        object.__setattr__(self, "joint", (H, act))
 
     @property
     def n_vars(self) -> int:
@@ -108,25 +110,26 @@ def _linear_fiber(spec: BilevelLinearSpec, x, tol: Tolerances, cut: float) -> Po
     are the vertices (x, y) of the fiber, and none left means it is empty
     (``ParameterInfeasible``).  Cut 0 keeps the optimal face, the hull of
     the vertices where c.y equals the exact v(x); a positive cut clips once
-    more, with the exact row c.y <= v(x) + cut.  The x columns are dropped
-    and the vertices rounded once, and they keep the rank-band check.
+    more, with the exact row c.y <= v(x) + cut, from the pin clip's
+    incidence (the joint's columns, then the pins).  The x columns are
+    dropped and the vertices rounded once, and they keep the rank-band check.
     """
     x = _as_param(x)
     n = spec.a_matrix.shape[1]
-    H, rows = spec.joint
+    H, act = spec.joint
     unit = np.eye(H.shape[1] - 1)[:n]
     pins = [gk._int_row(s * u, s * v) for u, v in zip(unit, x, strict=True) for s in (1.0, -1.0)]
-    out = gk._clip_exact(H, rows, pins)
+    out = gk._clip_exact(H, act, pins)
     if out is None:  # the joint set is bounded: no ray has w = 0
         raise ParameterInfeasible(f"no feasible response at parameter {x}")
-    H = out[0]
+    H, act = out
     c = np.concatenate([np.zeros(n), spec.cost])
     vals = gk._values(H, c)
     v = min(vals)
     if cut == 0:
         H = H[[u == v for u in vals]]
     else:
-        H = gk._clip_exact(H, rows + pins, [gk._int_row(c, v + Fraction(cut))])[0]
+        H = gk._clip_exact(H, act, [gk._int_row(c, v + Fraction(cut))])[0]
     return gk._build_polytope(gk._to_float(H[:, n:]), tol)
 
 

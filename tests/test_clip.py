@@ -32,7 +32,8 @@ def _clip_active(V, base_rows, new_rows, tol):
         out = gk._clip(V, base_rows, new_rows, tol)
         return None if out is None else (out, None)
     rows = [[gk._int_row(*r) for r in rs] for rs in (base_rows, new_rows)]
-    out = gk._clip_exact(_homogeneous(V), *rows)
+    H = _homogeneous(V)
+    out = gk._clip_exact(H, H @ np.array(rows[0], dtype=object).T == 0, rows[1])
     if out is None:
         return None
     return np.array([[Fraction(x, h[-1]) for x in h[:-1]] for h in out[0].tolist()], dtype=object), out[1]
@@ -307,15 +308,38 @@ def test_non_dyadic_rows_run_in_python_ints(d):
     rng = np.random.default_rng([d, 13])
     V, base = _box(d, True)
     H, base_int = _homogeneous(V), [gk._int_row(*r) for r in base]
+    act = H @ np.array(base_int, dtype=object).T == 0
     for _ in range(4):
         rows = _non_dyadic_rows(rng, d)
-        out = gk._clip_exact(H, base_int, [gk._int_row(*r) for r in rows])
+        out = gk._clip_exact(H, act, [gk._int_row(*r) for r in rows])
         assert out is not None and out[0].dtype == object
         assert _same_active(_clip_active(V, base, rows, 0.0), _row_dedup_clip(V, base, rows, 0.0))
         dyadic = [gk._int_row(*r) for r in _random_rows(rng, d, "dyadic", True)]
         assert gk._int_dtype(H, dyadic) is np.int64
-        out = gk._clip_exact(H, base_int, dyadic)
+        out = gk._clip_exact(H, act, dyadic)
         assert out is None or out[0].dtype == np.int64
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("kind", ("dyadic", "non-dyadic"))
+def test_hrep_incidence_is_recomputed_incidence(d, kind):
+    """The incidence ``_hrep_vertices`` returns is H @ R.T == 0 over w >= 0
+    and the rows with a nonzero normal, up to column order, on shuffled
+    systems with duplicated, redundant and zero rows."""
+    rng = np.random.default_rng([d, len(kind), 23])
+    for _ in range(4):
+        _, box = _box(d, True)
+        cuts = _random_rows(rng, d, "dyadic", True) if kind == "dyadic" else _non_dyadic_rows(rng, d)
+        zero = (np.zeros(d, dtype=object), Fraction(1))
+        rows = box + cuts + cuts[:2] + [(n, off + 1) for n, off in box[:2]] + [zero]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        M = np.array([[float(x) for x in n] for n, _ in rows])
+        q = np.array([float(off) for _, off in rows])
+        H, act = gk._hrep_vertices(M, q)
+        R = np.array([[0] * d + [1]] + [gk._int_row(a, b) for a, b in zip(M, q) if a.any()], dtype=object)
+        want = H.astype(object) @ R.T == 0
+        assert act.shape == want.shape
+        assert sorted(map(tuple, act.T.tolist())) == sorted(map(tuple, want.T.tolist()))
 
 
 def test_int_dtype_bound():
