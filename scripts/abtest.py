@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run one benchmark workload on two commits in alternating pairs and write one JSON record.
 
-    python3 scripts/abtest.py --parent REF [--change HEAD] --workload sweep [--pairs 10] [--seconds 20] --out AB_36.json
+    python3 scripts/abtest.py --parent REF [--change HEAD] --workload sweep [--pairs 10] [--seconds 20] --out AB_<n>.json
 
 Both commits are checked out with ``git worktree add --detach`` into a
 temporary directory (no network), and the worktrees are removed on exit, also
