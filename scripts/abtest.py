@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Run one benchmark workload on two commits in alternating pairs and write one JSON record.
 
-    python3 scripts/abtest.py --parent REF [--change HEAD] --workload sweep [--pairs 10] [--seconds 20] --out AB_<n>.json
+    python3 scripts/abtest.py --parent REF [--change HEAD] --workload sweep --out AB_<n>.json
 
 Both commits are checked out with ``git worktree add --detach`` into a
 temporary directory (no network), and the worktrees are removed on exit, also
-on an error or SIGTERM.  Pair i runs each side's unchanged
-``perfbench/run.py --workload W --seed i --seconds S --trace 0``; the parent
-goes first in odd pairs, the change in even ones.  For every end-to-end metric
-of BENCHMARK.json the record holds each side's median, quartiles and per-pair
-values, the pairs each side won (a tie counts for neither), the gap between
-the medians, the parent's quartile spread and the verdict (``compare``).
-Exit code 0 when every run is correct with no failed operation, 1 when one is
-not (the record is written either way), 3 when git or a run failed.
+on an error or SIGTERM.  Pair i = 1..10 runs each side's unchanged
+``perfbench/run.py --workload W --seed i --trace 0`` for BENCHMARK.json's
+``run_seconds``; the parent goes first in odd pairs, the change in even ones.
+For every end-to-end metric of BENCHMARK.json the record holds each side's
+median, quartiles and per-pair values, the pairs each side won (a tie counts
+for neither), the gap between the medians, the parent's quartile spread and
+the verdict (``compare``).  Exit code 0 when every run is correct with no
+failed operation, 1 when one is not (the record is written either way), 3
+when git or a run failed.
 """
 
 import argparse
@@ -20,67 +21,57 @@ import json
 import pathlib
 import shutil
 import signal
-import statistics
 import subprocess
 import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10  # the fewest pairs on which a gain can be read
+
+sys.path.insert(0, str(ROOT / "scripts"))
+import bench  # noqa: E402
 
 
-def spread(values):
-    """Median and quartiles (inclusive method) of the per-pair values."""
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
-
-
-def compare(parent, change, better):
+def compare(parent, change, better, bad_runs):
     """Each side's spread, wins and the verdict on per-pair values of one
-    metric, ``better`` "lower" or "higher".  The verdict is "gain" only when
-    the change wins at least nine tenths of the pairs, ties counting for
-    neither side, and its median is better than the parent's by more than
-    the parent's quartile spread q3 - q1; else "no gain"."""
+    metric, ``better`` "lower" or "higher"; ``bad_runs`` maps each side to
+    the number of its runs that were not correct or had a failed operation.  The verdict
+    is "gain" only when there are at least PAIRS pairs, the change has no
+    more bad runs than the parent, it wins at least nine tenths of the
+    pairs, ties counting for neither side, and its median is better than the
+    parent's by more than the parent's quartile spread q3 - q1; else "no
+    gain"."""
     sign = 1.0 if better == "lower" else -1.0
     diffs = [sign * (p - c) for p, c in zip(parent, change, strict=True)]  # > 0: the change won
     wins = {"change": sum(x > 0 for x in diffs), "parent": sum(x < 0 for x in diffs)}
-    sides = {"parent": spread(parent), "change": spread(change)}
+    sides = {"parent": bench.spread(parent), "change": bench.spread(change)}
     gap = sides["change"]["median"] - sides["parent"]["median"]
     parent_spread = sides["parent"]["q3"] - sides["parent"]["q1"]
-    gain = 10 * wins["change"] >= 9 * len(diffs) and -sign * gap > parent_spread
+    gain = (len(diffs) >= PAIRS and bad_runs["change"] <= bad_runs["parent"]
+            and 10 * wins["change"] >= 9 * len(diffs) and -sign * gap > parent_spread)
     return {**sides, "better": better, "wins": wins, "gap": gap, "parent_spread": parent_spread,
             "verdict": "gain" if gain else "no gain"}
 
 
-def git(*args, cwd=ROOT):
-    """The standard output of a git command; a failure raises RuntimeError."""
-    res = subprocess.run(["git", *args], cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    if res.returncode != 0:
-        raise RuntimeError(f"git {' '.join(args)}: {res.stderr.strip()}")
-    return res.stdout.strip()
+def git(*args):
+    """The standard output of a git command in the repository; a failure raises RuntimeError."""
+    out = bench.git(*args)
+    if out is None:
+        raise RuntimeError(f"git {' '.join(args)} failed")
+    return out
 
 
-def run(tree, workload, seed, seconds):
-    """The verdict and metrics ``perfbench/run.py`` in ``tree`` prints on its last line."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    res = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
-    if res.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd[1:])} in {tree} exited {res.returncode}")
-    return json.loads(res.stdout.strip().splitlines()[-1])
-
-
-def pairs(trees, workload, n, seconds):
-    """The runs of both sides for pairs 1..n, each side's list in pair order,
-    and which side went first in each pair."""
+def pairs(trees, workload, seconds):
+    """The runs of both sides for pairs 1..PAIRS, each side's list in pair
+    order, and which side went first in each pair."""
     runs, first = {side: [] for side in SIDES}, []
-    for i in range(1, n + 1):
+    for i in range(1, PAIRS + 1):
         order = SIDES if i % 2 else SIDES[::-1]
         first.append(order[0])
         for side in order:
-            out = run(trees[side], workload, i, seconds)
-            runs[side].append(out)
-            print(f"  pair {i} {side}: correct {out['correct']}, {out['failed']} failed", flush=True)
+            print(f"pair {i}, {side}:", flush=True)
+            runs[side].append(bench.run(workload, i, seconds, 0, cwd=trees[side]))
     return runs, first
 
 
@@ -89,12 +80,9 @@ def main() -> int:
     ap.add_argument("--parent", required=True, help="the commit to compare against")
     ap.add_argument("--change", default="HEAD", help="the commit under test")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--out", required=True, type=pathlib.Path)
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2: the quartiles need two runs per side")
+    bench_spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # so that the worktrees are removed
 
     tmp = pathlib.Path(tempfile.mkdtemp(prefix="abtest-"))
@@ -105,8 +93,7 @@ def main() -> int:
         for side in SIDES:
             git("worktree", "add", "--detach", str(tmp / side), commits[side])
             trees[side] = tmp / side
-        metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-        runs, first = pairs(trees, args.workload, args.pairs, args.seconds)
+        runs, first = pairs(trees, args.workload, bench_spec["run_seconds"])
     except (RuntimeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -116,22 +103,23 @@ def main() -> int:
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
 
-    ok = all(r["correct"] is True and r["failed"] == 0 for side in SIDES for r in runs[side])
+    bad_runs = {side: sum(not (r["correct"] is True and r["failed"] == 0) for r in runs[side]) for side in SIDES}
     record = {
         "commits": commits,
         "workload": args.workload,
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seeds": list(range(1, args.pairs + 1))},
+        "settings": {"pairs": PAIRS, "seconds": bench_spec["run_seconds"], "seeds": list(range(1, PAIRS + 1))},
         "first": first,
         "correct": {side: [r["correct"] for r in runs[side]] for side in SIDES},
         "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
         "end_to_end": {m["name"]: {"unit": m["unit"], **compare(
-            *([r["metrics"][m["name"]]["value"] for r in runs[side]] for side in SIDES), m["better"])}
-            for m in metrics},
+            *([r["metrics"][m["name"]]["value"] for r in runs[side]] for side in SIDES), m["better"], bad_runs)}
+            for m in bench_spec["end_to_end"]},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for name, m in record["end_to_end"].items():
         print(f"{name}: parent {m['parent']['median']:.4g}, change {m['change']['median']:.4g} {m['unit']}; "
               f"wins {m['wins']['change']}-{m['wins']['parent']}, {m['verdict']}")
+    ok = not any(bad_runs.values())
     print(f"wrote {args.out}: {'every run correct' if ok else 'A RUN FAILED ITS CHECKS'}")
     return 0 if ok else 1
 

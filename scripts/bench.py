@@ -36,14 +36,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import PINNED  # noqa: E402
 
 
-def run(workload, seed, seconds, trace):
-    """The verdict and metrics ``perfbench/run.py`` prints on its last line."""
+def run(workload, seed, seconds, trace, cwd=ROOT):
+    """The verdict and metrics ``perfbench/run.py`` in the checkout ``cwd``
+    prints on its last line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     print("+", " ".join(cmd[1:]), flush=True)
-    res = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    res = subprocess.run(cmd, cwd=cwd, stdout=subprocess.PIPE, text=True)
     if res.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd[1:])} exited {res.returncode}")
+        raise RuntimeError(f"{' '.join(cmd[1:])} in {cwd} exited {res.returncode}")
     out = json.loads(res.stdout.strip().splitlines()[-1])
     print(f"  -> correct {out['correct']}, {out['attempted']} attempted, {out['failed']} failed", flush=True)
     return out

@@ -676,14 +676,14 @@ def _hrep_vertices(M, q) -> tuple:
     if not (np.isfinite(M).all() and np.isfinite(q).all()):
         raise ValueError("inequality data must be finite")
     d = M.shape[1]
-    H, act, rest = _cone_start([_int_row(a, b) for a, b in zip(M, q)], d)
-    if H is None:  # rank < d (act holds the pivots): empty, or it holds the line along ``rest``
+    H, start, rest = _cone_start([_int_row(a, b) for a, b in zip(M, q)], d)
+    if H is None:  # rank < d (start holds the pivots): empty, or it holds the line along ``rest``
         try:
-            _hrep_vertices(M[:, act], q)
+            _hrep_vertices(M[:, start], q)
         except Unbounded:
             pass
         raise Unbounded(f"recession direction {_direction(rest)} and its opposite: the set holds a line")
-    H, act = _clip_exact(H, act, rest) or (np.zeros((0, d + 1), dtype=np.int64), None)
+    H, act = _clip_exact(H, start, rest) or (np.zeros((0, d + 1), dtype=np.int64), None)
     return _bounded(H), act
 
 
