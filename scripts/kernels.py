@@ -102,7 +102,7 @@ def sweep_slice():
 
 
 def quadratic(C):
-    """The polynomial z C z^T in y, z = (1, y), read off the upper triangle of C."""
+    """The quadratic sum over i <= j of C[i, j] z_i z_j in y, z = (1, y)."""
     m = len(C) - 1
     terms = {}
     for i in range(m + 1):
