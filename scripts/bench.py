@@ -15,9 +15,11 @@ pinned as ``perfbench/run.py`` pins its workers, each row for a tenth of
 sides' medians, quartiles and runs and the readings of ``compare``; per
 side, the per-layer values of the traced run and the kernel rows; and the
 commits, the Python, numpy and scipy versions and the settings.
-``--seconds`` defaults to BENCHMARK.json's ``run_seconds``.  Exit code 0
-when every run is correct with no failed operation, 1 when one is not (the
-record is written either way), 3 when git or a run failed.
+``--seconds`` defaults to BENCHMARK.json's ``run_seconds``.  Uncommitted
+edits to tracked files are refused, since the record measures HEAD.  Exit
+code 0 when every run is correct with no failed operation and HEAD builds
+and runs every kernel row, 1 when not (the record is written either way),
+3 when git or a run failed or the tree has uncommitted edits.
 """
 
 import argparse
@@ -153,6 +155,8 @@ def main(argv=None) -> int:
     tmp = pathlib.Path(tempfile.mkdtemp(prefix="bench-"))
     trees, workloads, ok = {}, {}, True
     try:
+        if git("status", "--porcelain", "--untracked-files=no"):
+            raise RuntimeError("uncommitted edits: the record measures HEAD, so commit them first")
         commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}")
                    for side, ref in (("parent", args.parent), ("change", "HEAD"))}
         for side in SIDES:
@@ -185,11 +189,15 @@ def main(argv=None) -> int:
         "kernels": kernel_rows,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
+    absent = [name for name, row in kernel_rows["change"].items() if "absent" in row]
+    if absent:  # only the parent's library may lack a row
+        print(f"HEAD cannot build or run the kernel rows {', '.join(absent)}", file=sys.stderr)
+        ok = False
     for w, rec in workloads.items():
         for name, m in rec["end_to_end"].items():
             print(f"{w} {name}: parent {m['parent']['median']:.4g}, change {m['change']['median']:.4g} {m['unit']};"
                   f" wins {m['wins']['change']}-{m['wins']['parent']}, {m['verdict']}, {m['regression']}")
-    print(f"wrote {args.out}: {'every run correct' if ok else 'A RUN FAILED ITS CHECKS'}")
+    print(f"wrote {args.out}: {'every check passed' if ok else 'A CHECK FAILED'}")
     return 0 if ok else 1
 
 

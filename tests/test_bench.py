@@ -144,7 +144,9 @@ def repo(tmp_path, monkeypatch):
     signal.signal(signal.SIGTERM, handler)
 
 
-def test_a_kernel_row_absent_on_one_side_is_kept_as_absent(repo, monkeypatch, tmp_path):
+def _fake_runs(monkeypatch, kernel_rows):
+    """Replace ``bench.last_line`` by correct runs, the parent's slower, and
+    the kernel rows ``kernel_rows[side]``; the worktrees it was called in."""
     seen = []
 
     def last_line(cmd, cwd, env=None):
@@ -152,11 +154,17 @@ def test_a_kernel_row_absent_on_one_side_is_kept_as_absent(repo, monkeypatch, tm
         seen.append(cwd)
         if cmd[1].endswith("kernels.py"):
             assert cmd[1] == str(cwd.parent / "change" / "scripts" / "kernels.py")
-            return {"row": {"absent": "AttributeError"}} if cwd.name == "parent" else {"row": {"median": 1.0}}
+            return kernel_rows[cwd.name]
         return {"correct": True, "attempted": 3, "failed": 0,
                 "metrics": {"op_ms_p50": {"value": 2.0 if cwd.name == "parent" else 1.0}}}
 
     monkeypatch.setattr(bench, "last_line", last_line)
+    return seen
+
+
+def test_a_kernel_row_absent_on_one_side_is_kept_as_absent(repo, monkeypatch, tmp_path):
+    seen = _fake_runs(monkeypatch, {"parent": {"row": {"absent": "AttributeError"}},
+                                    "change": {"row": {"median": 1.0}}})
     out = tmp_path / "bench.json"
     assert bench.main(["--parent", "HEAD", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
@@ -169,6 +177,23 @@ def test_a_kernel_row_absent_on_one_side_is_kept_as_absent(repo, monkeypatch, tm
     assert w["end_to_end"]["op_ms_p50"]["regression"] == "no regression"
     assert len(_worktrees(repo)) == 1
     assert not any(tree.exists() for tree in seen)
+
+
+def test_a_kernel_row_absent_on_the_change_fails_the_record(repo, monkeypatch, tmp_path):
+    _fake_runs(monkeypatch, {"parent": {"row": {"median": 1.0}}, "change": {"row": {"absent": "ValueError"}}})
+    out = tmp_path / "bench.json"
+    assert bench.main(["--parent", "HEAD", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["kernels"]["change"] == {"row": {"absent": "ValueError"}}
+    assert len(_worktrees(repo)) == 1
+
+
+def test_uncommitted_edits_are_refused(repo, monkeypatch, tmp_path):
+    seen = _fake_runs(monkeypatch, {side: {"row": {"median": 1.0}} for side in ("parent", "change")})
+    (repo / "BENCHMARK.json").write_text((repo / "BENCHMARK.json").read_text() + "\n")
+    out = tmp_path / "bench.json"
+    assert bench.main(["--parent", "HEAD", "--out", str(out)]) == 3
+    assert not out.exists() and not seen
+    assert len(_worktrees(repo)) == 1
 
 
 def test_an_empty_run_output_is_a_failed_run(repo, monkeypatch, tmp_path):
